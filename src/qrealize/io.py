@@ -126,6 +126,8 @@ def parse_system_document(text: str) -> SystemDocument:
     seed = doc.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ParseError(f"seed must be an integer, got {seed!r}")
+    if seed is not None and seed < 0:
+        raise ParseError(f"seed must be non-negative, got {seed}")
     return SystemDocument(system=system, tolerances=tolerances, seed=seed)
 
 

@@ -5,8 +5,9 @@ Builders for the fixed matrices every quadrature-paired computation uses
 odd/even interleaving permutation, the quadrature-to-ladder map Gamma) and
 the small set of numeric kernels the analysis and synthesis layers share:
 Hermitian eigendecomposition with a deterministic ordering, numerical rank
-with a relative cutoff, low-rank factorization of a PSD matrix, and the
-real-embedding rank of a complex matrix.
+with a relative cutoff (one matrix through its singular values, a stack of
+Hermitian matrices through their eigenvalues), low-rank factorization of a
+PSD matrix, and the real-embedding rank of a complex matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "is_psd",
     "hermitian_eig",
     "numerical_rank",
+    "hermitian_rank",
     "psd_low_rank_factor",
     "complex_rank_via_real_embedding",
 ]
@@ -223,6 +225,34 @@ def numerical_rank(m, policy: TolerancePolicy = DEFAULT_POLICY) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > policy.rank_rel_tol * s[0]))
+
+
+def hermitian_rank(stack, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Numerical rank of each Hermitian (or real symmetric) matrix in a stack.
+
+    The absolute eigenvalues of a Hermitian matrix are its singular values,
+    so this applies the numerical_rank rule (count above rank_rel_tol times
+    the largest, 0 when the largest is 0) to ``|eigvalsh|``. As with
+    eigvalsh, only the lower triangle of each matrix is read.
+
+    Parameters
+    ----------
+    stack : array_like
+        Shape (..., k, k).
+
+    Returns
+    -------
+    ndarray of int
+        Shape stack.shape[:-2]; a single matrix gives a 0-d array.
+    """
+    stack = np.asarray(stack)
+    if stack.ndim < 2 or stack.shape[-1] != stack.shape[-2]:
+        raise DimensionError(f"hermitian_rank requires square matrices, got shape {stack.shape}")
+    if stack.size == 0:
+        return np.zeros(stack.shape[:-2], dtype=int)
+    w = np.abs(np.linalg.eigvalsh(stack))
+    top = w.max(axis=-1, keepdims=True)
+    return np.asarray(np.count_nonzero(w > policy.rank_rel_tol * top, axis=-1))
 
 
 def psd_low_rank_factor(xi2, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

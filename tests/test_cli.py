@@ -90,6 +90,31 @@ class TestSynthesize:
         assert main(["synthesize", paper_file, "-o", str(tmp_path / "no" / "x.json")]) == 2
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_synthesize_rejects(self, paper_file, tmp_path, capsys, where):
+        out = tmp_path / "report.json"
+        argv = ["synthesize", paper_file, "-o", str(out)]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            a, b, c = paper_matrices()
+            seeded = tmp_path / "seeded.json"
+            seeded.write_text(
+                json.dumps({"A": a.tolist(), "B": b.tolist(), "C": c.tolist(), "seed": -5})
+            )
+            argv[1] = str(seeded)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert not out.exists()
+
+    def test_paper_example_rejects(self, capsys):
+        assert main(["paper-example", "--seed", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+
+
 class TestCheck:
     def test_synthesized_report_round_trips(self, paper_file, tmp_path, capsys):
         report = tmp_path / "report.json"

@@ -118,6 +118,10 @@ class TestToleranceAndSeedHandling:
         with pytest.raises(ParseError, match="seed"):
             parse_system_document(_paper_text(seed=True))
 
+    def test_negative_seed(self):
+        with pytest.raises(ParseError, match="seed must be non-negative"):
+            parse_system_document(_paper_text(seed=-5))
+
     def test_resolution_precedence(self):
         doc = parse_system_document(
             _paper_text(tolerances={"rank_rel_tol": 1e-6, "residual_tol": 1e-5}, seed=9)

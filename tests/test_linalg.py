@@ -20,6 +20,7 @@ from qrealize import (
     canonical_structure,
     complex_rank_via_real_embedding,
     hermitian_eig,
+    hermitian_rank,
     is_hermitian,
     is_psd,
     is_skew_symmetric,
@@ -197,6 +198,9 @@ class TestNumericalRank:
     def test_zero_and_empty(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
         assert numerical_rank(np.zeros((0, 4))) == 0
+        assert hermitian_rank(np.zeros((3, 3))) == 0
+        assert hermitian_rank(np.zeros((0, 0))) == 0
+        assert hermitian_rank(np.zeros((0, 4, 4))).shape == (0,)
 
     def test_relative_cutoff(self):
         assert numerical_rank(np.diag([1.0, 1e-15])) == 1
@@ -253,6 +257,12 @@ class TestRealEmbeddingRank:
         direct = numerical_rank(m)
         embedded = complex_rank_via_real_embedding(m.real, m.imag)
         assert embedded == direct
+        assert hermitian_rank(m) == direct
+        assert hermitian_rank(np.block([[m.real, m.imag], [-m.imag, m.real]])) == 2 * direct
+        # -m: negative eigenvalues count by magnitude; m + I: full rank
+        stack = np.stack([m, -m, np.zeros_like(m), m + np.eye(n)])
+        expected = [numerical_rank(x) for x in stack]
+        assert hermitian_rank(stack).tolist() == expected
 
     def test_pure_imaginary(self):
         # i*J has rank 2 while the parts individually have ranks 0 and 2
@@ -261,3 +271,5 @@ class TestRealEmbeddingRank:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
             complex_rank_via_real_embedding(np.eye(2), np.eye(3))
+        with pytest.raises(DimensionError):
+            hermitian_rank(np.zeros((2, 3)))

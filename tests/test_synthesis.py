@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qrealize import (
     ContractError,
     LtiSystem,
+    MinimalityCertificate,
     SynthesisError,
     build_b1,
     build_lambda_b0,
@@ -18,12 +19,14 @@ from qrealize import (
     build_theta,
     build_xi1,
     build_xi2,
+    complex_rank_via_real_embedding,
     compute_s_tilde,
     minimal_noise_count,
     minimality_certificate,
     numerical_rank,
     synthesize_realization,
 )
+from qrealize.synthesis import _certificate_batch
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -259,10 +262,55 @@ class TestProofIdentities:
             assert _rel(lhs - skew.S, skew.S) <= 1e-9
 
 
+def _reference_certificate(sys, trials, seed):
+    """The certificate ranked one candidate at a time, by SVD on both routes."""
+    skew = compute_s_tilde(sys)
+    imag_part = 0.25 * skew.S_tilde
+    candidates = [build_xi1(skew), np.zeros((sys.n, sys.n))]
+    base = float(np.linalg.norm(skew.S_tilde)) or 1.0
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        g = np.random.default_rng(child).standard_normal((sys.n, sys.n))
+        candidates.append((1e-2, 1.0, 1e2)[t % 3] * base * 0.5 * (g + g.T))
+    direct = [numerical_rank(xi + 1j * imag_part) for xi in candidates]
+    embedded = [complex_rank_via_real_embedding(xi, imag_part) for xi in candidates]
+    return MinimalityCertificate(
+        r=skew.rank_r,
+        trials=len(candidates),
+        min_observed_rank=min(direct),
+        lower_bound_held=min(direct) >= skew.rank_r // 2,
+        embedding_agreed=direct == embedded,
+    )
+
+
+def _system_n32():
+    rng = np.random.default_rng(32)
+    return LtiSystem.from_matrices(
+        rng.standard_normal((32, 32)),
+        rng.standard_normal((32, 8)),
+        rng.standard_normal((8, 32)),
+    )
+
+
 class TestMinimalityCertificate:
     def test_rejects_bad_trials(self, small_system):
         with pytest.raises(ContractError):
             minimality_certificate(small_system, trials=0)
+
+    def test_rejects_negative_seed(self, small_system):
+        with pytest.raises(ContractError, match="seed"):
+            minimality_certificate(small_system, seed=-1)
+
+    @pytest.mark.parametrize("name", ["trivial", "small", "paper", "n32"])
+    def test_matches_per_candidate_svd_loop(self, fixture_systems, name):
+        sys = _system_n32() if name == "n32" else fixture_systems[name]
+        batch = _certificate_batch(sys.n)
+        # trials + 2 candidates are ranked: batch - 2 fills one batch
+        # exactly, the next three spill 1-3 candidates into a second
+        for trials in sorted({1, batch - 2, batch - 1, batch, batch + 1, 200} - {0}):
+            cert = minimality_certificate(sys, trials=trials, seed=trials)
+            assert cert == _reference_certificate(sys, trials, seed=trials)
+        if name == "trivial":
+            assert cert.min_observed_rank == 0
 
     def test_trivial_bound(self, trivial_system):
         cert = minimality_certificate(trivial_system, trials=10, seed=0)
