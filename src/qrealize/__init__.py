@@ -7,7 +7,7 @@ and constructs realization matrices (R, Lambda, B1, D1) together with a
 numerical verification report.
 """
 
-# Set before the submodule imports below; io reads it at import time.
+# qrealize.io stamps it into every report.
 __version__ = "0.1.0"
 
 from .errors import (
@@ -20,64 +20,16 @@ from .errors import (
     SynthesisError,
     ValidationError,
 )
-from .linalg import (
-    DEFAULT_POLICY,
-    J_BLOCK,
-    M_BLOCK,
-    CanonicalStructure,
-    TolerancePolicy,
-    build_gamma,
-    build_p,
-    build_sigma,
-    build_theta,
-    canonical_structure,
-    complex_rank_via_real_embedding,
-    hermitian_eig,
-    hermitian_rank,
-    is_hermitian,
-    is_psd,
-    is_skew_symmetric,
-    is_symmetric,
-    numerical_rank,
-    psd_low_rank_factor,
-)
+from .linalg import TolerancePolicy
 from .realizability import (
-    MULTIPLICITY_CLUSTER_REL,
     LtiSystem,
-    NoiseItoStructure,
-    ResidualEntry,
-    ResidualReport,
     SkewReport,
     check_physical_realizability,
     compute_s_tilde,
     minimal_noise_count,
     multiplicity_noise_count,
-    noise_ito_structure,
-    residual_entry,
-    validate_system,
 )
-from .synthesis import (
-    MinimalityCertificate,
-    Realization,
-    build_b1,
-    build_lambda_b0,
-    build_lambda_b1,
-    build_lambda_b2,
-    build_r,
-    build_xi1,
-    build_xi2,
-    minimality_certificate,
-    synthesize_realization,
-)
-from .io import (
-    SystemDocument,
-    parse_realization,
-    parse_system,
-    parse_system_document,
-    report_document,
-    serialize_report,
-    serialize_system,
-)
+from .synthesis import Realization, minimality_certificate, synthesize_realization
 
 __all__ = [
     "__version__",
@@ -90,58 +42,16 @@ __all__ = [
     "FactorizationError",
     "NumericalError",
     "SynthesisError",
-    # linalg
-    "J_BLOCK",
-    "M_BLOCK",
-    "TolerancePolicy",
-    "DEFAULT_POLICY",
-    "CanonicalStructure",
-    "build_theta",
-    "build_p",
-    "build_gamma",
-    "build_sigma",
-    "canonical_structure",
-    "is_symmetric",
-    "is_skew_symmetric",
-    "is_hermitian",
-    "is_psd",
-    "hermitian_eig",
-    "hermitian_rank",
-    "numerical_rank",
-    "psd_low_rank_factor",
-    "complex_rank_via_real_embedding",
-    # realizability
+    # analysis
     "LtiSystem",
+    "TolerancePolicy",
     "SkewReport",
-    "NoiseItoStructure",
-    "ResidualEntry",
-    "ResidualReport",
-    "MULTIPLICITY_CLUSTER_REL",
-    "validate_system",
     "compute_s_tilde",
     "minimal_noise_count",
     "multiplicity_noise_count",
-    "noise_ito_structure",
-    "residual_entry",
     "check_physical_realizability",
     # synthesis
     "Realization",
-    "MinimalityCertificate",
-    "build_r",
-    "build_lambda_b0",
-    "build_lambda_b2",
-    "build_xi1",
-    "build_xi2",
-    "build_lambda_b1",
-    "build_b1",
     "synthesize_realization",
     "minimality_certificate",
-    # io
-    "SystemDocument",
-    "parse_system",
-    "parse_system_document",
-    "parse_realization",
-    "serialize_system",
-    "report_document",
-    "serialize_report",
 ]

@@ -17,24 +17,18 @@ import numpy as np
 
 from .errors import QRealizeError, SynthesisError
 from .io import (
+    SystemDocument,
     parse_realization,
     parse_system_document,
     report_document,
     serialize_report,
 )
-from .linalg import DEFAULT_POLICY, TolerancePolicy
-from .realizability import (
-    LtiSystem,
-    check_physical_realizability,
-    compute_s_tilde,
-    minimal_noise_count,
-    multiplicity_noise_count,
-)
+from .realizability import LtiSystem, check_physical_realizability, compute_s_tilde
 from .synthesis import minimality_certificate, synthesize_realization
 
 # Reference values for the built-in example's skew invariant, quoted to
 # the 4 decimal places the source prints.
-_EXAMPLE_S_TILDE = np.array(
+EXAMPLE_S_TILDE = np.array(
     [
         [0.0, 2.3788, 0.0, 0.6472],
         [-2.3788, 0.0, -0.6472, 0.0],
@@ -60,17 +54,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _policy_from_flags(args) -> TolerancePolicy:
-    rank_tol = args.rank_tol if args.rank_tol is not None else DEFAULT_POLICY.rank_rel_tol
-    residual_tol = (
-        args.residual_tol if args.residual_tol is not None else DEFAULT_POLICY.residual_tol
-    )
-    try:
-        return TolerancePolicy(rank_rel_tol=rank_tol, residual_tol=residual_tol)
-    except ValueError as exc:
-        raise QRealizeError(f"invalid tolerance flag: {exc}") from exc
-
-
 def _print_residuals(report) -> None:
     for e in report:
         verdict = "PASS" if e.passed else "FAIL"
@@ -80,10 +63,9 @@ def _print_residuals(report) -> None:
 def cmd_count(args) -> int:
     doc = parse_system_document(_read_text(args.path))
     policy = doc.resolve_policy(args.rank_tol, args.residual_tol)
-    r, n_v = minimal_noise_count(doc.system, policy)
-    bound = multiplicity_noise_count(doc.system, policy)
-    print(f"r={r} n_v={n_v}")
-    print(f"multiplicity_bound={bound}")
+    skew = compute_s_tilde(doc.system, policy)
+    print(f"r={skew.rank_r} n_v={skew.n_v}")
+    print(f"multiplicity_bound={skew.multiplicity_count}")
     return 0
 
 
@@ -91,37 +73,21 @@ def cmd_synthesize(args) -> int:
     doc = parse_system_document(_read_text(args.path))
     policy = doc.resolve_policy(args.rank_tol, args.residual_tol)
     seed = doc.resolve_seed(args.seed)
-    system = doc.system
 
-    skew = compute_s_tilde(system, policy)
-    r, n_v = minimal_noise_count(system, policy)
-    bound = multiplicity_noise_count(system, policy)
+    skew = compute_s_tilde(doc.system, policy)
     try:
-        realization, report = synthesize_realization(system, policy)
+        realization, report = synthesize_realization(skew)
     except SynthesisError as exc:
         if exc.realization is None or exc.report is None:
             raise
         realization, report = exc.realization, exc.report
-    certificate = minimality_certificate(
-        system, trials=_CERTIFICATE_TRIALS, seed=seed, policy=policy
-    )
+    certificate = minimality_certificate(skew, trials=_CERTIFICATE_TRIALS, seed=seed)
 
-    out = report_document(
-        system,
-        skew,
-        r,
-        n_v,
-        bound,
-        realization,
-        report,
-        certificate,
-        policy,
-        seed,
-    )
+    out = report_document(realization, report, certificate, seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_report(out))
     status = "pass" if report.all_passed else "FAIL"
-    print(f"wrote {args.out} (n_v={n_v}, residuals {status})")
+    print(f"wrote {args.out} (n_v={skew.n_v}, residuals {status})")
     return 0 if report.all_passed else 1
 
 
@@ -135,25 +101,24 @@ def cmd_check(args) -> int:
 
 
 def cmd_paper_example(args) -> int:
-    policy = _policy_from_flags(args)
-    seed = args.seed if args.seed is not None else 0
-    system = example_system()
+    doc = SystemDocument(system=example_system(), tolerances={}, seed=None)
+    policy = doc.resolve_policy(args.rank_tol, args.residual_tol)
+    seed = doc.resolve_seed(args.seed)
 
-    skew = compute_s_tilde(system, policy)
+    skew = compute_s_tilde(doc.system, policy)
     print("S_tilde =")
     for row in skew.S_tilde:
         print("  " + "  ".join(f"{x:8.4f}" for x in row))
-    deviation = float(np.abs(skew.S_tilde - _EXAMPLE_S_TILDE).max())
+    deviation = float(np.abs(skew.S_tilde - EXAMPLE_S_TILDE).max())
     match_ok = deviation <= 1e-4
     print(f"reference match: max deviation {deviation:.2e} {'PASS' if match_ok else 'FAIL'}")
 
-    r, n_v = minimal_noise_count(system, policy)
-    print(f"r={r} n_v={n_v}")
-    counts_ok = r == 4 and n_v == 6
-    print(f"multiplicity_bound={multiplicity_noise_count(system, policy)}")
+    print(f"r={skew.rank_r} n_v={skew.n_v}")
+    counts_ok = skew.rank_r == 4 and skew.n_v == 6
+    print(f"multiplicity_bound={skew.multiplicity_count}")
 
     try:
-        _, report = synthesize_realization(system, policy)
+        _, report = synthesize_realization(skew)
         synth_ok = report.all_passed
     except SynthesisError as exc:
         if exc.report is None:
@@ -162,9 +127,7 @@ def cmd_paper_example(args) -> int:
         synth_ok = False
     _print_residuals(report)
 
-    certificate = minimality_certificate(
-        system, trials=_CERTIFICATE_TRIALS, seed=seed, policy=policy
-    )
+    certificate = minimality_certificate(skew, trials=_CERTIFICATE_TRIALS, seed=seed)
     cert_ok = certificate.lower_bound_held and certificate.embedding_agreed
     print(
         f"certificate: trials={certificate.trials} "

@@ -58,11 +58,16 @@ class SystemDocument:
             raise ParseError(f"invalid tolerance override: {exc}") from exc
 
     def resolve_seed(self, seed=None) -> int:
-        if seed is not None:
-            return int(seed)
-        if self.seed is not None:
-            return self.seed
-        return 0
+        """Effective certificate seed: flag over document over 0.
+
+        A negative seed raises ParseError, so a command rejects it before
+        any work is done or any output is written.
+        """
+        if seed is None:
+            seed = 0 if self.seed is None else self.seed
+        if seed < 0:
+            raise ParseError(f"seed must be non-negative, got {seed}")
+        return int(seed)
 
 
 def _loads(text: str):
@@ -156,14 +161,12 @@ def parse_realization(text: str):
 
 
 def _real_lists(m) -> list:
-    return [[float(x) for x in row] for row in np.atleast_2d(np.asarray(m))]
+    return np.atleast_2d(np.asarray(m, dtype=float)).tolist()
 
 
 def _complex_pairs(m) -> list:
-    return [
-        [[float(x.real), float(x.imag)] for x in row]
-        for row in np.atleast_2d(np.asarray(m, dtype=complex))
-    ]
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def serialize_system(sys, tolerances=None, seed=None) -> str:
@@ -176,23 +179,17 @@ def serialize_system(sys, tolerances=None, seed=None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def report_document(
-    sys,
-    skew,
-    r: int,
-    n_v: int,
-    multiplicity_count: int,
-    realization,
-    residuals,
-    certificate,
-    policy: TolerancePolicy,
-    seed: int,
-) -> dict:
+def report_document(realization, residuals, certificate, seed: int) -> dict:
     """Assemble the full report as plain JSON-ready data.
 
-    Residual values go in exactly as computed (shortest round-trip float
-    encoding), so nothing is lost to formatting.
+    The system, the tolerances and the analysis (S_tilde, its spectrum, r,
+    n_v and the multiplicity count) come from the analysis record the
+    realization carries; ``certificate`` may be None. Residual values go
+    in exactly as computed (shortest round-trip float encoding), so
+    nothing is lost to formatting.
     """
+    skew = realization.skew
+    sys, policy = skew.system, skew.policy
     doc = {
         "version": __version__,
         "seed": int(seed),
@@ -208,9 +205,9 @@ def report_document(
         "analysis": {
             "S_tilde": _real_lists(skew.S_tilde),
             "eigenvalues_of_S": [float(x) for x in skew.eigenvalues],
-            "r": int(r),
-            "n_v": int(n_v),
-            "multiplicity_noise_count": int(multiplicity_count),
+            "r": int(skew.rank_r),
+            "n_v": int(skew.n_v),
+            "multiplicity_noise_count": int(skew.multiplicity_count),
         },
         "residuals": [
             {
@@ -224,15 +221,14 @@ def report_document(
             for e in residuals
         ],
         "all_passed": bool(all(e.passed for e in residuals)),
-    }
-    if realization is not None:
-        doc["realization"] = {
+        "realization": {
             "R": _real_lists(realization.R),
             "Lambda": _complex_pairs(realization.Lambda),
             "B1": _real_lists(realization.B1),
             "D1": _real_lists(realization.D1),
             "n_v": int(realization.n_v),
-        }
+        },
+    }
     if certificate is not None:
         doc["certificate"] = {
             "r": int(certificate.r),

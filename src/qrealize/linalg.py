@@ -23,16 +23,10 @@ __all__ = [
     "M_BLOCK",
     "TolerancePolicy",
     "DEFAULT_POLICY",
-    "CanonicalStructure",
     "build_theta",
     "build_p",
     "build_gamma",
     "build_sigma",
-    "canonical_structure",
-    "is_symmetric",
-    "is_skew_symmetric",
-    "is_hermitian",
-    "is_psd",
     "hermitian_eig",
     "numerical_rank",
     "hermitian_rank",
@@ -113,63 +107,6 @@ def build_sigma(n_y: int, pairs: int) -> np.ndarray:
     if pairs < half:
         raise DimensionError(f"selector needs at least {half} columns, got {pairs}")
     return np.hstack([np.eye(half), np.zeros((half, pairs - half))])
-
-
-@dataclass(frozen=True, eq=False)
-class CanonicalStructure:
-    """Fixed matrices for a system with n states, n_u inputs, and n_v noises."""
-
-    theta_n: np.ndarray
-    theta_nu: np.ndarray
-    theta_ny: np.ndarray
-    P: np.ndarray
-    M: np.ndarray
-    Gamma: np.ndarray
-    Sigma_ny: np.ndarray
-
-
-def canonical_structure(n: int, n_u: int, n_v: int) -> CanonicalStructure:
-    """Bundle the constant matrices for the given dimensions (n_y = n_u)."""
-    total = _require_even(n_v, "n_v") + _require_even(n_u, "n_u")
-    return CanonicalStructure(
-        theta_n=build_theta(n),
-        theta_nu=build_theta(n_u),
-        theta_ny=build_theta(n_u),
-        P=build_p(total),
-        M=M_BLOCK.copy(),
-        Gamma=build_gamma(total),
-        Sigma_ny=build_sigma(n_u, total // 2),
-    )
-
-
-def is_symmetric(m, tol: float = 1e-12) -> bool:
-    m = np.asarray(m)
-    scale = _fro(m)
-    return _fro(m - m.T) <= tol * scale if scale > 0 else True
-
-
-def is_skew_symmetric(m, tol: float = 1e-12) -> bool:
-    m = np.asarray(m)
-    scale = _fro(m)
-    return _fro(m + m.T) <= tol * scale if scale > 0 else True
-
-
-def is_hermitian(m, tol: float = 1e-12) -> bool:
-    m = np.asarray(m)
-    scale = _fro(m)
-    return _fro(m - m.conj().T) <= tol * scale if scale > 0 else True
-
-
-def is_psd(m, tol: float = 1e-9) -> bool:
-    """Hermitian with eigenvalues >= -tol * max|eigenvalue|."""
-    m = np.asarray(m)
-    if not is_hermitian(m, max(tol, 1e-12)):
-        return False
-    if m.size == 0:
-        return True
-    w = np.linalg.eigvalsh(m)
-    bound = tol * max(float(np.abs(w).max()), 0.0)
-    return bool(w.min() >= -bound)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:

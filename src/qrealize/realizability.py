@@ -4,8 +4,9 @@ Given a real state-space triple (A, B, C) on quadrature-paired dimensions,
 this module computes the skew-symmetric invariant S_tilde whose rank fixes
 the minimal number of additional vacuum noise channels, the companion
 Hermitian matrix S = (i/4) S_tilde, two noise counts (the exact rank-based
-one and the coarser multiplicity-based bound), and the residual check that
-decides whether a candidate (B1, D1) completion is physically realizable.
+one and the coarser multiplicity-based bound), all held in one analysis
+record per system, and the residual check that decides whether a
+candidate (B1, D1) completion is physically realizable.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .linalg import (
 __all__ = [
     "LtiSystem",
     "SkewReport",
-    "NoiseItoStructure",
     "ResidualEntry",
     "ResidualReport",
     "MULTIPLICITY_CLUSTER_REL",
@@ -36,7 +36,6 @@ __all__ = [
     "compute_s_tilde",
     "minimal_noise_count",
     "multiplicity_noise_count",
-    "noise_ito_structure",
     "residual_entry",
     "check_physical_realizability",
 ]
@@ -106,30 +105,49 @@ def validate_system(sys: LtiSystem) -> LtiSystem:
 
 @dataclass(frozen=True, eq=False)
 class SkewReport:
-    """The skew invariant S_tilde, its Hermitian companion, and eigen data.
+    """Analysis record of one system: everything derived from S_tilde.
 
+    ``system`` and ``policy`` are what the record was computed from.
     S = (i/4) S_tilde is Hermitian because S_tilde is real skew-symmetric;
-    ``eigenvalues`` holds the spectrum of S sorted descending, and
-    ``rank_r`` the numerical rank of S_tilde under ``tol``.
+    it is derived on access rather than stored, to keep the record small.
+    S = U^dag diag(eigenvalues) U with the eigenvalues sorted descending
+    and the rows of U phase-fixed as in hermitian_eig. ``rank_r`` is the
+    (even) numerical rank of S_tilde, ``n_v = n_u + rank_r`` the exact
+    minimal noise count and ``multiplicity_count`` the multiplicity-based
+    bound n_u + 2(n - n_lambda).
     """
 
+    system: LtiSystem
+    policy: TolerancePolicy
     S_tilde: np.ndarray
-    S: np.ndarray
+    U: np.ndarray
     eigenvalues: np.ndarray
     rank_r: int
-    tol: TolerancePolicy
+    n_v: int
+    multiplicity_count: int
+
+    @property
+    def S(self) -> np.ndarray:
+        return 0.25j * self.S_tilde
 
 
 def compute_s_tilde(
     sys: LtiSystem, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> SkewReport:
-    """Skew invariant of a validated system.
+    """Analysis record of a validated system.
 
     S_tilde = Theta B Theta_u B^T Theta - A^T Theta - Theta A - C^T Theta_y C,
     with the outer commutation matrices of size n and the middle one of
     size n_u. The result must be skew-symmetric up to roundoff; a residual
     above symmetry_tol raises NumericalError since it signals a bug, not
-    bad input.
+    bad input. The rank of a real skew-symmetric matrix is even; an odd
+    computed value means the rank cutoff sits inside a singular-value pair
+    and raises NumericalError too.
+
+    n_lambda in the multiplicity count is the multiplicity of the least
+    eigenvalue of i*S_tilde, clustered with a relative gap of
+    MULTIPLICITY_CLUSTER_REL. Multiplicity does not change under positive
+    scaling, so the spectrum of S is used directly.
     """
     sys = validate_system(sys)
     theta = build_theta(sys.n)
@@ -149,77 +167,42 @@ def compute_s_tilde(
                 f"skew invariant lost antisymmetry: residual {skewness:.3e} "
                 f"exceeds {policy.symmetry_tol:.1e} * {scale:.3e}"
             )
-    s = 0.25j * s_tilde
-    _, eigenvalues = hermitian_eig(s, policy)
+    u, w = hermitian_eig(0.25j * s_tilde, policy)
+    rank = numerical_rank(s_tilde, policy)
+    if rank % 2 != 0:
+        raise NumericalError(
+            f"numerical rank {rank} of the skew invariant is odd; "
+            "adjust rank_rel_tol away from the singular-value cluster"
+        )
+    gap = MULTIPLICITY_CLUSTER_REL * float(np.abs(w).max()) if w.size else 0.0
+    n_lambda = int(np.count_nonzero(w <= w.min() + gap))
     return SkewReport(
+        system=sys,
+        policy=policy,
         S_tilde=s_tilde,
-        S=s,
-        eigenvalues=eigenvalues,
-        rank_r=numerical_rank(s_tilde, policy),
-        tol=policy,
+        U=u,
+        eigenvalues=w,
+        rank_r=rank,
+        n_v=sys.n_u + rank,
+        multiplicity_count=sys.n_u + 2 * (sys.n - n_lambda),
     )
 
 
 def minimal_noise_count(sys: LtiSystem, policy: TolerancePolicy = DEFAULT_POLICY):
-    """Exact minimum number of additional noise channels.
-
-    Returns (r, n_v) with r = rank(S_tilde) and n_v = n_u + r. The rank of
-    a real skew-symmetric matrix is even; an odd computed value means the
-    rank cutoff sits inside an eigenvalue pair and raises NumericalError.
-    """
+    """Exact minimum (r, n_v) with r = rank(S_tilde) and n_v = n_u + r."""
     skew = compute_s_tilde(sys, policy)
-    if skew.rank_r % 2 != 0:
-        raise NumericalError(
-            f"numerical rank {skew.rank_r} of the skew invariant is odd; "
-            "adjust rank_rel_tol away from the singular-value cluster"
-        )
-    return skew.rank_r, sys.n_u + skew.rank_r
+    return skew.rank_r, skew.n_v
 
 
 def multiplicity_noise_count(
     sys: LtiSystem, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> int:
-    """Multiplicity-based noise count n_u + 2(n - n_lambda).
+    """Multiplicity-based noise count n_u + 2(n - n_lambda) (see compute_s_tilde).
 
-    n_lambda is the multiplicity of the least eigenvalue of i*S_tilde,
-    clustered with a relative gap of MULTIPLICITY_CLUSTER_REL. Multiplicity
-    does not change under positive scaling, so the stored spectrum of
-    S = (i/4) S_tilde is used directly. Never smaller than the rank-based
-    count, and it degenerates to n_u exactly when S_tilde = 0.
+    Never smaller than the rank-based count, and it degenerates to n_u
+    exactly when S_tilde = 0.
     """
-    skew = compute_s_tilde(sys, policy)
-    w = skew.eigenvalues
-    gap = MULTIPLICITY_CLUSTER_REL * float(np.abs(w).max()) if w.size else 0.0
-    n_lambda = int(np.count_nonzero(w <= w.min() + gap))
-    return sys.n_u + 2 * (sys.n - n_lambda)
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseItoStructure:
-    """Vacuum Ito matrices of the noise fields and their skew part T_w.
-
-    F = I + i*Theta for each field; T_w = (1/2) blockdiag(F_v - F_v^T,
-    F_u - F_u^T), which reduces to i*blockdiag(Theta_nv, Theta_nu).
-    """
-
-    F_v: np.ndarray
-    F_u: np.ndarray
-    T_w: np.ndarray
-
-
-def noise_ito_structure(n_v: int, n_u: int) -> NoiseItoStructure:
-    """Ito structure for n_v additional noises and n_u inputs, both even."""
-    theta_v = build_theta(n_v)
-    theta_u = build_theta(n_u)
-    f_v = np.eye(n_v) + 1j * theta_v
-    f_u = np.eye(n_u) + 1j * theta_u
-    t_w = 0.5 * np.block(
-        [
-            [f_v - f_v.T, np.zeros((n_v, n_u))],
-            [np.zeros((n_u, n_v)), f_u - f_u.T],
-        ]
-    )
-    return NoiseItoStructure(F_v=f_v, F_u=f_u, T_w=t_w)
+    return compute_s_tilde(sys, policy).multiplicity_count
 
 
 @dataclass(frozen=True)
@@ -317,12 +300,13 @@ def check_physical_realizability(
         raise DimensionError(f"D1 must be {sys.n_y}x{n_v}, got shape {d1.shape}")
 
     theta = build_theta(sys.n)
-    ito = noise_ito_structure(n_v, sys.n_u)
+    # skew part of the vacuum Ito matrices I + i*Theta of all n_v + n_u fields
+    t_w = 1j * build_theta(n_v + sys.n_u)
     bb = np.hstack([b1, sys.B])
 
     term_a = 1j * sys.A @ theta
     term_at = 1j * theta @ sys.A.T
-    term_bb = bb @ ito.T_w @ bb.T
+    term_bb = bb @ t_w @ bb.T
     # T_w is i*blockdiag(J, ..., J), so the quadratic term sums one
     # contribution per quadrature pair; the pairs can cancel each other,
     # so they set the scale individually, not through their sum.

@@ -24,7 +24,6 @@ from .linalg import (
     build_p,
     build_sigma,
     build_theta,
-    hermitian_eig,
     hermitian_rank,
     numerical_rank,
     psd_low_rank_factor,
@@ -36,7 +35,6 @@ from .realizability import (
     check_physical_realizability,
     compute_s_tilde,
     residual_entry,
-    validate_system,
 )
 
 __all__ = [
@@ -97,13 +95,14 @@ def build_lambda_b2(sys: LtiSystem) -> np.ndarray:
 def build_xi1(skew: SkewReport, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Real symmetric PSD part chosen to minimize the Gram rank.
 
-    With S = U^dag D U, returns Xi1 = U^dag |D| U, the positive square
-    root of S^2. The product is real up to roundoff; an imaginary residual
-    above residual_tol raises NumericalError, otherwise the imaginary part
-    is dropped and the result exactly symmetrized.
+    With S = U^dag D U from the record (``skew.U``, ``skew.eigenvalues``),
+    returns Xi1 = U^dag |D| U, the positive square root of S^2. The product
+    is real up to roundoff; an imaginary residual above residual_tol raises
+    NumericalError, otherwise the imaginary part is dropped and the result
+    exactly symmetrized.
     """
-    u, d = hermitian_eig(skew.S, policy)
-    xi1 = u.conj().T @ np.diag(np.abs(d)) @ u
+    u = skew.U
+    xi1 = u.conj().T @ np.diag(np.abs(skew.eigenvalues)) @ u
     scale = float(np.linalg.norm(xi1))
     imag = float(np.linalg.norm(xi1.imag))
     if scale > 0 and imag > policy.residual_tol * scale:
@@ -181,60 +180,61 @@ def build_b1(
 class Realization:
     """Synthesized quantum realization of an LTI triple.
 
-    R is the real symmetric Hamiltonian matrix (H = (1/2) x(0)^T R x(0)),
-    Lambda the complex coupling matrix (L = Lambda x(0)) stacked as
-    [Lambda_b0; Lambda_b1; Lambda_b2], and (B1, D1) the noise input and
-    feedthrough matrices for n_v additional channels. The intermediates
+    ``skew`` is the analysis record the realization was built from; it
+    holds the system, the policy, r and n_v. R is the real symmetric
+    Hamiltonian matrix (H = (1/2) x(0)^T R x(0)), Lambda the complex
+    coupling matrix (L = Lambda x(0)) stacked as [Lambda_b0; Lambda_b1;
+    Lambda_b2] with n_y/2, r/2 and n_u/2 rows, and (B1, D1) the noise input
+    and feedthrough matrices for n_v additional channels. The intermediates
     Xi1 and Xi2 are kept for inspection.
     """
 
+    skew: SkewReport
     R: np.ndarray
     Lambda: np.ndarray
     B1: np.ndarray
     D1: np.ndarray
-    n_v: int
     Xi1: np.ndarray
     Xi2: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.R.shape[0]
-
-    @property
-    def n_y(self) -> int:
-        return self.D1.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        # validation pins n_u = n_y
-        return self.D1.shape[0]
+    def n_v(self) -> int:
+        return self.skew.n_v
 
     @property
     def Lambda_b0(self) -> np.ndarray:
-        return self.Lambda[: self.n_y // 2]
+        return self.Lambda[: self.skew.system.n_y // 2]
 
     @property
     def Lambda_b1(self) -> np.ndarray:
-        return self.Lambda[self.n_y // 2 : (self.n_v + self.n_y - self.n_u) // 2]
+        return self.Lambda[self.skew.system.n_y // 2 : self.n_v // 2]
 
     @property
     def Lambda_b2(self) -> np.ndarray:
-        return self.Lambda[(self.n_v + self.n_y - self.n_u) // 2 :]
+        return self.Lambda[self.n_v // 2 :]
 
 
 def synthesize_realization(
-    sys: LtiSystem, policy: TolerancePolicy = DEFAULT_POLICY
+    sys: LtiSystem | SkewReport, policy: TolerancePolicy = DEFAULT_POLICY
 ):
     """Construct and verify a minimal realization of a validated system.
+
+    Parameters
+    ----------
+    sys : LtiSystem or SkewReport
+        The system, or the analysis record compute_s_tilde already returned
+        for it. A system is analysed under ``policy``; a record is used as
+        is, with the policy it holds, and ``policy`` is ignored.
+    policy : TolerancePolicy
 
     Returns
     -------
     (Realization, ResidualReport)
-        The realization together with six named residuals: the generator
-        reconstructions "state_rebuild" (A from R and Lambda),
-        "input_rebuild" ([B1 B] from Lambda), "output_rebuild" (C from
-        Lambda), and the three realizability conditions from
-        check_physical_realizability.
+        The realization, which carries the analysis record, together with
+        six named residuals: the generator reconstructions "state_rebuild"
+        (A from R and Lambda), "input_rebuild" ([B1 B] from Lambda),
+        "output_rebuild" (C from Lambda), and the three realizability
+        conditions from check_physical_realizability.
 
     Raises
     ------
@@ -242,14 +242,8 @@ def synthesize_realization(
         If any residual exceeds residual_tol; the exception carries the
         realization and the full report for inspection.
     """
-    sys = validate_system(sys)
-    skew = compute_s_tilde(sys, policy)
-    if skew.rank_r % 2 != 0:
-        raise NumericalError(
-            f"numerical rank {skew.rank_r} of the skew invariant is odd; "
-            "adjust rank_rel_tol away from the singular-value cluster"
-        )
-    n_v = sys.n_u + skew.rank_r
+    skew = sys if isinstance(sys, SkewReport) else compute_s_tilde(sys, policy)
+    sys, policy, n_v = skew.system, skew.policy, skew.n_v
 
     r_mat = build_r(sys)
     lb0 = build_lambda_b0(sys)
@@ -297,7 +291,7 @@ def synthesize_realization(
     check = check_physical_realizability(sys, b1, d1, policy)
     report = ResidualReport(entries=(state, fields, output) + check.entries)
     realization = Realization(
-        R=r_mat, Lambda=lam, B1=b1, D1=d1, n_v=n_v, Xi1=xi1, Xi2=xi2
+        skew=skew, R=r_mat, Lambda=lam, B1=b1, D1=d1, Xi1=xi1, Xi2=xi2
     )
     if not report.all_passed:
         failed = ", ".join(e.name for e in report if not e.passed)
@@ -333,10 +327,10 @@ def _certificate_batch(n: int) -> int:
     return max(1, _CERTIFICATE_BATCH_BYTES // (8 * (2 * n) ** 2))
 
 
-def _certificate_candidates(skew: SkewReport, trials: int, seed: int, policy: TolerancePolicy):
+def _certificate_candidates(skew: SkewReport, trials: int, seed: int):
     """Yield the constructive minimizer, the zero matrix, then the seeded draws."""
     n = skew.S_tilde.shape[0]
-    yield build_xi1(skew, policy)
+    yield build_xi1(skew, skew.policy)
     yield np.zeros((n, n))
     base = float(np.linalg.norm(skew.S_tilde)) or 1.0
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
@@ -346,20 +340,19 @@ def _certificate_candidates(skew: SkewReport, trials: int, seed: int, policy: To
 
 
 def minimality_certificate(
-    sys: LtiSystem,
-    trials: int = 200,
-    seed: int = 0,
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    skew: SkewReport, trials: int = 200, seed: int = 0
 ) -> MinimalityCertificate:
     """Probe the rank lower bound rank(Xi1 + (i/4) S_tilde) >= r/2.
 
-    Samples ``trials`` random real symmetric candidates with entries at
-    scales {1e-2, 1, 1e2} times ||S_tilde||, always prepending the
-    constructive minimizer and the zero matrix. Each candidate's rank is
-    computed twice, from the eigenvalues of the Hermitian matrix
-    Xi + (i/4) S_tilde and from those of its real symmetric embedding
-    [[Xi, S_tilde/4], [-S_tilde/4, Xi]] (halved); the two routes must
-    agree, and the minimum over all candidates is compared against r/2.
+    ``skew`` is the analysis record from compute_s_tilde; r, S_tilde and
+    the tolerance policy all come from it. Samples ``trials`` random real
+    symmetric candidates with entries at scales {1e-2, 1, 1e2} times
+    ||S_tilde||, always prepending the constructive minimizer and the zero
+    matrix. Each candidate's rank is computed twice, from the eigenvalues
+    of the Hermitian matrix Xi + (i/4) S_tilde and from those of its real
+    symmetric embedding [[Xi, S_tilde/4], [-S_tilde/4, Xi]] (halved); the
+    two routes must agree, and the minimum over all candidates is compared
+    against r/2.
     Candidates are ranked in batches held in buffers of fixed size (512 KiB
     for the embeddings), so memory does not grow with ``trials``. A
     violated bound is reported, not raised.
@@ -368,9 +361,8 @@ def minimality_certificate(
         raise ContractError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
-    sys = validate_system(sys)
-    skew = compute_s_tilde(sys, policy)
-    n = sys.n
+    policy = skew.policy
+    n = skew.system.n
     imag_part = 0.25 * skew.S_tilde
 
     total = trials + 2
@@ -381,7 +373,7 @@ def minimality_certificate(
     embedded[:, :n, n:] = imag_part
     embedded[:, n:, :n] = -imag_part
 
-    candidates = _certificate_candidates(skew, trials, seed, policy)
+    candidates = _certificate_candidates(skew, trials, seed)
     min_rank = n
     agreed = True
     for start in range(0, total, batch):

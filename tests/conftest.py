@@ -4,27 +4,15 @@ import numpy as np
 import pytest
 
 from qrealize import LtiSystem, synthesize_realization
-
-# Skew invariant of the built-in example, quoted to 4 decimal places.
-PAPER_S_TILDE = np.array(
-    [
-        [0.0, 2.3788, 0.0, 0.6472],
-        [-2.3788, 0.0, -0.6472, 0.0],
-        [0.0, 0.6472, 0.0, 0.5],
-        [-0.6472, 0.0, -0.5, 0.0],
-    ]
-)
+from qrealize.cli import example_system
 
 CORPUS_SEED = 20260814
 CORPUS_SIZE = 100
 
 
 def paper_matrices():
-    i2 = np.eye(2)
-    a = np.block([[-1.3894 * i2, -0.4472 * i2], [-0.2 * i2, -0.25 * i2]])
-    b = np.vstack([-0.4472 * i2, np.zeros((2, 2))])
-    c = np.hstack([-0.4472 * i2, np.zeros((2, 2))])
-    return a, b, c
+    sys = example_system()
+    return sys.A, sys.B, sys.C
 
 
 def make_corpus(count=CORPUS_SIZE, seed=CORPUS_SEED):
@@ -46,7 +34,7 @@ def make_corpus(count=CORPUS_SIZE, seed=CORPUS_SEED):
 
 @pytest.fixture(scope="session")
 def paper_system():
-    return LtiSystem.from_matrices(*paper_matrices())
+    return example_system()
 
 
 @pytest.fixture(scope="session")

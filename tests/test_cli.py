@@ -1,12 +1,14 @@
 """Tests for the command line interface."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import paper_matrices
 from qrealize.cli import example_system, main
+from qrealize.realizability import compute_s_tilde
 
 
 @pytest.fixture
@@ -105,14 +107,43 @@ class TestNegativeSeed:
             )
             argv[1] = str(seeded)
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "seed" in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "seed" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_paper_example_rejects(self, capsys):
         assert main(["paper-example", "--seed", "-3"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "seed" in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "seed" in captured.err
+        assert captured.out == ""
+
+
+@pytest.fixture
+def analysis_calls(monkeypatch):
+    """Count compute_s_tilde calls through every qrealize namespace binding it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compute_s_tilde(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qrealize" and vars(module).get("compute_s_tilde") is compute_s_tilde:
+            monkeypatch.setattr(module, "compute_s_tilde", counted)
+    return calls
+
+
+class TestOneAnalysisPerCommand:
+    @pytest.mark.parametrize("command", ["count", "synthesize", "paper-example"])
+    def test_analysis_runs_once(self, command, paper_file, tmp_path, analysis_calls):
+        argv = {
+            "count": ["count", paper_file],
+            "synthesize": ["synthesize", paper_file, "-o", str(tmp_path / "report.json")],
+            "paper-example": ["paper-example"],
+        }[command]
+        assert main(argv) == 0
+        assert len(analysis_calls) == 1
 
 
 class TestCheck:

@@ -7,21 +7,23 @@ import pytest
 
 from conftest import paper_matrices
 from qrealize import (
-    DEFAULT_POLICY,
     ParseError,
     ValidationError,
     compute_s_tilde,
-    minimal_noise_count,
     minimality_certificate,
-    multiplicity_noise_count,
+    synthesize_realization,
+)
+from qrealize.io import (
+    _complex_pairs,
+    _real_lists,
     parse_realization,
     parse_system,
     parse_system_document,
     report_document,
     serialize_report,
     serialize_system,
-    synthesize_realization,
 )
+from qrealize.linalg import DEFAULT_POLICY
 
 
 def _paper_text(**extra):
@@ -163,23 +165,9 @@ class TestParseRealization:
 
 
 def _report_text(sys, seed=0):
-    skew = compute_s_tilde(sys)
-    r, n_v = minimal_noise_count(sys)
     rz, report = synthesize_realization(sys)
-    cert = minimality_certificate(sys, trials=20, seed=seed)
-    doc = report_document(
-        sys,
-        skew,
-        r,
-        n_v,
-        multiplicity_noise_count(sys),
-        rz,
-        report,
-        cert,
-        DEFAULT_POLICY,
-        seed,
-    )
-    return serialize_report(doc)
+    cert = minimality_certificate(rz.skew, trials=20, seed=seed)
+    return serialize_report(report_document(rz, report, cert, seed))
 
 
 class TestReportDocument:
@@ -209,11 +197,22 @@ class TestReportDocument:
             assert stored[entry.name] == entry.relative
 
     def test_report_without_certificate(self, small_system):
-        skew = compute_s_tilde(small_system)
-        r, n_v = minimal_noise_count(small_system)
-        rz, report = synthesize_realization(small_system)
-        doc = report_document(
-            small_system, skew, r, n_v, 4, rz, report, None, DEFAULT_POLICY, 0
-        )
+        rz, report = synthesize_realization(compute_s_tilde(small_system))
+        doc = report_document(rz, report, None, 0)
         assert "certificate" not in doc
         serialize_report(doc)  # still serializes cleanly
+
+
+def test_matrix_encoding_matches_elementwise_loops():
+    # the per-element loops the array encoders replaced, kept as reference
+    rng = np.random.default_rng(4)
+    real = rng.standard_normal((32, 32))
+    real[0, :4] = [-0.0, 1e-300, -1e300, 7.000000000000001]
+    cplx = real + 1j * rng.standard_normal((32, 32))
+    cplx[1, 0] = complex(-0.0, -0.0)
+    for m in (real, real[:1, :3], np.eye(2, 6), np.array([[-0.0]])):
+        expected = [[float(x) for x in row] for row in np.atleast_2d(m)]
+        assert json.dumps(_real_lists(m)) == json.dumps(expected)
+    for m in (cplx, cplx[:3, :1], np.zeros((0, 4), dtype=complex)):
+        expected = [[[float(x.real), float(x.imag)] for x in row] for row in m]
+        assert json.dumps(_complex_pairs(m)) == json.dumps(expected)

@@ -5,26 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrealize import (
+from qrealize import ContractError, DimensionError, FactorizationError
+from qrealize.linalg import (
     DEFAULT_POLICY,
     J_BLOCK,
     M_BLOCK,
-    ContractError,
-    DimensionError,
-    FactorizationError,
     TolerancePolicy,
     build_gamma,
     build_p,
     build_sigma,
     build_theta,
-    canonical_structure,
     complex_rank_via_real_embedding,
     hermitian_eig,
     hermitian_rank,
-    is_hermitian,
-    is_psd,
-    is_skew_symmetric,
-    is_symmetric,
     numerical_rank,
     psd_low_rank_factor,
 )
@@ -114,37 +107,6 @@ class TestBuilders:
             build_sigma(4, 1)
         with pytest.raises(DimensionError):
             build_sigma(3, 5)
-
-    def test_canonical_structure_shapes(self):
-        cs = canonical_structure(n=4, n_u=2, n_v=6)
-        assert cs.theta_n.shape == (4, 4)
-        assert cs.theta_nu.shape == (2, 2)
-        assert cs.theta_ny.shape == (2, 2)
-        assert cs.P.shape == (8, 8)
-        assert cs.Gamma.shape == (8, 8)
-        assert cs.Sigma_ny.shape == (1, 4)
-        assert np.array_equal(cs.M, M_BLOCK)
-        assert np.array_equal(cs.Gamma, cs.P @ np.kron(np.eye(4), M_BLOCK))
-
-
-class TestPredicates:
-    def test_symmetric(self):
-        assert is_symmetric(np.eye(3))
-        assert not is_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_skew_symmetric(self):
-        assert is_skew_symmetric(J_BLOCK)
-        assert is_skew_symmetric(np.zeros((2, 2)))
-        assert not is_skew_symmetric(np.eye(2))
-
-    def test_hermitian(self):
-        assert is_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]))
-        assert not is_hermitian(np.array([[1.0, 1j], [1j, 2.0]]))
-
-    def test_psd(self):
-        assert is_psd(np.diag([1.0, 0.0]))
-        assert not is_psd(np.diag([1.0, -1.0]))
-        assert not is_psd(J_BLOCK)  # not even symmetric
 
 
 class TestHermitianEig:

@@ -7,21 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAPER_S_TILDE
 from qrealize import (
     DimensionError,
     LtiSystem,
     ValidationError,
-    build_theta,
     check_physical_realizability,
     compute_s_tilde,
     minimal_noise_count,
     multiplicity_noise_count,
-    noise_ito_structure,
-    residual_entry,
     synthesize_realization,
-    validate_system,
 )
+from qrealize.cli import EXAMPLE_S_TILDE
+from qrealize.linalg import build_theta
+from qrealize.realizability import residual_entry, validate_system
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -75,7 +73,7 @@ class TestValidateSystem:
 class TestComputeSTilde:
     def test_paper_matches_reference(self, paper_system):
         skew = compute_s_tilde(paper_system)
-        assert np.abs(skew.S_tilde - PAPER_S_TILDE).max() <= 1e-4
+        assert np.abs(skew.S_tilde - EXAMPLE_S_TILDE).max() <= 1e-4
 
     def test_trivial_is_exactly_zero(self, trivial_system):
         skew = compute_s_tilde(trivial_system)
@@ -133,25 +131,6 @@ class TestNoiseCounts:
                 assert multiplicity_noise_count(sys) > sys.n_u
 
 
-class TestNoiseItoStructure:
-    def test_t_w_form(self):
-        ito = noise_ito_structure(4, 2)
-        expected = 1j * np.block(
-            [
-                [build_theta(4), np.zeros((4, 2))],
-                [np.zeros((2, 4)), build_theta(2)],
-            ]
-        )
-        assert np.allclose(ito.T_w, expected, atol=1e-15)
-
-    def test_ito_matrices_are_vacuum(self):
-        ito = noise_ito_structure(2, 2)
-        for f in (ito.F_v, ito.F_u):
-            assert np.array_equal(f, np.eye(2) + 1j * build_theta(2))
-            w = np.linalg.eigvalsh(f)
-            assert w.min() >= -1e-15
-
-
 class TestResidualEntry:
     def test_zero_scale_zero_delta_passes(self):
         e = residual_entry("x", np.zeros((2, 2)), [np.zeros((2, 2))], 1e-8)
@@ -187,6 +166,22 @@ class TestCheckPhysicalRealizability:
             trivial_system, np.zeros((2, 2)), np.eye(2, 2)
         )
         assert report.all_passed
+
+    def test_commutation_uses_vacuum_ito_skew_part(self, paper_system):
+        # T_w = (1/2) blockdiag(F_v - F_v^T, F_u - F_u^T) with the vacuum
+        # Ito matrices F = I + i*Theta of the n_v = 6 noise and n_u = 2 input fields
+        sys = paper_system
+        b1 = np.random.default_rng(5).standard_normal((4, 6))
+        f_v, f_u = (np.eye(k) + 1j * build_theta(k) for k in (6, 2))
+        t_w = 0.5 * np.block(
+            [[f_v - f_v.T, np.zeros((6, 2))], [np.zeros((2, 6)), f_u - f_u.T]]
+        )
+        bb = np.hstack([b1, sys.B])
+        theta = build_theta(4)
+        delta = 1j * sys.A @ theta + 1j * theta @ sys.A.T + bb @ t_w @ bb.T
+        entry = check_physical_realizability(sys, b1, np.eye(2, 6)).entry("commutation")
+        assert entry.absolute == pytest.approx(np.linalg.norm(delta), rel=1e-14)
+        assert not entry.passed
 
     def test_wrong_d1_fails_feedthrough(self, trivial_system):
         report = check_physical_realizability(

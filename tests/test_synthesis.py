@@ -8,25 +8,24 @@ from hypothesis import strategies as st
 from qrealize import (
     ContractError,
     LtiSystem,
-    MinimalityCertificate,
     SynthesisError,
+    compute_s_tilde,
+    minimal_noise_count,
+    minimality_certificate,
+    synthesize_realization,
+)
+from qrealize.linalg import build_p, build_theta, complex_rank_via_real_embedding, numerical_rank
+from qrealize.synthesis import (
+    MinimalityCertificate,
+    _certificate_batch,
     build_b1,
     build_lambda_b0,
     build_lambda_b1,
     build_lambda_b2,
-    build_p,
     build_r,
-    build_theta,
     build_xi1,
     build_xi2,
-    complex_rank_via_real_embedding,
-    compute_s_tilde,
-    minimal_noise_count,
-    minimality_certificate,
-    numerical_rank,
-    synthesize_realization,
 )
-from qrealize.synthesis import _certificate_batch
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -194,6 +193,14 @@ class TestSynthesizeRealization:
             np.vstack([rz.Lambda_b0, rz.Lambda_b1, rz.Lambda_b2]), rz.Lambda
         )
 
+    def test_carries_and_accepts_the_analysis_record(self, paper_system):
+        skew = compute_s_tilde(paper_system)
+        rz, report = synthesize_realization(skew)
+        assert rz.skew is skew and rz.n_v == skew.n_v == 6
+        again, _ = synthesize_realization(paper_system)
+        assert again.skew.system is paper_system
+        assert np.array_equal(again.Lambda, rz.Lambda) and np.array_equal(again.B1, rz.B1)
+
     def test_trivial_reconstructs_a_exactly(self, trivial_system):
         rz, _ = synthesize_realization(trivial_system)
         theta = build_theta(2)
@@ -294,33 +301,34 @@ def _system_n32():
 class TestMinimalityCertificate:
     def test_rejects_bad_trials(self, small_system):
         with pytest.raises(ContractError):
-            minimality_certificate(small_system, trials=0)
+            minimality_certificate(compute_s_tilde(small_system), trials=0)
 
     def test_rejects_negative_seed(self, small_system):
         with pytest.raises(ContractError, match="seed"):
-            minimality_certificate(small_system, seed=-1)
+            minimality_certificate(compute_s_tilde(small_system), seed=-1)
 
     @pytest.mark.parametrize("name", ["trivial", "small", "paper", "n32"])
     def test_matches_per_candidate_svd_loop(self, fixture_systems, name):
         sys = _system_n32() if name == "n32" else fixture_systems[name]
+        skew = compute_s_tilde(sys)
         batch = _certificate_batch(sys.n)
         # trials + 2 candidates are ranked: batch - 2 fills one batch
         # exactly, the next three spill 1-3 candidates into a second
         for trials in sorted({1, batch - 2, batch - 1, batch, batch + 1, 200} - {0}):
-            cert = minimality_certificate(sys, trials=trials, seed=trials)
+            cert = minimality_certificate(skew, trials=trials, seed=trials)
             assert cert == _reference_certificate(sys, trials, seed=trials)
         if name == "trivial":
             assert cert.min_observed_rank == 0
 
     def test_trivial_bound(self, trivial_system):
-        cert = minimality_certificate(trivial_system, trials=10, seed=0)
+        cert = minimality_certificate(compute_s_tilde(trivial_system), trials=10, seed=0)
         assert cert.r == 0
         assert cert.lower_bound_held
         assert cert.embedding_agreed
 
     def test_small_and_paper_bounds(self, small_system, paper_system):
         for sys, bound in ((small_system, 1), (paper_system, 2)):
-            cert = minimality_certificate(sys, trials=200, seed=0)
+            cert = minimality_certificate(compute_s_tilde(sys), trials=200, seed=0)
             assert cert.min_observed_rank >= bound
             assert cert.lower_bound_held
             assert cert.embedding_agreed
@@ -328,6 +336,7 @@ class TestMinimalityCertificate:
             assert cert.trials == 202
 
     def test_deterministic(self, paper_system):
-        a = minimality_certificate(paper_system, trials=50, seed=7)
-        b = minimality_certificate(paper_system, trials=50, seed=7)
+        skew = compute_s_tilde(paper_system)
+        a = minimality_certificate(skew, trials=50, seed=7)
+        b = minimality_certificate(skew, trials=50, seed=7)
         assert a == b
