@@ -7,7 +7,8 @@ the small set of numeric kernels the analysis and synthesis layers share:
 Hermitian eigendecomposition with a deterministic ordering, numerical rank
 with a relative cutoff (one matrix through its singular values, a stack of
 Hermitian matrices through their eigenvalues), low-rank factorization of a
-PSD matrix, and the real-embedding rank of a complex matrix.
+PSD matrix, the real-embedding rank of a complex matrix, and the norms of
+the column-pair wedge products x y^T - y x^T.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "hermitian_rank",
     "psd_low_rank_factor",
     "complex_rank_via_real_embedding",
+    "wedge_norms",
 ]
 
 J_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -76,7 +78,11 @@ def build_theta(k: int) -> np.ndarray:
     k = int(k)
     if k < 2 or k % 2 != 0:
         raise DimensionError(f"theta requires an even size >= 2, got {k}")
-    return np.kron(np.eye(k // 2), J_BLOCK)
+    theta = np.zeros((k, k))
+    even = np.arange(0, k, 2)
+    theta[even, even + 1] = J_BLOCK[0, 1]
+    theta[even + 1, even] = J_BLOCK[1, 0]
+    return theta
 
 
 def build_p(size: int) -> np.ndarray:
@@ -93,11 +99,21 @@ def build_p(size: int) -> np.ndarray:
 
 
 def build_gamma(size: int) -> np.ndarray:
-    """Quadrature-to-ladder map: build_p(size) @ blockdiag(M, ..., M)."""
+    """Quadrature-to-ladder map: build_p(size) @ blockdiag(M, ..., M).
+
+    Built by index assignment, not as the dense product: with
+    M = (1/2)[[1, i], [1, -i]], row j < size/2 holds the first row of M in
+    columns 2j, 2j+1 and row size/2 + j holds its second row there.
+    """
     size = _require_even(size, "gamma size")
-    if size == 0:
-        return np.zeros((0, 0), dtype=complex)
-    return build_p(size) @ np.kron(np.eye(size // 2), M_BLOCK)
+    half = size // 2
+    rows = np.arange(half)
+    gamma = np.zeros((size, size), dtype=complex)
+    gamma[rows, 2 * rows] = M_BLOCK[0, 0]
+    gamma[rows, 2 * rows + 1] = M_BLOCK[0, 1]
+    gamma[half + rows, 2 * rows] = M_BLOCK[1, 0]
+    gamma[half + rows, 2 * rows + 1] = M_BLOCK[1, 1]
+    return gamma
 
 
 def build_sigma(n_y: int, pairs: int) -> np.ndarray:
@@ -234,3 +250,23 @@ def complex_rank_via_real_embedding(
         raise DimensionError(f"real and imaginary parts differ in shape: {are.shape} vs {aim.shape}")
     embedding = np.block([[are, aim], [-aim, are]])
     return numerical_rank(embedding, policy) // 2
+
+
+def wedge_norms(x, y) -> np.ndarray:
+    """Frobenius norms ||x_k y_k^T - y_k x_k^T|| for matching columns of x and y.
+
+    Computed in O(n) per column pair, without the n x n wedge product, as
+    sqrt(2) ||x_k|| ||y_k - (x_k.y_k / ||x_k||^2) x_k||. Projecting out x_k
+    keeps the value when the pair is nearly parallel, where the equivalent
+    sqrt(2 (||x||^2 ||y||^2 - (x.y)^2)) cancels to nothing. A zero x_k gives 0.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 2:
+        raise DimensionError(
+            f"wedge_norms needs two matrices of one shape, got {x.shape} and {y.shape}"
+        )
+    xx = np.einsum("ij,ij->j", x, x)
+    xy = np.einsum("ij,ij->j", x, y)
+    coef = np.divide(xy, xx, out=np.zeros_like(xx), where=xx > 0.0)
+    return np.sqrt(2.0 * xx) * np.linalg.norm(y - coef * x, axis=0)

@@ -19,11 +19,11 @@ import numpy as np
 from .errors import DimensionError, NumericalError, ValidationError
 from .linalg import (
     DEFAULT_POLICY,
-    J_BLOCK,
     TolerancePolicy,
     build_theta,
     hermitian_eig,
     numerical_rank,
+    wedge_norms,
 )
 
 __all__ = [
@@ -237,16 +237,22 @@ class ResidualReport:
         return iter(self.entries)
 
 
-def residual_entry(name: str, delta, terms, tol: float) -> ResidualEntry:
+def residual_entry(name: str, delta, terms, tol: float, norms=()) -> ResidualEntry:
     """Measure a residual against the largest term that produced it.
 
     ``terms`` are the matrices whose (near-)cancellation the identity
-    claims; the relative residual is ||delta|| over the largest term norm.
-    A zero scale with a zero residual is a clean pass, a zero scale with a
+    claims; ``norms`` are the Frobenius norms of further such terms, for
+    callers that get a term's norm without forming the term (the
+    closed-form pair norms of the commutation identity). The relative
+    residual is ||delta|| over the largest of all these norms. A zero
+    scale with a zero residual is a clean pass, a zero scale with a
     nonzero residual can never pass.
     """
     absolute = float(np.linalg.norm(delta)) if np.size(delta) else 0.0
-    scale = max((float(np.linalg.norm(t)) for t in terms), default=0.0)
+    scale = max(
+        max((float(np.linalg.norm(t)) for t in terms), default=0.0),
+        float(np.max(norms, initial=0.0)),
+    )
     if scale > 0.0:
         relative = absolute / scale
     else:
@@ -279,11 +285,20 @@ def check_physical_realizability(
     Returns
     -------
     ResidualReport
-        Entries named "commutation" (the quantum commutation preservation
-        identity i A Theta + i Theta A^T + [B1 B] T_w [B1 B]^T = 0),
-        "output_coupling" (first n_y columns of [B1 B] must equal
-        Theta C^T diag(J)), and "feedthrough" (D1 = [I 0]), each compared
-        to residual_tol.
+        Entries named "commutation", "output_coupling" (first n_y columns
+        of [B1 B] must equal Theta C^T diag(J)) and "feedthrough"
+        (D1 = [I 0]), each compared to residual_tol.
+
+    The quantum commutation preservation identity
+    i A Theta + i Theta A^T + [B1 B] T_w [B1 B]^T = 0, with
+    T_w = i blockdiag(J, ..., J) the skew part of the vacuum Ito matrices
+    of all n_v + n_u fields, is i times a real identity, and "commutation"
+    measures the real one,
+    A Theta + Theta A^T + sum_k (x_k y_k^T - y_k x_k^T) = 0,
+    where x_k, y_k are the two columns of quadrature pair k of [B1 B];
+    multiplying by i changes no norm. Its scale is the largest norm among
+    A Theta, Theta A^T and the pair terms x_k y_k^T - y_k x_k^T, whose
+    norms come in closed form from wedge_norms, so no pair term is formed.
     """
     sys = validate_system(sys)
     b1 = np.atleast_2d(np.asarray(B1, dtype=float))
@@ -300,25 +315,20 @@ def check_physical_realizability(
         raise DimensionError(f"D1 must be {sys.n_y}x{n_v}, got shape {d1.shape}")
 
     theta = build_theta(sys.n)
-    # skew part of the vacuum Ito matrices I + i*Theta of all n_v + n_u fields
-    t_w = 1j * build_theta(n_v + sys.n_u)
     bb = np.hstack([b1, sys.B])
 
-    term_a = 1j * sys.A @ theta
-    term_at = 1j * theta @ sys.A.T
-    term_bb = bb @ t_w @ bb.T
-    # T_w is i*blockdiag(J, ..., J), so the quadratic term sums one
-    # contribution per quadrature pair; the pairs can cancel each other,
-    # so they set the scale individually, not through their sum.
-    pair_terms = [
-        bb[:, k : k + 2] @ J_BLOCK @ bb[:, k : k + 2].T
-        for k in range(0, n_v + sys.n_u, 2)
-    ]
+    a_theta = sys.A @ theta
+    theta_at = -a_theta.T  # Theta A^T, since Theta^T = -Theta
+    x, y = bb[:, 0::2], bb[:, 1::2]
+    xy = x @ y.T
+    # The pairs can cancel each other, so they set the scale individually,
+    # not through their sum X Y^T - Y X^T.
     commutation = residual_entry(
         "commutation",
-        term_a + term_at + term_bb,
-        [term_a, term_at] + pair_terms,
+        a_theta + theta_at + (xy - xy.T),
+        [a_theta, theta_at],
         policy.residual_tol,
+        norms=wedge_norms(x, y),
     )
 
     got = bb[:, : sys.n_y]

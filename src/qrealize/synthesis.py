@@ -102,7 +102,7 @@ def build_xi1(skew: SkewReport, policy: TolerancePolicy = DEFAULT_POLICY) -> np.
     exactly symmetrized.
     """
     u = skew.U
-    xi1 = u.conj().T @ np.diag(np.abs(skew.eigenvalues)) @ u
+    xi1 = (u.conj().T * np.abs(skew.eigenvalues)) @ u
     scale = float(np.linalg.norm(xi1))
     imag = float(np.linalg.norm(xi1.imag))
     if scale > 0 and imag > policy.residual_tol * scale:
@@ -150,30 +150,37 @@ def build_lambda_b1(
     return psd_low_rank_factor(xi2, numerical_rank(xi2, policy), policy)
 
 
-def build_b1(
-    sys: LtiSystem, lambda_b1: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY
-) -> np.ndarray:
+def _field_inputs(theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """2i Theta [-Lambda^dag Lambda^T] Gamma for coupling rows Lambda, in real arithmetic.
+
+    Gamma = P blockdiag(M, ..., M) with M = (1/2)[[1, i], [1, -i]] pairs
+    column k of -Lambda^dag with column k of Lambda^T, so quadrature pair k
+    of [-Lambda^dag Lambda^T] Gamma is i (Im l_k, -Re l_k) for row l_k of
+    Lambda, and pair k of the product is 2 Theta (-Im l_k, Re l_k): the
+    product is real, with 2 * rows of Lambda columns.
+    """
+    quadratures = np.empty((lam.shape[1], 2 * lam.shape[0]))
+    quadratures[:, 0::2] = -lam.imag.T
+    quadratures[:, 1::2] = lam.real.T
+    return 2.0 * theta @ quadratures
+
+
+def _gram_imag(lam: np.ndarray) -> np.ndarray:
+    """Im(Lambda^dag Lambda) = P^T Q - Q^T P for Lambda = P + iQ, in real arithmetic."""
+    pq = lam.real.T @ lam.imag
+    return pq - pq.T
+
+
+def build_b1(sys: LtiSystem, lambda_b1: np.ndarray) -> np.ndarray:
     """Noise input matrix B1 = [B_11 | B_12], n x (n_y + 2 * rows of Lambda_b1).
 
     B_11 = Theta C^T diag(J) couples the output-carrying channels;
     B_12 = 2i Theta [-Lambda_b1^dag Lambda_b1^T] Gamma couples the extra
-    ones. B_12 is real up to roundoff; an imaginary residual above
-    residual_tol raises NumericalError, otherwise it is dropped.
+    ones. B_12 is real by construction and computed in real arithmetic.
     """
     theta = build_theta(sys.n)
     b11 = theta @ sys.C.T @ build_theta(sys.n_y)
-    r = 2 * lambda_b1.shape[0]
-    if r == 0:
-        return b11
-    b12 = 2j * theta @ np.hstack([-lambda_b1.conj().T, lambda_b1.T]) @ build_gamma(r)
-    scale = float(np.linalg.norm(b12))
-    imag = float(np.linalg.norm(b12.imag))
-    if scale > 0 and imag > policy.residual_tol * scale:
-        raise NumericalError(
-            f"B_12 came out complex: imaginary norm {imag:.3e} "
-            f"exceeds {policy.residual_tol:.1e} * {scale:.3e}"
-        )
-    return np.hstack([b11, b12.real])
+    return np.hstack([b11, _field_inputs(theta, lambda_b1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +259,7 @@ def synthesize_realization(
     lb1 = build_lambda_b1(xi2, policy)
     lb2 = build_lambda_b2(sys)
     lam = np.vstack([lb0, lb1, lb2])
-    b1 = build_b1(sys, lb1, policy)
+    b1 = build_b1(sys, lb1)
     d1 = np.eye(sys.n_y, n_v)
 
     theta = build_theta(sys.n)
@@ -260,23 +267,24 @@ def synthesize_realization(
 
     # A = 2 Theta (R + Im(Lambda^dag Lambda)); the Gram blocks cancel
     # against each other, so they set the scale, not the near-zero sum.
-    gram_parts = [m.conj().T @ m for m in (lb0, lb1, lb2)]
-    a_rebuilt = 2.0 * theta @ (r_mat + (lam.conj().T @ lam).imag)
+    # Theta is orthogonal, so the term 2 Theta X has the norm 2 ||X||.
+    a_rebuilt = 2.0 * theta @ (r_mat + _gram_imag(lam))
     state = residual_entry(
         "state_rebuild",
         a_rebuilt - sys.A,
-        [sys.A, 2.0 * theta @ r_mat] + [2.0 * theta @ g.imag for g in gram_parts],
+        [sys.A],
         tol,
+        norms=[2.0 * np.linalg.norm(r_mat)]
+        + [2.0 * np.linalg.norm(_gram_imag(m)) for m in (lb0, lb1, lb2)],
     )
 
-    # [B1 B] = 2i Theta [-Lambda^dag Lambda^T] Gamma, real by construction
+    # [B1 B] = 2i Theta [-Lambda^dag Lambda^T] Gamma
     bb = np.hstack([b1, sys.B])
-    bb_rebuilt = (
-        2j * theta @ np.hstack([-lam.conj().T, lam.T]) @ build_gamma(n_v + sys.n_u)
-    )
+    bb_rebuilt = _field_inputs(theta, lam)
     fields = residual_entry("input_rebuild", bb_rebuilt - bb, [bb, bb_rebuilt], tol)
 
-    # C from the real and imaginary parts of the leading coupling rows
+    # C = P^T blockdiag(Sigma, Sigma) S from the leading coupling rows, with the real
+    # stack S = [Lambda + conj(Lambda); -i Lambda + i conj(Lambda)] = 2 [Re Lambda; Im Lambda]
     sigma = build_sigma(sys.n_y, (n_v + sys.n_u) // 2)
     big_sigma = np.block(
         [
@@ -284,7 +292,7 @@ def synthesize_realization(
             [np.zeros_like(sigma), sigma],
         ]
     )
-    stack = np.vstack([lam + lam.conj(), -1j * lam + 1j * lam.conj()])
+    stack = 2.0 * np.vstack([lam.real, lam.imag])
     c_rebuilt = build_p(sys.n_y).T @ big_sigma @ stack
     output = residual_entry("output_rebuild", c_rebuilt - sys.C, [sys.C, c_rebuilt], tol)
 

@@ -1,0 +1,104 @@
+"""Dense reference versions of the realization checks, kept for comparison.
+
+These are the complex, fully formed versions of the checks in
+``qrealize.realizability.check_physical_realizability`` and of the three
+rebuild residuals in ``qrealize.synthesis.synthesize_realization``: Theta
+and Gamma are built from their definitions with ``kron``, the commutation
+identity is evaluated with the complex T_w, and every term that sets a
+scale is formed as an n x n matrix. The library computes the same checks
+in real arithmetic with closed-form scales; the tests compare the two.
+"""
+
+import math
+
+import numpy as np
+
+from qrealize.linalg import J_BLOCK, M_BLOCK, build_p, build_sigma
+from qrealize.realizability import ResidualEntry, ResidualReport
+
+
+def dense_theta(k):
+    """blockdiag(J, ..., J) of size k, by definition."""
+    return np.kron(np.eye(k // 2), J_BLOCK)
+
+
+def dense_gamma(k):
+    """P blockdiag(M, ..., M) of size k, by definition."""
+    return build_p(k) @ np.kron(np.eye(k // 2), M_BLOCK)
+
+
+def dense_pair_norms(bb):
+    """||b J b^T|| for each quadrature pair b = bb[:, k:k+2], each formed as a matrix."""
+    return [
+        float(np.linalg.norm(bb[:, k : k + 2] @ J_BLOCK @ bb[:, k : k + 2].T))
+        for k in range(0, bb.shape[1], 2)
+    ]
+
+
+def dense_entry(name, delta, terms, tol):
+    """Residual over the largest term norm; the rule of residual_entry."""
+    absolute = float(np.linalg.norm(delta)) if np.size(delta) else 0.0
+    scale = max((float(np.linalg.norm(t)) for t in terms), default=0.0)
+    if scale > 0.0:
+        relative = absolute / scale
+    else:
+        relative = 0.0 if absolute == 0.0 else math.inf
+    return ResidualEntry(name, absolute, scale, relative, float(tol), relative <= tol)
+
+
+def dense_check_physical_realizability(sys, b1, d1, policy):
+    """The three realizability residuals with complex T_w and dense pair terms."""
+    b1 = np.atleast_2d(np.asarray(b1, dtype=float))
+    d1 = np.atleast_2d(np.asarray(d1, dtype=float))
+    n_v = b1.shape[1]
+    theta = dense_theta(sys.n)
+    t_w = 1j * dense_theta(n_v + sys.n_u)
+    bb = np.hstack([b1, sys.B])
+
+    term_a = 1j * sys.A @ theta
+    term_at = 1j * theta @ sys.A.T
+    term_bb = bb @ t_w @ bb.T
+    pair_terms = [
+        bb[:, k : k + 2] @ J_BLOCK @ bb[:, k : k + 2].T for k in range(0, n_v + sys.n_u, 2)
+    ]
+    tol = policy.residual_tol
+    commutation = dense_entry(
+        "commutation", term_a + term_at + term_bb, [term_a, term_at] + pair_terms, tol
+    )
+    got = bb[:, : sys.n_y]
+    target = theta @ sys.C.T @ dense_theta(sys.n_y)
+    output_coupling = dense_entry("output_coupling", got - target, [got, target], tol)
+    d_target = np.eye(sys.n_y, n_v)
+    feedthrough = dense_entry("feedthrough", d1 - d_target, [d1, d_target], tol)
+    return ResidualReport(entries=(commutation, output_coupling, feedthrough))
+
+
+def dense_rebuild_residuals(realization):
+    """state_rebuild, input_rebuild and output_rebuild in complex arithmetic."""
+    skew = realization.skew
+    sys, tol = skew.system, skew.policy.residual_tol
+    lam, b1 = realization.Lambda, realization.B1
+    blocks = (realization.Lambda_b0, realization.Lambda_b1, realization.Lambda_b2)
+    theta = dense_theta(sys.n)
+
+    gram_parts = [m.conj().T @ m for m in blocks]
+    a_rebuilt = 2.0 * theta @ (realization.R + (lam.conj().T @ lam).imag)
+    state = dense_entry(
+        "state_rebuild",
+        a_rebuilt - sys.A,
+        [sys.A, 2.0 * theta @ realization.R] + [2.0 * theta @ g.imag for g in gram_parts],
+        tol,
+    )
+
+    bb = np.hstack([b1, sys.B])
+    gamma = dense_gamma(skew.n_v + sys.n_u)
+    bb_rebuilt = 2j * theta @ np.hstack([-lam.conj().T, lam.T]) @ gamma
+    fields = dense_entry("input_rebuild", bb_rebuilt - bb, [bb, bb_rebuilt], tol)
+
+    sigma = build_sigma(sys.n_y, (skew.n_v + sys.n_u) // 2)
+    zero = np.zeros_like(sigma)
+    big_sigma = np.block([[sigma, zero], [zero, sigma]])
+    stack = np.vstack([lam + lam.conj(), -1j * lam + 1j * lam.conj()])
+    c_rebuilt = build_p(sys.n_y).T @ big_sigma @ stack
+    output = dense_entry("output_rebuild", c_rebuilt - sys.C, [sys.C, c_rebuilt], tol)
+    return ResidualReport(entries=(state, fields, output))

@@ -1,7 +1,11 @@
 """Tests for the structural constants and numerical kernels."""
 
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from dense_reference import dense_gamma, dense_pair_norms, dense_theta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +24,7 @@ from qrealize.linalg import (
     hermitian_rank,
     numerical_rank,
     psd_low_rank_factor,
+    wedge_norms,
 )
 
 even_sizes = st.sampled_from([2, 4, 6, 8, 10])
@@ -98,6 +103,13 @@ class TestBuilders:
 
     def test_gamma_empty(self):
         assert build_gamma(0).shape == (0, 0)
+
+    @pytest.mark.parametrize("size", range(0, 66, 2))
+    def test_gamma_and_theta_match_their_definitions(self, size):
+        assert np.array_equal(build_gamma(size), dense_gamma(size))
+        assert build_gamma(size).dtype == complex
+        if size:
+            assert np.array_equal(build_theta(size), dense_theta(size))
 
     def test_sigma_selects_leading_pairs(self):
         s = build_sigma(4, 5)
@@ -235,3 +247,64 @@ class TestRealEmbeddingRank:
             complex_rank_via_real_embedding(np.eye(2), np.eye(3))
         with pytest.raises(DimensionError):
             hermitian_rank(np.zeros((2, 3)))
+
+
+def _exact_pair_norm(x, y):
+    """||x y^T - y x^T||_F from the dense definition, in exact rational arithmetic."""
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    total = sum((a * d - b * c) ** 2 for a, b in zip(xs, ys) for c, d in zip(xs, ys))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float((Decimal(total.numerator) / Decimal(total.denominator)).sqrt())
+
+
+class TestWedgeNorms:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_pairs_match_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        bb = rng.standard_normal((int(rng.integers(2, 40)), 2 * int(rng.integers(1, 12))))
+        bb *= 10.0 ** rng.uniform(-3, 3, size=bb.shape[1])
+        closed = wedge_norms(bb[:, 0::2], bb[:, 1::2])
+        dense = np.array(dense_pair_norms(bb))
+        assert np.allclose(closed, dense, rtol=1e-12, atol=0.0)
+
+    def test_nearly_parallel_pairs(self):
+        # At an angle of 1e-9 no float64 evaluation, the dense one included,
+        # is better than about 1e-8 relative: rounding x_i y_j costs about
+        # 1e-16 of ||x|| ||y||, and the value is only 1e-9 of it. So both
+        # forms are held to 1e-12 of sqrt(2) ||x|| ||y||, the size of what
+        # cancels, and the closed form to 1e-6 relative against the exact
+        # value, where sqrt(2 (||x||^2 ||y||^2 - (x.y)^2)) keeps no digit.
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            x = rng.standard_normal(16)
+            z = rng.standard_normal(16)
+            z -= (z @ x) / (x @ x) * x
+            z *= np.linalg.norm(x) / np.linalg.norm(z)
+            y = 3.0 * (np.cos(1e-9) * x + np.sin(1e-9) * z)
+            bb = np.stack([x, y], axis=1)
+            closed = wedge_norms(bb[:, :1], bb[:, 1:])[0]
+            (dense,) = dense_pair_norms(bb)
+            exact = _exact_pair_norm(x, y)
+            size = np.sqrt(2.0) * np.linalg.norm(x) * np.linalg.norm(y)
+            assert abs(closed - dense) <= 1e-12 * size
+            assert abs(closed - exact) <= 1e-6 * exact
+            lagrange = 2.0 * ((x @ x) * (y @ y) - (x @ y) ** 2)
+            assert abs(np.sqrt(max(lagrange, 0.0)) - exact) > 1e-2 * exact
+
+    def test_zero_and_equal_columns(self):
+        # the closed form gives the exact 0; the dense product can leave
+        # roundoff where x_i y_j - y_i x_j is evaluated with a fused multiply-add
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(9)
+        zero = np.zeros(9)
+        bb = np.stack([zero, x, x, zero, x, x, -x, x, zero, zero], axis=1)
+        closed = wedge_norms(bb[:, 0::2], bb[:, 1::2])
+        assert np.array_equal(closed, np.zeros(5))
+        dense = np.array(dense_pair_norms(bb))
+        assert np.all(np.abs(closed - dense) <= 1e-12 * np.sqrt(2.0) * (x @ x))
+
+    def test_shapes(self):
+        assert wedge_norms(np.zeros((3, 0)), np.zeros((3, 0))).shape == (0,)
+        with pytest.raises(DimensionError):
+            wedge_norms(np.zeros((3, 2)), np.zeros((3, 3)))

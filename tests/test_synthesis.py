@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense_reference import dense_gamma, dense_rebuild_residuals, dense_theta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,6 +174,27 @@ class TestBuildB1:
         lb1 = build_lambda_b1(build_xi2(skew, build_xi1(skew)))
         assert build_b1(paper_system, lb1).shape == (4, 6)
 
+    def test_matches_complex_definition(self, paper_system, corpus):
+        # B_12 = 2i Theta [-Lambda_b1^dag Lambda_b1^T] Gamma, formed in complex
+        # arithmetic, is real, and its real part is the real-arithmetic B_12 exactly
+        for sys in [paper_system] + corpus[:30]:
+            skew = compute_s_tilde(sys)
+            lb1 = build_lambda_b1(build_xi2(skew, build_xi1(skew)))
+            theta = dense_theta(sys.n)
+            b12 = 2j * theta @ np.hstack([-lb1.conj().T, lb1.T]) @ dense_gamma(2 * lb1.shape[0])
+            b11 = theta @ sys.C.T @ dense_theta(sys.n_y)
+            assert not b12.imag.any()
+            assert np.array_equal(build_b1(sys, lb1), np.hstack([b11, b12.real]))
+
+
+def _assert_same_rebuild_entries(report, reference):
+    for ref in reference:
+        got = report.entry(ref.name)
+        assert got.passed == ref.passed
+        assert got.scale == pytest.approx(ref.scale, rel=1e-12, abs=0.0)
+        if not ref.passed:
+            assert got.relative == pytest.approx(ref.relative, rel=1e-6)
+
 
 class TestSynthesizeRealization:
     def test_fixtures_pass(self, fixture_systems):
@@ -217,6 +239,39 @@ class TestSynthesizeRealization:
             assert report.all_passed
             for entry in report:
                 assert entry.relative <= 1e-8
+
+    @pytest.mark.parametrize("n", [4, 32, 64])
+    def test_rebuild_residuals_match_dense_reference(self, n, paper_system, monkeypatch):
+        rng = np.random.default_rng(n)
+        systems = [paper_system] if n == 4 else []
+        systems += [
+            LtiSystem.from_matrices(
+                rng.standard_normal((n, n)),
+                rng.standard_normal((n, n_u)),
+                rng.standard_normal((n_u, n)),
+            )
+            for n_u in (2, 8)
+        ]
+        for sys in systems:
+            rz, report = synthesize_realization(sys)
+            _assert_same_rebuild_entries(report, dense_rebuild_residuals(rz))
+
+        # a B1 off by 1e-6 must fail input_rebuild exactly as the dense check does
+        import qrealize.synthesis as synthesis
+
+        exact_b1 = synthesis.build_b1
+
+        def perturbed_b1(sys, lb1):
+            b1 = exact_b1(sys, lb1)
+            return b1 + 1e-6 * rng.standard_normal(b1.shape)
+
+        monkeypatch.setattr(synthesis, "build_b1", perturbed_b1)
+        for sys in systems:
+            with pytest.raises(SynthesisError) as excinfo:
+                synthesize_realization(sys)
+            report, rz = excinfo.value.report, excinfo.value.realization
+            assert not report.entry("input_rebuild").passed
+            _assert_same_rebuild_entries(report, dense_rebuild_residuals(rz))
 
     def test_residual_names(self, small_system):
         _, report = synthesize_realization(small_system)
