@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +31,9 @@ __all__ = [
 ]
 
 _TOLERANCE_KEYS = ("rank_rel_tol", "residual_tol", "symmetry_tol")
+# Exact types of the numbers json.loads returns; bool, an int subclass, is not one.
+_NUMBER_TYPES = {int, float}
+_FLOAT_ONLY = {float}
 
 
 @dataclass(frozen=True)
@@ -77,26 +81,57 @@ def _loads(text: str):
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond the int_max_str_digits limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
 
 
 def _parse_matrix(name: str, node) -> np.ndarray:
-    """Nested-list matrix with row/column context on every complaint."""
+    """Nested-list matrix with row/column context on every complaint.
+
+    A well-formed matrix is validated in bulk: one scan of entry types, one
+    conversion and one finiteness test. Only a matrix that fails them is
+    walked entry by entry, to name its first fault.
+    """
+    if (
+        isinstance(node, list)
+        and node
+        and all(isinstance(row, list) and row and len(row) == len(node[0]) for row in node)
+        and set(map(type, chain.from_iterable(node))) <= _NUMBER_TYPES
+    ):
+        try:
+            matrix = np.array(node, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            matrix = None
+        if matrix is not None and np.isfinite(matrix).all():
+            return matrix
+    raise _matrix_fault(name, node)
+
+
+def _is_finite(number) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
+def _matrix_fault(name: str, node) -> ParseError:
+    """The ParseError for the first fault of a matrix that failed bulk validation."""
     if not isinstance(node, list) or not node:
-        raise ParseError(f"{name} must be a non-empty array of rows")
+        return ParseError(f"{name} must be a non-empty array of rows")
     width = None
     for i, row in enumerate(node):
         if not isinstance(row, list) or not row:
-            raise ParseError(f"{name} row {i} must be a non-empty array")
+            return ParseError(f"{name} row {i} must be a non-empty array")
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise ParseError(f"{name} row {i} has {len(row)} entries, expected {width}")
+            return ParseError(f"{name} row {i} has {len(row)} entries, expected {width}")
         for j, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise ParseError(f"{name} entry at row {i}, column {j} is not a number")
-            if not math.isfinite(entry):
-                raise ParseError(f"{name} entry at row {i}, column {j} is not finite")
-    return np.array(node, dtype=float)
+            if type(entry) not in _NUMBER_TYPES:
+                return ParseError(f"{name} entry at row {i}, column {j} is not a number")
+            if not _is_finite(entry):
+                return ParseError(f"{name} entry at row {i}, column {j} is not finite")
+    raise AssertionError(f"{name} failed bulk validation but has no faulty entry")
 
 
 def parse_system_document(text: str) -> SystemDocument:
@@ -124,7 +159,7 @@ def parse_system_document(text: str) -> SystemDocument:
     for key, value in raw_tols.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"tolerance {key} must be a number")
-        if not math.isfinite(value) or value <= 0:
+        if not _is_finite(value) or value <= 0:
             raise ParseError(f"tolerance {key} must be finite and positive, got {value}")
         tolerances[key] = float(value)
 
@@ -176,7 +211,7 @@ def serialize_system(sys, tolerances=None, seed=None) -> str:
         doc["tolerances"] = {key: float(tolerances[key]) for key in tolerances}
     if seed is not None:
         doc["seed"] = int(seed)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _encode(doc, "") + "\n"
 
 
 def report_document(realization, residuals, certificate, seed: int) -> dict:
@@ -240,6 +275,41 @@ def report_document(realization, residuals, certificate, seed: int) -> dict:
     return doc
 
 
+def _encode_key(key) -> str:
+    if isinstance(key, str):
+        return json.dumps(key)
+    # json.dumps turns an int, float, bool or None key into a string, and rejects others
+    return json.dumps({key: 0})[1:-4]
+
+
+def _encode(node, pad: str) -> str:
+    """json.dumps(node, indent=2, sort_keys=True) for a node nested at indentation ``pad``.
+
+    CPython's C encoder does not indent, and its pure-Python one costs
+    several function calls per number. Here a row of finite floats is one
+    join over float.__repr__, the repr json itself writes; keys, strings,
+    ints, bools, None and non-finite floats go through json.dumps.
+    """
+    if not isinstance(node, (dict, list, tuple)):
+        return json.dumps(node)
+    if not node:
+        return "{}" if isinstance(node, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(node, dict):
+        items = [f"{_encode_key(key)}: {_encode(node[key], inner)}" for key in sorted(node)]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    if set(map(type, node)) == _FLOAT_ONLY and math.isfinite(sum(node)):
+        items = map(float.__repr__, node)
+    else:
+        items = [_encode(item, inner) for item in node]
+    return f"[\n{inner}{sep.join(items)}\n{pad}]"
+
+
 def serialize_report(doc: dict) -> str:
-    """Deterministic text form of a report document."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Deterministic text form of a report document.
+
+    Exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, written
+    by an encoder that formats each row of finite floats in one join.
+    """
+    return _encode(doc, "") + "\n"

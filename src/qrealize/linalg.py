@@ -47,6 +47,10 @@ class TolerancePolicy:
     rank_rel_tol   : singular values below rank_rel_tol * sigma_max count as zero
     residual_tol   : relative Frobenius threshold for identity checks
     symmetry_tol   : relative threshold for symmetry/Hermiticity preconditions
+
+    Every tolerance is relative, so each must lie strictly between 0 and 1;
+    anything else (including inf and nan) raises ValueError. A cutoff of 1
+    or more would count every singular value as zero and pass any residual.
     """
 
     rank_rel_tol: float = 1e-9
@@ -55,8 +59,9 @@ class TolerancePolicy:
 
     def __post_init__(self):
         for name in ("rank_rel_tol", "residual_tol", "symmetry_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must be finite and in (0, 1), got {value}")
 
 
 DEFAULT_POLICY = TolerancePolicy()

@@ -335,18 +335,6 @@ def _certificate_batch(n: int) -> int:
     return max(1, _CERTIFICATE_BATCH_BYTES // (8 * (2 * n) ** 2))
 
 
-def _certificate_candidates(skew: SkewReport, trials: int, seed: int):
-    """Yield the constructive minimizer, the zero matrix, then the seeded draws."""
-    n = skew.S_tilde.shape[0]
-    yield build_xi1(skew, skew.policy)
-    yield np.zeros((n, n))
-    base = float(np.linalg.norm(skew.S_tilde)) or 1.0
-    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child)
-        g = rng.standard_normal((n, n))
-        yield _CERTIFICATE_SCALES[t % 3] * base * 0.5 * (g + g.T)
-
-
 def minimality_certificate(
     skew: SkewReport, trials: int = 200, seed: int = 0
 ) -> MinimalityCertificate:
@@ -356,8 +344,12 @@ def minimality_certificate(
     the tolerance policy all come from it. Samples ``trials`` random real
     symmetric candidates with entries at scales {1e-2, 1, 1e2} times
     ||S_tilde||, always prepending the constructive minimizer and the zero
-    matrix. Each candidate's rank is computed twice, from the eigenvalues
-    of the Hermitian matrix Xi + (i/4) S_tilde and from those of its real
+    matrix. Random candidate t is (s_t ||S_tilde|| / 2)(G_t + G_t^T), where
+    G_t is the t-th n x n block of the standard normals drawn from
+    ``np.random.default_rng(seed)`` and s_t cycles through the three
+    scales, so the seed alone fixes the candidates, whatever the batch
+    size. Each candidate's rank is computed twice, from the eigenvalues of
+    the Hermitian matrix Xi + (i/4) S_tilde and from those of its real
     symmetric embedding [[Xi, S_tilde/4], [-S_tilde/4, Xi]] (halved); the
     two routes must agree, and the minimum over all candidates is compared
     against r/2.
@@ -381,15 +373,28 @@ def minimality_certificate(
     embedded[:, :n, n:] = imag_part
     embedded[:, n:, :n] = -imag_part
 
-    candidates = _certificate_candidates(skew, trials, seed)
+    # the constructive minimizer and the zero matrix lead the first batch
+    special = np.zeros((2, n, n))
+    special[0] = build_xi1(skew, policy)
+    base = float(np.linalg.norm(skew.S_tilde)) or 1.0
+    factors = np.array(_CERTIFICATE_SCALES) * base * 0.5
+    rng = np.random.default_rng(seed)
+    draws = np.empty((batch, n, n))
     min_rank = n
     agreed = True
     for start in range(0, total, batch):
         k = min(batch, total - start)
-        for j, xi in zip(range(k), candidates):
-            direct.real[j] = xi
-            embedded[j, :n, :n] = xi
-            embedded[j, n:, n:] = xi
+        lead = special[start : start + k]
+        xi = direct.real[:k]
+        xi[: len(lead)] = lead
+        g = draws[: k - len(lead)]
+        rng.standard_normal(out=g)
+        drawn = xi[len(lead) :]
+        np.add(g, g.transpose(0, 2, 1), out=drawn)
+        t = np.arange(start + len(lead), start + k) - 2
+        drawn *= factors[t % 3, None, None]
+        embedded[:k, :n, :n] = xi
+        embedded[:k, n:, n:] = xi
         ranks = hermitian_rank(direct[:k], policy)
         agreed = agreed and np.array_equal(hermitian_rank(embedded[:k], policy) // 2, ranks)
         min_rank = min(min_rank, int(ranks.min()))

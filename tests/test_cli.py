@@ -48,6 +48,14 @@ class TestCount:
         assert main(["count", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "1.0", "2"])
+    def test_out_of_range_rank_tol_is_rejected(self, paper_file, capsys, value):
+        # a cutoff of 1 or more would count every singular value as zero: r=0
+        assert main(["count", paper_file, "--rank-tol", value]) == 1
+        captured = capsys.readouterr()
+        assert "invalid tolerance override" in captured.err
+        assert captured.out == ""
+
     def test_invalid_system_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"A": [[1.0]], "B": [[1.0]], "C": [[1.0]]}))
@@ -187,6 +195,22 @@ class TestCheck:
         main(["synthesize", paper_file, "-o", str(report)])
         # residuals are ~1e-16, so an absurdly tight bar flips the verdict
         assert main(["check", paper_file, str(report), "--residual-tol", "1e-20"]) == 1
+
+    @pytest.mark.parametrize("value", ["inf", "1.0", "2"])
+    def test_out_of_range_residual_tol_is_rejected(self, paper_file, tmp_path, capsys, value):
+        # a B1 scaled by 1.5 fails commutation at relative ~0.6; a residual
+        # tolerance of 1 or more would pass it
+        report = tmp_path / "report.json"
+        main(["synthesize", paper_file, "-o", str(report)])
+        doc = json.loads(report.read_text())
+        doc["realization"]["B1"] = (1.5 * np.array(doc["realization"]["B1"])).tolist()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", paper_file, str(bad), "--residual-tol", value]) == 1
+        captured = capsys.readouterr()
+        assert "invalid tolerance override" in captured.err
+        assert captured.out == ""
 
 
 class TestPaperExample:

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import paper_matrices
 from qrealize import (
+    LtiSystem,
     ParseError,
     ValidationError,
     compute_s_tilde,
@@ -23,7 +26,10 @@ from qrealize.io import (
     serialize_report,
     serialize_system,
 )
+from qrealize.cli import example_system
 from qrealize.linalg import DEFAULT_POLICY
+
+HUGE = "1" + "0" * 400  # an integer literal beyond the float range
 
 
 def _paper_text(**extra):
@@ -93,6 +99,34 @@ class TestParseSystem:
         with pytest.raises(ParseError, match="not finite"):
             parse_system(text)
 
+    @pytest.mark.parametrize("where", ["A", "B1"])
+    def test_huge_integer_entry_is_not_finite(self, where):
+        # json.loads keeps it an int; converting it to a float overflows
+        if where == "A":
+            text = '{"A": [[0.0, %s], [0.0, 0.0]], "B": [[0],[0]], "C": [[0, 0]]}' % HUGE
+            with pytest.raises(ParseError, match="A entry at row 0, column 1 is not finite"):
+                parse_system(text)
+        else:
+            text = '{"B1": [[1.0, 0.0], [0.0, %s]], "D1": [[1.0, 0.0]]}' % HUGE
+            with pytest.raises(ParseError, match="B1 entry at row 1, column 1 is not finite"):
+                parse_realization(text)
+
+    def test_first_fault_is_named_in_row_major_order(self):
+        # a finite-looking matrix with a later type fault and an earlier
+        # overflow: the walk names the overflow, as the entry-by-entry check did
+        text = '{"A": [[0.0, %s], ["x", 0.0]], "B": [[0],[0]], "C": [[0, 0]]}' % HUGE
+        with pytest.raises(ParseError, match="row 0, column 1 is not finite"):
+            parse_system(text)
+        text = '{"A": [[0.0, "x"], [0.0]], "B": [[0],[0]], "C": [[0, 0]]}'
+        with pytest.raises(ParseError, match="row 0, column 1 is not a number"):
+            parse_system(text)
+
+    def test_integer_beyond_digit_limit_is_parse_error(self):
+        # json.loads raises a plain ValueError past int_max_str_digits (4300)
+        text = '{"A": [[%s]], "B": [[0]], "C": [[0]]}' % ("1" * 5000)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_system(text)
+
     def test_odd_output_dimension_rejected(self):
         doc = {
             "A": np.zeros((4, 4)).tolist(),
@@ -111,6 +145,17 @@ class TestToleranceAndSeedHandling:
     def test_nonpositive_tolerance(self):
         with pytest.raises(ParseError, match="positive"):
             parse_system_document(_paper_text(tolerances={"residual_tol": 0.0}))
+
+    def test_huge_integer_tolerance_names_key(self):
+        text = _paper_text()[:-1] + ', "tolerances": {"rank_rel_tol": %s}}' % HUGE
+        with pytest.raises(ParseError, match="tolerance rank_rel_tol must be finite"):
+            parse_system_document(text)
+
+    @pytest.mark.parametrize("value", [1.0, 2.0])
+    def test_tolerance_of_one_or_more_is_rejected(self, value):
+        doc = parse_system_document(_paper_text(tolerances={"rank_rel_tol": value}))
+        with pytest.raises(ParseError, match="invalid tolerance override: rank_rel_tol"):
+            doc.resolve_policy()
 
     def test_non_numeric_tolerance(self):
         with pytest.raises(ParseError, match="number"):
@@ -216,3 +261,71 @@ def test_matrix_encoding_matches_elementwise_loops():
     for m in (cplx, cplx[:3, :1], np.zeros((0, 4), dtype=complex)):
         expected = [[[float(x.real), float(x.imag)] for x in row] for row in m]
         assert json.dumps(_complex_pairs(m)) == json.dumps(expected)
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _seeded_system(n, n_u, seed):
+    rng = np.random.default_rng(seed)
+    return LtiSystem.from_matrices(
+        rng.standard_normal((n, n)),
+        rng.standard_normal((n, n_u)),
+        rng.standard_normal((n_u, n)),
+    )
+
+
+class TestEncoderMatchesJsonDumps:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_paper_report(self, paper_system, seed):
+        rz, report = synthesize_realization(paper_system)
+        cert = minimality_certificate(rz.skew, trials=200, seed=seed)
+        doc = report_document(rz, report, cert, seed)
+        assert serialize_report(doc) == _dumps(doc)
+
+    @pytest.mark.parametrize("n", [4, 32, 64])
+    def test_seeded_report(self, n):
+        rz, report = synthesize_realization(_seeded_system(n, 8 if n > 4 else 2, n))
+        doc = report_document(rz, report, minimality_certificate(rz.skew, trials=5), 0)
+        assert serialize_report(doc) == _dumps(doc)
+
+    def test_trivial_report_with_empty_block(self, trivial_system):
+        rz, report = synthesize_realization(trivial_system)
+        assert rz.Lambda_b1.shape[0] == 0
+        doc = report_document(rz, report, None, 0)
+        assert serialize_report(doc) == _dumps(doc)
+
+    def test_infinite_residual(self, small_system):
+        rz, report = synthesize_realization(small_system)
+        doc = report_document(rz, report, None, 0)
+        doc["residuals"][0]["relative"] = float("inf")
+        doc["analysis"]["eigenvalues_of_S"][0] = float("-inf")
+        text = serialize_report(doc)
+        assert text == _dumps(doc)
+        assert '"relative": Infinity' in text
+
+    def test_serialize_system(self):
+        sys = example_system()
+        doc = {"A": _real_lists(sys.A), "B": _real_lists(sys.B), "C": _real_lists(sys.C)}
+        assert serialize_system(sys) == _dumps(doc)
+        doc.update(tolerances={"rank_rel_tol": 1e-7}, seed=3)
+        assert serialize_system(sys, tolerances={"rank_rel_tol": 1e-7}, seed=3) == _dumps(doc)
+
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats()
+            | st.text()
+            | st.sampled_from([", ]", "\u00e9\u4e2d", '"\\\n', "-0.0"])
+            | st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            max_leaves=30,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_generated_documents(self, doc):
+        assert serialize_report(doc) == _dumps(doc)

@@ -39,10 +39,10 @@ class TestTolerancePolicy:
 
     @pytest.mark.parametrize("field", ["rank_rel_tol", "residual_tol", "symmetry_tol"])
     def test_rejects_nonpositive(self, field):
-        with pytest.raises(ValueError):
-            TolerancePolicy(**{field: 0.0})
-        with pytest.raises(ValueError):
-            TolerancePolicy(**{field: -1e-9})
+        # every tolerance is relative: it must lie strictly inside (0, 1)
+        for value in (0.0, -1e-9, np.inf, np.nan, 1.0, 2.0):
+            with pytest.raises(ValueError, match=field):
+                TolerancePolicy(**{field: value})
 
 
 class TestBuilders:

@@ -15,7 +15,13 @@ from qrealize import (
     minimality_certificate,
     synthesize_realization,
 )
-from qrealize.linalg import build_p, build_theta, complex_rank_via_real_embedding, numerical_rank
+from qrealize.linalg import (
+    build_p,
+    build_theta,
+    complex_rank_via_real_embedding,
+    hermitian_rank,
+    numerical_rank,
+)
 from qrealize.synthesis import (
     MinimalityCertificate,
     _certificate_batch,
@@ -324,15 +330,24 @@ class TestProofIdentities:
             assert _rel(lhs - skew.S, skew.S) <= 1e-9
 
 
+def _reference_candidates(skew, trials, seed):
+    """The constructive minimizer, the zero matrix, then the seeded draws."""
+    n = skew.system.n
+    candidates = [build_xi1(skew), np.zeros((n, n))]
+    base = float(np.linalg.norm(skew.S_tilde)) or 1.0
+    rng = np.random.default_rng(seed)
+    for t in range(trials):
+        # candidate t is the t-th n x n block of one seeded stream
+        g = rng.standard_normal((n, n))
+        candidates.append((1e-2, 1.0, 1e2)[t % 3] * base * 0.5 * (g + g.T))
+    return candidates
+
+
 def _reference_certificate(sys, trials, seed):
     """The certificate ranked one candidate at a time, by SVD on both routes."""
     skew = compute_s_tilde(sys)
     imag_part = 0.25 * skew.S_tilde
-    candidates = [build_xi1(skew), np.zeros((sys.n, sys.n))]
-    base = float(np.linalg.norm(skew.S_tilde)) or 1.0
-    for t, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        g = np.random.default_rng(child).standard_normal((sys.n, sys.n))
-        candidates.append((1e-2, 1.0, 1e2)[t % 3] * base * 0.5 * (g + g.T))
+    candidates = _reference_candidates(skew, trials, seed)
     direct = [numerical_rank(xi + 1j * imag_part) for xi in candidates]
     embedded = [complex_rank_via_real_embedding(xi, imag_part) for xi in candidates]
     return MinimalityCertificate(
@@ -374,6 +389,37 @@ class TestMinimalityCertificate:
             assert cert == _reference_certificate(sys, trials, seed=trials)
         if name == "trivial":
             assert cert.min_observed_rank == 0
+
+    @pytest.mark.parametrize("name", ["paper", "n32"])
+    def test_batch_size_changes_nothing(self, fixture_systems, name, monkeypatch):
+        import qrealize.synthesis as synthesis
+
+        sys = _system_n32() if name == "n32" else fixture_systems[name]
+        skew = compute_s_tilde(sys)
+        trials = 40
+        # the direct-route stacks handed to hermitian_rank, in order
+        stacks = []
+
+        def recording_rank(stack, policy):
+            if not np.isrealobj(stack):
+                stacks.append(np.array(stack))
+            return hermitian_rank(stack, policy)
+
+        monkeypatch.setattr(synthesis, "hermitian_rank", recording_rank)
+        runs = []
+        for batch_bytes in (1, 8 * (2 * sys.n) ** 2 * (trials + 2), 1 << 40):
+            monkeypatch.setattr(synthesis, "_CERTIFICATE_BATCH_BYTES", batch_bytes)
+            stacks.clear()
+            cert = minimality_certificate(skew, trials=trials, seed=11)
+            runs.append((cert, np.concatenate(stacks), len(stacks)))
+        (one, one_stack, one_calls), (whole, whole_stack, whole_calls), (big, big_stack, _) = runs
+        # B = 1, then B = trials + 2 exactly, then a budget far above it
+        assert (one_calls, whole_calls) == (trials + 2, 1)
+        assert one_stack.shape == (trials + 2, sys.n, sys.n)
+        assert one == whole == big == _reference_certificate(sys, trials, seed=11)
+        assert np.array_equal(one_stack, whole_stack) and np.array_equal(one_stack, big_stack)
+        assert np.array_equal(one_stack.real, _reference_candidates(skew, trials, seed=11))
+        assert np.array_equal(one_stack.imag, np.broadcast_to(0.25 * skew.S_tilde, one_stack.shape))
 
     def test_trivial_bound(self, trivial_system):
         cert = minimality_certificate(compute_s_tilde(trivial_system), trials=10, seed=0)
