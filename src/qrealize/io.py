@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParseError
-from .linalg import DEFAULT_POLICY, TolerancePolicy
+from .linalg import DEFAULT_POLICY, TolerancePolicy, check_tolerance
 
 __all__ = [
     "SystemDocument",
@@ -159,8 +159,10 @@ def parse_system_document(text: str) -> SystemDocument:
     for key, value in raw_tols.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"tolerance {key} must be a number")
-        if not _is_finite(value) or value <= 0:
-            raise ParseError(f"tolerance {key} must be finite and positive, got {value}")
+        try:
+            check_tolerance(key, value)
+        except ValueError as exc:
+            raise ParseError(f"tolerance {exc}") from exc
         tolerances[key] = float(value)
 
     seed = doc.get("seed")

@@ -7,8 +7,9 @@ the small set of numeric kernels the analysis and synthesis layers share:
 Hermitian eigendecomposition with a deterministic ordering, numerical rank
 with a relative cutoff (one matrix through its singular values, a stack of
 Hermitian matrices through their eigenvalues), low-rank factorization of a
-PSD matrix, the real-embedding rank of a complex matrix, and the norms of
-the column-pair wedge products x y^T - y x^T.
+PSD matrix from eigenpairs the caller already holds (truncated and
+verified, never recomputed), the real-embedding rank of a complex matrix,
+and the norms of the column-pair wedge products x y^T - y x^T.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "M_BLOCK",
     "TolerancePolicy",
     "DEFAULT_POLICY",
+    "check_tolerance",
     "build_theta",
     "build_p",
     "build_gamma",
@@ -59,9 +61,23 @@ class TolerancePolicy:
 
     def __post_init__(self):
         for name in ("rank_rel_tol", "residual_tol", "symmetry_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be finite and in (0, 1), got {value}")
+            check_tolerance(name, getattr(self, name))
+
+
+def check_tolerance(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite number in (0, 1).
+
+    The one rule for every tolerance, whether a TolerancePolicy field or a
+    key of an input file. The comparison is exact for integers of any size;
+    one too long to echo is shown by its leading digits and length.
+    """
+    if not 0.0 < value < 1.0:
+        shown = str(value)
+        if len(shown) > 32:
+            shown = f"{shown[:8]}... ({len(shown)} digits)"
+        raise ValueError(
+            f"{name} must be finite and in (0, 1), i.e. positive and below 1, got {shown}"
+        )
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -213,20 +229,28 @@ def hermitian_rank(stack, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarra
     return np.asarray(np.count_nonzero(w > policy.rank_rel_tol * top, axis=-1))
 
 
-def psd_low_rank_factor(xi2, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+def psd_low_rank_factor(
+    xi2, u, d, k: int, policy: TolerancePolicy = DEFAULT_POLICY
+) -> np.ndarray:
     """Factor a PSD matrix of numerical rank k as F^dag F with F of k rows.
 
-    Keeps the top-k eigenpairs: F = sqrt(d_k) * U_k for the k largest
-    eigenvalues. Raises FactorizationError when k disagrees with the
-    numerical rank, when a negative eigenvalue exceeds the rank cutoff, or
-    when the round-trip F^dag F misses xi2 beyond the residual tolerance.
+    ``u`` and ``d`` are a decomposition xi2 = U^dag diag(d) U the caller
+    already holds, laid out as hermitian_eig returns it: rows of U are the
+    conjugated eigenvectors and d is sorted descending. The kernel does
+    not decompose xi2 itself; it keeps the top-k pairs, F = sqrt(d_k) * U_k,
+    and verifies the supplied decomposition. Raises FactorizationError when
+    k disagrees with the numerical rank of xi2, when a negative entry of d
+    exceeds the rank cutoff, or when the round-trip F^dag F misses xi2
+    beyond the residual tolerance, as it does for the eigenpairs of any
+    other matrix.
     """
     xi2 = np.asarray(xi2)
+    u = np.asarray(u)
+    d = np.asarray(d, dtype=float)
     k = int(k)
     got = numerical_rank(xi2, policy)
     if got != k:
         raise FactorizationError(f"requested {k} rows but the numerical rank is {got}")
-    u, d = hermitian_eig(xi2, policy)
     if d.size:
         floor = policy.rank_rel_tol * float(np.abs(d).max())
         if d[-1] < -floor:

@@ -121,6 +121,8 @@ def build_xi2(
 
     Must come out Hermitian PSD with numerical rank exactly r/2; anything
     else means the construction went wrong and raises SynthesisError.
+    Its eigvalsh test is the only numerical PSD test of Xi2 itself:
+    build_lambda_b1 factors Xi2 from the record's eigenvalues instead.
     """
     xi2 = xi1 + 0.25j * skew.S_tilde
     w = np.linalg.eigvalsh(xi2)
@@ -139,15 +141,22 @@ def build_xi2(
 
 
 def build_lambda_b1(
-    xi2: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY
+    skew: SkewReport, xi2: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> np.ndarray:
-    """Extra-noise coupling block: any factor with Lambda_b1^dag Lambda_b1 = Xi2.
+    """Extra-noise coupling block: a factor with Lambda_b1^dag Lambda_b1 = Xi2.
 
-    Uses the top-k eigenpairs of Xi2 (k = its numerical rank), so the
-    result has exactly r/2 rows; the factor is canonical only up to a
-    left unitary, so callers should compare Grams, not entries.
+    Read off the record rather than a second decomposition: with
+    S = U^dag diag(d) U (``skew.U``, ``skew.eigenvalues``, d descending)
+    and Xi1 = U^dag |D| U, Xi2 = Xi1 + S = U^dag diag(|d| + d) U, so
+    row j of Lambda_b1 is sqrt(2 d_j) U_j for the k = r/2 positive d_j. k,
+    the numerical rank of Xi2, fixes the row count, and
+    psd_low_rank_factor checks that rank, that |d| + d is PSD and that the
+    round trip returns xi2. The factor is canonical only up to a left
+    unitary, so callers should compare Grams, not entries.
     """
-    return psd_low_rank_factor(xi2, numerical_rank(xi2, policy), policy)
+    d = skew.eigenvalues
+    k = numerical_rank(xi2, policy)
+    return psd_low_rank_factor(xi2, skew.U, np.abs(d) + d, k, policy)
 
 
 def _field_inputs(theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -256,7 +265,7 @@ def synthesize_realization(
     lb0 = build_lambda_b0(sys)
     xi1 = build_xi1(skew, policy)
     xi2 = build_xi2(skew, xi1, policy)
-    lb1 = build_lambda_b1(xi2, policy)
+    lb1 = build_lambda_b1(skew, xi2, policy)
     lb2 = build_lambda_b2(sys)
     lam = np.vstack([lb0, lb1, lb2])
     b1 = build_b1(sys, lb1)

@@ -151,11 +151,19 @@ class TestToleranceAndSeedHandling:
         with pytest.raises(ParseError, match="tolerance rank_rel_tol must be finite"):
             parse_system_document(text)
 
-    @pytest.mark.parametrize("value", [1.0, 2.0])
+    def test_huge_integer_tolerance_is_not_echoed(self):
+        text = _paper_text()[:-1] + ', "tolerances": {"rank_rel_tol": %s}}' % HUGE
+        with pytest.raises(ParseError, match="401 digits") as info:
+            parse_system_document(text)
+        assert len(str(info.value)) <= 120
+
+    @pytest.mark.parametrize("value", ["1.0", "2.0", "1e400"])
     def test_tolerance_of_one_or_more_is_rejected(self, value):
-        doc = parse_system_document(_paper_text(tolerances={"rank_rel_tol": value}))
-        with pytest.raises(ParseError, match="invalid tolerance override: rank_rel_tol"):
-            doc.resolve_policy()
+        # the file rule is TolerancePolicy's, checked at parse time
+        text = _paper_text()[:-1] + ', "tolerances": {"rank_rel_tol": %s}}' % value
+        rule = r"tolerance rank_rel_tol must be finite and in \(0, 1\)"
+        with pytest.raises(ParseError, match=rule):
+            parse_system_document(text)
 
     def test_non_numeric_tolerance(self):
         with pytest.raises(ParseError, match="number"):

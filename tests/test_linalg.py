@@ -200,23 +200,31 @@ class TestPsdLowRankFactor:
         # generic g has full row rank k
         xi = g.conj().T @ g
         k_eff = numerical_rank(xi)
-        factor = psd_low_rank_factor(xi, k_eff)
+        factor = psd_low_rank_factor(xi, *hermitian_eig(xi), k_eff)
         assert factor.shape == (k_eff, n)
         assert np.linalg.norm(factor.conj().T @ factor - xi) <= 1e-10 * max(
             np.linalg.norm(xi), 1.0
         )
 
     def test_zero_matrix(self):
-        factor = psd_low_rank_factor(np.zeros((4, 4)), 0)
+        factor = psd_low_rank_factor(np.zeros((4, 4)), *hermitian_eig(np.zeros((4, 4))), 0)
         assert factor.shape == (0, 4)
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(FactorizationError):
-            psd_low_rank_factor(np.eye(3), 1)
+            psd_low_rank_factor(np.eye(3), *hermitian_eig(np.eye(3)), 1)
+
+    def test_eigenpairs_of_another_matrix_fail_the_round_trip(self):
+        # same size, rank and PSD spectrum: only the round trip can tell
+        rng = np.random.default_rng(5)
+        g, h = rng.standard_normal((2, 2, 6)) + 1j * rng.standard_normal((2, 2, 6))
+        xi, other = g.conj().T @ g, h.conj().T @ h
+        with pytest.raises(FactorizationError, match="round-trip"):
+            psd_low_rank_factor(xi, *hermitian_eig(other), 2)
 
     def test_not_psd_raises(self):
         with pytest.raises(FactorizationError):
-            psd_low_rank_factor(np.diag([1.0, -1.0]), 2)
+            psd_low_rank_factor(np.diag([1.0, -1.0]), *hermitian_eig(np.diag([1.0, -1.0])), 2)
 
 
 class TestRealEmbeddingRank:

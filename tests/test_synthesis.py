@@ -149,27 +149,27 @@ class TestXiConstruction:
     def test_lambda_b1_rows_and_gram(self, paper_system):
         skew = compute_s_tilde(paper_system)
         xi2 = build_xi2(skew, build_xi1(skew))
-        lb1 = build_lambda_b1(xi2)
+        lb1 = build_lambda_b1(skew, xi2)
         assert lb1.shape == (2, 4)
         assert np.linalg.norm(lb1.conj().T @ lb1 - xi2) <= 1e-10 * np.linalg.norm(xi2)
 
     def test_lambda_b1_empty_when_rank_zero(self, trivial_system):
         skew = compute_s_tilde(trivial_system)
         xi2 = build_xi2(skew, build_xi1(skew))
-        assert build_lambda_b1(xi2).shape == (0, 2)
+        assert build_lambda_b1(skew, xi2).shape == (0, 2)
 
 
 class TestBuildB1:
     def test_trivial_zero(self, trivial_system):
         skew = compute_s_tilde(trivial_system)
-        lb1 = build_lambda_b1(build_xi2(skew, build_xi1(skew)))
+        lb1 = build_lambda_b1(skew, build_xi2(skew, build_xi1(skew)))
         b1 = build_b1(trivial_system, lb1)
         assert b1.shape == (2, 2)
         assert not b1.any()
 
     def test_small_closed_form(self, small_system):
         skew = compute_s_tilde(small_system)
-        lb1 = build_lambda_b1(build_xi2(skew, build_xi1(skew)))
+        lb1 = build_lambda_b1(skew, build_xi2(skew, build_xi1(skew)))
         b1 = build_b1(small_system, lb1)
         root2 = np.sqrt(2.0)
         expected = np.array([[-1.0, 0.0, root2, 0.0], [0.0, -1.0, 0.0, -root2]])
@@ -177,7 +177,7 @@ class TestBuildB1:
 
     def test_paper_shape(self, paper_system):
         skew = compute_s_tilde(paper_system)
-        lb1 = build_lambda_b1(build_xi2(skew, build_xi1(skew)))
+        lb1 = build_lambda_b1(skew, build_xi2(skew, build_xi1(skew)))
         assert build_b1(paper_system, lb1).shape == (4, 6)
 
     def test_matches_complex_definition(self, paper_system, corpus):
@@ -185,7 +185,7 @@ class TestBuildB1:
         # arithmetic, is real, and its real part is the real-arithmetic B_12 exactly
         for sys in [paper_system] + corpus[:30]:
             skew = compute_s_tilde(sys)
-            lb1 = build_lambda_b1(build_xi2(skew, build_xi1(skew)))
+            lb1 = build_lambda_b1(skew, build_xi2(skew, build_xi1(skew)))
             theta = dense_theta(sys.n)
             b12 = 2j * theta @ np.hstack([-lb1.conj().T, lb1.T]) @ dense_gamma(2 * lb1.shape[0])
             b11 = theta @ sys.C.T @ dense_theta(sys.n_y)
@@ -228,6 +228,50 @@ class TestSynthesizeRealization:
         again, _ = synthesize_realization(paper_system)
         assert again.skew.system is paper_system
         assert np.array_equal(again.Lambda, rz.Lambda) and np.array_equal(again.B1, rz.B1)
+
+    def test_one_hermitian_eigendecomposition(self, paper_system, monkeypatch):
+        # Xi2 is factored from the record's eigenpairs, so the only eigh is
+        # the one compute_s_tilde makes for the record
+        skew = compute_s_tilde(paper_system)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        synthesize_realization(skew)
+        assert len(calls) == 0
+        synthesize_realization(paper_system)
+        assert len(calls) == 1
+
+    def test_lambda_b1_rows_are_scaled_eigenvectors_of_s(self, paper_system, corpus):
+        # Xi2 = U^dag diag(|d| + d) U, so row j is sqrt(2 d_j) U_j for j < r/2
+        for sys in [paper_system] + corpus[:30]:
+            skew = compute_s_tilde(sys)
+            rz, _ = synthesize_realization(skew)
+            k = skew.rank_r // 2
+            expected = np.sqrt(2.0 * skew.eigenvalues[:k])[:, None] * skew.U[:k]
+            np.testing.assert_allclose(rz.Lambda_b1, expected, rtol=1e-14, atol=0.0)
+
+    def test_repeated_eigenvalues_of_s(self, paper_system):
+        # two identical uncoupled copies double every eigenvalue of S, so the
+        # eigenvectors within each pair are fixed only up to a rotation
+        a, b, c = paper_system.A, paper_system.B, paper_system.C
+
+        def twice(m):
+            out = np.zeros((2 * m.shape[0], 2 * m.shape[1]))
+            out[: m.shape[0], : m.shape[1]] = out[m.shape[0] :, m.shape[1] :] = m
+            return out
+
+        skew = compute_s_tilde(LtiSystem.from_matrices(twice(a), twice(b), twice(c)))
+        d = skew.eigenvalues
+        assert skew.rank_r == 8 and np.allclose(d[0::2], d[1::2], rtol=1e-12)
+        rz, report = synthesize_realization(skew)
+        assert report.all_passed and len(list(report)) == 6
+        gram = rz.Lambda_b1.conj().T @ rz.Lambda_b1
+        assert np.linalg.norm(gram - rz.Xi2) <= 1e-10 * np.linalg.norm(rz.Xi2)
 
     def test_trivial_reconstructs_a_exactly(self, trivial_system):
         rz, _ = synthesize_realization(trivial_system)
