@@ -11,6 +11,7 @@ failure, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -153,7 +154,9 @@ def _add_tolerance_flags(parser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args starts each parse from its defaults."""
     parser = argparse.ArgumentParser(
         prog="qrealize",
         description="Minimal quantum-noise realization of LTI systems",

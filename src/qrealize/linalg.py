@@ -1,12 +1,11 @@
-"""Structured constants and numerical kernels.
+"""Numerical kernels shared by the analysis and synthesis layers.
 
-Builders for the fixed matrices every quadrature-paired computation uses
-(the block commutation matrix built from J = [[0, 1], [-1, 0]], the
-odd/even interleaving permutation, the quadrature-to-ladder map Gamma) and
-the small set of numeric kernels the analysis and synthesis layers share:
-Hermitian eigendecomposition with a deterministic ordering, numerical rank
-with a relative cutoff (one matrix through its singular values, a stack of
-Hermitian matrices through their eigenvalues), low-rank factorization of a
+The block commutation matrix Theta = blockdiag(J, ..., J), J = [[0, 1],
+[-1, 0]], applied as a signed swap of quadrature pairs rather than a dense
+product; Hermitian eigendecomposition with a deterministic ordering,
+numerical rank with a relative cutoff (one matrix through its singular
+values, taken as |eigvalsh| when it is Hermitian, a stack of Hermitian
+matrices through their eigenvalues), low-rank factorization of a
 PSD matrix from eigenpairs the caller already holds (truncated and
 verified, never recomputed), the real-embedding rank of a complex matrix,
 and the norms of the column-pair wedge products x y^T - y x^T.
@@ -21,15 +20,10 @@ import numpy as np
 from .errors import ContractError, DimensionError, FactorizationError
 
 __all__ = [
-    "J_BLOCK",
-    "M_BLOCK",
     "TolerancePolicy",
     "DEFAULT_POLICY",
     "check_tolerance",
-    "build_theta",
-    "build_p",
-    "build_gamma",
-    "build_sigma",
+    "apply_theta",
     "hermitian_eig",
     "numerical_rank",
     "hermitian_rank",
@@ -37,9 +31,6 @@ __all__ = [
     "complex_rank_via_real_embedding",
     "wedge_norms",
 ]
-
-J_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
-M_BLOCK = 0.5 * np.array([[1.0, 1.0j], [1.0, -1.0j]])
 
 
 @dataclass(frozen=True)
@@ -83,67 +74,38 @@ def check_tolerance(name: str, value) -> None:
 DEFAULT_POLICY = TolerancePolicy()
 
 
-def _require_even(value: int, what: str) -> int:
-    value = int(value)
-    if value < 0 or value % 2 != 0:
-        raise DimensionError(f"{what} must be a nonnegative even integer, got {value}")
-    return value
-
-
 def _fro(a) -> float:
     return float(np.linalg.norm(a)) if np.size(a) else 0.0
 
 
-def build_theta(k: int) -> np.ndarray:
-    """k x k block diagonal matrix with J = [[0, 1], [-1, 0]] blocks (k even, >= 2)."""
-    k = int(k)
-    if k < 2 or k % 2 != 0:
-        raise DimensionError(f"theta requires an even size >= 2, got {k}")
-    theta = np.zeros((k, k))
-    even = np.arange(0, k, 2)
-    theta[even, even + 1] = J_BLOCK[0, 1]
-    theta[even + 1, even] = J_BLOCK[1, 0]
-    return theta
+def apply_theta(m, side: str) -> np.ndarray:
+    """Theta M (``side="left"``) or M Theta (``side="right"``) for a real matrix M.
 
-
-def build_p(size: int) -> np.ndarray:
-    """Interleaving permutation: maps (a1, a2, ..., a2m) to (a1, a3, ..., a2m-1, a2, a4, ..., a2m).
-
-    Acts on column vectors; build_p(size) @ x gathers the odd-position entries
-    of x first, then the even-position ones.
+    Theta = blockdiag(J, ..., J) with J = [[0, 1], [-1, 0]] is applied as a
+    signed swap of quadrature pairs, never formed: on the left, rows 2k and
+    2k+1 become M[2k+1] and -M[2k]; on the right, columns 2k and 2k+1
+    become -M[:, 2k+1] and M[:, 2k]. Every entry equals the dense
+    product's. The result is a new C-contiguous array, as a product is, so
+    norms, which numpy sums in memory order, match too; and its zeros are
+    +0.0, where negating a zero entry of M would leave -0.0.
     """
-    size = _require_even(size, "permutation size")
-    p = np.zeros((size, size))
-    source = np.concatenate([np.arange(0, size, 2), np.arange(1, size, 2)])
-    p[np.arange(size), source] = 1.0
-    return p
-
-
-def build_gamma(size: int) -> np.ndarray:
-    """Quadrature-to-ladder map: build_p(size) @ blockdiag(M, ..., M).
-
-    Built by index assignment, not as the dense product: with
-    M = (1/2)[[1, i], [1, -i]], row j < size/2 holds the first row of M in
-    columns 2j, 2j+1 and row size/2 + j holds its second row there.
-    """
-    size = _require_even(size, "gamma size")
-    half = size // 2
-    rows = np.arange(half)
-    gamma = np.zeros((size, size), dtype=complex)
-    gamma[rows, 2 * rows] = M_BLOCK[0, 0]
-    gamma[rows, 2 * rows + 1] = M_BLOCK[0, 1]
-    gamma[half + rows, 2 * rows] = M_BLOCK[1, 0]
-    gamma[half + rows, 2 * rows + 1] = M_BLOCK[1, 1]
-    return gamma
-
-
-def build_sigma(n_y: int, pairs: int) -> np.ndarray:
-    """Row selector [I 0] of shape (n_y/2) x pairs picking the leading output pairs."""
-    n_y = _require_even(n_y, "n_y")
-    half = n_y // 2
-    if pairs < half:
-        raise DimensionError(f"selector needs at least {half} columns, got {pairs}")
-    return np.hstack([np.eye(half), np.zeros((half, pairs - half))])
+    m = np.asarray(m, dtype=float)
+    if side not in ("left", "right"):
+        raise ContractError(f"side must be 'left' or 'right', got {side!r}")
+    left = side == "left"
+    if m.ndim != 2 or m.shape[0 if left else 1] % 2 != 0:
+        raise DimensionError(
+            f"Theta needs an even number of {'rows' if left else 'columns'}, got shape {m.shape}"
+        )
+    out = np.empty(m.shape)
+    if left:
+        out[0::2] = m[1::2]
+        out[1::2] = -m[0::2]
+    else:
+        out[:, 0::2] = -m[:, 1::2]
+        out[:, 1::2] = m[:, 0::2]
+    out += 0.0
+    return out
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -190,12 +152,20 @@ def hermitian_eig(h, policy: TolerancePolicy = DEFAULT_POLICY):
     return v.conj().T, d
 
 
-def numerical_rank(m, policy: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Count of singular values above rank_rel_tol times the largest one."""
+def numerical_rank(
+    m, policy: TolerancePolicy = DEFAULT_POLICY, hermitian: bool = False
+) -> int:
+    """Count of singular values above rank_rel_tol times the largest one.
+
+    ``hermitian=True`` promises that m is Hermitian (real symmetric when
+    real); np.linalg.svd then takes the singular values as the sorted
+    |eigvalsh| of m, the rule hermitian_rank applies, which reads only the
+    lower triangle and costs a fraction of a complex SVD.
+    """
     m = np.asarray(m)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(m, compute_uv=False, hermitian=hermitian)
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > policy.rank_rel_tol * s[0]))
@@ -242,13 +212,14 @@ def psd_low_rank_factor(
     k disagrees with the numerical rank of xi2, when a negative entry of d
     exceeds the rank cutoff, or when the round-trip F^dag F misses xi2
     beyond the residual tolerance, as it does for the eigenpairs of any
-    other matrix.
+    other matrix. xi2 is PSD, so Hermitian: its rank comes from |eigvalsh|,
+    which reads one triangle, while the round trip reads all of xi2.
     """
     xi2 = np.asarray(xi2)
     u = np.asarray(u)
     d = np.asarray(d, dtype=float)
     k = int(k)
-    got = numerical_rank(xi2, policy)
+    got = numerical_rank(xi2, policy, hermitian=True)
     if got != k:
         raise FactorizationError(f"requested {k} rows but the numerical rank is {got}")
     if d.size:

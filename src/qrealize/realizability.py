@@ -20,7 +20,7 @@ from .errors import DimensionError, NumericalError, ValidationError
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
-    build_theta,
+    apply_theta,
     hermitian_eig,
     numerical_rank,
     wedge_norms,
@@ -138,9 +138,15 @@ def compute_s_tilde(
 
     S_tilde = Theta B Theta_u B^T Theta - A^T Theta - Theta A - C^T Theta_y C,
     with the outer commutation matrices of size n and the middle one of
-    size n_u. The result must be skew-symmetric up to roundoff; a residual
-    above symmetry_tol raises NumericalError since it signals a bug, not
-    bad input. The rank of a real skew-symmetric matrix is even; an odd
+    size n_u. Every Theta is applied as a signed swap (apply_theta): Theta
+    A is formed once, -A^T Theta - Theta A is (Theta A)^T - Theta A, and
+    the only dense products left, (Theta B Theta_u) B^T and (C^T Theta_y)
+    C, are the ones the left-to-right evaluation of the definition forms,
+    so every entry sums the same products in the same order.
+
+    The result must be skew-symmetric up to roundoff; a residual above
+    symmetry_tol raises NumericalError since it signals a bug, not bad
+    input. The rank of a real skew-symmetric matrix is even; an odd
     computed value means the rank cutoff sits inside a singular-value pair
     and raises NumericalError too.
 
@@ -150,14 +156,13 @@ def compute_s_tilde(
     scaling, so the spectrum of S is used directly.
     """
     sys = validate_system(sys)
-    theta = build_theta(sys.n)
-    theta_u = build_theta(sys.n_u)
-    theta_y = build_theta(sys.n_y)
+    theta_a = apply_theta(sys.A, "left")
+    theta_b_theta_u = apply_theta(apply_theta(sys.B, "left"), "right")
     s_tilde = (
-        theta @ sys.B @ theta_u @ sys.B.T @ theta
-        - sys.A.T @ theta
-        - theta @ sys.A
-        - sys.C.T @ theta_y @ sys.C
+        apply_theta(theta_b_theta_u @ sys.B.T, "right")
+        + theta_a.T
+        - theta_a
+        - apply_theta(sys.C.T, "right") @ sys.C
     )
     scale = float(np.linalg.norm(s_tilde))
     if scale > 0:
@@ -314,10 +319,9 @@ def check_physical_realizability(
     if d1.shape != (sys.n_y, n_v):
         raise DimensionError(f"D1 must be {sys.n_y}x{n_v}, got shape {d1.shape}")
 
-    theta = build_theta(sys.n)
     bb = np.hstack([b1, sys.B])
 
-    a_theta = sys.A @ theta
+    a_theta = apply_theta(sys.A, "right")
     theta_at = -a_theta.T  # Theta A^T, since Theta^T = -Theta
     x, y = bb[:, 0::2], bb[:, 1::2]
     xy = x @ y.T
@@ -332,7 +336,7 @@ def check_physical_realizability(
     )
 
     got = bb[:, : sys.n_y]
-    target = theta @ sys.C.T @ build_theta(sys.n_y)
+    target = apply_theta(apply_theta(sys.C.T, "left"), "right")
     output_coupling = residual_entry(
         "output_coupling", got - target, [got, target], policy.residual_tol
     )

@@ -20,10 +20,7 @@ from .errors import ContractError, NumericalError, SynthesisError
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
-    build_gamma,
-    build_p,
-    build_sigma,
-    build_theta,
+    apply_theta,
     hermitian_rank,
     numerical_rank,
     psd_low_rank_factor,
@@ -63,33 +60,45 @@ _CERTIFICATE_BATCH_BYTES = 1 << 19
 
 
 def build_r(sys: LtiSystem) -> np.ndarray:
-    """Hamiltonian matrix R = -(1/4)(Theta A + A^T Theta^T), symmetric n x n."""
-    theta = build_theta(sys.n)
-    return -0.25 * (theta @ sys.A + sys.A.T @ theta.T)
+    """Hamiltonian matrix R = -(1/4)(Theta A + (Theta A)^T), symmetric n x n.
+
+    (Theta A)^T = A^T Theta^T, and Theta A is a signed row swap of A.
+    """
+    theta_a = apply_theta(sys.A, "left")
+    return -0.25 * (theta_a + theta_a.T)
+
+
+def _complex_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im as a new complex array whose zero parts are all +0.0."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    out += 0.0
+    return out
 
 
 def build_lambda_b0(sys: LtiSystem) -> np.ndarray:
     """Output coupling block, n_y/2 x n.
 
-    Lambda_b0 = ((1/2) C^T P^T [I; iI])^T with the permutation sized by
-    n_y. Feeding the result back through the output reconstruction
-    identity returns C exactly.
+    Lambda_b0 = ((1/2) C^T P^T [I; iI])^T with the interleaving permutation
+    P sized by n_y, which is (1/2)(C[0::2] + i C[1::2]): row k pairs the
+    two output quadratures of pair k. Feeding the result back through the
+    output reconstruction identity returns C exactly.
     """
-    half = sys.n_y // 2
-    p = build_p(sys.n_y)
-    stack = np.vstack([np.eye(half), 1j * np.eye(half)])
-    return (0.5 * sys.C.T @ p.T @ stack).T
+    return _complex_rows(0.5 * sys.C[0::2], 0.5 * sys.C[1::2])
 
 
 def build_lambda_b2(sys: LtiSystem) -> np.ndarray:
     """Input coupling block, n_u/2 x n.
 
-    Lambda_b2 = -i [I 0] Gamma_nu B^T Theta; its Gram matrix carries the
-    imaginary part -(1/4) Theta B Theta_u B^T Theta of the generator.
+    Lambda_b2 = -i [I 0] Gamma_nu B^T Theta, where the leading half of
+    Gamma = P blockdiag(M, ..., M) holds the first row (1/2)[1, i] of M in
+    each column pair; with Y = B^T Theta (a signed column swap), row k is
+    (1/2)(Y[2k+1] - i Y[2k]). Its Gram matrix carries the imaginary part
+    -(1/4) Theta B Theta_u B^T Theta of the generator.
     """
-    theta = build_theta(sys.n)
-    selector = np.eye(sys.n_u // 2, sys.n_u)
-    return -1j * selector @ build_gamma(sys.n_u) @ sys.B.T @ theta
+    b_theta = apply_theta(sys.B.T, "right")
+    return _complex_rows(0.5 * b_theta[1::2], -0.5 * b_theta[0::2])
 
 
 def build_xi1(skew: SkewReport, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -123,6 +132,8 @@ def build_xi2(
     else means the construction went wrong and raises SynthesisError.
     Its eigvalsh test is the only numerical PSD test of Xi2 itself:
     build_lambda_b1 factors Xi2 from the record's eigenvalues instead.
+    Xi2 is Hermitian by construction, so its rank, here and in
+    build_lambda_b1 and psd_low_rank_factor, is taken from |eigvalsh|.
     """
     xi2 = xi1 + 0.25j * skew.S_tilde
     w = np.linalg.eigvalsh(xi2)
@@ -132,7 +143,7 @@ def build_xi2(
             raise SynthesisError(
                 f"Xi2 is not PSD: eigenvalue {w[0]:.3e} below -{floor:.3e}"
             )
-    rank = numerical_rank(xi2, policy)
+    rank = numerical_rank(xi2, policy, hermitian=True)
     if rank != skew.rank_r // 2:
         raise SynthesisError(
             f"Xi2 has numerical rank {rank}, expected r/2 = {skew.rank_r // 2}"
@@ -155,11 +166,11 @@ def build_lambda_b1(
     unitary, so callers should compare Grams, not entries.
     """
     d = skew.eigenvalues
-    k = numerical_rank(xi2, policy)
+    k = numerical_rank(xi2, policy, hermitian=True)
     return psd_low_rank_factor(xi2, skew.U, np.abs(d) + d, k, policy)
 
 
-def _field_inputs(theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _field_inputs(lam: np.ndarray) -> np.ndarray:
     """2i Theta [-Lambda^dag Lambda^T] Gamma for coupling rows Lambda, in real arithmetic.
 
     Gamma = P blockdiag(M, ..., M) with M = (1/2)[[1, i], [1, -i]] pairs
@@ -171,7 +182,22 @@ def _field_inputs(theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
     quadratures = np.empty((lam.shape[1], 2 * lam.shape[0]))
     quadratures[:, 0::2] = -lam.imag.T
     quadratures[:, 1::2] = lam.real.T
-    return 2.0 * theta @ quadratures
+    return 2.0 * apply_theta(quadratures, "left")
+
+
+def _coupled_outputs(lam: np.ndarray, n_y: int) -> np.ndarray:
+    """Output matrix rebuilt from coupling rows Lambda, in real arithmetic.
+
+    P^T blockdiag(Sigma, Sigma) [Lambda + conj(Lambda); -i Lambda + i conj(Lambda)]:
+    Sigma = [I 0] keeps the n_y/2 leading rows of Lambda (Lambda_b0) and
+    P^T interleaves the two halves, so row pair k of the result is
+    2 (Re l_k, Im l_k) for row l_k of Lambda.
+    """
+    lead = lam[: n_y // 2]
+    out = np.empty((n_y, lam.shape[1]))
+    out[0::2] = 2.0 * lead.real
+    out[1::2] = 2.0 * lead.imag
+    return out
 
 
 def _gram_imag(lam: np.ndarray) -> np.ndarray:
@@ -183,13 +209,13 @@ def _gram_imag(lam: np.ndarray) -> np.ndarray:
 def build_b1(sys: LtiSystem, lambda_b1: np.ndarray) -> np.ndarray:
     """Noise input matrix B1 = [B_11 | B_12], n x (n_y + 2 * rows of Lambda_b1).
 
-    B_11 = Theta C^T diag(J) couples the output-carrying channels;
+    B_11 = Theta C^T diag(J) couples the output-carrying channels; both
+    commutation matrices are applied as signed swaps (apply_theta).
     B_12 = 2i Theta [-Lambda_b1^dag Lambda_b1^T] Gamma couples the extra
     ones. B_12 is real by construction and computed in real arithmetic.
     """
-    theta = build_theta(sys.n)
-    b11 = theta @ sys.C.T @ build_theta(sys.n_y)
-    return np.hstack([b11, _field_inputs(theta, lambda_b1)])
+    b11 = apply_theta(apply_theta(sys.C.T, "left"), "right")
+    return np.hstack([b11, _field_inputs(lambda_b1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,13 +297,12 @@ def synthesize_realization(
     b1 = build_b1(sys, lb1)
     d1 = np.eye(sys.n_y, n_v)
 
-    theta = build_theta(sys.n)
     tol = policy.residual_tol
 
     # A = 2 Theta (R + Im(Lambda^dag Lambda)); the Gram blocks cancel
     # against each other, so they set the scale, not the near-zero sum.
     # Theta is orthogonal, so the term 2 Theta X has the norm 2 ||X||.
-    a_rebuilt = 2.0 * theta @ (r_mat + _gram_imag(lam))
+    a_rebuilt = 2.0 * apply_theta(r_mat + _gram_imag(lam), "left")
     state = residual_entry(
         "state_rebuild",
         a_rebuilt - sys.A,
@@ -289,20 +314,11 @@ def synthesize_realization(
 
     # [B1 B] = 2i Theta [-Lambda^dag Lambda^T] Gamma
     bb = np.hstack([b1, sys.B])
-    bb_rebuilt = _field_inputs(theta, lam)
+    bb_rebuilt = _field_inputs(lam)
     fields = residual_entry("input_rebuild", bb_rebuilt - bb, [bb, bb_rebuilt], tol)
 
-    # C = P^T blockdiag(Sigma, Sigma) S from the leading coupling rows, with the real
-    # stack S = [Lambda + conj(Lambda); -i Lambda + i conj(Lambda)] = 2 [Re Lambda; Im Lambda]
-    sigma = build_sigma(sys.n_y, (n_v + sys.n_u) // 2)
-    big_sigma = np.block(
-        [
-            [sigma, np.zeros_like(sigma)],
-            [np.zeros_like(sigma), sigma],
-        ]
-    )
-    stack = 2.0 * np.vstack([lam.real, lam.imag])
-    c_rebuilt = build_p(sys.n_y).T @ big_sigma @ stack
+    # C = P^T blockdiag(Sigma, Sigma) [Lambda + conj(Lambda); -i Lambda + i conj(Lambda)]
+    c_rebuilt = _coupled_outputs(lam, sys.n_y)
     output = residual_entry("output_rebuild", c_rebuilt - sys.C, [sys.C, c_rebuilt], tol)
 
     check = check_physical_realizability(sys, b1, d1, policy)

@@ -1,6 +1,10 @@
-"""Dense reference versions of the realization checks, kept for comparison.
+"""Dense reference versions of the structured operators and realization checks.
 
-These are the complex, fully formed versions of the checks in
+The builders of the fixed matrices Theta, P, Gamma and Sigma form them as
+dense matrices; the library applies them by index (``apply_theta`` and
+slicing), and the tests check the index forms against these products.
+
+The checks are the complex, fully formed versions of the checks in
 ``qrealize.realizability.check_physical_realizability`` and of the three
 rebuild residuals in ``qrealize.synthesis.synthesize_realization``: Theta
 and Gamma are built from their definitions with ``kron``, the commutation
@@ -13,8 +17,70 @@ import math
 
 import numpy as np
 
-from qrealize.linalg import J_BLOCK, M_BLOCK, build_p, build_sigma
+from qrealize.errors import DimensionError
 from qrealize.realizability import ResidualEntry, ResidualReport
+
+J_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
+M_BLOCK = 0.5 * np.array([[1.0, 1.0j], [1.0, -1.0j]])
+
+
+def _require_even(value: int, what: str) -> int:
+    value = int(value)
+    if value < 0 or value % 2 != 0:
+        raise DimensionError(f"{what} must be a nonnegative even integer, got {value}")
+    return value
+
+
+def build_theta(k: int) -> np.ndarray:
+    """k x k block diagonal matrix with J = [[0, 1], [-1, 0]] blocks (k even, >= 2)."""
+    k = int(k)
+    if k < 2 or k % 2 != 0:
+        raise DimensionError(f"theta requires an even size >= 2, got {k}")
+    theta = np.zeros((k, k))
+    even = np.arange(0, k, 2)
+    theta[even, even + 1] = J_BLOCK[0, 1]
+    theta[even + 1, even] = J_BLOCK[1, 0]
+    return theta
+
+
+def build_p(size: int) -> np.ndarray:
+    """Interleaving permutation: maps (a1, a2, ..., a2m) to (a1, a3, ..., a2m-1, a2, a4, ..., a2m).
+
+    Acts on column vectors; build_p(size) @ x gathers the odd-position entries
+    of x first, then the even-position ones.
+    """
+    size = _require_even(size, "permutation size")
+    p = np.zeros((size, size))
+    source = np.concatenate([np.arange(0, size, 2), np.arange(1, size, 2)])
+    p[np.arange(size), source] = 1.0
+    return p
+
+
+def build_gamma(size: int) -> np.ndarray:
+    """Quadrature-to-ladder map: build_p(size) @ blockdiag(M, ..., M).
+
+    Built by index assignment, not as the dense product: with
+    M = (1/2)[[1, i], [1, -i]], row j < size/2 holds the first row of M in
+    columns 2j, 2j+1 and row size/2 + j holds its second row there.
+    """
+    size = _require_even(size, "gamma size")
+    half = size // 2
+    rows = np.arange(half)
+    gamma = np.zeros((size, size), dtype=complex)
+    gamma[rows, 2 * rows] = M_BLOCK[0, 0]
+    gamma[rows, 2 * rows + 1] = M_BLOCK[0, 1]
+    gamma[half + rows, 2 * rows] = M_BLOCK[1, 0]
+    gamma[half + rows, 2 * rows + 1] = M_BLOCK[1, 1]
+    return gamma
+
+
+def build_sigma(n_y: int, pairs: int) -> np.ndarray:
+    """Row selector [I 0] of shape (n_y/2) x pairs picking the leading output pairs."""
+    n_y = _require_even(n_y, "n_y")
+    half = n_y // 2
+    if pairs < half:
+        raise DimensionError(f"selector needs at least {half} columns, got {pairs}")
+    return np.hstack([np.eye(half), np.zeros((half, pairs - half))])
 
 
 def dense_theta(k):

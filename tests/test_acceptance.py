@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import CORPUS_SEED, paper_matrices
+from dense_reference import build_theta
 from qrealize import (
     compute_s_tilde,
     minimal_noise_count,
@@ -22,7 +23,7 @@ from qrealize import (
     synthesize_realization,
 )
 from qrealize.cli import EXAMPLE_S_TILDE, main
-from qrealize.linalg import build_theta, numerical_rank
+from qrealize.linalg import numerical_rank
 
 
 def _line(capsys, num, label, ok):

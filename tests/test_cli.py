@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import paper_matrices
-from qrealize.cli import example_system, main
+from qrealize.cli import _build_parser, example_system, main
 from qrealize.realizability import compute_s_tilde
 
 
@@ -152,6 +152,15 @@ class TestOneAnalysisPerCommand:
         }[command]
         assert main(argv) == 0
         assert len(analysis_calls) == 1
+
+
+class TestParserReuse:
+    def test_flags_do_not_carry_over(self, paper_file, analysis_calls):
+        # one parser serves every main() call of the process
+        assert main(["count", paper_file, "--rank-tol", "1e-6"]) == 0
+        assert main(["count", paper_file]) == 0
+        assert [policy.rank_rel_tol for _, policy in analysis_calls] == [1e-6, 1e-9]
+        assert _build_parser() is _build_parser()
 
 
 class TestCheck:

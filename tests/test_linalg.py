@@ -5,26 +5,38 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from dense_reference import dense_gamma, dense_pair_norms, dense_theta
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from qrealize import ContractError, DimensionError, FactorizationError
-from qrealize.linalg import (
-    DEFAULT_POLICY,
+from dense_reference import (
     J_BLOCK,
     M_BLOCK,
-    TolerancePolicy,
     build_gamma,
     build_p,
     build_sigma,
     build_theta,
+    dense_gamma,
+    dense_pair_norms,
+    dense_theta,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qrealize import ContractError, DimensionError, FactorizationError, LtiSystem
+from qrealize.linalg import (
+    DEFAULT_POLICY,
+    TolerancePolicy,
+    apply_theta,
     complex_rank_via_real_embedding,
     hermitian_eig,
     hermitian_rank,
     numerical_rank,
     psd_low_rank_factor,
     wedge_norms,
+)
+from qrealize.synthesis import (
+    _coupled_outputs,
+    _field_inputs,
+    build_lambda_b0,
+    build_lambda_b2,
+    build_r,
 )
 
 even_sizes = st.sampled_from([2, 4, 6, 8, 10])
@@ -121,6 +133,90 @@ class TestBuilders:
             build_sigma(3, 5)
 
 
+def _signed_zeros(rng, shape):
+    """Seeded normals with about a third of the entries +0.0 and a third -0.0."""
+    m = rng.standard_normal(shape)
+    u = rng.random(shape)
+    m[u < 1 / 3] = 0.0
+    m[(u >= 1 / 3) & (u < 2 / 3)] = -0.0
+    return m
+
+
+def _assert_index_form(got, want):
+    """Equal to the dense product, C-contiguous, and no zero part is -0.0."""
+    assert np.array_equal(got, want)
+    assert got.flags.c_contiguous
+    for part in (got.real, got.imag) if np.iscomplexobj(got) else (got,):
+        assert not np.signbit(part[part == 0.0]).any()
+
+
+class TestIndexOperators:
+    """Theta, P, Gamma and Sigma applied by index, against the dense products."""
+
+    @pytest.mark.parametrize("size", range(2, 66, 2))
+    def test_apply_theta_matches_dense_product(self, size):
+        rng = np.random.default_rng(size)
+        theta = dense_theta(size)
+        for width in (1, 3, size):
+            tall = _signed_zeros(rng, (size, width))
+            wide = _signed_zeros(rng, (width, size))
+            _assert_index_form(apply_theta(tall, "left"), theta @ tall)
+            _assert_index_form(apply_theta(wide, "right"), wide @ theta)
+            # transposed views are Fortran-ordered; the result is still C-ordered
+            _assert_index_form(apply_theta(wide.T, "left"), theta @ wide.T)
+            _assert_index_form(apply_theta(tall.T, "right"), tall.T @ theta)
+
+    @pytest.mark.parametrize("size", range(2, 66, 2))
+    def test_p_gamma_sigma_slicings_match_dense_products(self, size):
+        rng = np.random.default_rng(1000 + size)
+        n, half = 6, size // 2
+        sys = LtiSystem.from_matrices(
+            *(_signed_zeros(rng, shape) for shape in ((n, n), (n, size), (size, n)))
+        )
+        p = build_p(size)
+        ladder = np.vstack([np.eye(half), 1j * np.eye(half)])
+        _assert_index_form(build_lambda_b0(sys), (0.5 * sys.C.T @ p.T @ ladder).T)
+        _assert_index_form(
+            build_lambda_b2(sys),
+            -1j * np.eye(half, size) @ build_gamma(size) @ sys.B.T @ dense_theta(n),
+        )
+        # Sigma keeps the n_y/2 leading rows of Lambda, however many follow
+        lam = _signed_zeros(rng, (half + 3, n)) + 1j * _signed_zeros(rng, (half + 3, n))
+        sigma = build_sigma(size, half + 3)
+        zero = np.zeros_like(sigma)
+        stack = np.vstack([lam + lam.conj(), -1j * lam + 1j * lam.conj()])
+        c_dense = p.T @ np.block([[sigma, zero], [zero, sigma]]) @ stack
+        assert not c_dense.imag.any()
+        # C rebuilt feeds only a residual norm, so zero signs pass through
+        c_rebuilt = _coupled_outputs(lam, size)
+        assert np.array_equal(c_rebuilt, c_dense.real)
+        assert c_rebuilt.flags.c_contiguous
+        rows = _signed_zeros(rng, (half, n)) + 1j * _signed_zeros(rng, (half, n))
+        b_dense = 2j * dense_theta(n) @ np.hstack([-rows.conj().T, rows.T]) @ dense_gamma(size)
+        assert not b_dense.imag.any()
+        _assert_index_form(_field_inputs(rows), b_dense.real)
+
+    @pytest.mark.parametrize("size", range(2, 66, 2))
+    def test_r_matches_dense_product(self, size):
+        rng = np.random.default_rng(2000 + size)
+        a = _signed_zeros(rng, (size, size))
+        sys = LtiSystem.from_matrices(a, np.zeros((size, 2)), np.zeros((2, size)))
+        theta = dense_theta(size)
+        want = -0.25 * (theta @ a + a.T @ theta.T)
+        assert np.array_equal(build_r(sys), want)
+        assert build_r(sys).flags.c_contiguous
+
+    def test_apply_theta_rejects_bad_input(self):
+        with pytest.raises(DimensionError):
+            apply_theta(np.zeros((3, 2)), "left")
+        with pytest.raises(DimensionError):
+            apply_theta(np.zeros((2, 3)), "right")
+        with pytest.raises(DimensionError):
+            apply_theta(np.zeros(4), "left")
+        with pytest.raises(ContractError):
+            apply_theta(np.zeros((2, 2)), "top")
+
+
 class TestHermitianEig:
     def test_zero_matrix_is_identity_basis(self):
         u, d = hermitian_eig(np.zeros((3, 3)))
@@ -188,6 +284,30 @@ class TestNumericalRank:
     def test_rectangular(self):
         m = np.vstack([np.eye(2), np.zeros((3, 2))])
         assert numerical_rank(m) == 2
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_hermitian_route_matches_svd(self, seed):
+        # graded spectra from 1 down to 1e-4 ... 1e-8 with cutoffs between
+        # neighbouring values, and exact-rank PSD Gram matrices
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 65))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        graded = np.geomspace(1.0, 10.0 ** -int(rng.integers(4, 9)), n)
+        h = (q * (graded * rng.choice([-1.0, 1.0], n))) @ q.conj().T
+        h = 0.5 * (h + h.conj().T)
+        k = int(rng.integers(0, n + 1))
+        f = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        gram = f.conj().T @ f
+        cuts = np.sqrt(graded[1:] * graded[:-1])[:: max(1, n // 6)]
+        policies = [DEFAULT_POLICY] + [TolerancePolicy(rank_rel_tol=float(c)) for c in cuts]
+        for m in (h, h.real, gram, gram.real):
+            for policy in policies:
+                assert numerical_rank(m, policy, hermitian=True) == numerical_rank(m, policy)
+        for j, cut in enumerate(cuts):
+            assert numerical_rank(h, TolerancePolicy(rank_rel_tol=float(cut)), hermitian=True) == (
+                1 + j * max(1, n // 6)
+            )
+        assert numerical_rank(gram, hermitian=True) == k
 
 
 class TestPsdLowRankFactor:

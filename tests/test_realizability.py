@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import dense_check_physical_realizability
+from dense_reference import build_theta, dense_check_physical_realizability
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,7 @@ from qrealize import (
     synthesize_realization,
 )
 from qrealize.cli import EXAMPLE_S_TILDE
-from qrealize.linalg import DEFAULT_POLICY, build_theta
+from qrealize.linalg import DEFAULT_POLICY
 from qrealize.realizability import residual_entry, validate_system
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -93,6 +93,20 @@ class TestComputeSTilde:
     def test_companion_matrix(self, paper_system):
         skew = compute_s_tilde(paper_system)
         assert np.array_equal(skew.S, 0.25j * skew.S_tilde)
+
+    @pytest.mark.parametrize("n", range(2, 66, 2))
+    def test_equals_dense_definition_exactly(self, n):
+        # Theta applied by index leaves the dense definition's products,
+        # their operands and their order, so every entry is the same float
+        sys = _random_system(n, n=n, n_u=(2, 4, 8)[n % 3])
+        theta, theta_u = build_theta(sys.n), build_theta(sys.n_u)
+        dense = (
+            theta @ sys.B @ theta_u @ sys.B.T @ theta
+            - sys.A.T @ theta
+            - theta @ sys.A
+            - sys.C.T @ theta_u @ sys.C
+        )
+        assert np.array_equal(compute_s_tilde(sys).S_tilde, dense)
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)

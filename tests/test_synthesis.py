@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from dense_reference import dense_gamma, dense_rebuild_residuals, dense_theta
+from dense_reference import (
+    build_p,
+    build_theta,
+    dense_gamma,
+    dense_rebuild_residuals,
+    dense_theta,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +22,6 @@ from qrealize import (
     synthesize_realization,
 )
 from qrealize.linalg import (
-    build_p,
-    build_theta,
     complex_rank_via_real_embedding,
     hermitian_rank,
     numerical_rank,
@@ -245,6 +249,25 @@ class TestSynthesizeRealization:
         assert len(calls) == 0
         synthesize_realization(paper_system)
         assert len(calls) == 1
+
+    def test_xi2_ranks_take_the_hermitian_route(self, paper_system, corpus, monkeypatch):
+        # three rank checks of Xi2 through |eigvalsh|, one full SVD of S_tilde
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append((np.array(a), kwargs.get("hermitian", False)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for sys in [paper_system] + corpus[:10]:
+            calls.clear()
+            rz, _ = synthesize_realization(sys)
+            hermitian = [a for a, flag in calls if flag]
+            full = [a for a, flag in calls if not flag]
+            assert len(hermitian) == 3
+            assert all(np.array_equal(a, rz.Xi2) for a in hermitian)
+            assert len(full) == 1 and np.array_equal(full[0], rz.skew.S_tilde)
 
     def test_lambda_b1_rows_are_scaled_eigenvectors_of_s(self, paper_system, corpus):
         # Xi2 = U^dag diag(|d| + d) U, so row j is sqrt(2 d_j) U_j for j < r/2
