@@ -2,13 +2,14 @@
 
 The block commutation matrix Theta = blockdiag(J, ..., J), J = [[0, 1],
 [-1, 0]], applied as a signed swap of quadrature pairs rather than a dense
-product; Hermitian eigendecomposition with a deterministic ordering,
-numerical rank with a relative cutoff (one matrix through its singular
-values, taken as |eigvalsh| when it is Hermitian, a stack of Hermitian
-matrices through their eigenvalues), low-rank factorization of a
-PSD matrix from eigenpairs the caller already holds (truncated and
-verified, never recomputed), the real-embedding rank of a complex matrix,
-and the norms of the column-pair wedge products x y^T - y x^T.
+product; Hermitian eigendecomposition with a deterministic ordering;
+numerical_rank, the one rank kernel, which counts singular values above a
+relative cutoff for one matrix or a stack of them and takes them as
+|eigvalsh| when the caller promises Hermitian input; low-rank
+factorization of a PSD matrix from eigenpairs the caller already holds
+(truncated and verified, never recomputed), the real-embedding rank of a
+complex matrix, and the norms of the column-pair wedge products
+x y^T - y x^T.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "apply_theta",
     "hermitian_eig",
     "numerical_rank",
-    "hermitian_rank",
     "psd_low_rank_factor",
     "complex_rank_via_real_embedding",
     "wedge_norms",
@@ -154,49 +154,28 @@ def hermitian_eig(h, policy: TolerancePolicy = DEFAULT_POLICY):
 
 def numerical_rank(
     m, policy: TolerancePolicy = DEFAULT_POLICY, hermitian: bool = False
-) -> int:
+) -> int | np.ndarray:
     """Count of singular values above rank_rel_tol times the largest one.
 
-    ``hermitian=True`` promises that m is Hermitian (real symmetric when
-    real); np.linalg.svd then takes the singular values as the sorted
-    |eigvalsh| of m, the rule hermitian_rank applies, which reads only the
-    lower triangle and costs a fraction of a complex SVD.
+    ``m`` is one matrix, which gives an int, or a stack of shape
+    (..., k, l), which gives an int array of shape m.shape[:-2] with the
+    rank of each matrix. An all-zero matrix has rank 0; an empty matrix
+    or stack gives 0 or zeros. ``hermitian=True`` promises that every
+    matrix is Hermitian (real symmetric when real) and requires them
+    square; np.linalg.svd then takes the singular values as the sorted
+    |eigvalsh|, which reads only the lower triangle and costs a fraction
+    of a complex SVD.
     """
     m = np.asarray(m)
+    if m.ndim < 2 or (hermitian and m.shape[-1] != m.shape[-2]):
+        kind = "square " if hermitian else ""
+        raise DimensionError(f"numerical_rank requires {kind}matrices, got shape {m.shape}")
     if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False, hermitian=hermitian)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > policy.rank_rel_tol * s[0]))
-
-
-def hermitian_rank(stack, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Numerical rank of each Hermitian (or real symmetric) matrix in a stack.
-
-    The absolute eigenvalues of a Hermitian matrix are its singular values,
-    so this applies the numerical_rank rule (count above rank_rel_tol times
-    the largest, 0 when the largest is 0) to ``|eigvalsh|``. As with
-    eigvalsh, only the lower triangle of each matrix is read.
-
-    Parameters
-    ----------
-    stack : array_like
-        Shape (..., k, k).
-
-    Returns
-    -------
-    ndarray of int
-        Shape stack.shape[:-2]; a single matrix gives a 0-d array.
-    """
-    stack = np.asarray(stack)
-    if stack.ndim < 2 or stack.shape[-1] != stack.shape[-2]:
-        raise DimensionError(f"hermitian_rank requires square matrices, got shape {stack.shape}")
-    if stack.size == 0:
-        return np.zeros(stack.shape[:-2], dtype=int)
-    w = np.abs(np.linalg.eigvalsh(stack))
-    top = w.max(axis=-1, keepdims=True)
-    return np.asarray(np.count_nonzero(w > policy.rank_rel_tol * top, axis=-1))
+        ranks = np.zeros(m.shape[:-2], dtype=int)
+    else:
+        s = np.linalg.svd(m, compute_uv=False, hermitian=hermitian)
+        ranks = np.count_nonzero(s > policy.rank_rel_tol * s[..., :1], axis=-1)
+    return int(ranks) if m.ndim == 2 else ranks
 
 
 def psd_low_rank_factor(

@@ -146,7 +146,10 @@ def compute_s_tilde(
 
     The result must be skew-symmetric up to roundoff; a residual above
     symmetry_tol raises NumericalError since it signals a bug, not bad
-    input. The rank of a real skew-symmetric matrix is even; an odd
+    input. Finite inputs can still overflow S_tilde or its norm; that
+    raises NumericalError naming the overflow, since rescaling to
+    (alpha A, sqrt(alpha) B, sqrt(alpha) C) scales S_tilde by alpha and
+    keeps r. The rank of a real skew-symmetric matrix is even; an odd
     computed value means the rank cutoff sits inside a singular-value pair
     and raises NumericalError too.
 
@@ -158,13 +161,20 @@ def compute_s_tilde(
     sys = validate_system(sys)
     theta_a = apply_theta(sys.A, "left")
     theta_b_theta_u = apply_theta(apply_theta(sys.B, "left"), "right")
-    s_tilde = (
-        apply_theta(theta_b_theta_u @ sys.B.T, "right")
-        + theta_a.T
-        - theta_a
-        - apply_theta(sys.C.T, "right") @ sys.C
-    )
-    scale = float(np.linalg.norm(s_tilde))
+    # finite inputs can overflow here; the check below diagnoses that
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_tilde = (
+            apply_theta(theta_b_theta_u @ sys.B.T, "right")
+            + theta_a.T
+            - theta_a
+            - apply_theta(sys.C.T, "right") @ sys.C
+        )
+        scale = float(np.linalg.norm(s_tilde))
+    if not math.isfinite(scale):
+        raise NumericalError(
+            f"skew invariant overflows double precision (||S_tilde|| = {scale}); "
+            "rescale the system: (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r"
+        )
     if scale > 0:
         skewness = float(np.linalg.norm(s_tilde + s_tilde.T))
         if skewness > policy.symmetry_tol * scale:

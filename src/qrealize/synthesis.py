@@ -21,7 +21,6 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     apply_theta,
-    hermitian_rank,
     numerical_rank,
     psd_low_rank_factor,
 )
@@ -52,10 +51,11 @@ __all__ = [
 # Frobenius norm of the skew invariant.
 _CERTIFICATE_SCALES = (1e-2, 1.0, 1e2)
 
-# Bytes of the real-embedding stack the certificate ranks per eigvalsh
-# call (16 candidates at n = 32). Batching amortizes the per-call cost of
-# eigvalsh; the fixed budget keeps peak memory flat as trials grow, where
-# one stack of all 202 candidates at n = 32 adds about 9 MB.
+# Bytes of the real-embedding stack the certificate ranks per
+# numerical_rank call (16 candidates at n = 32). Batching amortizes the
+# per-call cost of eigvalsh; the fixed budget keeps peak memory flat as
+# trials grow, where one stack of all 202 candidates at n = 32 adds about
+# 9 MB.
 _CERTIFICATE_BATCH_BYTES = 1 << 19
 
 
@@ -373,10 +373,11 @@ def minimality_certificate(
     G_t is the t-th n x n block of the standard normals drawn from
     ``np.random.default_rng(seed)`` and s_t cycles through the three
     scales, so the seed alone fixes the candidates, whatever the batch
-    size. Each candidate's rank is computed twice, from the eigenvalues of
-    the Hermitian matrix Xi + (i/4) S_tilde and from those of its real
-    symmetric embedding [[Xi, S_tilde/4], [-S_tilde/4, Xi]] (halved); the
-    two routes must agree, and the minimum over all candidates is compared
+    size. Each candidate's rank is computed twice by the one rank kernel,
+    numerical_rank with hermitian=True over a whole batch: once for the
+    Hermitian matrix Xi + (i/4) S_tilde and once, halved, for its real
+    symmetric embedding [[Xi, S_tilde/4], [-S_tilde/4, Xi]]; the two
+    routes must agree, and the minimum over all candidates is compared
     against r/2.
     Candidates are ranked in batches held in buffers of fixed size (512 KiB
     for the embeddings), so memory does not grow with ``trials``. A
@@ -420,8 +421,10 @@ def minimality_certificate(
         drawn *= factors[t % 3, None, None]
         embedded[:k, :n, :n] = xi
         embedded[:k, n:, n:] = xi
-        ranks = hermitian_rank(direct[:k], policy)
-        agreed = agreed and np.array_equal(hermitian_rank(embedded[:k], policy) // 2, ranks)
+        ranks = numerical_rank(direct[:k], policy, hermitian=True)
+        agreed = agreed and np.array_equal(
+            numerical_rank(embedded[:k], policy, hermitian=True) // 2, ranks
+        )
         min_rank = min(min_rank, int(ranks.min()))
 
     bound = skew.rank_r // 2

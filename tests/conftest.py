@@ -32,6 +32,19 @@ def make_corpus(count=CORPUS_SIZE, seed=CORPUS_SEED):
     return systems
 
 
+def overflow_matrices():
+    """Two finite triples (n=4, n_u=2, C = [I 0]) whose S_tilde overflows.
+
+    "entries": A = 1e200 I and B = 1e200 [I; 0], so B B^T and with it
+    S_tilde holds inf. "norm": A = 1e160 (I + 3 e_0 e_1^T) and B = [I; 0],
+    so S_tilde is finite but its squared Frobenius norm is not.
+    """
+    c, b = np.eye(2, 4), np.eye(4, 2)
+    a_norm = 1e160 * np.eye(4)
+    a_norm[0, 1] = 3e160
+    return {"entries": (1e200 * np.eye(4), 1e200 * b, c), "norm": (a_norm, b, c)}
+
+
 @pytest.fixture(scope="session")
 def paper_system():
     return example_system()

@@ -1,12 +1,17 @@
 """Tests for the command line interface."""
 
 import json
+import os
+import re
+import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import paper_matrices
+from conftest import overflow_matrices, paper_matrices
 from qrealize.cli import _build_parser, example_system, main
 from qrealize.realizability import compute_s_tilde
 
@@ -60,6 +65,25 @@ class TestCount:
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"A": [[1.0]], "B": [[1.0]], "C": [[1.0]]}))
         assert main(["count", str(path)]) == 1
+
+
+@pytest.mark.parametrize("name", ["entries", "norm"])
+@pytest.mark.parametrize("command", ["count", "synthesize"])
+def test_overflowing_system_is_one_error_line(tmp_path, capsys, name, command):
+    a, b, c = overflow_matrices()[name]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"A": a.tolist(), "B": b.tolist(), "C": c.tolist()}))
+    out = tmp_path / "report.json"
+    argv = {"count": ["count", str(path)], "synthesize": ["synthesize", str(path), "-o", str(out)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: skew invariant overflows")
+    assert "rescale" in captured.err
+    assert not out.exists()
 
 
 class TestSynthesize:
@@ -241,3 +265,51 @@ class TestPaperExample:
         # a cutoff above the smallest singular value pair lowers r
         assert main(["paper-example", "--rank-tol", "0.5"]) == 1
         assert "r=2 n_v=4" in capsys.readouterr().out
+
+
+def _readme_blocks():
+    """The fenced code blocks of README.md, dedented, each ending in a newline."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^( *)```\w*\n(.*?)^\1```", text, flags=re.M | re.S)
+    return [re.sub(f"(?m)^{indent}", "", body) for indent, body in blocks]
+
+
+def test_readme_quotes_count_and_check_verbatim(paper_file, tmp_path, capsys):
+    # a roundoff change must update the README's quoted output with it
+    blocks = _readme_blocks()
+    assert main(["count", paper_file]) == 0
+    assert capsys.readouterr().out in blocks
+    report = tmp_path / "report.json"
+    assert main(["synthesize", paper_file, "-o", str(report), "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert main(["check", paper_file, str(report)]) == 0
+    assert capsys.readouterr().out in blocks
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, n):
+    """synthesize writes the same bytes under 1 and 2 OpenBLAS threads.
+
+    Kept at n <= 64, where the bytes agree. At n = 128 a second thread
+    changes the order in which BLAS sums the products behind
+    realization.Lambda, B1 and two residuals, and their last digits move,
+    so the README promises identical bytes only per thread count there.
+    """
+    for seed in range(2):
+        rng = np.random.default_rng(1000 * n + seed)
+        doc = {
+            "A": rng.standard_normal((n, n)).tolist(),
+            "B": rng.standard_normal((n, 8)).tolist(),
+            "C": rng.standard_normal((8, n)).tolist(),
+        }
+        system = tmp_path / f"system{seed}.json"
+        system.write_text(json.dumps(doc))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"report{seed}_{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            cmd = [sys.executable, "-m", "qrealize.cli", "synthesize", str(system), "-o", str(out)]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], f"seed {seed}"

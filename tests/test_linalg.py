@@ -26,7 +26,6 @@ from qrealize.linalg import (
     apply_theta,
     complex_rank_via_real_embedding,
     hermitian_eig,
-    hermitian_rank,
     numerical_rank,
     psd_low_rank_factor,
     wedge_norms,
@@ -268,9 +267,9 @@ class TestNumericalRank:
     def test_zero_and_empty(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
         assert numerical_rank(np.zeros((0, 4))) == 0
-        assert hermitian_rank(np.zeros((3, 3))) == 0
-        assert hermitian_rank(np.zeros((0, 0))) == 0
-        assert hermitian_rank(np.zeros((0, 4, 4))).shape == (0,)
+        assert numerical_rank(np.zeros((3, 3)), hermitian=True) == 0
+        assert numerical_rank(np.zeros((0, 0)), hermitian=True) == 0
+        assert numerical_rank(np.zeros((0, 4, 4)), hermitian=True).shape == (0,)
 
     def test_relative_cutoff(self):
         assert numerical_rank(np.diag([1.0, 1e-15])) == 1
@@ -284,6 +283,19 @@ class TestNumericalRank:
     def test_rectangular(self):
         m = np.vstack([np.eye(2), np.zeros((3, 2))])
         assert numerical_rank(m) == 2
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((2, 3, 5, 2))
+        stack[0, 1] = 0.0
+        stack[1, 2, :, 1] = 3.0 * stack[1, 2, :, 0]
+        ranks = numerical_rank(stack)
+        assert ranks.shape == (2, 3)
+        assert ranks.tolist() == [[numerical_rank(m) for m in row] for row in stack]
+        assert ranks[0, 1] == 0 and ranks[1, 2] == 1
+        assert numerical_rank(np.zeros((3, 0, 4))).tolist() == [0, 0, 0]
+        with pytest.raises(DimensionError):
+            numerical_rank(np.ones(3))
 
     @pytest.mark.parametrize("seed", range(16))
     def test_hermitian_route_matches_svd(self, seed):
@@ -359,12 +371,13 @@ class TestRealEmbeddingRank:
         direct = numerical_rank(m)
         embedded = complex_rank_via_real_embedding(m.real, m.imag)
         assert embedded == direct
-        assert hermitian_rank(m) == direct
-        assert hermitian_rank(np.block([[m.real, m.imag], [-m.imag, m.real]])) == 2 * direct
+        assert numerical_rank(m, hermitian=True) == direct
+        embedding = np.block([[m.real, m.imag], [-m.imag, m.real]])
+        assert numerical_rank(embedding, hermitian=True) == 2 * direct
         # -m: negative eigenvalues count by magnitude; m + I: full rank
         stack = np.stack([m, -m, np.zeros_like(m), m + np.eye(n)])
         expected = [numerical_rank(x) for x in stack]
-        assert hermitian_rank(stack).tolist() == expected
+        assert numerical_rank(stack, hermitian=True).tolist() == expected
 
     def test_pure_imaginary(self):
         # i*J has rank 2 while the parts individually have ranks 0 and 2
@@ -374,7 +387,7 @@ class TestRealEmbeddingRank:
         with pytest.raises(DimensionError):
             complex_rank_via_real_embedding(np.eye(2), np.eye(3))
         with pytest.raises(DimensionError):
-            hermitian_rank(np.zeros((2, 3)))
+            numerical_rank(np.zeros((2, 3)), hermitian=True)
 
 
 def _exact_pair_norm(x, y):

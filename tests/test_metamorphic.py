@@ -1,7 +1,9 @@
 """Metamorphic invariance: transformations the theory says leave (r, n_v) fixed.
 
 Each seeded system is transformed by a reordering of quadrature pairs, by
-an orthogonal symplectic change of coordinates (one 2x2 rotation per pair)
+an orthogonal symplectic change of coordinates (one 2x2 rotation per pair),
+by non-orthogonal symplectic ones (Cayley transforms of Hamiltonian
+matrices), under which S_tilde changes by the congruence T^-T S_tilde T^-1,
 and by the scaling (alpha A, sqrt(alpha) B, sqrt(alpha) C). Each variant
 must keep r and n_v, and synthesis of each must pass all six residuals.
 The corpus holds generic systems (r = n) and systems whose skew invariant
@@ -60,6 +62,19 @@ def _pair_rotation(rng, k):
     return t
 
 
+def _cayley_symplectic(rng, k, spread):
+    """(I - M/2)^-1 (I + M/2) for M = Theta H, H symmetric with entries ~ spread / sqrt(k).
+
+    M is Hamiltonian (M^T Theta + Theta M = 0), so T^T Theta T = Theta;
+    T is not orthogonal, and its condition number grows with ``spread``.
+    Returns T and T^-1 = (I + M/2)^-1 (I - M/2).
+    """
+    g = rng.standard_normal((k, k))
+    m = apply_theta(0.5 * spread / np.sqrt(k) * (g + g.T), "left")
+    eye = np.eye(k)
+    return np.linalg.solve(eye - m / 2, eye + m / 2), np.linalg.solve(eye + m / 2, eye - m / 2)
+
+
 def _variants(sys, seed):
     rng = np.random.default_rng(10_000 + seed)
     a, b, c = sys.A, sys.B, sys.C
@@ -68,6 +83,9 @@ def _variants(sys, seed):
     yield "reorder", (t @ a @ t.T, t @ b @ q.T, q @ c @ t.T)
     t = _pair_rotation(rng, sys.n)
     yield "rotate", (t @ a @ t.T, t @ b, c @ t.T)
+    for spread in (0.3, 1.0):
+        t, t_inv = _cayley_symplectic(rng, sys.n, spread)
+        yield f"symplectic {spread:g}", (t @ a @ t_inv, t @ b, c @ t_inv)
     for alpha in SCALES:
         yield f"scale {alpha:g}", (alpha * a, np.sqrt(alpha) * b, np.sqrt(alpha) * c)
 

@@ -2,9 +2,11 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from conftest import overflow_matrices
 from dense_reference import build_theta, dense_check_physical_realizability
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +120,25 @@ class TestComputeSTilde:
         # spectrum of S comes in +/- pairs
         w = skew.eigenvalues
         assert np.abs(w + w[::-1]).max() <= 1e-9 * max(np.abs(w).max(), 1.0)
+
+    @pytest.mark.parametrize("name", ["entries", "norm"])
+    def test_overflow_is_diagnosed_without_warning(self, name):
+        # finite inputs whose S_tilde or its norm overflows: a vacuous skew
+        # check or a failed eigensolver would follow
+        sys = LtiSystem.from_matrices(*overflow_matrices()[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows.*rescale"):
+                compute_s_tilde(sys)
+
+    @pytest.mark.parametrize("name, r", [("entries", 2), ("norm", 4)])
+    def test_rescaling_as_advised_gives_one_count(self, name, r):
+        # (alpha A, sqrt(alpha) B, sqrt(alpha) C) scales S_tilde by alpha
+        a, b, c = overflow_matrices()[name]
+        for alpha in (1e-250, 1e-280, 1e-300):
+            root = math.sqrt(alpha)
+            skew = compute_s_tilde(LtiSystem.from_matrices(alpha * a, root * b, root * c))
+            assert (skew.rank_r, skew.n_v) == (r, 2 + r)
 
 
 class TestNoiseCounts:

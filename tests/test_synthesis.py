@@ -23,7 +23,6 @@ from qrealize import (
 )
 from qrealize.linalg import (
     complex_rank_via_real_embedding,
-    hermitian_rank,
     numerical_rank,
 )
 from qrealize.synthesis import (
@@ -464,15 +463,15 @@ class TestMinimalityCertificate:
         sys = _system_n32() if name == "n32" else fixture_systems[name]
         skew = compute_s_tilde(sys)
         trials = 40
-        # the direct-route stacks handed to hermitian_rank, in order
+        # the direct-route stacks handed to numerical_rank, in order
         stacks = []
 
-        def recording_rank(stack, policy):
+        def recording_rank(stack, policy, hermitian=False):
             if not np.isrealobj(stack):
                 stacks.append(np.array(stack))
-            return hermitian_rank(stack, policy)
+            return numerical_rank(stack, policy, hermitian)
 
-        monkeypatch.setattr(synthesis, "hermitian_rank", recording_rank)
+        monkeypatch.setattr(synthesis, "numerical_rank", recording_rank)
         runs = []
         for batch_bytes in (1, 8 * (2 * sys.n) ** 2 * (trials + 2), 1 << 40):
             monkeypatch.setattr(synthesis, "_CERTIFICATE_BATCH_BYTES", batch_bytes)
