@@ -23,7 +23,6 @@ from .linalg import DEFAULT_POLICY, TolerancePolicy, check_tolerance
 __all__ = [
     "SystemDocument",
     "parse_system_document",
-    "parse_system",
     "parse_realization",
     "serialize_system",
     "report_document",
@@ -171,11 +170,6 @@ def parse_system_document(text: str) -> SystemDocument:
     if seed is not None and seed < 0:
         raise ParseError(f"seed must be non-negative, got {seed}")
     return SystemDocument(system=system, tolerances=tolerances, seed=seed)
-
-
-def parse_system(text: str):
-    """Parse a system file, returning just the validated LtiSystem."""
-    return parse_system_document(text).system
 
 
 def parse_realization(text: str):

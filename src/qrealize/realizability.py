@@ -32,7 +32,6 @@ __all__ = [
     "ResidualEntry",
     "ResidualReport",
     "MULTIPLICITY_CLUSTER_REL",
-    "validate_system",
     "compute_s_tilde",
     "minimal_noise_count",
     "multiplicity_noise_count",
@@ -48,59 +47,59 @@ MULTIPLICITY_CLUSTER_REL = 1e-7
 
 @dataclass(frozen=True, eq=False)
 class LtiSystem:
-    """Real triple (A, B, C) with even state/input/output dimensions.
+    """Real triple (A, B, C) with even state/input/output dimensions, valid by construction.
 
     The dimensions pair into conjugate quadratures, so n, n_u, and n_y must
     all be even, and the theory handled here additionally requires as many
-    outputs as inputs (n_y = n_u).
+    outputs as inputs (n_y = n_u). Construction converts each matrix as
+    np.atleast_2d(np.asarray(x, dtype=float)), copying no float64 input, and
+    raises ValidationError naming the first violated invariant. n, n_u and
+    n_y are read off the shapes.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    n: int
-    n_u: int
-    n_y: int
+
+    def __post_init__(self):
+        for name in ("A", "B", "C"):
+            m = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, m)
+        A, B, C = self.A, self.B, self.C
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValidationError(f"A must be square, got shape {A.shape}")
+        n, n_u, n_y = self.n, self.n_u, self.n_y
+        for name, count in (("n", n), ("n_u", n_u), ("n_y", n_y)):
+            if count <= 0 or count % 2 != 0:
+                raise ValidationError(
+                    f"{name} must be a positive even integer (quadrature pairing), got {count}"
+                )
+        if n_y != n_u:
+            raise ValidationError(f"outputs must match inputs (n_y = n_u), got n_y={n_y}, n_u={n_u}")
+        if B.shape != (n, n_u):
+            raise ValidationError(f"B must be {n}x{n_u}, got shape {B.shape}")
+        if C.shape != (n_y, n):
+            raise ValidationError(f"C must be {n_y}x{n}, got shape {C.shape}")
+        for name, m in (("A", A), ("B", B), ("C", C)):
+            if not np.isfinite(m).all():
+                raise ValidationError(f"{name} contains non-finite entries")
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def n_u(self) -> int:
+        return self.B.shape[1]
+
+    @property
+    def n_y(self) -> int:
+        return self.C.shape[0]
 
     @classmethod
     def from_matrices(cls, A, B, C) -> "LtiSystem":
-        """Build and validate a system directly from array-likes."""
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        sys = cls(A=A, B=B, C=C, n=A.shape[0], n_u=B.shape[1], n_y=C.shape[0])
-        return validate_system(sys)
-
-
-def validate_system(sys: LtiSystem) -> LtiSystem:
-    """Return the system unchanged iff every structural invariant holds.
-
-    Raises ValidationError naming the violated invariant: odd or
-    nonpositive dimensions, n_y != n_u, inconsistent matrix shapes, or
-    non-finite entries.
-    """
-    A, B, C = np.asarray(sys.A), np.asarray(sys.B), np.asarray(sys.C)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError(f"A must be square, got shape {A.shape}")
-    for name, count in (("n", sys.n), ("n_u", sys.n_u), ("n_y", sys.n_y)):
-        if count <= 0 or count % 2 != 0:
-            raise ValidationError(
-                f"{name} must be a positive even integer (quadrature pairing), got {count}"
-            )
-    if sys.n_y != sys.n_u:
-        raise ValidationError(
-            f"outputs must match inputs (n_y = n_u), got n_y={sys.n_y}, n_u={sys.n_u}"
-        )
-    if A.shape != (sys.n, sys.n):
-        raise ValidationError(f"A must be {sys.n}x{sys.n}, got shape {A.shape}")
-    if B.shape != (sys.n, sys.n_u):
-        raise ValidationError(f"B must be {sys.n}x{sys.n_u}, got shape {B.shape}")
-    if C.shape != (sys.n_y, sys.n):
-        raise ValidationError(f"C must be {sys.n_y}x{sys.n}, got shape {C.shape}")
-    for name, m in (("A", A), ("B", B), ("C", C)):
-        if not np.isfinite(m).all():
-            raise ValidationError(f"{name} contains non-finite entries")
-    return sys
+        """The system (A, B, C); the same as LtiSystem(A, B, C)."""
+        return cls(A, B, C)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +111,10 @@ class SkewReport:
     it is derived on access rather than stored, to keep the record small.
     S = U^dag diag(eigenvalues) U with the eigenvalues sorted descending
     and the rows of U phase-fixed as in hermitian_eig. ``rank_r`` is the
-    (even) numerical rank of S_tilde, ``n_v = n_u + rank_r`` the exact
-    minimal noise count and ``multiplicity_count`` the multiplicity-based
-    bound n_u + 2(n - n_lambda).
+    (even) numerical rank of S_tilde and ``multiplicity_count`` the
+    multiplicity-based bound n_u + 2(n - n_lambda). The exact minimal noise
+    count ``n_v = n_u + rank_r`` is derived on access, so it cannot
+    disagree with the rank.
     """
 
     system: LtiSystem
@@ -123,18 +123,21 @@ class SkewReport:
     U: np.ndarray
     eigenvalues: np.ndarray
     rank_r: int
-    n_v: int
     multiplicity_count: int
 
     @property
     def S(self) -> np.ndarray:
         return 0.25j * self.S_tilde
 
+    @property
+    def n_v(self) -> int:
+        return self.system.n_u + self.rank_r
+
 
 def compute_s_tilde(
     sys: LtiSystem, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> SkewReport:
-    """Analysis record of a validated system.
+    """Analysis record of a system; it was validated when built, so no structural check runs here.
 
     S_tilde = Theta B Theta_u B^T Theta - A^T Theta - Theta A - C^T Theta_y C,
     with the outer commutation matrices of size n and the middle one of
@@ -158,7 +161,6 @@ def compute_s_tilde(
     MULTIPLICITY_CLUSTER_REL. Multiplicity does not change under positive
     scaling, so the spectrum of S is used directly.
     """
-    sys = validate_system(sys)
     theta_a = apply_theta(sys.A, "left")
     theta_b_theta_u = apply_theta(apply_theta(sys.B, "left"), "right")
     # finite inputs can overflow here; the check below diagnoses that
@@ -171,9 +173,17 @@ def compute_s_tilde(
         )
         scale = float(np.linalg.norm(s_tilde))
     if not math.isfinite(scale):
+        # log10 of ||A||, ||B||^2 and ||C||^2, scaled by the largest entry so no norm overflows
+        logs = [
+            power * (math.log10(peak) + math.log10(np.linalg.norm(m / peak)))
+            for m, power in ((sys.A, 1), (sys.B, 2), (sys.C, 2))
+            if (peak := float(np.abs(m).max())) > 0
+        ]
+        k = round(max(logs))
         raise NumericalError(
             f"skew invariant overflows double precision (||S_tilde|| = {scale}); "
-            "rescale the system: (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r"
+            f"rescale the system: (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r; alpha = 1e-{k} "
+            "brings ||A||, ||B||^2 and ||C||^2 to at most about 1 (apply sqrt(alpha) to A twice)"
         )
     if scale > 0:
         skewness = float(np.linalg.norm(s_tilde + s_tilde.T))
@@ -198,7 +208,6 @@ def compute_s_tilde(
         U=u,
         eigenvalues=w,
         rank_r=rank,
-        n_v=sys.n_u + rank,
         multiplicity_count=sys.n_u + 2 * (sys.n - n_lambda),
     )
 
@@ -290,7 +299,7 @@ def check_physical_realizability(
     Parameters
     ----------
     sys : LtiSystem
-        Validated system supplying A, B, C.
+        System supplying A, B, C, valid by construction; only B1 and D1 are checked here.
     B1 : array_like
         Real n x n_v noise input matrix; n_v is inferred from its width.
     D1 : array_like
@@ -315,7 +324,6 @@ def check_physical_realizability(
     A Theta, Theta A^T and the pair terms x_k y_k^T - y_k x_k^T, whose
     norms come in closed form from wedge_norms, so no pair term is formed.
     """
-    sys = validate_system(sys)
     b1 = np.atleast_2d(np.asarray(B1, dtype=float))
     d1 = np.atleast_2d(np.asarray(D1, dtype=float))
     n_v = b1.shape[1]

@@ -101,40 +101,39 @@ def build_lambda_b2(sys: LtiSystem) -> np.ndarray:
     return _complex_rows(0.5 * b_theta[1::2], -0.5 * b_theta[0::2])
 
 
-def build_xi1(skew: SkewReport, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+def build_xi1(skew: SkewReport) -> np.ndarray:
     """Real symmetric PSD part chosen to minimize the Gram rank.
 
     With S = U^dag D U from the record (``skew.U``, ``skew.eigenvalues``),
     returns Xi1 = U^dag |D| U, the positive square root of S^2. The product
-    is real up to roundoff; an imaginary residual above residual_tol raises
-    NumericalError, otherwise the imaginary part is dropped and the result
-    exactly symmetrized.
+    is real up to roundoff; an imaginary residual above the record's
+    residual_tol raises NumericalError, otherwise the imaginary part is
+    dropped and the result exactly symmetrized.
     """
-    u = skew.U
+    u, tol = skew.U, skew.policy.residual_tol
     xi1 = (u.conj().T * np.abs(skew.eigenvalues)) @ u
     scale = float(np.linalg.norm(xi1))
     imag = float(np.linalg.norm(xi1.imag))
-    if scale > 0 and imag > policy.residual_tol * scale:
+    if scale > 0 and imag > tol * scale:
         raise NumericalError(
-            f"Xi1 came out complex: imaginary norm {imag:.3e} "
-            f"exceeds {policy.residual_tol:.1e} * {scale:.3e}"
+            f"Xi1 came out complex: imaginary norm {imag:.3e} exceeds {tol:.1e} * {scale:.3e}"
         )
     xi1 = xi1.real
     return 0.5 * (xi1 + xi1.T)
 
 
-def build_xi2(
-    skew: SkewReport, xi1: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY
-) -> np.ndarray:
+def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
     """Gram matrix Xi2 = Xi1 + (i/4) S_tilde of the extra-noise coupling.
 
-    Must come out Hermitian PSD with numerical rank exactly r/2; anything
-    else means the construction went wrong and raises SynthesisError.
+    Must come out Hermitian PSD with numerical rank exactly r/2 under the
+    record's policy; anything else means the construction went wrong and
+    raises SynthesisError.
     Its eigvalsh test is the only numerical PSD test of Xi2 itself:
     build_lambda_b1 factors Xi2 from the record's eigenvalues instead.
     Xi2 is Hermitian by construction, so its rank, here and in
     build_lambda_b1 and psd_low_rank_factor, is taken from |eigvalsh|.
     """
+    policy = skew.policy
     xi2 = xi1 + 0.25j * skew.S_tilde
     w = np.linalg.eigvalsh(xi2)
     if w.size:
@@ -151,9 +150,7 @@ def build_xi2(
     return xi2
 
 
-def build_lambda_b1(
-    skew: SkewReport, xi2: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY
-) -> np.ndarray:
+def build_lambda_b1(skew: SkewReport, xi2: np.ndarray) -> np.ndarray:
     """Extra-noise coupling block: a factor with Lambda_b1^dag Lambda_b1 = Xi2.
 
     Read off the record rather than a second decomposition: with
@@ -162,12 +159,13 @@ def build_lambda_b1(
     row j of Lambda_b1 is sqrt(2 d_j) U_j for the k = r/2 positive d_j. k,
     the numerical rank of Xi2, fixes the row count, and
     psd_low_rank_factor checks that rank, that |d| + d is PSD and that the
-    round trip returns xi2. The factor is canonical only up to a left
-    unitary, so callers should compare Grams, not entries.
+    round trip returns xi2, all under the record's policy. The factor is
+    canonical only up to a left unitary, so callers should compare Grams,
+    not entries.
     """
     d = skew.eigenvalues
-    k = numerical_rank(xi2, policy, hermitian=True)
-    return psd_low_rank_factor(xi2, skew.U, np.abs(d) + d, k, policy)
+    k = numerical_rank(xi2, skew.policy, hermitian=True)
+    return psd_low_rank_factor(xi2, skew.U, np.abs(d) + d, k, skew.policy)
 
 
 def _field_inputs(lam: np.ndarray) -> np.ndarray:
@@ -289,9 +287,9 @@ def synthesize_realization(
 
     r_mat = build_r(sys)
     lb0 = build_lambda_b0(sys)
-    xi1 = build_xi1(skew, policy)
-    xi2 = build_xi2(skew, xi1, policy)
-    lb1 = build_lambda_b1(skew, xi2, policy)
+    xi1 = build_xi1(skew)
+    xi2 = build_xi2(skew, xi1)
+    lb1 = build_lambda_b1(skew, xi2)
     lb2 = build_lambda_b2(sys)
     lam = np.vstack([lb0, lb1, lb2])
     b1 = build_b1(sys, lb1)
@@ -401,7 +399,7 @@ def minimality_certificate(
 
     # the constructive minimizer and the zero matrix lead the first batch
     special = np.zeros((2, n, n))
-    special[0] = build_xi1(skew, policy)
+    special[0] = build_xi1(skew)
     base = float(np.linalg.norm(skew.S_tilde)) or 1.0
     factors = np.array(_CERTIFICATE_SCALES) * base * 0.5
     rng = np.random.default_rng(seed)

@@ -267,10 +267,10 @@ class TestPaperExample:
         assert "r=2 n_v=4" in capsys.readouterr().out
 
 
-def _readme_blocks():
-    """The fenced code blocks of README.md, dedented, each ending in a newline."""
+def _readme_blocks(language=r"\w*"):
+    """The fenced code blocks of README.md in ``language``, dedented, each ending in a newline."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^( *)```\w*\n(.*?)^\1```", text, flags=re.M | re.S)
+    blocks = re.findall(rf"^( *)```{language}\n(.*?)^\1```", text, flags=re.M | re.S)
     return [re.sub(f"(?m)^{indent}", "", body) for indent, body in blocks]
 
 
@@ -284,6 +284,18 @@ def test_readme_quotes_count_and_check_verbatim(paper_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", paper_file, str(report)]) == 0
     assert capsys.readouterr().out in blocks
+
+
+def test_readme_library_use_runs_as_documented():
+    # the README's one python block, with its commented counts printed
+    (code,) = _readme_blocks("python")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "print((r, n_v))\n"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "(2, 4)"
 
 
 @pytest.mark.parametrize("n", [32, 64])

@@ -20,7 +20,6 @@ from qrealize.io import (
     _complex_pairs,
     _real_lists,
     parse_realization,
-    parse_system,
     parse_system_document,
     report_document,
     serialize_report,
@@ -41,7 +40,7 @@ def _paper_text(**extra):
 
 class TestParseSystem:
     def test_parses_paper_fixture(self):
-        sys = parse_system(_paper_text())
+        sys = parse_system_document(_paper_text()).system
         assert sys.n == 4 and sys.n_u == 2 and sys.n_y == 2
 
     def test_roundtrip_is_identity(self):
@@ -68,36 +67,36 @@ class TestParseSystem:
 
     def test_malformed_json_names_position(self):
         with pytest.raises(ParseError, match=r"line 1, column"):
-            parse_system("{not json")
+            parse_system_document("{not json").system
 
     def test_top_level_must_be_object(self):
         with pytest.raises(ParseError, match="object"):
-            parse_system("[1, 2]")
+            parse_system_document("[1, 2]").system
 
     def test_missing_matrix(self):
         with pytest.raises(ParseError, match="'C'"):
-            parse_system(json.dumps({"A": [[0.0]], "B": [[0.0]]}))
+            parse_system_document(json.dumps({"A": [[0.0]], "B": [[0.0]]})).system
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ParseError, match="non-empty"):
-            parse_system(json.dumps({"A": [], "B": [[0.0]], "C": [[0.0]]}))
+            parse_system_document(json.dumps({"A": [], "B": [[0.0]], "C": [[0.0]]})).system
 
     def test_ragged_rows_named(self):
         bad = {"A": [[0.0, 1.0], [2.0]], "B": [[0.0], [0.0]], "C": [[0.0, 0.0]]}
         with pytest.raises(ParseError, match="A row 1"):
-            parse_system(json.dumps(bad))
+            parse_system_document(json.dumps(bad)).system
 
     @pytest.mark.parametrize("entry", ['"x"', "true", "null"])
     def test_non_number_entry_has_row_col(self, entry):
         text = '{"A": [[0.0, %s], [0.0, 0.0]], "B": [[0],[0]], "C": [[0, 0]]}' % entry
         with pytest.raises(ParseError, match="row 0, column 1"):
-            parse_system(text)
+            parse_system_document(text).system
 
     def test_non_finite_entry_rejected(self):
         # python's json accepts Infinity, the matrix contract does not
         text = '{"A": [[0.0, Infinity], [0.0, 0.0]], "B": [[0],[0]], "C": [[0, 0]]}'
         with pytest.raises(ParseError, match="not finite"):
-            parse_system(text)
+            parse_system_document(text).system
 
     @pytest.mark.parametrize("where", ["A", "B1"])
     def test_huge_integer_entry_is_not_finite(self, where):
@@ -105,7 +104,7 @@ class TestParseSystem:
         if where == "A":
             text = '{"A": [[0.0, %s], [0.0, 0.0]], "B": [[0],[0]], "C": [[0, 0]]}' % HUGE
             with pytest.raises(ParseError, match="A entry at row 0, column 1 is not finite"):
-                parse_system(text)
+                parse_system_document(text).system
         else:
             text = '{"B1": [[1.0, 0.0], [0.0, %s]], "D1": [[1.0, 0.0]]}' % HUGE
             with pytest.raises(ParseError, match="B1 entry at row 1, column 1 is not finite"):
@@ -116,16 +115,16 @@ class TestParseSystem:
         # overflow: the walk names the overflow, as the entry-by-entry check did
         text = '{"A": [[0.0, %s], ["x", 0.0]], "B": [[0],[0]], "C": [[0, 0]]}' % HUGE
         with pytest.raises(ParseError, match="row 0, column 1 is not finite"):
-            parse_system(text)
+            parse_system_document(text).system
         text = '{"A": [[0.0, "x"], [0.0]], "B": [[0],[0]], "C": [[0, 0]]}'
         with pytest.raises(ParseError, match="row 0, column 1 is not a number"):
-            parse_system(text)
+            parse_system_document(text).system
 
     def test_integer_beyond_digit_limit_is_parse_error(self):
         # json.loads raises a plain ValueError past int_max_str_digits (4300)
         text = '{"A": [[%s]], "B": [[0]], "C": [[0]]}' % ("1" * 5000)
         with pytest.raises(ParseError, match="invalid JSON"):
-            parse_system(text)
+            parse_system_document(text).system
 
     def test_odd_output_dimension_rejected(self):
         doc = {
@@ -134,7 +133,7 @@ class TestParseSystem:
             "C": np.zeros((3, 4)).tolist(),
         }
         with pytest.raises(ValidationError):
-            parse_system(json.dumps(doc))
+            parse_system_document(json.dumps(doc)).system
 
 
 class TestToleranceAndSeedHandling:

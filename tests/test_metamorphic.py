@@ -6,8 +6,9 @@ by non-orthogonal symplectic ones (Cayley transforms of Hamiltonian
 matrices), under which S_tilde changes by the congruence T^-T S_tilde T^-1,
 and by the scaling (alpha A, sqrt(alpha) B, sqrt(alpha) C). Each variant
 must keep r and n_v, and synthesis of each must pass all six residuals.
-The corpus holds generic systems (r = n) and systems whose skew invariant
-was set to a random skew matrix of smaller even rank.
+The corpus holds generic systems (r = n), systems whose skew invariant
+was set to a random skew matrix of smaller even rank, and generic systems
+whose B is ill-conditioned or nearly rank-deficient.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from qrealize import LtiSystem, compute_s_tilde, synthesize_realization
 from qrealize.linalg import apply_theta
 
 SCALES = (1e-8, 1e-4, 1e4, 1e8)
+CONDITIONS = (1e2, 1e6, 1e12)
 
 
 def _skew_of_rank(rng, n, r):
@@ -44,6 +46,23 @@ def _system(seed):
         s_tilde = compute_s_tilde(LtiSystem.from_matrices(a, b, c)).S_tilde
         a = a - 0.5 * apply_theta(s_tilde - _skew_of_rank(rng, n, r), "left")
     return LtiSystem.from_matrices(a, b, c)
+
+
+def _ill_conditioned_system(seed, kappa, deficient):
+    """A generic (A, C) with B = Q1 diag(logspace(0, -log10 kappa)) Q2^T, n in {4, 8, 20}.
+
+    Q1 has orthonormal columns and Q2 is orthogonal, so cond(B) = kappa.
+    With ``deficient``, the last column of B becomes the first plus 1/kappa
+    times itself, so B is nearly rank-deficient.
+    """
+    rng = np.random.default_rng(seed)
+    n, n_u = (4, 8, 20)[seed % 3], (2, 4)[seed % 2]
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n_u)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n_u, n_u)))
+    b = (q1 * np.logspace(0, -np.log10(kappa), n_u)) @ q2.T
+    if deficient:
+        b[:, -1] = b[:, 0] + b[:, -1] / kappa
+    return LtiSystem(rng.standard_normal((n, n)), b, rng.standard_normal((n_u, n)))
 
 
 def _pair_permutation(rng, k):
@@ -90,15 +109,31 @@ def _variants(sys, seed):
         yield f"scale {alpha:g}", (alpha * a, np.sqrt(alpha) * b, np.sqrt(alpha) * c)
 
 
-@pytest.mark.parametrize("seed", range(24))
-def test_counts_and_synthesis_survive_invariant_transformations(seed):
-    sys = _system(seed)
-    skew = compute_s_tilde(sys)
-    if seed % 4:
-        assert skew.rank_r < sys.n
+def _check_variants(sys, skew, seed):
     for name, matrices in _variants(sys, seed):
         variant = LtiSystem.from_matrices(*matrices)
         got = compute_s_tilde(variant)
         assert (got.rank_r, got.n_v) == (skew.rank_r, skew.n_v), name
         _, report = synthesize_realization(got)
         assert report.all_passed, name
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_counts_and_synthesis_survive_invariant_transformations(seed):
+    sys = _system(seed)
+    skew = compute_s_tilde(sys)
+    if seed % 4:
+        assert skew.rank_r < sys.n
+    _check_variants(sys, skew, seed)
+
+
+@pytest.mark.parametrize("deficient", [False, True])
+@pytest.mark.parametrize("kappa", CONDITIONS)
+@pytest.mark.parametrize("seed", range(6))
+def test_ill_conditioned_b_keeps_full_count(seed, kappa, deficient):
+    sys = _ill_conditioned_system(seed, kappa, deficient)
+    skew = compute_s_tilde(sys)
+    assert (skew.rank_r, skew.n_v) == (sys.n, sys.n_u + sys.n)
+    _, report = synthesize_realization(skew)
+    assert report.all_passed
+    _check_variants(sys, skew, seed)

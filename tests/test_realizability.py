@@ -1,6 +1,7 @@
 """Tests for system validation, the skew invariant, and the noise counts."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -24,7 +25,7 @@ from qrealize import (
 )
 from qrealize.cli import EXAMPLE_S_TILDE
 from qrealize.linalg import DEFAULT_POLICY
-from qrealize.realizability import residual_entry, validate_system
+from qrealize.realizability import residual_entry
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -43,7 +44,20 @@ def _random_system(seed, n=None, n_u=None):
 class TestValidateSystem:
     def test_accepts_fixtures(self, fixture_systems):
         for sys in fixture_systems.values():
-            assert validate_system(sys) is sys
+            assert (sys.n, sys.n) == sys.A.shape
+            assert (sys.n, sys.n_u) == sys.B.shape
+            assert (sys.n_y, sys.n) == sys.C.shape
+
+    def test_construction_converts_and_validates(self):
+        sys = LtiSystem([[0, 1], [-1, 0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+        for m in (sys.A, sys.B, sys.C):
+            assert isinstance(m, np.ndarray) and m.dtype == np.float64
+        assert (sys.n, sys.n_u, sys.n_y) == (2, 2, 2)
+        assert np.array_equal(sys.A, [[0.0, 1.0], [-1.0, 0.0]])
+        a = np.eye(2)
+        assert LtiSystem(a, a, a).A is a  # float64 input is not copied
+        with pytest.raises(ValidationError, match="finite"):
+            LtiSystem([[0, float("inf")], [0, 0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]])
 
     def test_rejects_odd_n(self):
         with pytest.raises(ValidationError, match="n must be"):
@@ -62,11 +76,8 @@ class TestValidateSystem:
             LtiSystem.from_matrices(np.zeros((2, 4)), np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_rejects_inconsistent_shapes(self):
-        sys = LtiSystem(
-            A=np.zeros((4, 4)), B=np.zeros((2, 2)), C=np.zeros((2, 4)), n=4, n_u=2, n_y=2
-        )
         with pytest.raises(ValidationError, match="B must be"):
-            validate_system(sys)
+            LtiSystem(A=np.zeros((4, 4)), B=np.zeros((2, 2)), C=np.zeros((2, 4)))
 
     def test_rejects_non_finite(self):
         a = np.zeros((2, 2))
@@ -139,6 +150,15 @@ class TestComputeSTilde:
             root = math.sqrt(alpha)
             skew = compute_s_tilde(LtiSystem.from_matrices(alpha * a, root * b, root * c))
             assert (skew.rank_r, skew.n_v) == (r, 2 + r)
+        # the alpha the message names, applied to A as sqrt(alpha) twice
+        with pytest.raises(NumericalError) as excinfo:
+            compute_s_tilde(LtiSystem.from_matrices(a, b, c))
+        advised = re.search(r"alpha = 1e-(\d+)", str(excinfo.value))
+        k = int(advised.group(1))
+        assert k == {"entries": 400, "norm": 161}[name]
+        root = 10.0 ** (-k / 2)
+        skew = compute_s_tilde(LtiSystem.from_matrices(root * (root * a), root * b, root * c))
+        assert (skew.rank_r, skew.n_v) == (r, 2 + r)
 
 
 class TestNoiseCounts:
