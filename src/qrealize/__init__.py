@@ -8,7 +8,7 @@ numerical verification report.
 """
 
 # qrealize.io stamps it into every report.
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     ContractError,

@@ -213,11 +213,13 @@ def serialize_system(sys, tolerances=None, seed=None) -> str:
 def report_document(realization, residuals, certificate, seed: int) -> dict:
     """Assemble the full report as plain JSON-ready data.
 
-    The system, the tolerances and the analysis (S_tilde, its spectrum, r,
-    n_v and the multiplicity count) come from the analysis record the
-    realization carries; ``certificate`` may be None. Residual values go
-    in exactly as computed (shortest round-trip float encoding), so
-    nothing is lost to formatting.
+    The system sizes, the tolerances and the analysis (the spectrum of S,
+    r, n_v and the multiplicity count) come from the analysis record the
+    realization carries; ``certificate`` may be None. The report holds what
+    the run adds to its input, not the input: A, B and C stay in the system
+    file, and S_tilde is rebuilt from it by compute_s_tilde. Residual
+    values go in exactly as computed (shortest round-trip float encoding),
+    so nothing is lost to formatting.
     """
     skew = realization.skew
     sys, policy = skew.system, skew.policy
@@ -226,15 +228,11 @@ def report_document(realization, residuals, certificate, seed: int) -> dict:
         "seed": int(seed),
         "tolerances": {key: float(getattr(policy, key)) for key in _TOLERANCE_KEYS},
         "system": {
-            "A": _real_lists(sys.A),
-            "B": _real_lists(sys.B),
-            "C": _real_lists(sys.C),
             "n": int(sys.n),
             "n_u": int(sys.n_u),
             "n_y": int(sys.n_y),
         },
         "analysis": {
-            "S_tilde": _real_lists(skew.S_tilde),
             "eigenvalues_of_S": [float(x) for x in skew.eigenvalues],
             "r": int(skew.rank_r),
             "n_v": int(skew.n_v),

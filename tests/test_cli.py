@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qrealize
 from conftest import overflow_matrices, paper_matrices
 from qrealize.cli import _build_parser, example_system, main
+from qrealize.io import _real_lists, parse_realization, parse_system_document, serialize_report
 from qrealize.realizability import compute_s_tilde
 
 
@@ -123,6 +125,30 @@ class TestSynthesize:
     def test_unwritable_output_is_io_error(self, paper_file, tmp_path):
         assert main(["synthesize", paper_file, "-o", str(tmp_path / "no" / "x.json")]) == 2
 
+    @pytest.mark.parametrize("fixture", ["paper_file", "trivial_file"])
+    def test_report_schema_is_pinned(self, fixture, request, tmp_path):
+        # the exact keys at each level: a field added or dropped is a version bump
+        out = tmp_path / "report.json"
+        assert main(["synthesize", request.getfixturevalue(fixture), "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == {
+            "version", "seed", "tolerances", "system", "analysis",
+            "residuals", "all_passed", "realization", "certificate",
+        }
+        assert doc["version"] == qrealize.__version__
+        assert set(doc["tolerances"]) == {"rank_rel_tol", "residual_tol", "symmetry_tol"}
+        assert set(doc["system"]) == {"n", "n_u", "n_y"}
+        assert set(doc["analysis"]) == {
+            "eigenvalues_of_S", "r", "n_v", "multiplicity_noise_count",
+        }
+        assert set(doc["realization"]) == {"R", "Lambda", "B1", "D1", "n_v"}
+        assert set(doc["certificate"]) == {
+            "r", "trials", "min_observed_rank", "lower_bound_held", "embedding_agreed",
+        }
+        assert len(doc["residuals"]) == 6
+        for entry in doc["residuals"]:
+            assert set(entry) == {"name", "absolute", "scale", "relative", "tol", "passed"}
+
 
 class TestNegativeSeed:
     @pytest.mark.parametrize("where", ["flag", "file"])
@@ -194,6 +220,25 @@ class TestCheck:
         assert main(["check", paper_file, str(report)]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3 and "FAIL" not in out
+
+    def test_accepts_a_0_1_0_report(self, paper_file, tmp_path, capsys):
+        # 0.1.0 reports also held the input matrices and S_tilde
+        report = tmp_path / "report.json"
+        assert main(["synthesize", paper_file, "-o", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        system = parse_system_document(Path(paper_file).read_text()).system
+        doc["version"] = "0.1.0"
+        doc["system"].update(A=_real_lists(system.A), B=_real_lists(system.B), C=_real_lists(system.C))
+        doc["analysis"]["S_tilde"] = _real_lists(compute_s_tilde(system).S_tilde)
+        old = tmp_path / "old.json"
+        old.write_text(serialize_report(doc))
+        capsys.readouterr()
+        assert main(["check", paper_file, str(old)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all(line.endswith(" PASS") for line in lines)
+        b1, d1 = parse_realization(report.read_text())
+        old_b1, old_d1 = parse_realization(old.read_text())
+        assert np.array_equal(b1, old_b1) and np.array_equal(d1, old_d1)
 
     def test_zeroed_b1_fails_naming_output_coupling(self, paper_file, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -296,6 +341,15 @@ def test_readme_library_use_runs_as_documented():
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert proc.stdout.splitlines()[-1] == "(2, 4)"
+
+
+def test_readme_rebuilds_s_tilde_as_documented(paper_file):
+    # reports no longer hold S_tilde; the README names the line that rebuilds it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (line,) = re.findall(r"`(compute_s_tilde\(parse_system_document\(text\)[^`]*)`", text)
+    namespace = {"compute_s_tilde": compute_s_tilde, "parse_system_document": parse_system_document}
+    rebuilt = eval(line, namespace, {"text": Path(paper_file).read_text()})
+    assert np.array_equal(rebuilt, compute_s_tilde(example_system()).S_tilde)
 
 
 @pytest.mark.parametrize("n", [32, 64])

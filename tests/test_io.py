@@ -1,12 +1,15 @@
 """Tests for JSON parsing and report serialization."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qrealize
 from conftest import paper_matrices
 from qrealize import (
     LtiSystem,
@@ -253,6 +256,14 @@ class TestReportDocument:
         doc = report_document(rz, report, None, 0)
         assert "certificate" not in doc
         serialize_report(doc)  # still serializes cleanly
+
+
+def test_pyproject_version_matches_package():
+    # read by hand: tomllib is missing on Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, flags=re.M | re.S).group(1)
+    (version,) = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project, flags=re.M)
+    assert version == qrealize.__version__
 
 
 def test_matrix_encoding_matches_elementwise_loops():
