@@ -8,7 +8,7 @@ numerical verification report.
 """
 
 # qrealize.io stamps it into every report.
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     ContractError,
@@ -29,7 +29,7 @@ from .realizability import (
     minimal_noise_count,
     multiplicity_noise_count,
 )
-from .synthesis import Realization, minimality_certificate, synthesize_realization
+from .synthesis import Realization, minimality_certificate, oscillator, synthesize_realization
 
 __all__ = [
     "__version__",
@@ -53,5 +53,6 @@ __all__ = [
     # synthesis
     "Realization",
     "synthesize_realization",
+    "oscillator",
     "minimality_certificate",
 ]

@@ -1,10 +1,9 @@
 """JSON ingestion of systems and serialization of analysis reports.
 
-One self-describing format covers both directions: real matrices are
-nested row-major arrays of finite doubles, complex matrices are nested
-arrays of [re, im] pairs. Report serialization is deterministic (sorted
-keys, fixed indentation, trailing newline) so re-runs with the same seed
-and tolerances produce byte-identical files.
+One self-describing format covers both directions: matrices are nested
+row-major arrays of finite doubles. Report serialization is deterministic
+(sorted keys, fixed indentation, trailing newline) so re-runs with the same
+seed and tolerances produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -195,11 +194,6 @@ def _real_lists(m) -> list:
     return np.atleast_2d(np.asarray(m, dtype=float)).tolist()
 
 
-def _complex_pairs(m) -> list:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return np.stack((m.real, m.imag), -1).tolist()
-
-
 def serialize_system(sys, tolerances=None, seed=None) -> str:
     """Render a system (plus optional overrides) back to file form."""
     doc = {"A": _real_lists(sys.A), "B": _real_lists(sys.B), "C": _real_lists(sys.C)}
@@ -217,7 +211,8 @@ def report_document(realization, residuals, certificate, seed: int) -> dict:
     r, n_v and the multiplicity count) come from the analysis record the
     realization carries; ``certificate`` may be None. The report holds what
     the run adds to its input, not the input: A, B and C stay in the system
-    file, and S_tilde is rebuilt from it by compute_s_tilde. Residual
+    file, S_tilde is rebuilt from it by compute_s_tilde, and R and Lambda
+    from it and the report's B1 by synthesis.oscillator. Residual
     values go in exactly as computed (shortest round-trip float encoding),
     so nothing is lost to formatting.
     """
@@ -251,8 +246,6 @@ def report_document(realization, residuals, certificate, seed: int) -> dict:
         ],
         "all_passed": bool(all(e.passed for e in residuals)),
         "realization": {
-            "R": _real_lists(realization.R),
-            "Lambda": _complex_pairs(realization.Lambda),
             "B1": _real_lists(realization.B1),
             "D1": _real_lists(realization.D1),
             "n_v": int(realization.n_v),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericalError, SynthesisError
+from .errors import ContractError, DimensionError, NumericalError, SynthesisError
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
@@ -43,6 +43,7 @@ __all__ = [
     "build_xi2",
     "build_lambda_b1",
     "build_b1",
+    "oscillator",
     "synthesize_realization",
     "minimality_certificate",
 ]
@@ -202,6 +203,25 @@ def _gram_imag(lam: np.ndarray) -> np.ndarray:
     """Im(Lambda^dag Lambda) = P^T Q - Q^T P for Lambda = P + iQ, in real arithmetic."""
     pq = lam.real.T @ lam.imag
     return pq - pq.T
+
+
+def oscillator(sys: LtiSystem, b1) -> tuple[np.ndarray, np.ndarray]:
+    """(R, Lambda) of the oscillator a system and its noise input matrix B1 fix.
+
+    R comes from A (build_r), Lambda_b0 from C and Lambda_b2 from B. The
+    extra-noise block B_12 = B1[:, n_y:] is _field_inputs(Lambda_b1) undone:
+    with Q = -Theta B_12 / 2, Re Lambda_b1 = Q[:, 1::2]^T and
+    Im Lambda_b1 = -Q[:, 0::2]^T. For the B1 of a synthesized realization
+    both arrays equal its R and Lambda entry for entry; their zeros are +0.0.
+    """
+    b1 = np.asarray(b1, dtype=float)
+    if b1.ndim != 2 or b1.shape[0] != sys.n or b1.shape[1] < sys.n_y or b1.shape[1] % 2:
+        raise DimensionError(
+            f"B1 must be {sys.n} x (n_y + an even count) with n_y = {sys.n_y}, got shape {b1.shape}"
+        )
+    q = -0.5 * apply_theta(b1[:, sys.n_y :], "left")
+    lam = [build_lambda_b0(sys), _complex_rows(q[:, 1::2].T, -q[:, 0::2].T), build_lambda_b2(sys)]
+    return build_r(sys) + 0.0, np.vstack(lam)
 
 
 def build_b1(sys: LtiSystem, lambda_b1: np.ndarray) -> np.ndarray:

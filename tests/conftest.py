@@ -5,6 +5,8 @@ import pytest
 
 from qrealize import LtiSystem, synthesize_realization
 from qrealize.cli import example_system
+from qrealize.linalg import apply_theta
+from qrealize.synthesis import _coupled_outputs, _field_inputs
 
 CORPUS_SEED = 20260814
 CORPUS_SIZE = 100
@@ -30,6 +32,29 @@ def make_corpus(count=CORPUS_SIZE, seed=CORPUS_SEED):
             )
         )
     return systems
+
+
+def oscillator_built_system(rng, n, n_u, k, degenerate=None):
+    """A system built from a random oscillator with k hidden extra channels.
+
+    R is a random symmetric n x n matrix, and Lambda stacks n_u/2 output
+    rows, k extra rows and n_u/2 input rows, each a random complex n-vector.
+    A = 2 Theta (R + Im Lambda^dag Lambda), B is the input columns of
+    _field_inputs(Lambda) and C = _coupled_outputs(Lambda, n_u); the extra
+    channels are hidden. So r <= 2k, with equality for generic rows.
+    ``degenerate="real"`` makes the first extra row real, whose Gram matrix
+    then has no imaginary part, and ``"proportional"`` makes the second
+    extra row a complex multiple of the first; each takes 2 off r.
+    """
+    g = rng.standard_normal((n, n))
+    lam = rng.standard_normal((n_u + k, n)) + 1j * rng.standard_normal((n_u + k, n))
+    first = n_u // 2
+    if degenerate == "real":
+        lam[first] = lam[first].real
+    elif degenerate == "proportional":
+        lam[first + 1] = complex(*rng.standard_normal(2)) * lam[first]
+    a = 2.0 * apply_theta(0.5 * (g + g.T) + (lam.conj().T @ lam).imag, "left")
+    return LtiSystem(a, _field_inputs(lam)[:, -n_u:], _coupled_outputs(lam, n_u))
 
 
 def overflow_matrices():

@@ -16,6 +16,7 @@ from conftest import overflow_matrices, paper_matrices
 from qrealize.cli import _build_parser, example_system, main
 from qrealize.io import _real_lists, parse_realization, parse_system_document, serialize_report
 from qrealize.realizability import compute_s_tilde
+from qrealize.synthesis import synthesize_realization
 
 
 @pytest.fixture
@@ -141,7 +142,7 @@ class TestSynthesize:
         assert set(doc["analysis"]) == {
             "eigenvalues_of_S", "r", "n_v", "multiplicity_noise_count",
         }
-        assert set(doc["realization"]) == {"R", "Lambda", "B1", "D1", "n_v"}
+        assert set(doc["realization"]) == {"B1", "D1", "n_v"}
         assert set(doc["certificate"]) == {
             "r", "trials", "min_observed_rank", "lower_bound_held", "embedding_agreed",
         }
@@ -230,6 +231,26 @@ class TestCheck:
         doc["version"] = "0.1.0"
         doc["system"].update(A=_real_lists(system.A), B=_real_lists(system.B), C=_real_lists(system.C))
         doc["analysis"]["S_tilde"] = _real_lists(compute_s_tilde(system).S_tilde)
+        old = tmp_path / "old.json"
+        old.write_text(serialize_report(doc))
+        capsys.readouterr()
+        assert main(["check", paper_file, str(old)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all(line.endswith(" PASS") for line in lines)
+        b1, d1 = parse_realization(report.read_text())
+        old_b1, old_d1 = parse_realization(old.read_text())
+        assert np.array_equal(b1, old_b1) and np.array_equal(d1, old_d1)
+
+    def test_accepts_a_0_2_0_report(self, paper_file, tmp_path, capsys):
+        # 0.2.0 reports also held R and Lambda, the latter as [re, im] pairs
+        report = tmp_path / "report.json"
+        assert main(["synthesize", paper_file, "-o", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        rz, _ = synthesize_realization(parse_system_document(Path(paper_file).read_text()).system)
+        doc["version"] = "0.2.0"
+        doc["realization"].update(
+            R=_real_lists(rz.R), Lambda=np.stack((rz.Lambda.real, rz.Lambda.imag), -1).tolist()
+        )
         old = tmp_path / "old.json"
         old.write_text(serialize_report(doc))
         capsys.readouterr()
@@ -352,14 +373,32 @@ def test_readme_rebuilds_s_tilde_as_documented(paper_file):
     assert np.array_equal(rebuilt, compute_s_tilde(example_system()).S_tilde)
 
 
+def test_readme_rebuilds_the_oscillator_as_documented(paper_file, tmp_path):
+    # reports no longer hold R and Lambda; the README names the line that rebuilds them
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (line,) = re.findall(r"`(oscillator\(parse_system_document\(text\)[^`]*)`", text)
+    report = tmp_path / "report.json"
+    assert main(["synthesize", paper_file, "-o", str(report)]) == 0
+    namespace = {
+        "oscillator": qrealize.oscillator,
+        "parse_system_document": parse_system_document,
+        "parse_realization": parse_realization,
+    }
+    values = {"text": Path(paper_file).read_text(), "report": report.read_text()}
+    r_mat, lam = eval(line, namespace, values)
+    rz, _ = synthesize_realization(example_system())
+    assert np.array_equal(r_mat, rz.R) and np.array_equal(lam, rz.Lambda)
+
+
 @pytest.mark.parametrize("n", [32, 64])
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, n):
     """synthesize writes the same bytes under 1 and 2 OpenBLAS threads.
 
     Kept at n <= 64, where the bytes agree. At n = 128 a second thread
     changes the order in which BLAS sums the products behind
-    realization.Lambda, B1 and two residuals, and their last digits move,
-    so the README promises identical bytes only per thread count there.
+    realization.B1 and the residuals: B1 moves by about 4e-16 relative and
+    the residuals in their last digits, so the README promises identical
+    bytes only per thread count there.
     """
     for seed in range(2):
         rng = np.random.default_rng(1000 * n + seed)

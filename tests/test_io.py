@@ -20,7 +20,6 @@ from qrealize import (
     synthesize_realization,
 )
 from qrealize.io import (
-    _complex_pairs,
     _real_lists,
     parse_realization,
     parse_system_document,
@@ -240,9 +239,10 @@ class TestReportDocument:
         assert doc["certificate"]["lower_bound_held"] is True
         names = [e["name"] for e in doc["residuals"]]
         assert "commutation" in names and "output_coupling" in names
-        # complex entries serialize as [re, im] pairs
-        lam = doc["realization"]["Lambda"]
-        assert len(lam) == 4 and len(lam[0]) == 4 and len(lam[0][0]) == 2
+        # R and Lambda are rebuilt by oscillator, not stored
+        real = doc["realization"]
+        assert "R" not in real and "Lambda" not in real
+        assert np.array(real["B1"]).shape == (4, 6) and real["n_v"] == 6
 
     def test_residuals_keep_full_precision(self, paper_system):
         _, report = synthesize_realization(paper_system)
@@ -267,18 +267,13 @@ def test_pyproject_version_matches_package():
 
 
 def test_matrix_encoding_matches_elementwise_loops():
-    # the per-element loops the array encoders replaced, kept as reference
+    # the per-element loop the array encoder replaced, kept as reference
     rng = np.random.default_rng(4)
     real = rng.standard_normal((32, 32))
     real[0, :4] = [-0.0, 1e-300, -1e300, 7.000000000000001]
-    cplx = real + 1j * rng.standard_normal((32, 32))
-    cplx[1, 0] = complex(-0.0, -0.0)
     for m in (real, real[:1, :3], np.eye(2, 6), np.array([[-0.0]])):
         expected = [[float(x) for x in row] for row in np.atleast_2d(m)]
         assert json.dumps(_real_lists(m)) == json.dumps(expected)
-    for m in (cplx, cplx[:3, :1], np.zeros((0, 4), dtype=complex)):
-        expected = [[[float(x.real), float(x.imag)] for x in row] for row in m]
-        assert json.dumps(_complex_pairs(m)) == json.dumps(expected)
 
 
 def _dumps(doc) -> str:

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from qrealize import (
     ContractError,
+    DimensionError,
     LtiSystem,
     SynthesisError,
     compute_s_tilde,
     minimal_noise_count,
     minimality_certificate,
+    oscillator,
     synthesize_realization,
 )
 from qrealize.linalg import (
@@ -194,6 +196,44 @@ class TestBuildB1:
             b11 = theta @ sys.C.T @ dense_theta(sys.n_y)
             assert not b12.imag.any()
             assert np.array_equal(build_b1(sys, lb1), np.hstack([b11, b12.real]))
+
+
+def _has_negative_zero(*arrays):
+    return any(np.signbit(part[part == 0]).any() for m in arrays for part in (m.real, m.imag))
+
+
+class TestOscillator:
+    """oscillator(system, B1) rebuilds the R and Lambda a report leaves out."""
+
+    def _assert_rebuilds(self, sys):
+        rz, _ = synthesize_realization(sys)
+        r_mat, lam = oscillator(sys, rz.B1)
+        assert np.array_equal(r_mat, rz.R) and np.array_equal(lam, rz.Lambda)
+        assert not _has_negative_zero(r_mat, lam)
+
+    def test_fixtures(self, fixture_systems):
+        # on the paper system build_r leaves -0.0 where (Theta A)^T cancels Theta A
+        for sys in fixture_systems.values():
+            self._assert_rebuilds(sys)
+
+    @pytest.mark.parametrize("n_u", [2, 4, 8])
+    @pytest.mark.parametrize("n", [4, 8, 20, 32, 64])
+    def test_seeded_corpus(self, n, n_u):
+        for seed in range(3):
+            rng = np.random.default_rng([n, n_u, seed])
+            self._assert_rebuilds(
+                LtiSystem(
+                    rng.standard_normal((n, n)),
+                    rng.standard_normal((n, n_u)),
+                    rng.standard_normal((n_u, n)),
+                )
+            )
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 6), (4, 1), (4, 5), (4, 2, 6)])
+    def test_misfit_b1_is_a_dimension_error(self, paper_system, shape):
+        # the paper system has n = 4 and n_y = 2
+        with pytest.raises(DimensionError, match="B1 must be 4 x"):
+            oscillator(paper_system, np.zeros(shape))
 
 
 def _assert_same_rebuild_entries(report, reference):
