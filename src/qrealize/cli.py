@@ -68,7 +68,7 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _synthesize(skew, seed):
+def _synthesize(skew):
     """Realization, residual report and certificate of a record, failing residuals included."""
     try:
         realization, report = synthesize_realization(skew)
@@ -76,18 +76,16 @@ def _synthesize(skew, seed):
         if exc.realization is None or exc.report is None:
             raise
         realization, report = exc.realization, exc.report
-    return realization, report, minimality_certificate(skew, seed=seed)
+    return realization, report, minimality_certificate(skew)
 
 
 def cmd_synthesize(args) -> int:
     doc = parse_system_document(_read_text(args.path))
     policy = doc.resolve_policy(args.rank_tol, args.residual_tol)
-    seed = doc.resolve_seed(args.seed)
-
     skew = compute_s_tilde(doc.system, policy)
-    realization, report, certificate = _synthesize(skew, seed)
+    realization, report, certificate = _synthesize(skew)
 
-    out = report_document(realization, report, certificate, seed)
+    out = report_document(realization, report, certificate)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_report(out))
     status = "pass" if report.all_passed else "FAIL"
@@ -105,10 +103,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_paper_example(args) -> int:
-    doc = SystemDocument(system=example_system(), tolerances={}, seed=None)
+    doc = SystemDocument(system=example_system(), tolerances={})
     policy = doc.resolve_policy(args.rank_tol, args.residual_tol)
-    seed = doc.resolve_seed(args.seed)
-
     skew = compute_s_tilde(doc.system, policy)
     print("S_tilde =")
     for row in skew.S_tilde:
@@ -121,7 +117,7 @@ def cmd_paper_example(args) -> int:
     counts_ok = skew.rank_r == 4 and skew.n_v == 6
     print(f"multiplicity_bound={skew.multiplicity_count}")
 
-    _, report, certificate = _synthesize(skew, seed)
+    _, report, certificate = _synthesize(skew)
     _print_residuals(report)
 
     cert_ok = certificate.lower_bound_held and certificate.embedding_agreed
@@ -167,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("path", help="system JSON file")
     synth.add_argument("-o", "--out", required=True, help="report output file")
     _add_tolerance_flags(synth)
-    synth.add_argument("--seed", type=int, default=None, help="certificate RNG seed (default 0)")
     synth.set_defaults(func=cmd_synthesize)
 
     check = sub.add_parser("check", help="verify a stored (B1, D1) pair")
@@ -178,7 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     example = sub.add_parser("paper-example", help="run the built-in worked example")
     _add_tolerance_flags(example)
-    example.add_argument("--seed", type=int, default=None, help="certificate RNG seed (default 0)")
     example.set_defaults(func=cmd_paper_example)
 
     return parser

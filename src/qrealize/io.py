@@ -3,7 +3,7 @@
 One self-describing format covers both directions: matrices are nested
 row-major arrays of finite doubles. Report serialization is deterministic
 (sorted keys, fixed indentation, trailing newline) so re-runs with the same
-seed and tolerances produce byte-identical files.
+input and tolerances produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ _FLOAT_ONLY = {float}
 
 @dataclass(frozen=True)
 class SystemDocument:
-    """Parsed input file: the system plus optional overrides.
+    """Parsed input file: the system plus optional tolerance overrides.
 
     ``tolerances`` holds only the keys the file actually set; resolution
     against defaults and command line flags happens in resolve_policy.
@@ -44,7 +44,6 @@ class SystemDocument:
 
     system: "LtiSystem"
     tolerances: dict
-    seed: int | None
 
     def resolve_policy(self, rank_tol=None, residual_tol=None) -> TolerancePolicy:
         """Effective policy: flag over document over default, per key."""
@@ -58,18 +57,6 @@ class SystemDocument:
             return TolerancePolicy(**values)
         except ValueError as exc:
             raise ParseError(f"invalid tolerance override: {exc}") from exc
-
-    def resolve_seed(self, seed=None) -> int:
-        """Effective certificate seed: flag over document over 0.
-
-        A negative seed raises ParseError, so a command rejects it before
-        any work is done or any output is written.
-        """
-        if seed is None:
-            seed = 0 if self.seed is None else self.seed
-        if seed < 0:
-            raise ParseError(f"seed must be non-negative, got {seed}")
-        return int(seed)
 
 
 def _loads(text: str):
@@ -133,7 +120,11 @@ def _matrix_fault(name: str, node) -> ParseError:
 
 
 def parse_system_document(text: str) -> SystemDocument:
-    """Parse and validate a system file into a SystemDocument."""
+    """Parse and validate a system file into a SystemDocument.
+
+    Other top-level keys, such as the "seed" that files for reports before
+    0.4.0 could set, are ignored.
+    """
     from .realizability import LtiSystem
 
     doc = _loads(text)
@@ -162,13 +153,7 @@ def parse_system_document(text: str) -> SystemDocument:
         except ValueError as exc:
             raise ParseError(f"tolerance {exc}") from exc
         tolerances[key] = float(value)
-
-    seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ParseError(f"seed must be an integer, got {seed!r}")
-    if seed is not None and seed < 0:
-        raise ParseError(f"seed must be non-negative, got {seed}")
-    return SystemDocument(system=system, tolerances=tolerances, seed=seed)
+    return SystemDocument(system=system, tolerances=tolerances)
 
 
 def parse_realization(text: str):
@@ -194,17 +179,15 @@ def _real_lists(m) -> list:
     return np.atleast_2d(np.asarray(m, dtype=float)).tolist()
 
 
-def serialize_system(sys, tolerances=None, seed=None) -> str:
-    """Render a system (plus optional overrides) back to file form."""
+def serialize_system(sys, tolerances=None) -> str:
+    """Render a system (plus optional tolerance overrides) back to file form."""
     doc = {"A": _real_lists(sys.A), "B": _real_lists(sys.B), "C": _real_lists(sys.C)}
     if tolerances:
         doc["tolerances"] = {key: float(tolerances[key]) for key in tolerances}
-    if seed is not None:
-        doc["seed"] = int(seed)
     return _encode(doc, "") + "\n"
 
 
-def report_document(realization, residuals, certificate, seed: int) -> dict:
+def report_document(realization, residuals, certificate) -> dict:
     """Assemble the full report as plain JSON-ready data.
 
     The system sizes, the tolerances and the analysis (the spectrum of S,
@@ -220,7 +203,6 @@ def report_document(realization, residuals, certificate, seed: int) -> dict:
     sys, policy = skew.system, skew.policy
     doc = {
         "version": __version__,
-        "seed": int(seed),
         "tolerances": {key: float(getattr(policy, key)) for key in _TOLERANCE_KEYS},
         "system": {
             "n": int(sys.n),
@@ -262,13 +244,6 @@ def report_document(realization, residuals, certificate, seed: int) -> dict:
     return doc
 
 
-def _encode_key(key) -> str:
-    if isinstance(key, str):
-        return json.dumps(key)
-    # json.dumps turns an int, float, bool or None key into a string, and rejects others
-    return json.dumps({key: 0})[1:-4]
-
-
 def _encode(node, pad: str) -> str:
     """json.dumps(node, indent=2, sort_keys=True) for a node nested at indentation ``pad``.
 
@@ -284,7 +259,7 @@ def _encode(node, pad: str) -> str:
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(node, dict):
-        items = [f"{_encode_key(key)}: {_encode(node[key], inner)}" for key in sorted(node)]
+        items = [f"{json.dumps(key)}: {_encode(node[key], inner)}" for key in sorted(node)]
         return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
     if set(map(type, node)) == _FLOAT_ONLY and math.isfinite(sum(node)):
         items = map(float.__repr__, node)
@@ -296,7 +271,8 @@ def _encode(node, pad: str) -> str:
 def serialize_report(doc: dict) -> str:
     """Deterministic text form of a report document.
 
-    Exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, written
-    by an encoder that formats each row of finite floats in one join.
+    Exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for a
+    document whose keys are all strings, as every report's are, written by
+    an encoder that formats each row of finite floats in one join.
     """
     return _encode(doc, "") + "\n"

@@ -64,9 +64,12 @@ def build_r(sys: LtiSystem) -> np.ndarray:
     """Hamiltonian matrix R = -(1/4)(Theta A + (Theta A)^T), symmetric n x n.
 
     (Theta A)^T = A^T Theta^T, and Theta A is a signed row swap of A.
+    Entries where Theta A and its transpose cancel are +0.0, not -0.0.
     """
     theta_a = apply_theta(sys.A, "left")
-    return -0.25 * (theta_a + theta_a.T)
+    out = -0.25 * (theta_a + theta_a.T)
+    out += 0.0
+    return out
 
 
 def _complex_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -221,7 +224,7 @@ def oscillator(sys: LtiSystem, b1) -> tuple[np.ndarray, np.ndarray]:
         )
     q = -0.5 * apply_theta(b1[:, sys.n_y :], "left")
     lam = [build_lambda_b0(sys), _complex_rows(q[:, 1::2].T, -q[:, 0::2].T), build_lambda_b2(sys)]
-    return build_r(sys) + 0.0, np.vstack(lam)
+    return build_r(sys), np.vstack(lam)
 
 
 def build_b1(sys: LtiSystem, lambda_b1: np.ndarray) -> np.ndarray:

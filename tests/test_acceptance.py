@@ -257,9 +257,9 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
         )
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
-        if main(["synthesize", str(system_file), "-o", str(first), "--seed", "0"]) != 0:
+        if main(["synthesize", str(system_file), "-o", str(first)]) != 0:
             failures.append("synthesize exit nonzero")
-        main(["synthesize", str(system_file), "-o", str(second), "--seed", "0"])
+        main(["synthesize", str(system_file), "-o", str(second)])
         if first.read_bytes() != second.read_bytes():
             failures.append("reports differ across re-runs")
 

@@ -102,19 +102,29 @@ class TestSynthesize:
     def test_reports_are_byte_identical(self, paper_file, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
-        assert main(["synthesize", paper_file, "-o", str(first), "--seed", "5"]) == 0
-        assert main(["synthesize", paper_file, "-o", str(second), "--seed", "5"]) == 0
+        assert main(["synthesize", paper_file, "-o", str(first)]) == 0
+        assert main(["synthesize", paper_file, "-o", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_seed_changes_nothing_structural(self, paper_file, tmp_path):
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        main(["synthesize", paper_file, "-o", str(out1), "--seed", "1"])
-        main(["synthesize", paper_file, "-o", str(out2), "--seed", "2"])
-        a = json.loads(out1.read_text())
-        b = json.loads(out2.read_text())
-        assert a["realization"] == b["realization"]
-        assert a["certificate"]["lower_bound_held"] and b["certificate"]["lower_bound_held"]
+    @pytest.mark.parametrize("seed", [7, -5, True])
+    def test_seed_key_in_system_file_is_ignored(self, paper_file, tmp_path, seed):
+        # system files for reports before 0.4.0 could set a certificate seed
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(json.dumps(dict(json.loads(Path(paper_file).read_text()), seed=seed)))
+        plain, with_seed = tmp_path / "plain.json", tmp_path / "with_seed.json"
+        assert main(["synthesize", paper_file, "-o", str(plain)]) == 0
+        assert main(["synthesize", str(seeded), "-o", str(with_seed)]) == 0
+        assert plain.read_bytes() == with_seed.read_bytes()
+
+    @pytest.mark.parametrize("command", ["synthesize", "paper-example"])
+    def test_seed_flag_is_a_usage_error(self, command, paper_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["synthesize", paper_file, "-o", str(out)] if command == "synthesize" else [command]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--seed", "0"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trivial_zero_noise_matrix(self, trivial_file, tmp_path):
         out = tmp_path / "report.json"
@@ -133,7 +143,7 @@ class TestSynthesize:
         assert main(["synthesize", request.getfixturevalue(fixture), "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {
-            "version", "seed", "tolerances", "system", "analysis",
+            "version", "tolerances", "system", "analysis",
             "residuals", "all_passed", "realization", "certificate",
         }
         assert doc["version"] == qrealize.__version__
@@ -149,33 +159,6 @@ class TestSynthesize:
         assert len(doc["residuals"]) == 6
         for entry in doc["residuals"]:
             assert set(entry) == {"name", "absolute", "scale", "relative", "tol", "passed"}
-
-
-class TestNegativeSeed:
-    @pytest.mark.parametrize("where", ["flag", "file"])
-    def test_synthesize_rejects(self, paper_file, tmp_path, capsys, where):
-        out = tmp_path / "report.json"
-        argv = ["synthesize", paper_file, "-o", str(out)]
-        if where == "flag":
-            argv += ["--seed", "-1"]
-        else:
-            a, b, c = paper_matrices()
-            seeded = tmp_path / "seeded.json"
-            seeded.write_text(
-                json.dumps({"A": a.tolist(), "B": b.tolist(), "C": c.tolist(), "seed": -5})
-            )
-            argv[1] = str(seeded)
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "seed" in captured.err
-        assert captured.out == ""
-        assert not out.exists()
-
-    def test_paper_example_rejects(self, capsys):
-        assert main(["paper-example", "--seed", "-3"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "seed" in captured.err
-        assert captured.out == ""
 
 
 @pytest.fixture
@@ -222,15 +205,12 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3 and "FAIL" not in out
 
-    def test_accepts_a_0_1_0_report(self, paper_file, tmp_path, capsys):
-        # 0.1.0 reports also held the input matrices and S_tilde
+    def _assert_check_reads_old_report(self, paper_file, tmp_path, capsys, make_old):
+        """check passes, with the same B1/D1, on the report make_old edits to an older version."""
         report = tmp_path / "report.json"
         assert main(["synthesize", paper_file, "-o", str(report)]) == 0
         doc = json.loads(report.read_text())
-        system = parse_system_document(Path(paper_file).read_text()).system
-        doc["version"] = "0.1.0"
-        doc["system"].update(A=_real_lists(system.A), B=_real_lists(system.B), C=_real_lists(system.C))
-        doc["analysis"]["S_tilde"] = _real_lists(compute_s_tilde(system).S_tilde)
+        make_old(doc, parse_system_document(Path(paper_file).read_text()).system)
         old = tmp_path / "old.json"
         old.write_text(serialize_report(doc))
         capsys.readouterr()
@@ -241,25 +221,32 @@ class TestCheck:
         old_b1, old_d1 = parse_realization(old.read_text())
         assert np.array_equal(b1, old_b1) and np.array_equal(d1, old_d1)
 
+    def test_accepts_a_0_1_0_report(self, paper_file, tmp_path, capsys):
+        # 0.1.0 reports also held the seed, the input matrices and S_tilde
+        def make_old(doc, system):
+            doc.update(version="0.1.0", seed=0)
+            doc["system"].update({key: _real_lists(getattr(system, key)) for key in "ABC"})
+            doc["analysis"]["S_tilde"] = _real_lists(compute_s_tilde(system).S_tilde)
+
+        self._assert_check_reads_old_report(paper_file, tmp_path, capsys, make_old)
+
     def test_accepts_a_0_2_0_report(self, paper_file, tmp_path, capsys):
-        # 0.2.0 reports also held R and Lambda, the latter as [re, im] pairs
-        report = tmp_path / "report.json"
-        assert main(["synthesize", paper_file, "-o", str(report)]) == 0
-        doc = json.loads(report.read_text())
-        rz, _ = synthesize_realization(parse_system_document(Path(paper_file).read_text()).system)
-        doc["version"] = "0.2.0"
-        doc["realization"].update(
-            R=_real_lists(rz.R), Lambda=np.stack((rz.Lambda.real, rz.Lambda.imag), -1).tolist()
-        )
-        old = tmp_path / "old.json"
-        old.write_text(serialize_report(doc))
-        capsys.readouterr()
-        assert main(["check", paper_file, str(old)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 3 and all(line.endswith(" PASS") for line in lines)
-        b1, d1 = parse_realization(report.read_text())
-        old_b1, old_d1 = parse_realization(old.read_text())
-        assert np.array_equal(b1, old_b1) and np.array_equal(d1, old_d1)
+        # 0.2.0 reports also held the seed, R and Lambda, the latter as [re, im] pairs
+        def make_old(doc, system):
+            rz, _ = synthesize_realization(system)
+            doc.update(version="0.2.0", seed=0)
+            doc["realization"].update(
+                R=_real_lists(rz.R), Lambda=np.stack((rz.Lambda.real, rz.Lambda.imag), -1).tolist()
+            )
+
+        self._assert_check_reads_old_report(paper_file, tmp_path, capsys, make_old)
+
+    def test_accepts_a_0_3_0_report(self, paper_file, tmp_path, capsys):
+        # 0.3.0 reports also held the certificate seed
+        def make_old(doc, system):
+            doc.update(version="0.3.0", seed=0)
+
+        self._assert_check_reads_old_report(paper_file, tmp_path, capsys, make_old)
 
     def test_zeroed_b1_fails_naming_output_coupling(self, paper_file, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -346,7 +333,7 @@ def test_readme_quotes_count_and_check_verbatim(paper_file, tmp_path, capsys):
     assert main(["count", paper_file]) == 0
     assert capsys.readouterr().out in blocks
     report = tmp_path / "report.json"
-    assert main(["synthesize", paper_file, "-o", str(report), "--seed", "0"]) == 0
+    assert main(["synthesize", paper_file, "-o", str(report)]) == 0
     capsys.readouterr()
     assert main(["check", paper_file, str(report)]) == 0
     assert capsys.readouterr().out in blocks

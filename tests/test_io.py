@@ -47,18 +47,14 @@ class TestParseSystem:
 
     def test_roundtrip_is_identity(self):
         # parse -> serialize -> parse preserves every entry bit for bit
-        text = _paper_text(
-            tolerances={"rank_rel_tol": 1e-7}, seed=3
-        ).replace("-0.4472", "-0.44720000000000104")
+        text = _paper_text(tolerances={"rank_rel_tol": 1e-7})
+        text = text.replace("-0.4472", "-0.44720000000000104")
         doc = parse_system_document(text)
-        doc2 = parse_system_document(
-            serialize_system(doc.system, tolerances=doc.tolerances, seed=doc.seed)
-        )
+        doc2 = parse_system_document(serialize_system(doc.system, tolerances=doc.tolerances))
         assert np.array_equal(doc.system.A, doc2.system.A)
         assert np.array_equal(doc.system.B, doc2.system.B)
         assert np.array_equal(doc.system.C, doc2.system.C)
         assert doc.tolerances == doc2.tolerances
-        assert doc.seed == doc2.seed
 
     def test_roundtrip_awkward_values(self):
         a = [[0.1, 1.0 / 3.0], [-1e-300, 7.000000000000001]]
@@ -170,17 +166,9 @@ class TestToleranceAndSeedHandling:
         with pytest.raises(ParseError, match="number"):
             parse_system_document(_paper_text(tolerances={"residual_tol": "small"}))
 
-    def test_bad_seed(self):
-        with pytest.raises(ParseError, match="seed"):
-            parse_system_document(_paper_text(seed=True))
-
-    def test_negative_seed(self):
-        with pytest.raises(ParseError, match="seed must be non-negative"):
-            parse_system_document(_paper_text(seed=-5))
-
     def test_resolution_precedence(self):
         doc = parse_system_document(
-            _paper_text(tolerances={"rank_rel_tol": 1e-6, "residual_tol": 1e-5}, seed=9)
+            _paper_text(tolerances={"rank_rel_tol": 1e-6, "residual_tol": 1e-5})
         )
         # document overrides defaults
         policy = doc.resolve_policy()
@@ -191,13 +179,10 @@ class TestToleranceAndSeedHandling:
         policy = doc.resolve_policy(rank_tol=1e-4)
         assert policy.rank_rel_tol == 1e-4
         assert policy.residual_tol == 1e-5
-        assert doc.resolve_seed() == 9
-        assert doc.resolve_seed(2) == 2
 
     def test_defaults_without_overrides(self):
         doc = parse_system_document(_paper_text())
         assert doc.resolve_policy() == DEFAULT_POLICY
-        assert doc.resolve_seed() == 0
 
 
 class TestParseRealization:
@@ -218,10 +203,10 @@ class TestParseRealization:
             parse_realization(json.dumps({"B1": [[0.0, 0.0]]}))
 
 
-def _report_text(sys, seed=0):
+def _report_text(sys):
     rz, report = synthesize_realization(sys)
-    cert = minimality_certificate(rz.skew, trials=20, seed=seed)
-    return serialize_report(report_document(rz, report, cert, seed))
+    cert = minimality_certificate(rz.skew, trials=20)
+    return serialize_report(report_document(rz, report, cert))
 
 
 class TestReportDocument:
@@ -253,7 +238,7 @@ class TestReportDocument:
 
     def test_report_without_certificate(self, small_system):
         rz, report = synthesize_realization(compute_s_tilde(small_system))
-        doc = report_document(rz, report, None, 0)
+        doc = report_document(rz, report, None)
         assert "certificate" not in doc
         serialize_report(doc)  # still serializes cleanly
 
@@ -294,24 +279,24 @@ class TestEncoderMatchesJsonDumps:
     def test_paper_report(self, paper_system, seed):
         rz, report = synthesize_realization(paper_system)
         cert = minimality_certificate(rz.skew, trials=200, seed=seed)
-        doc = report_document(rz, report, cert, seed)
+        doc = report_document(rz, report, cert)
         assert serialize_report(doc) == _dumps(doc)
 
     @pytest.mark.parametrize("n", [4, 32, 64])
     def test_seeded_report(self, n):
         rz, report = synthesize_realization(_seeded_system(n, 8 if n > 4 else 2, n))
-        doc = report_document(rz, report, minimality_certificate(rz.skew, trials=5), 0)
+        doc = report_document(rz, report, minimality_certificate(rz.skew, trials=5))
         assert serialize_report(doc) == _dumps(doc)
 
     def test_trivial_report_with_empty_block(self, trivial_system):
         rz, report = synthesize_realization(trivial_system)
         assert rz.Lambda_b1.shape[0] == 0
-        doc = report_document(rz, report, None, 0)
+        doc = report_document(rz, report, None)
         assert serialize_report(doc) == _dumps(doc)
 
     def test_infinite_residual(self, small_system):
         rz, report = synthesize_realization(small_system)
-        doc = report_document(rz, report, None, 0)
+        doc = report_document(rz, report, None)
         doc["residuals"][0]["relative"] = float("inf")
         doc["analysis"]["eigenvalues_of_S"][0] = float("-inf")
         text = serialize_report(doc)
@@ -322,8 +307,8 @@ class TestEncoderMatchesJsonDumps:
         sys = example_system()
         doc = {"A": _real_lists(sys.A), "B": _real_lists(sys.B), "C": _real_lists(sys.C)}
         assert serialize_system(sys) == _dumps(doc)
-        doc.update(tolerances={"rank_rel_tol": 1e-7}, seed=3)
-        assert serialize_system(sys, tolerances={"rank_rel_tol": 1e-7}, seed=3) == _dumps(doc)
+        doc.update(tolerances={"rank_rel_tol": 1e-7})
+        assert serialize_system(sys, tolerances={"rank_rel_tol": 1e-7}) == _dumps(doc)
 
     @given(
         st.recursive(

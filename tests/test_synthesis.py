@@ -209,10 +209,10 @@ class TestOscillator:
         rz, _ = synthesize_realization(sys)
         r_mat, lam = oscillator(sys, rz.B1)
         assert np.array_equal(r_mat, rz.R) and np.array_equal(lam, rz.Lambda)
-        assert not _has_negative_zero(r_mat, lam)
+        assert not _has_negative_zero(r_mat, lam, rz.R)
 
     def test_fixtures(self, fixture_systems):
-        # on the paper system build_r leaves -0.0 where (Theta A)^T cancels Theta A
+        # on the paper system (Theta A)^T cancels Theta A in 12 entries of R, all +0.0
         for sys in fixture_systems.values():
             self._assert_rebuilds(sys)
 
