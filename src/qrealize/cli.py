@@ -11,19 +11,15 @@ failure, 2 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
 import numpy as np
 
-from .errors import QRealizeError, SynthesisError
-from .io import (
-    SystemDocument,
-    parse_realization,
-    parse_system_document,
-    report_document,
-    serialize_report,
-)
+from .errors import ParseError, QRealizeError, SynthesisError
+from .io import parse_realization, parse_system_document, report_document, serialize_report
+from .linalg import DEFAULT_POLICY, TolerancePolicy
 from .realizability import LtiSystem, check_physical_realizability, compute_s_tilde
 from .synthesis import minimality_certificate, synthesize_realization
 
@@ -48,9 +44,39 @@ def example_system() -> LtiSystem:
     return LtiSystem.from_matrices(a, b, c)
 
 
+# The tolerance flags: the TolerancePolicy field each one overrides, the flag
+# and its help, to which the field's default is appended.
+_TOLERANCE_FLAGS = (
+    ("rank_rel_tol", "--rank-tol", "relative singular value cutoff for numerical ranks"),
+    ("residual_tol", "--residual-tol", "relative threshold for identity residuals"),
+)
+
+
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _with_flags(policy: TolerancePolicy, args) -> TolerancePolicy:
+    """``policy`` with the tolerance flags the command line set laid over it."""
+    changes = {
+        field: getattr(args, field)
+        for field, _, _ in _TOLERANCE_FLAGS
+        if getattr(args, field) is not None
+    }
+    try:
+        return dataclasses.replace(policy, **changes)
+    except ValueError as exc:
+        raise ParseError(f"invalid tolerance override: {exc}") from exc
+
+
+def _load_system(path: str, args):
+    """The system of a system file and its policy: flags over file over defaults."""
+    doc = parse_system_document(_read_text(path))
+    return doc.system, _with_flags(doc.policy, args)
 
 
 def _print_residuals(report) -> None:
@@ -60,9 +86,7 @@ def _print_residuals(report) -> None:
 
 
 def cmd_count(args) -> int:
-    doc = parse_system_document(_read_text(args.path))
-    policy = doc.resolve_policy(args.rank_tol, args.residual_tol)
-    skew = compute_s_tilde(doc.system, policy)
+    skew = compute_s_tilde(*_load_system(args.path, args))
     print(f"r={skew.rank_r} n_v={skew.n_v}")
     print(f"multiplicity_bound={skew.multiplicity_count}")
     return 0
@@ -80,9 +104,7 @@ def _synthesize(skew):
 
 
 def cmd_synthesize(args) -> int:
-    doc = parse_system_document(_read_text(args.path))
-    policy = doc.resolve_policy(args.rank_tol, args.residual_tol)
-    skew = compute_s_tilde(doc.system, policy)
+    skew = compute_s_tilde(*_load_system(args.path, args))
     realization, report, certificate = _synthesize(skew)
 
     out = report_document(realization, report, certificate)
@@ -94,18 +116,15 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_check(args) -> int:
-    doc = parse_system_document(_read_text(args.system_path))
-    policy = doc.resolve_policy(args.rank_tol, args.residual_tol)
+    system, policy = _load_system(args.system_path, args)
     b1, d1 = parse_realization(_read_text(args.realization_path))
-    report = check_physical_realizability(doc.system, b1, d1, policy)
+    report = check_physical_realizability(system, b1, d1, policy)
     _print_residuals(report)
     return 0 if report.all_passed else 1
 
 
 def cmd_paper_example(args) -> int:
-    doc = SystemDocument(system=example_system(), tolerances={})
-    policy = doc.resolve_policy(args.rank_tol, args.residual_tol)
-    skew = compute_s_tilde(doc.system, policy)
+    skew = compute_s_tilde(example_system(), _with_flags(DEFAULT_POLICY, args))
     print("S_tilde =")
     for row in skew.S_tilde:
         print("  " + "  ".join(f"{x:8.4f}" for x in row))
@@ -131,18 +150,15 @@ def cmd_paper_example(args) -> int:
 
 
 def _add_tolerance_flags(parser) -> None:
-    parser.add_argument(
-        "--rank-tol",
-        type=float,
-        default=None,
-        help="relative singular value cutoff for numerical ranks (default 1e-9)",
-    )
-    parser.add_argument(
-        "--residual-tol",
-        type=float,
-        default=None,
-        help="relative threshold for identity residuals (default 1e-8)",
-    )
+    for field, flag, text in _TOLERANCE_FLAGS:
+        default = np.format_float_scientific(getattr(DEFAULT_POLICY, field), trim="-", exp_digits=1)
+        parser.add_argument(
+            flag,
+            type=float,
+            dest=field,
+            metavar=flag[2:].replace("-", "_").upper(),
+            help=f"{text} (default {default})",
+        )
 
 
 @functools.cache

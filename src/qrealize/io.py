@@ -1,7 +1,9 @@
 """JSON ingestion of systems and serialization of analysis reports.
 
 One self-describing format covers both directions: matrices are nested
-row-major arrays of finite doubles. Report serialization is deterministic
+row-major arrays of finite doubles. A system file's optional tolerances
+are the fields of TolerancePolicy, which alone names them, sets their
+defaults and validates them. Report serialization is deterministic
 (sorted keys, fixed indentation, trailing newline) so re-runs with the same
 input and tolerances produce byte-identical files.
 """
@@ -10,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 
 import numpy as np
 
 from . import __version__
 from .errors import ParseError
-from .linalg import DEFAULT_POLICY, TolerancePolicy, check_tolerance
+from .linalg import TolerancePolicy
 
 __all__ = [
     "SystemDocument",
@@ -28,7 +30,6 @@ __all__ = [
     "serialize_report",
 ]
 
-_TOLERANCE_KEYS = ("rank_rel_tol", "residual_tol", "symmetry_tol")
 # Exact types of the numbers json.loads returns; bool, an int subclass, is not one.
 _NUMBER_TYPES = {int, float}
 _FLOAT_ONLY = {float}
@@ -36,27 +37,14 @@ _FLOAT_ONLY = {float}
 
 @dataclass(frozen=True)
 class SystemDocument:
-    """Parsed input file: the system plus optional tolerance overrides.
+    """Parsed input file: the system and its tolerance policy.
 
-    ``tolerances`` holds only the keys the file actually set; resolution
-    against defaults and command line flags happens in resolve_policy.
+    ``policy`` holds the file's tolerances over the TolerancePolicy
+    defaults; command line flags, if any, are applied over it by the CLI.
     """
 
     system: "LtiSystem"
-    tolerances: dict
-
-    def resolve_policy(self, rank_tol=None, residual_tol=None) -> TolerancePolicy:
-        """Effective policy: flag over document over default, per key."""
-        values = {key: getattr(DEFAULT_POLICY, key) for key in _TOLERANCE_KEYS}
-        values.update(self.tolerances)
-        if rank_tol is not None:
-            values["rank_rel_tol"] = rank_tol
-        if residual_tol is not None:
-            values["residual_tol"] = residual_tol
-        try:
-            return TolerancePolicy(**values)
-        except ValueError as exc:
-            raise ParseError(f"invalid tolerance override: {exc}") from exc
+    policy: TolerancePolicy
 
 
 def _loads(text: str):
@@ -138,22 +126,20 @@ def parse_system_document(text: str) -> SystemDocument:
     c = _parse_matrix("C", doc["C"])
     system = LtiSystem.from_matrices(a, b, c)
 
-    raw_tols = doc.get("tolerances", {})
-    if not isinstance(raw_tols, dict):
+    tolerances = doc.get("tolerances", {})
+    if not isinstance(tolerances, dict):
         raise ParseError("tolerances must be a JSON object")
-    unknown = sorted(set(raw_tols) - set(_TOLERANCE_KEYS))
+    unknown = sorted(set(tolerances) - {field.name for field in fields(TolerancePolicy)})
     if unknown:
         raise ParseError(f"unknown tolerance keys: {', '.join(unknown)}")
-    tolerances = {}
-    for key, value in raw_tols.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+    for key, value in tolerances.items():
+        if type(value) not in _NUMBER_TYPES:
             raise ParseError(f"tolerance {key} must be a number")
-        try:
-            check_tolerance(key, value)
-        except ValueError as exc:
-            raise ParseError(f"tolerance {exc}") from exc
-        tolerances[key] = float(value)
-    return SystemDocument(system=system, tolerances=tolerances)
+    try:
+        policy = TolerancePolicy(**tolerances)
+    except ValueError as exc:
+        raise ParseError(f"tolerance {exc}") from exc
+    return SystemDocument(system=system, policy=policy)
 
 
 def parse_realization(text: str):
@@ -203,7 +189,7 @@ def report_document(realization, residuals, certificate) -> dict:
     sys, policy = skew.system, skew.policy
     doc = {
         "version": __version__,
-        "tolerances": {key: float(getattr(policy, key)) for key in _TOLERANCE_KEYS},
+        "tolerances": {key: float(value) for key, value in asdict(policy).items()},
         "system": {
             "n": int(sys.n),
             "n_u": int(sys.n_u),

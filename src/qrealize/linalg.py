@@ -1,8 +1,10 @@
 """Numerical kernels shared by the analysis and synthesis layers.
 
-The block commutation matrix Theta = blockdiag(J, ..., J), J = [[0, 1],
-[-1, 0]], applied as a signed swap of quadrature pairs rather than a dense
-product; Hermitian eigendecomposition with a deterministic ordering;
+TolerancePolicy, the one place that names the tolerances, sets their
+defaults and checks them, for the library, system files and the command
+line alike; the block commutation matrix Theta = blockdiag(J, ..., J),
+J = [[0, 1], [-1, 0]], applied as a signed swap of quadrature pairs rather
+than a dense product; Hermitian eigendecomposition with a deterministic ordering;
 numerical_rank, the one rank kernel, which counts singular values above a
 relative cutoff for one matrix or a stack of them and takes them as
 |eigvalsh| when the caller promises Hermitian input; low-rank
@@ -14,7 +16,7 @@ x y^T - y x^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .errors import ContractError, DimensionError, FactorizationError
 __all__ = [
     "TolerancePolicy",
     "DEFAULT_POLICY",
-    "check_tolerance",
     "apply_theta",
     "hermitian_eig",
     "numerical_rank",
@@ -44,6 +45,9 @@ class TolerancePolicy:
     Every tolerance is relative, so each must lie strictly between 0 and 1;
     anything else (including inf and nan) raises ValueError. A cutoff of 1
     or more would count every singular value as zero and pass any residual.
+    A system file's "tolerances" are these fields by name
+    (io.parse_system_document builds the policy from them), and the command
+    line flags are laid over that policy with dataclasses.replace.
     """
 
     rank_rel_tol: float = 1e-9
@@ -51,24 +55,17 @@ class TolerancePolicy:
     symmetry_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "residual_tol", "symmetry_tol"):
-            check_tolerance(name, getattr(self, name))
-
-
-def check_tolerance(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a finite number in (0, 1).
-
-    The one rule for every tolerance, whether a TolerancePolicy field or a
-    key of an input file. The comparison is exact for integers of any size;
-    one too long to echo is shown by its leading digits and length.
-    """
-    if not 0.0 < value < 1.0:
-        shown = str(value)
-        if len(shown) > 32:
-            shown = f"{shown[:8]}... ({len(shown)} digits)"
-        raise ValueError(
-            f"{name} must be finite and in (0, 1), i.e. positive and below 1, got {shown}"
-        )
+        # The comparison is exact for integers of any size; one too long
+        # to echo is shown by its leading digits and length.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not 0.0 < value < 1.0:
+                shown = str(value)
+                if len(shown) > 32:
+                    shown = f"{shown[:8]}... ({len(shown)} digits)"
+                raise ValueError(
+                    f"{field.name} must be finite and in (0, 1), i.e. positive and below 1, got {shown}"
+                )
 
 
 DEFAULT_POLICY = TolerancePolicy()

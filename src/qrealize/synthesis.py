@@ -214,8 +214,8 @@ def oscillator(sys: LtiSystem, b1) -> tuple[np.ndarray, np.ndarray]:
     R comes from A (build_r), Lambda_b0 from C and Lambda_b2 from B. The
     extra-noise block B_12 = B1[:, n_y:] is _field_inputs(Lambda_b1) undone:
     with Q = -Theta B_12 / 2, Re Lambda_b1 = Q[:, 1::2]^T and
-    Im Lambda_b1 = -Q[:, 0::2]^T. For the B1 of a synthesized realization
-    both arrays equal its R and Lambda entry for entry; their zeros are +0.0.
+    Im Lambda_b1 = -Q[:, 0::2]^T, both exact. synthesize_realization takes
+    its R and Lambda from here, so there is one assembly; their zeros are +0.0.
     """
     b1 = np.asarray(b1, dtype=float)
     if b1.ndim != 2 or b1.shape[0] != sys.n or b1.shape[1] < sys.n_y or b1.shape[1] % 2:
@@ -308,14 +308,10 @@ def synthesize_realization(
     skew = sys if isinstance(sys, SkewReport) else compute_s_tilde(sys, policy)
     sys, policy, n_v = skew.system, skew.policy, skew.n_v
 
-    r_mat = build_r(sys)
-    lb0 = build_lambda_b0(sys)
     xi1 = build_xi1(skew)
     xi2 = build_xi2(skew, xi1)
-    lb1 = build_lambda_b1(skew, xi2)
-    lb2 = build_lambda_b2(sys)
-    lam = np.vstack([lb0, lb1, lb2])
-    b1 = build_b1(sys, lb1)
+    b1 = build_b1(sys, build_lambda_b1(skew, xi2))
+    r_mat, lam = oscillator(sys, b1)
     d1 = np.eye(sys.n_y, n_v)
 
     tol = policy.residual_tol
@@ -330,7 +326,7 @@ def synthesize_realization(
         [sys.A],
         tol,
         norms=[2.0 * np.linalg.norm(r_mat)]
-        + [2.0 * np.linalg.norm(_gram_imag(m)) for m in (lb0, lb1, lb2)],
+        + [2.0 * np.linalg.norm(_gram_imag(m)) for m in np.split(lam, [sys.n_y // 2, n_v // 2])],
     )
 
     # [B1 B] = 2i Theta [-Lambda^dag Lambda^T] Gamma

@@ -197,6 +197,53 @@ class TestParserReuse:
         assert _build_parser() is _build_parser()
 
 
+class TestTolerancePrecedence:
+    """A flag overrides the system file, which overrides the defaults."""
+
+    def _with_tolerances(self, paper_file, tmp_path, **tolerances):
+        doc = dict(json.loads(Path(paper_file).read_text()), tolerances=tolerances)
+        path = tmp_path / "tolerances.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_rank_tol(self, paper_file, tmp_path, capsys):
+        # a file cutoff above the smaller singular value pair lowers r
+        path = self._with_tolerances(paper_file, tmp_path, rank_rel_tol=0.5)
+        assert main(["count", path]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "r=2 n_v=4"
+        assert main(["count", path, "--rank-tol", "1e-9"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "r=4 n_v=6"
+
+    def test_residual_tol(self, paper_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["synthesize", paper_file, "-o", str(report)]) == 0
+        # residuals are ~1e-16, so a file bar of 1e-20 fails the check
+        path = self._with_tolerances(paper_file, tmp_path, rank_rel_tol=0.5, residual_tol=1e-20)
+        assert main(["check", path, str(report)]) == 1
+        # each flag overrides its own key only
+        assert main(["check", path, str(report), "--rank-tol", "1e-9"]) == 1
+        assert main(["check", path, str(report), "--residual-tol", "1e-8"]) == 0
+
+
+@pytest.mark.parametrize("which", ["system", "report"])
+def test_non_utf8_file_is_one_error_line(paper_file, tmp_path, capsys, which):
+    report = tmp_path / "report.json"
+    assert main(["synthesize", paper_file, "-o", str(report)]) == 0
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + Path(paper_file).read_text().encode("utf-16-le"))
+    capsys.readouterr()
+    if which == "system":
+        assert main(["count", str(bad)]) == 1
+        argv = ["check", str(bad), str(report)]
+    else:
+        argv = ["check", paper_file, str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == (2 if which == "system" else 1)
+    assert all(line.startswith(f"error: {bad} is not UTF-8") for line in captured.err.splitlines())
+
+
 class TestCheck:
     def test_synthesized_report_round_trips(self, paper_file, tmp_path, capsys):
         report = tmp_path / "report.json"

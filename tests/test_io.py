@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +51,11 @@ class TestParseSystem:
         text = _paper_text(tolerances={"rank_rel_tol": 1e-7})
         text = text.replace("-0.4472", "-0.44720000000000104")
         doc = parse_system_document(text)
-        doc2 = parse_system_document(serialize_system(doc.system, tolerances=doc.tolerances))
+        doc2 = parse_system_document(serialize_system(doc.system, tolerances=asdict(doc.policy)))
         assert np.array_equal(doc.system.A, doc2.system.A)
         assert np.array_equal(doc.system.B, doc2.system.B)
         assert np.array_equal(doc.system.C, doc2.system.C)
-        assert doc.tolerances == doc2.tolerances
+        assert doc.policy == doc2.policy
 
     def test_roundtrip_awkward_values(self):
         a = [[0.1, 1.0 / 3.0], [-1e-300, 7.000000000000001]]
@@ -166,23 +167,14 @@ class TestToleranceAndSeedHandling:
         with pytest.raises(ParseError, match="number"):
             parse_system_document(_paper_text(tolerances={"residual_tol": "small"}))
 
-    def test_resolution_precedence(self):
-        doc = parse_system_document(
-            _paper_text(tolerances={"rank_rel_tol": 1e-6, "residual_tol": 1e-5})
-        )
-        # document overrides defaults
-        policy = doc.resolve_policy()
-        assert policy.rank_rel_tol == 1e-6
-        assert policy.residual_tol == 1e-5
-        assert policy.symmetry_tol == DEFAULT_POLICY.symmetry_tol
-        # flags override the document
-        policy = doc.resolve_policy(rank_tol=1e-4)
-        assert policy.rank_rel_tol == 1e-4
-        assert policy.residual_tol == 1e-5
-
-    def test_defaults_without_overrides(self):
-        doc = parse_system_document(_paper_text())
-        assert doc.resolve_policy() == DEFAULT_POLICY
+    @pytest.mark.parametrize(
+        "tolerances", [{}, {"rank_rel_tol": 1e-6}, {"rank_rel_tol": 1e-6, "residual_tol": 1e-5}]
+    )
+    def test_policy_is_file_values_over_defaults(self, tolerances):
+        # the command line flags go over this policy; see test_cli
+        policy = parse_system_document(_paper_text(tolerances=tolerances)).policy
+        assert policy == replace(DEFAULT_POLICY, **tolerances)
+        assert all(type(value) is float for value in asdict(policy).values())
 
 
 class TestParseRealization:

@@ -209,10 +209,11 @@ class TestOscillator:
         rz, _ = synthesize_realization(sys)
         r_mat, lam = oscillator(sys, rz.B1)
         assert np.array_equal(r_mat, rz.R) and np.array_equal(lam, rz.Lambda)
-        assert not _has_negative_zero(r_mat, lam, rz.R)
+        assert not _has_negative_zero(r_mat, lam, rz.R, rz.Lambda)
 
     def test_fixtures(self, fixture_systems):
-        # on the paper system (Theta A)^T cancels Theta A in 12 entries of R, all +0.0
+        # on the paper system (Theta A)^T cancels Theta A in 12 entries of R, all
+        # +0.0, and one real part of Lambda_b1 is zero, +0.0 too
         for sys in fixture_systems.values():
             self._assert_rebuilds(sys)
 
