@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import ParseError, QRealizeError, SynthesisError
+from .errors import ParseError, QRealizeError
 from .io import parse_realization, parse_system_document, report_document, serialize_report
 from .linalg import DEFAULT_POLICY, TolerancePolicy
 from .realizability import LtiSystem, check_physical_realizability, compute_s_tilde
@@ -92,26 +92,15 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _synthesize(skew):
-    """Realization, residual report and certificate of a record, failing residuals included."""
-    try:
-        realization, report = synthesize_realization(skew)
-    except SynthesisError as exc:
-        if exc.realization is None or exc.report is None:
-            raise
-        realization, report = exc.realization, exc.report
-    return realization, report, minimality_certificate(skew)
-
-
 def cmd_synthesize(args) -> int:
     skew = compute_s_tilde(*_load_system(args.path, args))
-    realization, report, certificate = _synthesize(skew)
+    realization, report = synthesize_realization(skew)
 
-    out = report_document(realization, report, certificate)
+    out = report_document(realization, report, minimality_certificate(skew))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_report(out))
-    status = "pass" if report.all_passed else "FAIL"
-    print(f"wrote {args.out} (n_v={skew.n_v}, residuals {status})")
+    failed = ", ".join(e.name for e in report if not e.passed)
+    print(f"wrote {args.out} (n_v={skew.n_v}, residuals {f'FAIL: {failed}' if failed else 'pass'})")
     return 0 if report.all_passed else 1
 
 
@@ -136,9 +125,10 @@ def cmd_paper_example(args) -> int:
     counts_ok = skew.rank_r == 4 and skew.n_v == 6
     print(f"multiplicity_bound={skew.multiplicity_count}")
 
-    _, report, certificate = _synthesize(skew)
+    _, report = synthesize_realization(skew)
     _print_residuals(report)
 
+    certificate = minimality_certificate(skew)
     cert_ok = certificate.lower_bound_held and certificate.embedding_agreed
     print(
         f"certificate: trials={certificate.trials} "

@@ -30,13 +30,8 @@ class NumericalError(QRealizeError):
 
 
 class SynthesisError(QRealizeError):
-    """A synthesized realization failed verification.
+    """The Gram matrix Xi2 of a synthesis is not PSD or not of rank r/2.
 
-    Carries the offending realization and its residual report so callers can
-    still inspect or serialize the partial result.
+    Failing residuals are not an error: synthesize_realization returns
+    them in its report.
     """
-
-    def __init__(self, message, realization=None, report=None):
-        super().__init__(message)
-        self.realization = realization
-        self.report = report

@@ -39,8 +39,13 @@ class TolerancePolicy:
     """Numeric cutoffs used throughout the pipeline.
 
     rank_rel_tol   : singular values below rank_rel_tol * sigma_max count as zero
-    residual_tol   : relative Frobenius threshold for identity checks
-    symmetry_tol   : relative threshold for symmetry/Hermiticity preconditions
+    residual_tol   : relative Frobenius threshold of the six reported residuals
+                     (the synthesis identities and the realizability conditions);
+                     it judges nothing else, so a report exists whatever its value
+    symmetry_tol   : relative threshold for quantities that vanish in exact
+                     arithmetic: the skewness of S_tilde, the Hermiticity of
+                     hermitian_eig's input, the imaginary part of Xi1 and the
+                     round trip of psd_low_rank_factor
 
     Every tolerance is relative, so each must lie strictly between 0 and 1;
     anything else (including inf and nan) raises ValueError. A cutoff of 1
@@ -186,10 +191,13 @@ def psd_low_rank_factor(
     not decompose xi2 itself; it keeps the top-k pairs, F = sqrt(d_k) * U_k,
     and verifies the supplied decomposition. Raises FactorizationError when
     k disagrees with the numerical rank of xi2, when a negative entry of d
-    exceeds the rank cutoff, or when the round-trip F^dag F misses xi2
-    beyond the residual tolerance, as it does for the eigenpairs of any
-    other matrix. xi2 is PSD, so Hermitian: its rank comes from |eigvalsh|,
-    which reads one triangle, while the round trip reads all of xi2.
+    exceeds the rank cutoff, or when the round-trip F^dag F misses xi2 by
+    more than symmetry_tol relative to ||xi2||, as it does for the
+    eigenpairs of any other matrix, or when rank_rel_tol counts a nonzero
+    eigenvalue as zero; that message names the largest dropped eigenvalue
+    d[k] relative to d[0]. xi2 is PSD, so Hermitian: its rank comes from
+    |eigvalsh|, which reads one triangle, while the round trip reads all
+    of xi2.
     """
     xi2 = np.asarray(xi2)
     u = np.asarray(u)
@@ -205,9 +213,16 @@ def psd_low_rank_factor(
     factor = np.sqrt(np.clip(d[:k], 0.0, None))[:, None] * u[:k, :]
     residual = _fro(factor.conj().T @ factor - xi2)
     scale = _fro(xi2)
-    if residual > policy.residual_tol * scale:
+    if residual > policy.symmetry_tol * scale:
+        dropped = ""
+        if k < d.size and d[0] > 0:
+            dropped = (
+                f"; the largest dropped eigenvalue d[{k}] = {d[k]:.3e} is {d[k] / d[0]:.3e} * d[0]"
+                f" (rank_rel_tol {policy.rank_rel_tol:.1e})"
+            )
         raise FactorizationError(
-            f"round-trip residual {residual:.3e} exceeds {policy.residual_tol:.1e} * {scale:.3e}"
+            f"round-trip residual {residual:.3e} exceeds symmetry_tol "
+            f"{policy.symmetry_tol:.1e} * {scale:.3e}{dropped}"
         )
     return factor
 

@@ -224,6 +224,37 @@ class TestTolerancePrecedence:
         assert main(["check", path, str(report), "--rank-tol", "1e-9"]) == 1
         assert main(["check", path, str(report), "--residual-tol", "1e-8"]) == 0
 
+    def test_tiny_residual_tol_still_writes_the_report(self, paper_file, tmp_path, capsys):
+        # residual_tol judges the six residuals only: the report is written
+        # and names the ones that fail
+        path = self._with_tolerances(paper_file, tmp_path, residual_tol=1e-20)
+        report = tmp_path / "report.json"
+        assert main(["synthesize", path, "-o", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            f"wrote {report} (n_v=6, residuals FAIL: state_rebuild, commutation)\n"
+        )
+        doc = json.loads(report.read_text())
+        assert doc["all_passed"] is False
+        assert [e["name"] for e in doc["residuals"] if not e["passed"]] == [
+            "state_rebuild",
+            "commutation",
+        ]
+
+    def test_rank_tol_that_drops_a_pair_names_it(self, paper_file, tmp_path, capsys):
+        # a cutoff of 0.5 drops the smaller eigenvalue of Xi2, so its
+        # factor cannot rebuild it; the error names the cutoff and the pair
+        path = self._with_tolerances(paper_file, tmp_path, rank_rel_tol=0.5)
+        report = tmp_path / "report.json"
+        assert main(["synthesize", path, "-o", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: round-trip residual")
+        assert "d[1] = 1.493e-01 is 1.157e-01 * d[0] (rank_rel_tol 5.0e-01)" in captured.err
+        assert not report.exists()
+
 
 @pytest.mark.parametrize("which", ["system", "report"])
 def test_non_utf8_file_is_one_error_line(paper_file, tmp_path, capsys, which):
@@ -365,6 +396,21 @@ class TestPaperExample:
         # a cutoff above the smallest singular value pair lowers r
         assert main(["paper-example", "--rank-tol", "0.5"]) == 1
         assert "r=2 n_v=4" in capsys.readouterr().out
+
+    def test_tiny_residual_tol_prints_every_residual(self, capsys):
+        assert main(["paper-example", "--residual-tol", "1e-20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = [line for line in captured.out.splitlines() if " tol=1.0e-20 " in line]
+        assert [line.split()[0] for line in lines] == [
+            "state_rebuild",
+            "input_rebuild",
+            "output_rebuild",
+            "commutation",
+            "output_coupling",
+            "feedthrough",
+        ]
+        assert "bound_held=PASS" in captured.out
 
 
 def _readme_blocks(language=r"\w*"):
