@@ -45,7 +45,7 @@ class TolerancePolicy:
     symmetry_tol   : relative threshold for quantities that vanish in exact
                      arithmetic: the skewness of S_tilde, the Hermiticity of
                      hermitian_eig's input, the imaginary part of Xi1 and the
-                     round trip of psd_low_rank_factor
+                     roundoff in psd_low_rank_factor's round trip
 
     Every tolerance is relative, so each must lie strictly between 0 and 1;
     anything else (including inf and nan) raises ValueError. A cutoff of 1
@@ -192,12 +192,12 @@ def psd_low_rank_factor(
     and verifies the supplied decomposition. Raises FactorizationError when
     k disagrees with the numerical rank of xi2, when a negative entry of d
     exceeds the rank cutoff, or when the round-trip F^dag F misses xi2 by
-    more than symmetry_tol relative to ||xi2||, as it does for the
-    eigenpairs of any other matrix, or when rank_rel_tol counts a nonzero
-    eigenvalue as zero; that message names the largest dropped eigenvalue
-    d[k] relative to d[0]. xi2 is PSD, so Hermitian: its rank comes from
-    |eigvalsh|, which reads one triangle, while the round trip reads all
-    of xi2.
+    more than symmetry_tol relative to ||xi2|| plus ||d[k:]||, the exact
+    miss of the eigenvalues the rank cutoff dropped; eigenpairs of any
+    other matrix miss by more. The truncation itself is left to the
+    residuals that residual_tol judges. xi2 is PSD, so Hermitian: its rank
+    comes from |eigvalsh|, which reads one triangle, while the round trip
+    reads all of xi2.
     """
     xi2 = np.asarray(xi2)
     u = np.asarray(u)
@@ -213,16 +213,11 @@ def psd_low_rank_factor(
     factor = np.sqrt(np.clip(d[:k], 0.0, None))[:, None] * u[:k, :]
     residual = _fro(factor.conj().T @ factor - xi2)
     scale = _fro(xi2)
-    if residual > policy.symmetry_tol * scale:
-        dropped = ""
-        if k < d.size and d[0] > 0:
-            dropped = (
-                f"; the largest dropped eigenvalue d[{k}] = {d[k]:.3e} is {d[k] / d[0]:.3e} * d[0]"
-                f" (rank_rel_tol {policy.rank_rel_tol:.1e})"
-            )
+    dropped = _fro(d[k:])
+    if residual > policy.symmetry_tol * scale + dropped:
         raise FactorizationError(
-            f"round-trip residual {residual:.3e} exceeds symmetry_tol "
-            f"{policy.symmetry_tol:.1e} * {scale:.3e}{dropped}"
+            f"round-trip residual {residual:.3e} exceeds symmetry_tol {policy.symmetry_tol:.1e}"
+            f" * {scale:.3e} + {dropped:.3e} (norm of the dropped eigenvalues)"
         )
     return factor
 

@@ -242,18 +242,22 @@ class TestTolerancePrecedence:
             "commutation",
         ]
 
-    def test_rank_tol_that_drops_a_pair_names_it(self, paper_file, tmp_path, capsys):
-        # a cutoff of 0.5 drops the smaller eigenvalue of Xi2, so its
-        # factor cannot rebuild it; the error names the cutoff and the pair
+    def test_rank_tol_that_drops_a_pair_writes_a_failing_report(
+        self, paper_file, tmp_path, capsys
+    ):
+        # a cutoff of 0.5 drops the smaller eigenvalue of Xi2; the factor
+        # cannot rebuild it, and the reported residuals say so
         path = self._with_tolerances(paper_file, tmp_path, rank_rel_tol=0.5)
         report = tmp_path / "report.json"
         assert main(["synthesize", path, "-o", str(report)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("error: round-trip residual")
-        assert "d[1] = 1.493e-01 is 1.157e-01 * d[0] (rank_rel_tol 5.0e-01)" in captured.err
-        assert not report.exists()
+        assert captured.err == ""
+        assert captured.out == (
+            f"wrote {report} (n_v=4, residuals FAIL: state_rebuild, commutation)\n"
+        )
+        doc = json.loads(report.read_text())
+        assert doc["all_passed"] is False
+        assert doc["tolerances"]["rank_rel_tol"] == 0.5
 
 
 @pytest.mark.parametrize("which", ["system", "report"])

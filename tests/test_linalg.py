@@ -354,6 +354,14 @@ class TestPsdLowRankFactor:
         with pytest.raises(FactorizationError, match="round-trip"):
             psd_low_rank_factor(xi, *hermitian_eig(other), 2)
 
+    def test_eigenvalues_below_the_rank_cutoff_pass_the_round_trip(self):
+        # rank_rel_tol counts 1e-10 as zero; the factor misses xi by exactly
+        # that, far above symmetry_tol, and it is not a fault
+        xi = np.diag([1.0, 1e-10, 0.0])
+        factor = psd_low_rank_factor(xi, *hermitian_eig(xi), 1)
+        assert factor.shape == (1, 3)
+        assert np.linalg.norm(factor.conj().T @ factor - xi) == pytest.approx(1e-10)
+
     def test_not_psd_raises(self):
         with pytest.raises(FactorizationError):
             psd_low_rank_factor(np.diag([1.0, -1.0]), *hermitian_eig(np.diag([1.0, -1.0])), 2)

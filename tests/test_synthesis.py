@@ -423,6 +423,21 @@ class TestSynthesizeRealization:
         assert not report.all_passed
         assert "output_coupling" in [e.name for e in report if not e.passed]
 
+    def test_block_below_the_rank_cutoff_synthesizes(self, paper_system):
+        # the paper system direct-summed with a copy whose S_tilde is scaled
+        # by 1e-10: rank_rel_tol drops that block's eigenvalues of Xi2, the
+        # factor round trip allows for them, and the residuals judge the rest
+        p, eps = paper_system, 1e-10
+        small = LtiSystem.from_matrices(
+            np.block([[p.A, np.zeros_like(p.A)], [np.zeros_like(p.A), eps * p.A]]),
+            np.block([[p.B, np.zeros_like(p.B)], [np.zeros_like(p.B), eps**0.5 * p.B]]),
+            np.block([[p.C, np.zeros_like(p.C)], [np.zeros_like(p.C), eps**0.5 * p.C]]),
+        )
+        rz, report = synthesize_realization(small)
+        assert rz.skew.rank_r == compute_s_tilde(paper_system).rank_r
+        assert report.all_passed
+        assert report.entry("commutation").relative > 1e-12
+
     @pytest.mark.parametrize("tol", [1e-20, 1e-17])
     def test_tiny_residual_tol_is_reported_not_raised(self, tol, paper_system):
         # residual_tol judges the six residuals only, so no construction
