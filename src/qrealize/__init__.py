@@ -13,11 +13,9 @@ __version__ = "0.4.0"
 from .errors import (
     ContractError,
     DimensionError,
-    FactorizationError,
     NumericalError,
     ParseError,
     QRealizeError,
-    SynthesisError,
     ValidationError,
 )
 from .linalg import TolerancePolicy
@@ -39,9 +37,7 @@ __all__ = [
     "ValidationError",
     "ParseError",
     "ContractError",
-    "FactorizationError",
     "NumericalError",
-    "SynthesisError",
     # analysis
     "LtiSystem",
     "TolerancePolicy",

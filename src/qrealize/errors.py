@@ -21,17 +21,11 @@ class ContractError(QRealizeError):
     """An argument does not satisfy a documented precondition."""
 
 
-class FactorizationError(QRealizeError):
-    """A requested matrix factorization does not exist at the given tolerance."""
-
-
 class NumericalError(QRealizeError):
-    """A quantity that vanishes in exact arithmetic exceeded its tolerance."""
+    """A quantity that vanishes in exact arithmetic exceeded its tolerance,
+    or a rank the theory fixes came out different.
 
-
-class SynthesisError(QRealizeError):
-    """The Gram matrix Xi2 of a synthesis is not PSD or not of rank r/2.
-
-    Failing residuals are not an error: synthesize_realization returns
-    them in its report.
+    Every check inside the analysis and synthesis math raises it. Failing
+    residuals are not an error: synthesize_realization returns them in its
+    report.
     """

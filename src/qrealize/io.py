@@ -178,16 +178,17 @@ def report_document(realization, residuals, certificate) -> dict:
 
     The system sizes, the tolerances and the analysis (the spectrum of S,
     r, n_v and the multiplicity count) come from the analysis record the
-    realization carries; ``certificate`` may be None. The report holds what
-    the run adds to its input, not the input: A, B and C stay in the system
-    file, S_tilde is rebuilt from it by compute_s_tilde, and R and Lambda
-    from it and the report's B1 by synthesis.oscillator. Residual
-    values go in exactly as computed (shortest round-trip float encoding),
-    so nothing is lost to formatting.
+    realization carries; the tolerances, each residual entry and the
+    certificate are written field by field with asdict, so their dataclasses
+    alone name the keys. The report holds what the run adds to its input,
+    not the input: A, B and C stay in the system file, S_tilde is rebuilt
+    from it by compute_s_tilde, and R and Lambda from it and the report's
+    B1 by synthesis.oscillator. Residual values go in exactly as computed
+    (shortest round-trip float encoding), so nothing is lost to formatting.
     """
     skew = realization.skew
     sys, policy = skew.system, skew.policy
-    doc = {
+    return {
         "version": __version__,
         "tolerances": {key: float(value) for key, value in asdict(policy).items()},
         "system": {
@@ -201,33 +202,15 @@ def report_document(realization, residuals, certificate) -> dict:
             "n_v": int(skew.n_v),
             "multiplicity_noise_count": int(skew.multiplicity_count),
         },
-        "residuals": [
-            {
-                "name": e.name,
-                "absolute": float(e.absolute),
-                "scale": float(e.scale),
-                "relative": float(e.relative),
-                "tol": float(e.tol),
-                "passed": bool(e.passed),
-            }
-            for e in residuals
-        ],
-        "all_passed": bool(all(e.passed for e in residuals)),
+        "residuals": [asdict(e) for e in residuals],
+        "all_passed": residuals.all_passed,
         "realization": {
             "B1": _real_lists(realization.B1),
             "D1": _real_lists(realization.D1),
             "n_v": int(realization.n_v),
         },
+        "certificate": asdict(certificate),
     }
-    if certificate is not None:
-        doc["certificate"] = {
-            "r": int(certificate.r),
-            "trials": int(certificate.trials),
-            "min_observed_rank": int(certificate.min_observed_rank),
-            "lower_bound_held": bool(certificate.lower_bound_held),
-            "embedding_agreed": bool(certificate.embedding_agreed),
-        }
-    return doc
 
 
 def _encode(node, pad: str) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, FactorizationError
+from .errors import ContractError, DimensionError, NumericalError
 
 __all__ = [
     "TolerancePolicy",
@@ -189,7 +189,7 @@ def psd_low_rank_factor(
     already holds, laid out as hermitian_eig returns it: rows of U are the
     conjugated eigenvectors and d is sorted descending. The kernel does
     not decompose xi2 itself; it keeps the top-k pairs, F = sqrt(d_k) * U_k,
-    and verifies the supplied decomposition. Raises FactorizationError when
+    and verifies the supplied decomposition. Raises NumericalError when
     k disagrees with the numerical rank of xi2, when a negative entry of d
     exceeds the rank cutoff, or when the round-trip F^dag F misses xi2 by
     more than symmetry_tol relative to ||xi2|| plus ||d[k:]||, the exact
@@ -205,17 +205,17 @@ def psd_low_rank_factor(
     k = int(k)
     got = numerical_rank(xi2, policy, hermitian=True)
     if got != k:
-        raise FactorizationError(f"requested {k} rows but the numerical rank is {got}")
+        raise NumericalError(f"requested {k} rows but the numerical rank is {got}")
     if d.size:
         floor = policy.rank_rel_tol * float(np.abs(d).max())
         if d[-1] < -floor:
-            raise FactorizationError(f"matrix is not PSD: eigenvalue {d[-1]:.3e} below -{floor:.3e}")
+            raise NumericalError(f"matrix is not PSD: eigenvalue {d[-1]:.3e} below -{floor:.3e}")
     factor = np.sqrt(np.clip(d[:k], 0.0, None))[:, None] * u[:k, :]
     residual = _fro(factor.conj().T @ factor - xi2)
     scale = _fro(xi2)
     dropped = _fro(d[k:])
     if residual > policy.symmetry_tol * scale + dropped:
-        raise FactorizationError(
+        raise NumericalError(
             f"round-trip residual {residual:.3e} exceeds symmetry_tol {policy.symmetry_tol:.1e}"
             f" * {scale:.3e} + {dropped:.3e} (norm of the dropped eigenvalues)"
         )

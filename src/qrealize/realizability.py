@@ -27,6 +27,7 @@ from .linalg import (
 )
 
 __all__ = [
+    "as_real_matrix",
     "LtiSystem",
     "SkewReport",
     "ResidualEntry",
@@ -45,16 +46,31 @@ __all__ = [
 MULTIPLICITY_CLUSTER_REL = 1e-7
 
 
+def as_real_matrix(name: str, x) -> np.ndarray:
+    """np.atleast_2d(np.asarray(x, dtype=float)) for real input, copying no float64 input.
+
+    Booleans, integers and floats convert. Anything else raises
+    ValidationError naming the matrix: complex entries, whose imaginary part
+    the conversion would drop, strings, other objects and ragged rows.
+    """
+    try:
+        m = np.asarray(x)
+    except ValueError as exc:  # ragged rows
+        raise ValidationError(f"{name} is not a rectangular array") from exc
+    if m.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must hold real numbers, got dtype {m.dtype}")
+    return np.atleast_2d(m.astype(float, copy=False))
+
+
 @dataclass(frozen=True, eq=False)
 class LtiSystem:
     """Real triple (A, B, C) with even state/input/output dimensions, valid by construction.
 
     The dimensions pair into conjugate quadratures, so n, n_u, and n_y must
     all be even, and the theory handled here additionally requires as many
-    outputs as inputs (n_y = n_u). Construction converts each matrix as
-    np.atleast_2d(np.asarray(x, dtype=float)), copying no float64 input, and
-    raises ValidationError naming the first violated invariant. n, n_u and
-    n_y are read off the shapes.
+    outputs as inputs (n_y = n_u). Construction converts each matrix with
+    as_real_matrix and raises ValidationError naming the first violated
+    invariant. n, n_u and n_y are read off the shapes.
     """
 
     A: np.ndarray
@@ -63,8 +79,7 @@ class LtiSystem:
 
     def __post_init__(self):
         for name in ("A", "B", "C"):
-            m = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, as_real_matrix(name, getattr(self, name)))
         A, B, C = self.A, self.B, self.C
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValidationError(f"A must be square, got shape {A.shape}")
@@ -324,8 +339,8 @@ def check_physical_realizability(
     A Theta, Theta A^T and the pair terms x_k y_k^T - y_k x_k^T, whose
     norms come in closed form from wedge_norms, so no pair term is formed.
     """
-    b1 = np.atleast_2d(np.asarray(B1, dtype=float))
-    d1 = np.atleast_2d(np.asarray(D1, dtype=float))
+    b1 = as_real_matrix("B1", B1)
+    d1 = as_real_matrix("D1", D1)
     n_v = b1.shape[1]
     if b1.shape[0] != sys.n:
         raise DimensionError(f"B1 must have {sys.n} rows, got shape {b1.shape}")

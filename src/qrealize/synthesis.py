@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericalError, SynthesisError
+from .errors import ContractError, DimensionError, NumericalError
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
@@ -28,6 +28,7 @@ from .realizability import (
     LtiSystem,
     ResidualReport,
     SkewReport,
+    as_real_matrix,
     check_physical_realizability,
     compute_s_tilde,
     residual_entry,
@@ -132,7 +133,9 @@ def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
 
     Must come out Hermitian PSD with numerical rank exactly r/2 under the
     record's policy; anything else means the construction went wrong and
-    raises SynthesisError.
+    raises NumericalError. Both tests put their floor at rank_rel_tol
+    times the largest |eigenvalue|, and both messages say so, since a
+    rank_rel_tol below roundoff fails them.
     Its eigvalsh test is the only numerical PSD test of Xi2 itself:
     build_lambda_b1 factors Xi2 from the record's eigenvalues instead.
     Xi2 is Hermitian by construction, so its rank, here and in
@@ -141,17 +144,14 @@ def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
     policy = skew.policy
     xi2 = xi1 + 0.25j * skew.S_tilde
     w = np.linalg.eigvalsh(xi2)
-    if w.size:
-        floor = policy.rank_rel_tol * float(np.abs(w).max())
-        if w[0] < -floor:
-            raise SynthesisError(
-                f"Xi2 is not PSD: eigenvalue {w[0]:.3e} below -{floor:.3e}"
-            )
+    top = float(np.abs(w).max()) if w.size else 0.0
+    cutoff = policy.rank_rel_tol * top
+    floor = f"(floor: rank_rel_tol {policy.rank_rel_tol:.1e} times the largest |eigenvalue| {top:.3e})"
+    if w.size and w[0] < -cutoff:
+        raise NumericalError(f"Xi2 is not PSD: eigenvalue {w[0]:.3e} below -{cutoff:.3e} {floor}")
     rank = numerical_rank(xi2, policy, hermitian=True)
     if rank != skew.rank_r // 2:
-        raise SynthesisError(
-            f"Xi2 has numerical rank {rank}, expected r/2 = {skew.rank_r // 2}"
-        )
+        raise NumericalError(f"Xi2 has numerical rank {rank}, expected r/2 = {skew.rank_r // 2} {floor}")
     return xi2
 
 
@@ -218,7 +218,7 @@ def oscillator(sys: LtiSystem, b1) -> tuple[np.ndarray, np.ndarray]:
     Im Lambda_b1 = -Q[:, 0::2]^T, both exact. synthesize_realization takes
     its R and Lambda from here, so there is one assembly; their zeros are +0.0.
     """
-    b1 = np.asarray(b1, dtype=float)
+    b1 = as_real_matrix("B1", b1)
     if b1.ndim != 2 or b1.shape[0] != sys.n or b1.shape[1] < sys.n_y or b1.shape[1] % 2:
         raise DimensionError(
             f"B1 must be {sys.n} x (n_y + an even count) with n_y = {sys.n_y}, got shape {b1.shape}"
@@ -250,7 +250,7 @@ class Realization:
     coupling matrix (L = Lambda x(0)) stacked as [Lambda_b0; Lambda_b1;
     Lambda_b2] with n_y/2, r/2 and n_u/2 rows, and (B1, D1) the noise input
     and feedthrough matrices for n_v additional channels. The intermediates
-    Xi1 and Xi2 are kept for inspection.
+    are not kept: build_xi1(skew), then build_xi2(skew, xi1), rebuild them.
     """
 
     skew: SkewReport
@@ -258,8 +258,6 @@ class Realization:
     Lambda: np.ndarray
     B1: np.ndarray
     D1: np.ndarray
-    Xi1: np.ndarray
-    Xi2: np.ndarray
 
     @property
     def n_v(self) -> int:
@@ -305,8 +303,7 @@ def synthesize_realization(
     skew = sys if isinstance(sys, SkewReport) else compute_s_tilde(sys, policy)
     sys, policy, n_v = skew.system, skew.policy, skew.n_v
 
-    xi1 = build_xi1(skew)
-    xi2 = build_xi2(skew, xi1)
+    xi2 = build_xi2(skew, build_xi1(skew))
     b1 = build_b1(sys, build_lambda_b1(skew, xi2))
     r_mat, lam = oscillator(sys, b1)
     d1 = np.eye(sys.n_y, n_v)
@@ -337,7 +334,7 @@ def synthesize_realization(
 
     check = check_physical_realizability(sys, b1, d1, policy)
     report = ResidualReport(entries=(state, fields, output) + check.entries)
-    return Realization(skew=skew, R=r_mat, Lambda=lam, B1=b1, D1=d1, Xi1=xi1, Xi2=xi2), report
+    return Realization(skew=skew, R=r_mat, Lambda=lam, B1=b1, D1=d1), report
 
 
 @dataclass(frozen=True)

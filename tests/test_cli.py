@@ -259,6 +259,17 @@ class TestTolerancePrecedence:
         assert doc["all_passed"] is False
         assert doc["tolerances"]["rank_rel_tol"] == 0.5
 
+    def test_rank_tol_below_roundoff_names_the_tolerance(self, paper_file, tmp_path, capsys):
+        # count accepts the cutoff; Xi2's PSD or rank test, whichever trips
+        # first, aborts synthesis and names rank_rel_tol as the floor
+        report = tmp_path / "report.json"
+        assert main(["synthesize", paper_file, "-o", str(report), "--rank-tol", "1e-300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: Xi2 ") and "rank_rel_tol" in line
+        assert not report.exists()
+
 
 @pytest.mark.parametrize("which", ["system", "report"])
 def test_non_utf8_file_is_one_error_line(paper_file, tmp_path, capsys, which):

@@ -229,10 +229,10 @@ class TestReportDocument:
             assert stored[entry.name] == entry.relative
 
     def test_report_without_certificate(self, small_system):
+        # every report carries a certificate; a document without one is malformed
         rz, report = synthesize_realization(compute_s_tilde(small_system))
-        doc = report_document(rz, report, None)
-        assert "certificate" not in doc
-        serialize_report(doc)  # still serializes cleanly
+        with pytest.raises(TypeError):
+            report_document(rz, report, None)
 
 
 def test_pyproject_version_matches_package():
@@ -283,12 +283,12 @@ class TestEncoderMatchesJsonDumps:
     def test_trivial_report_with_empty_block(self, trivial_system):
         rz, report = synthesize_realization(trivial_system)
         assert rz.Lambda_b1.shape[0] == 0
-        doc = report_document(rz, report, None)
+        doc = report_document(rz, report, minimality_certificate(rz.skew, trials=5))
         assert serialize_report(doc) == _dumps(doc)
 
     def test_infinite_residual(self, small_system):
         rz, report = synthesize_realization(small_system)
-        doc = report_document(rz, report, None)
+        doc = report_document(rz, report, minimality_certificate(rz.skew, trials=5))
         doc["residuals"][0]["relative"] = float("inf")
         doc["analysis"]["eigenvalues_of_S"][0] = float("-inf")
         text = serialize_report(doc)

@@ -19,8 +19,8 @@ from qrealize import (
     DimensionError,
     LtiSystem,
     NumericalError,
-    SynthesisError,
     TolerancePolicy,
+    ValidationError,
     compute_s_tilde,
     minimal_noise_count,
     minimality_certificate,
@@ -156,12 +156,12 @@ class TestXiConstruction:
     def test_xi2_rejects_wrong_minimizer(self, small_system):
         # a generic PSD choice inflates the rank past r/2
         skew = compute_s_tilde(small_system)
-        with pytest.raises(SynthesisError, match="rank"):
+        with pytest.raises(NumericalError, match="numerical rank"):
             build_xi2(skew, np.diag([5.0, 3.0]))
 
     def test_xi2_rejects_indefinite_result(self, small_system):
         skew = compute_s_tilde(small_system)
-        with pytest.raises(SynthesisError, match="PSD"):
+        with pytest.raises(NumericalError, match="PSD"):
             build_xi2(skew, -0.5 * np.eye(2))
 
     def test_lambda_b1_rows_and_gram(self, paper_system):
@@ -249,6 +249,11 @@ class TestOscillator:
         with pytest.raises(DimensionError, match="B1 must be 4 x"):
             oscillator(paper_system, np.zeros(shape))
 
+    def test_complex_b1_is_a_validation_error(self, paper_system):
+        # a cast would drop the imaginary part with only a warning
+        with pytest.raises(ValidationError, match="B1 must hold real numbers"):
+            oscillator(paper_system, np.full((4, 6), 1e-3j))
+
 
 def _assert_same_rebuild_entries(report, reference):
     for ref in reference:
@@ -318,8 +323,9 @@ class TestSynthesizeRealization:
             rz, _ = synthesize_realization(sys)
             hermitian = [a for a, flag in calls if flag]
             full = [a for a, flag in calls if not flag]
+            xi2 = build_xi2(rz.skew, build_xi1(rz.skew))
             assert len(hermitian) == 3
-            assert all(np.array_equal(a, rz.Xi2) for a in hermitian)
+            assert all(np.array_equal(a, xi2) for a in hermitian)
             assert len(full) == 1 and np.array_equal(full[0], rz.skew.S_tilde)
 
     def test_lambda_b1_rows_are_scaled_eigenvectors_of_s(self, paper_system, corpus):
@@ -347,7 +353,8 @@ class TestSynthesizeRealization:
         rz, report = synthesize_realization(skew)
         assert report.all_passed and len(list(report)) == 6
         gram = rz.Lambda_b1.conj().T @ rz.Lambda_b1
-        assert np.linalg.norm(gram - rz.Xi2) <= 1e-10 * np.linalg.norm(rz.Xi2)
+        xi2 = build_xi2(skew, build_xi1(skew))
+        assert np.linalg.norm(gram - xi2) <= 1e-10 * np.linalg.norm(xi2)
 
     def test_trivial_reconstructs_a_exactly(self, trivial_system):
         rz, _ = synthesize_realization(trivial_system)
