@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParseError
-from .linalg import TolerancePolicy
+from .linalg import ROUNDOFF_TOL, TolerancePolicy
 
 __all__ = [
     "SystemDocument",
@@ -111,7 +111,7 @@ def parse_system_document(text: str) -> SystemDocument:
     """Parse and validate a system file into a SystemDocument.
 
     Other top-level keys, such as the "seed" that files for reports before
-    0.4.0 could set, are ignored.
+    0.4.0 could set, are ignored, and so is a "symmetry_tol" tolerance.
     """
     from .realizability import LtiSystem
 
@@ -129,6 +129,7 @@ def parse_system_document(text: str) -> SystemDocument:
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ParseError("tolerances must be a JSON object")
+    tolerances = {key: value for key, value in tolerances.items() if key != "symmetry_tol"}
     unknown = sorted(set(tolerances) - {field.name for field in fields(TolerancePolicy)})
     if unknown:
         raise ParseError(f"unknown tolerance keys: {', '.join(unknown)}")
@@ -180,17 +181,18 @@ def report_document(realization, residuals, certificate) -> dict:
     r, n_v and the multiplicity count) come from the analysis record the
     realization carries; the tolerances, each residual entry and the
     certificate are written field by field with asdict, so their dataclasses
-    alone name the keys. The report holds what the run adds to its input,
-    not the input: A, B and C stay in the system file, S_tilde is rebuilt
-    from it by compute_s_tilde, and R and Lambda from it and the report's
-    B1 by synthesis.oscillator. Residual values go in exactly as computed
+    alone name the keys; "symmetry_tol" is the fixed ROUNDOFF_TOL, kept
+    until the report version changes. The report holds what the run adds
+    to its input, not the input: A, B and C stay in the system file,
+    S_tilde is rebuilt from it by compute_s_tilde, and R and Lambda from it
+    and the report's B1 by synthesis.oscillator. Residual values go in exactly as computed
     (shortest round-trip float encoding), so nothing is lost to formatting.
     """
     skew = realization.skew
     sys, policy = skew.system, skew.policy
     return {
         "version": __version__,
-        "tolerances": {key: float(value) for key, value in asdict(policy).items()},
+        "tolerances": {"symmetry_tol": ROUNDOFF_TOL} | {k: float(v) for k, v in asdict(policy).items()},
         "system": {
             "n": int(sys.n),
             "n_u": int(sys.n_u),

@@ -1,10 +1,11 @@
 """Numerical kernels shared by the analysis and synthesis layers.
 
-TolerancePolicy, the one place that names the tolerances, sets their
-defaults and checks them, for the library, system files and the command
-line alike; the block commutation matrix Theta = blockdiag(J, ..., J),
-J = [[0, 1], [-1, 0]], applied as a signed swap of quadrature pairs rather
-than a dense product; Hermitian eigendecomposition with a deterministic ordering;
+TolerancePolicy, the one place that names the two user tolerances, sets
+their defaults and checks them, for the library, system files and the
+command line alike; ROUNDOFF_TOL, the fixed bound of the roundoff checks;
+the block commutation matrix Theta = blockdiag(J, ..., J), J = [[0, 1],
+[-1, 0]], applied as a signed swap of quadrature pairs rather than a
+dense product; Hermitian eigendecomposition with a deterministic ordering;
 numerical_rank, the one rank kernel, which counts singular values above a
 relative cutoff for one matrix or a stack of them and takes them as
 |eigvalsh| when the caller promises Hermitian input; low-rank
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericalError
 
 __all__ = [
+    "ROUNDOFF_TOL",
     "TolerancePolicy",
     "DEFAULT_POLICY",
     "apply_theta",
@@ -34,20 +36,24 @@ __all__ = [
 ]
 
 
+# Relative roundoff allowed where an identity is exact in arithmetic (the
+# skewness of S_tilde, Im Xi1, the factor round trip), against the same
+# floor as the rank cutoff of that quantity; reports call it symmetry_tol.
+ROUNDOFF_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Numeric cutoffs used throughout the pipeline.
+    """The two user tolerances of the pipeline.
 
-    rank_rel_tol   : singular values below rank_rel_tol * sigma_max count as zero
+    rank_rel_tol   : singular values at or below rank_rel_tol * max(sigma_max,
+                     floor) count as zero (numerical_rank)
     residual_tol   : relative Frobenius threshold of the six reported residuals
                      (the synthesis identities and the realizability conditions);
                      it judges nothing else, so a report exists whatever its value
-    symmetry_tol   : relative threshold for quantities that vanish in exact
-                     arithmetic: the skewness of S_tilde, the Hermiticity of
-                     hermitian_eig's input, the imaginary part of Xi1 and the
-                     roundoff in psd_low_rank_factor's round trip
 
-    Every tolerance is relative, so each must lie strictly between 0 and 1;
+    Roundoff checks are not tunable: they use ROUNDOFF_TOL. Every
+    tolerance is relative, so each must lie strictly between 0 and 1;
     anything else (including inf and nan) raises ValueError. A cutoff of 1
     or more would count every singular value as zero and pass any residual.
     A system file's "tolerances" are these fields by name
@@ -57,7 +63,6 @@ class TolerancePolicy:
 
     rank_rel_tol: float = 1e-9
     residual_tol: float = 1e-8
-    symmetry_tol: float = 1e-12
 
     def __post_init__(self):
         # The comparison is exact for integers of any size; one too long
@@ -124,29 +129,17 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors / phases
 
 
-def hermitian_eig(h, policy: TolerancePolicy = DEFAULT_POLICY):
+def hermitian_eig(h):
     """Eigendecomposition H = U^dag diag(d) U of a Hermitian matrix.
 
-    Parameters
-    ----------
-    h : array_like
-        Square matrix, Hermitian within ``policy.symmetry_tol`` (relative).
-    policy : TolerancePolicy
-
-    Returns
-    -------
-    U : ndarray
-        Matrix with H = U.conj().T @ diag(d) @ U; its rows are the
-        conjugated eigenvectors, phase-fixed for determinism.
-    d : ndarray
-        Real eigenvalues, sorted descending.
+    Returns (U, d): the rows of U are the conjugated eigenvectors,
+    phase-fixed for determinism, and d holds the real eigenvalues sorted
+    descending. Reads only the lower triangle of ``h`` (np.linalg.eigh):
+    the caller vouches that it is Hermitian.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionError(f"hermitian_eig requires a square matrix, got shape {h.shape}")
-    scale = _fro(h)
-    if scale > 0 and _fro(h - h.conj().T) > policy.symmetry_tol * scale:
-        raise ContractError("matrix is not Hermitian within the symmetry tolerance")
     d, v = np.linalg.eigh(h)
     order = np.argsort(-d, kind="stable")
     d = d[order]
@@ -155,10 +148,12 @@ def hermitian_eig(h, policy: TolerancePolicy = DEFAULT_POLICY):
 
 
 def numerical_rank(
-    m, policy: TolerancePolicy = DEFAULT_POLICY, hermitian: bool = False
+    m, policy: TolerancePolicy = DEFAULT_POLICY, hermitian: bool = False, floor: float = 0.0
 ) -> int | np.ndarray:
-    """Count of singular values above rank_rel_tol times the largest one.
+    """Count of singular values above rank_rel_tol times max(the largest one, floor).
 
+    ``floor`` is the input's term scale carried to ``m`` (SkewReport), so
+    a matrix that is all roundoff, as on a realizable system, has rank 0.
     ``m`` is one matrix, which gives an int, or a stack of shape
     (..., k, l), which gives an int array of shape m.shape[:-2] with the
     rank of each matrix. An all-zero matrix has rank 0; an empty matrix
@@ -176,66 +171,63 @@ def numerical_rank(
         ranks = np.zeros(m.shape[:-2], dtype=int)
     else:
         s = np.linalg.svd(m, compute_uv=False, hermitian=hermitian)
-        ranks = np.count_nonzero(s > policy.rank_rel_tol * s[..., :1], axis=-1)
+        ranks = np.count_nonzero(s > policy.rank_rel_tol * np.maximum(s[..., :1], floor), axis=-1)
     return int(ranks) if m.ndim == 2 else ranks
 
 
 def psd_low_rank_factor(
-    xi2, u, d, k: int, policy: TolerancePolicy = DEFAULT_POLICY
+    xi2, u, d, k: int, policy: TolerancePolicy = DEFAULT_POLICY, floor: float = 0.0
 ) -> np.ndarray:
     """Factor a PSD matrix of numerical rank k as F^dag F with F of k rows.
 
     ``u`` and ``d`` are a decomposition xi2 = U^dag diag(d) U the caller
-    already holds, laid out as hermitian_eig returns it: rows of U are the
-    conjugated eigenvectors and d is sorted descending. The kernel does
-    not decompose xi2 itself; it keeps the top-k pairs, F = sqrt(d_k) * U_k,
-    and verifies the supplied decomposition. Raises NumericalError when
-    k disagrees with the numerical rank of xi2, when a negative entry of d
-    exceeds the rank cutoff, or when the round-trip F^dag F misses xi2 by
-    more than symmetry_tol relative to ||xi2|| plus ||d[k:]||, the exact
-    miss of the eigenvalues the rank cutoff dropped; eigenpairs of any
-    other matrix miss by more. The truncation itself is left to the
-    residuals that residual_tol judges. xi2 is PSD, so Hermitian: its rank
-    comes from |eigvalsh|, which reads one triangle, while the round trip
-    reads all of xi2.
+    already holds, laid out as hermitian_eig returns it; the kernel keeps
+    the top-k pairs, F = sqrt(d_k) * U_k, and verifies them, never
+    decomposing xi2 itself. ``floor`` is as in numerical_rank. Raises
+    NumericalError when k is not the numerical rank of xi2 (from
+    |eigvalsh|, one triangle), when a negative entry of d exceeds the rank
+    cutoff, or when F^dag F misses all of xi2 by more than ROUNDOFF_TOL
+    times max(||xi2||, floor) plus ||d[k:]||, the exact miss of the
+    eigenvalues the cutoff dropped; eigenpairs of any other matrix miss by
+    more. The truncation itself is left to the residuals residual_tol judges.
     """
     xi2 = np.asarray(xi2)
     u = np.asarray(u)
     d = np.asarray(d, dtype=float)
     k = int(k)
-    got = numerical_rank(xi2, policy, hermitian=True)
+    got = numerical_rank(xi2, policy, hermitian=True, floor=floor)
     if got != k:
         raise NumericalError(f"requested {k} rows but the numerical rank is {got}")
     if d.size:
-        floor = policy.rank_rel_tol * float(np.abs(d).max())
-        if d[-1] < -floor:
-            raise NumericalError(f"matrix is not PSD: eigenvalue {d[-1]:.3e} below -{floor:.3e}")
+        cutoff = policy.rank_rel_tol * max(float(np.abs(d).max()), floor)
+        if d[-1] < -cutoff:
+            raise NumericalError(f"matrix is not PSD: eigenvalue {d[-1]:.3e} below -{cutoff:.3e}")
     factor = np.sqrt(np.clip(d[:k], 0.0, None))[:, None] * u[:k, :]
     residual = _fro(factor.conj().T @ factor - xi2)
-    scale = _fro(xi2)
+    scale = max(_fro(xi2), floor)
     dropped = _fro(d[k:])
-    if residual > policy.symmetry_tol * scale + dropped:
+    if residual > ROUNDOFF_TOL * scale + dropped:
         raise NumericalError(
-            f"round-trip residual {residual:.3e} exceeds symmetry_tol {policy.symmetry_tol:.1e}"
+            f"round-trip residual {residual:.3e} exceeds roundoff {ROUNDOFF_TOL:.1e}"
             f" * {scale:.3e} + {dropped:.3e} (norm of the dropped eigenvalues)"
         )
     return factor
 
 
 def complex_rank_via_real_embedding(
-    are, aim, policy: TolerancePolicy = DEFAULT_POLICY
+    are, aim, policy: TolerancePolicy = DEFAULT_POLICY, floor: float = 0.0
 ) -> int:
     """Rank of (are + i*aim) computed as half the rank of [[are, aim], [-aim, are]].
 
-    An independent route to numerical_rank(are + 1j * aim): the embedding
-    repeats every singular value of the complex matrix exactly twice.
+    An independent route to numerical_rank(are + 1j * aim, policy, floor=floor): the
+    embedding repeats every singular value of the complex matrix exactly twice.
     """
     are = np.asarray(are, dtype=float)
     aim = np.asarray(aim, dtype=float)
     if are.shape != aim.shape:
         raise DimensionError(f"real and imaginary parts differ in shape: {are.shape} vs {aim.shape}")
     embedding = np.block([[are, aim], [-aim, are]])
-    return numerical_rank(embedding, policy) // 2
+    return numerical_rank(embedding, policy, floor=floor) // 2
 
 
 def wedge_norms(x, y) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError, ValidationError
 from .linalg import (
     DEFAULT_POLICY,
+    ROUNDOFF_TOL,
     TolerancePolicy,
     apply_theta,
     hermitian_eig,
@@ -122,6 +123,10 @@ class SkewReport:
     """Analysis record of one system: everything derived from S_tilde.
 
     ``system`` and ``policy`` are what the record was computed from.
+    ``term_scale`` T, the largest Frobenius norm of the terms S_tilde sums
+    (Theta B Theta_u B^T Theta, Theta A, C^T Theta_y C), sizes its
+    roundoff: every cutoff or roundoff check on a matrix built from S_tilde
+    is relative to at least T (S_tilde), T/2 (Xi2) or T/4 (S, Xi1, certificate candidates).
     S = (i/4) S_tilde is Hermitian because S_tilde is real skew-symmetric;
     it is derived on access rather than stored, to keep the record small.
     S = U^dag diag(eigenvalues) U with the eigenvalues sorted descending
@@ -135,6 +140,7 @@ class SkewReport:
     system: LtiSystem
     policy: TolerancePolicy
     S_tilde: np.ndarray
+    term_scale: float
     U: np.ndarray
     eigenvalues: np.ndarray
     rank_r: int
@@ -162,32 +168,31 @@ def compute_s_tilde(
     C, are the ones the left-to-right evaluation of the definition forms,
     so every entry sums the same products in the same order.
 
-    The result must be skew-symmetric up to roundoff; a residual above
-    symmetry_tol raises NumericalError since it signals a bug, not bad
-    input. Finite inputs can still overflow S_tilde or its norm; that
-    raises NumericalError naming the overflow, since rescaling to
-    (alpha A, sqrt(alpha) B, sqrt(alpha) C) scales S_tilde by alpha and
-    keeps r. The rank of a real skew-symmetric matrix is even; an odd
-    computed value means the rank cutoff sits inside a singular-value pair
-    and raises NumericalError too.
+    r counts the singular values of S_tilde above rank_rel_tol times
+    max(sigma_max, T), T the term scale (SkewReport), so a realizable
+    system, whose S_tilde is roundoff, has r = 0. A skewness above
+    ROUNDOFF_TOL times max(||S_tilde||, T) raises NumericalError: it
+    signals a bug, not bad input. So does an overflow of S_tilde, its norm
+    or T, since (alpha A, sqrt(alpha) B, sqrt(alpha) C) scales both by
+    alpha and keeps r, and an odd rank, which means the cutoff sits inside
+    a singular-value pair of the skew S_tilde.
 
     n_lambda in the multiplicity count is the multiplicity of the least
-    eigenvalue of i*S_tilde, clustered with a relative gap of
-    MULTIPLICITY_CLUSTER_REL. Multiplicity does not change under positive
-    scaling, so the spectrum of S is used directly.
+    eigenvalue of i*S_tilde, clustered with a gap of
+    MULTIPLICITY_CLUSTER_REL times max(the largest |eigenvalue|, T/4).
+    Multiplicity does not change under positive scaling, so the spectrum
+    of S is used directly.
     """
     theta_a = apply_theta(sys.A, "left")
     theta_b_theta_u = apply_theta(apply_theta(sys.B, "left"), "right")
     # finite inputs can overflow here; the check below diagnoses that
     with np.errstate(over="ignore", invalid="ignore"):
-        s_tilde = (
-            apply_theta(theta_b_theta_u @ sys.B.T, "right")
-            + theta_a.T
-            - theta_a
-            - apply_theta(sys.C.T, "right") @ sys.C
-        )
+        inputs = apply_theta(theta_b_theta_u @ sys.B.T, "right")
+        outputs = apply_theta(sys.C.T, "right") @ sys.C
+        s_tilde = inputs + theta_a.T - theta_a - outputs
         scale = float(np.linalg.norm(s_tilde))
-    if not math.isfinite(scale):
+        terms = max(float(np.linalg.norm(t)) for t in (inputs, theta_a, outputs))
+    if not (math.isfinite(scale) and math.isfinite(terms)):
         # log10 of ||A||, ||B||^2 and ||C||^2, scaled by the largest entry so no norm overflows
         logs = [
             power * (math.log10(peak) + math.log10(np.linalg.norm(m / peak)))
@@ -196,30 +201,30 @@ def compute_s_tilde(
         ]
         k = round(max(logs))
         raise NumericalError(
-            f"skew invariant overflows double precision (||S_tilde|| = {scale}); "
+            f"skew invariant overflows double precision (||S_tilde|| = {scale}, term scale {terms}); "
             f"rescale the system: (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r; alpha = 1e-{k} "
             "brings ||A||, ||B||^2 and ||C||^2 to at most about 1 (apply sqrt(alpha) to A twice)"
         )
-    if scale > 0:
-        skewness = float(np.linalg.norm(s_tilde + s_tilde.T))
-        if skewness > policy.symmetry_tol * scale:
-            raise NumericalError(
-                f"skew invariant lost antisymmetry: residual {skewness:.3e} "
-                f"exceeds {policy.symmetry_tol:.1e} * {scale:.3e}"
-            )
-    u, w = hermitian_eig(0.25j * s_tilde, policy)
-    rank = numerical_rank(s_tilde, policy)
+    skewness = float(np.linalg.norm(s_tilde + s_tilde.T))
+    if skewness > ROUNDOFF_TOL * max(scale, terms):
+        raise NumericalError(
+            f"skew invariant lost antisymmetry: residual {skewness:.3e} "
+            f"exceeds {ROUNDOFF_TOL:.1e} * {max(scale, terms):.3e}"
+        )
+    u, w = hermitian_eig(0.25j * s_tilde)
+    rank = numerical_rank(s_tilde, policy, floor=terms)
     if rank % 2 != 0:
         raise NumericalError(
             f"numerical rank {rank} of the skew invariant is odd; "
             "adjust rank_rel_tol away from the singular-value cluster"
         )
-    gap = MULTIPLICITY_CLUSTER_REL * float(np.abs(w).max()) if w.size else 0.0
+    gap = MULTIPLICITY_CLUSTER_REL * max(float(np.abs(w).max()), terms / 4)
     n_lambda = int(np.count_nonzero(w <= w.min() + gap))
     return SkewReport(
         system=sys,
         policy=policy,
         S_tilde=s_tilde,
+        term_scale=terms,
         U=u,
         eigenvalues=w,
         rank_r=rank,

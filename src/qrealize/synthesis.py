@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericalError
 from .linalg import (
     DEFAULT_POLICY,
+    ROUNDOFF_TOL,
     TolerancePolicy,
     apply_theta,
     numerical_rank,
@@ -111,18 +112,18 @@ def build_xi1(skew: SkewReport) -> np.ndarray:
 
     With S = U^dag D U from the record (``skew.U``, ``skew.eigenvalues``),
     returns Xi1 = U^dag |D| U, the positive square root of S^2. The product
-    is real in exact arithmetic; an imaginary part above the record's
-    symmetry_tol, relative to ||Xi1||, raises NumericalError, as eigenpairs
-    that are not the record's do. Otherwise the imaginary part is dropped
-    and the result exactly symmetrized.
+    is real in exact arithmetic; an imaginary part above ROUNDOFF_TOL times
+    max(||Xi1||, T/4), T the record's term scale, raises NumericalError, as
+    eigenpairs that are not the record's do. Otherwise the imaginary part
+    is dropped and the result exactly symmetrized.
     """
-    u, tol = skew.U, skew.policy.symmetry_tol
+    u = skew.U
     xi1 = (u.conj().T * np.abs(skew.eigenvalues)) @ u
-    scale = float(np.linalg.norm(xi1))
+    scale = max(float(np.linalg.norm(xi1)), skew.term_scale / 4)
     imag = float(np.linalg.norm(xi1.imag))
-    if scale > 0 and imag > tol * scale:
+    if imag > ROUNDOFF_TOL * scale:
         raise NumericalError(
-            f"Xi1 came out complex: imaginary norm {imag:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"Xi1 came out complex: imaginary norm {imag:.3e} exceeds {ROUNDOFF_TOL:.1e} * {scale:.3e}"
         )
     xi1 = xi1.real
     return 0.5 * (xi1 + xi1.T)
@@ -134,8 +135,8 @@ def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
     Must come out Hermitian PSD with numerical rank exactly r/2 under the
     record's policy; anything else means the construction went wrong and
     raises NumericalError. Both tests put their floor at rank_rel_tol
-    times the largest |eigenvalue|, and both messages say so, since a
-    rank_rel_tol below roundoff fails them.
+    times max(the largest |eigenvalue|, T/2), T the record's term scale,
+    and both messages say so: a rank_rel_tol below roundoff fails them.
     Its eigvalsh test is the only numerical PSD test of Xi2 itself:
     build_lambda_b1 factors Xi2 from the record's eigenvalues instead.
     Xi2 is Hermitian by construction, so its rank, here and in
@@ -144,12 +145,12 @@ def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
     policy = skew.policy
     xi2 = xi1 + 0.25j * skew.S_tilde
     w = np.linalg.eigvalsh(xi2)
-    top = float(np.abs(w).max()) if w.size else 0.0
+    top = max(float(np.abs(w).max()), skew.term_scale / 2)
     cutoff = policy.rank_rel_tol * top
-    floor = f"(floor: rank_rel_tol {policy.rank_rel_tol:.1e} times the largest |eigenvalue| {top:.3e})"
-    if w.size and w[0] < -cutoff:
+    floor = f"(floor: rank_rel_tol {policy.rank_rel_tol:.1e} times max(largest |eigenvalue|, T/2) {top:.3e})"
+    if w[0] < -cutoff:
         raise NumericalError(f"Xi2 is not PSD: eigenvalue {w[0]:.3e} below -{cutoff:.3e} {floor}")
-    rank = numerical_rank(xi2, policy, hermitian=True)
+    rank = numerical_rank(xi2, policy, hermitian=True, floor=skew.term_scale / 2)
     if rank != skew.rank_r // 2:
         raise NumericalError(f"Xi2 has numerical rank {rank}, expected r/2 = {skew.rank_r // 2} {floor}")
     return xi2
@@ -164,13 +165,13 @@ def build_lambda_b1(skew: SkewReport, xi2: np.ndarray) -> np.ndarray:
     row j of Lambda_b1 is sqrt(2 d_j) U_j for the k = r/2 positive d_j. k,
     the numerical rank of Xi2, fixes the row count, and
     psd_low_rank_factor checks that rank, that |d| + d is PSD and that the
-    round trip returns xi2, all under the record's policy. The factor is
-    canonical only up to a left unitary, so callers should compare Grams,
-    not entries.
+    round trip returns xi2, under the record's policy and floor T/2. The
+    factor is canonical only up to a left unitary, so callers should
+    compare Grams, not entries.
     """
-    d = skew.eigenvalues
-    k = numerical_rank(xi2, skew.policy, hermitian=True)
-    return psd_low_rank_factor(xi2, skew.U, np.abs(d) + d, k, skew.policy)
+    d, floor = skew.eigenvalues, skew.term_scale / 2
+    k = numerical_rank(xi2, skew.policy, hermitian=True, floor=floor)
+    return psd_low_rank_factor(xi2, skew.U, np.abs(d) + d, k, skew.policy, floor)
 
 
 def _field_inputs(lam: np.ndarray) -> np.ndarray:
@@ -375,11 +376,11 @@ def minimality_certificate(
     ``np.random.default_rng(seed)`` and s_t cycles through the three
     scales, so the seed alone fixes the candidates, whatever the batch
     size. Each candidate's rank is computed twice by the one rank kernel,
-    numerical_rank with hermitian=True over a whole batch: once for the
-    Hermitian matrix Xi + (i/4) S_tilde and once, halved, for its real
-    symmetric embedding [[Xi, S_tilde/4], [-S_tilde/4, Xi]]; the two
-    routes must agree, and the minimum over all candidates is compared
-    against r/2.
+    numerical_rank with hermitian=True and floor T/4 (T the record's term
+    scale) over a whole batch: once for the Hermitian matrix Xi + (i/4)
+    S_tilde and once, halved, for its real symmetric embedding [[Xi,
+    S_tilde/4], [-S_tilde/4, Xi]]; the two routes must agree, and the
+    minimum over all candidates is compared against r/2.
     Candidates are ranked in batches held in buffers of fixed size (512 KiB
     for the embeddings), so memory does not grow with ``trials``. A
     violated bound is reported, not raised.
@@ -388,7 +389,7 @@ def minimality_certificate(
         raise ContractError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
-    policy = skew.policy
+    policy, floor = skew.policy, skew.term_scale / 4
     n = skew.system.n
     imag_part = 0.25 * skew.S_tilde
 
@@ -422,9 +423,9 @@ def minimality_certificate(
         drawn *= factors[t % 3, None, None]
         embedded[:k, :n, :n] = xi
         embedded[:k, n:, n:] = xi
-        ranks = numerical_rank(direct[:k], policy, hermitian=True)
+        ranks = numerical_rank(direct[:k], policy, hermitian=True, floor=floor)
         agreed = agreed and np.array_equal(
-            numerical_rank(embedded[:k], policy, hermitian=True) // 2, ranks
+            numerical_rank(embedded[:k], policy, hermitian=True, floor=floor) // 2, ranks
         )
         min_rank = min(min_rank, int(ranks.min()))
 

@@ -57,17 +57,45 @@ def oscillator_built_system(rng, n, n_u, k, degenerate=None):
     return LtiSystem(a, _field_inputs(lam)[:, -n_u:], _coupled_outputs(lam, n_u))
 
 
+def integer_realizable_system(rng, n, n_u=2, scale=10.0):
+    """A realizable system built from small integers, divided by ``scale`` as theory allows.
+
+    B, C and M have integer entries in -3..3. With X = Theta B Theta_u B^T
+    Theta and Z = C^T Theta_y C, both skew, A = -Theta((X - Z)/2 + M + M^T)
+    makes S_tilde exactly 0 (r = 0, n_v = n_u). Unscaled, the float
+    arithmetic is exact and S_tilde comes out exactly 0, which hides how
+    roundoff is judged; (A/scale, B/sqrt(scale), C/sqrt(scale)) keeps
+    r = 0 in exact arithmetic but leaves S_tilde pure roundoff.
+    """
+    b = rng.integers(-3, 4, (n, n_u)).astype(float)
+    c = rng.integers(-3, 4, (n_u, n)).astype(float)
+    m = rng.integers(-3, 4, (n, n)).astype(float)
+    x = apply_theta(apply_theta(apply_theta(b, "left"), "right") @ b.T, "right")
+    z = apply_theta(c.T, "right") @ c
+    a = -apply_theta((x - z) / 2 + m + m.T, "left")
+    root = np.sqrt(scale)
+    return LtiSystem(a / scale, b / root, c / root)
+
+
 def overflow_matrices():
-    """Two finite triples (n=4, n_u=2, C = [I 0]) whose S_tilde overflows.
+    """Three finite triples (n=4, n_u=2, C = [I 0]) whose S_tilde or term scale overflows.
 
     "entries": A = 1e200 I and B = 1e200 [I; 0], so B B^T and with it
     S_tilde holds inf. "norm": A = 1e160 (I + 3 e_0 e_1^T) and B = [I; 0],
-    so S_tilde is finite but its squared Frobenius norm is not.
+    so S_tilde is finite but its squared Frobenius norm is not. "terms":
+    A = -1e160 Theta and B = [I; 0], so Theta A = 1e160 I is symmetric and
+    cancels from S_tilde, which stays small, while the squared norm of
+    Theta A, and with it the term scale, overflows.
     """
     c, b = np.eye(2, 4), np.eye(4, 2)
     a_norm = 1e160 * np.eye(4)
     a_norm[0, 1] = 3e160
-    return {"entries": (1e200 * np.eye(4), 1e200 * b, c), "norm": (a_norm, b, c)}
+    a_terms = -apply_theta(1e160 * np.eye(4), "left")
+    return {
+        "entries": (1e200 * np.eye(4), 1e200 * b, c),
+        "norm": (a_norm, b, c),
+        "terms": (a_terms, b, c),
+    }
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,14 @@ import pytest
 import qrealize
 from conftest import overflow_matrices, paper_matrices
 from qrealize.cli import _build_parser, example_system, main
-from qrealize.io import _real_lists, parse_realization, parse_system_document, serialize_report
+from qrealize.io import (
+    _real_lists,
+    parse_realization,
+    parse_system_document,
+    serialize_report,
+    serialize_system,
+)
+from qrealize.linalg import ROUNDOFF_TOL, apply_theta
 from qrealize.realizability import compute_s_tilde
 from qrealize.synthesis import synthesize_realization
 
@@ -70,7 +77,7 @@ class TestCount:
         assert main(["count", str(path)]) == 1
 
 
-@pytest.mark.parametrize("name", ["entries", "norm"])
+@pytest.mark.parametrize("name", ["entries", "norm", "terms"])
 @pytest.mark.parametrize("command", ["count", "synthesize"])
 def test_overflowing_system_is_one_error_line(tmp_path, capsys, name, command):
     a, b, c = overflow_matrices()[name]
@@ -148,6 +155,8 @@ class TestSynthesize:
         }
         assert doc["version"] == qrealize.__version__
         assert set(doc["tolerances"]) == {"rank_rel_tol", "residual_tol", "symmetry_tol"}
+        # report 0.4.0 keeps the key; it holds the fixed roundoff bound
+        assert doc["tolerances"]["symmetry_tol"] == ROUNDOFF_TOL
         assert set(doc["system"]) == {"n", "n_u", "n_y"}
         assert set(doc["analysis"]) == {
             "eigenvalues_of_S", "r", "n_v", "multiplicity_noise_count",
@@ -159,6 +168,44 @@ class TestSynthesize:
         assert len(doc["residuals"]) == 6
         for entry in doc["residuals"]:
             assert set(entry) == {"name", "absolute", "scale", "relative", "tol", "passed"}
+
+
+def _realizable_file(tmp_path, a, b, c):
+    """System file of (A - Theta S_tilde / 2, B, C), S_tilde from qrealize: S_tilde = 0, so r = 0."""
+    s_tilde = compute_s_tilde(qrealize.LtiSystem(a, b, c)).S_tilde
+    path = tmp_path / "realizable.json"
+    path.write_text(serialize_system(qrealize.LtiSystem(a - apply_theta(s_tilde, "left") / 2, b, c)))
+    return str(path)
+
+
+def _seeded_matrices(n, n_u=4):
+    rng = np.random.default_rng([n, n_u])
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n_u)), rng.standard_normal((n_u, n))
+
+
+class TestRealizableSystem:
+    """A system that needs no extra noise: r = 0 through count, synthesize and check."""
+
+    @pytest.mark.parametrize("n", ["paper", 8, 32, 64])
+    def test_needs_no_extra_noise(self, n, tmp_path, capsys):
+        a, b, c = paper_matrices() if n == "paper" else _seeded_matrices(n)
+        path, n_u = _realizable_file(tmp_path, a, b, c), b.shape[1]
+        assert main(["count", path]) == 0
+        # the multiplicity bound degenerates to n_u exactly when S_tilde = 0
+        assert capsys.readouterr().out == f"r=0 n_v={n_u}\nmultiplicity_bound={n_u}\n"
+        out = tmp_path / "report.json"
+        assert main(["synthesize", path, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out} (n_v={n_u}, residuals pass)\n"
+        doc = json.loads(out.read_text())
+        assert doc["all_passed"] is True and len(doc["residuals"]) == 6
+        assert (doc["analysis"]["r"], doc["realization"]["n_v"]) == (0, n_u)
+        assert np.array(doc["realization"]["B1"]).shape == (b.shape[0], n_u)
+        certificate = doc["certificate"]
+        assert (certificate["r"], certificate["min_observed_rank"]) == (0, 0)
+        assert certificate["lower_bound_held"] is True
+        assert certificate["embedding_agreed"] is True
+        assert main(["check", path, str(out)]) == 0
+        assert capsys.readouterr().out.count(" PASS\n") == 3
 
 
 @pytest.fixture

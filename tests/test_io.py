@@ -176,6 +176,13 @@ class TestToleranceAndSeedHandling:
         assert policy == replace(DEFAULT_POLICY, **tolerances)
         assert all(type(value) is float for value in asdict(policy).values())
 
+    @pytest.mark.parametrize("value", [1e-8, 2.0, "loose"])
+    def test_symmetry_tol_key_is_ignored(self, value):
+        # no longer a tolerance (linalg.ROUNDOFF_TOL): like "seed", the key is not read
+        tolerances = {"symmetry_tol": value, "residual_tol": 1e-6}
+        policy = parse_system_document(_paper_text(tolerances=tolerances)).policy
+        assert policy == replace(DEFAULT_POLICY, residual_tol=1e-6)
+
 
 class TestParseRealization:
     def test_bare_object(self):

@@ -1,5 +1,6 @@
 """Tests for the structural constants and numerical kernels."""
 
+from dataclasses import fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from qrealize import ContractError, DimensionError, LtiSystem, NumericalError
 from qrealize.linalg import (
     DEFAULT_POLICY,
+    ROUNDOFF_TOL,
     TolerancePolicy,
     apply_theta,
     complex_rank_via_real_embedding,
@@ -46,14 +48,21 @@ class TestTolerancePolicy:
     def test_defaults(self):
         assert DEFAULT_POLICY.rank_rel_tol == 1e-9
         assert DEFAULT_POLICY.residual_tol == 1e-8
-        assert DEFAULT_POLICY.symmetry_tol == 1e-12
+        assert [field.name for field in fields(TolerancePolicy)] == ["rank_rel_tol", "residual_tol"]
+        # the fixed roundoff bound keeps the old symmetry_tol default
+        assert ROUNDOFF_TOL == 1e-12
 
-    @pytest.mark.parametrize("field", ["rank_rel_tol", "residual_tol", "symmetry_tol"])
+    @pytest.mark.parametrize("field", ["rank_rel_tol", "residual_tol"])
     def test_rejects_nonpositive(self, field):
         # every tolerance is relative: it must lie strictly inside (0, 1)
         for value in (0.0, -1e-9, np.inf, np.nan, 1.0, 2.0):
             with pytest.raises(ValueError, match=field):
                 TolerancePolicy(**{field: value})
+
+    def test_symmetry_tol_is_not_a_field(self):
+        # roundoff checks use ROUNDOFF_TOL; there is no knob to loosen them
+        with pytest.raises(TypeError, match="symmetry_tol"):
+            TolerancePolicy(symmetry_tol=1e-8)
 
 
 class TestBuilders:
@@ -222,9 +231,12 @@ class TestHermitianEig:
         assert np.array_equal(u, np.eye(3))
         assert np.array_equal(d, np.zeros(3))
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ContractError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_reads_the_lower_triangle_only(self):
+        # the caller promises a Hermitian matrix; the upper triangle is not read
+        h = np.array([[2.0, 1.0], [1.0, 2.0]])
+        upper_changed = h.copy()
+        upper_changed[0, 1] = 7.0
+        assert all(map(np.array_equal, hermitian_eig(upper_changed), hermitian_eig(h)))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
@@ -279,6 +291,17 @@ class TestNumericalRank:
     def test_policy_override(self):
         loose = TolerancePolicy(rank_rel_tol=1e-3)
         assert numerical_rank(np.diag([1.0, 1e-6]), loose) == 1
+
+    def test_floor_raises_the_cutoff(self):
+        # the cutoff is rank_rel_tol times max(sigma_max, floor)
+        roundoff = np.diag([1e-16, 1e-17])
+        assert numerical_rank(roundoff) == 2
+        assert numerical_rank(roundoff, floor=1.0) == 0
+        assert numerical_rank(np.diag([1.0, 1e-6]), floor=1e4) == 1
+        # a floor below sigma_max changes nothing
+        assert numerical_rank(np.diag([1.0, 2e-9]), floor=0.5) == 2
+        stack = np.stack([roundoff, np.eye(2)])
+        assert numerical_rank(stack, hermitian=True, floor=1.0).tolist() == [0, 2]
 
     def test_rectangular(self):
         m = np.vstack([np.eye(2), np.zeros((3, 2))])
@@ -356,7 +379,7 @@ class TestPsdLowRankFactor:
 
     def test_eigenvalues_below_the_rank_cutoff_pass_the_round_trip(self):
         # rank_rel_tol counts 1e-10 as zero; the factor misses xi by exactly
-        # that, far above symmetry_tol, and it is not a fault
+        # that, far above ROUNDOFF_TOL, and it is not a fault
         xi = np.diag([1.0, 1e-10, 0.0])
         factor = psd_low_rank_factor(xi, *hermitian_eig(xi), 1)
         assert factor.shape == (1, 3)

@@ -7,12 +7,15 @@ matrices), under which S_tilde changes by the congruence T^-T S_tilde T^-1,
 and by the scaling (alpha A, sqrt(alpha) B, sqrt(alpha) C). Each variant
 must keep r and n_v, and synthesis of each must pass all six residuals.
 The corpus holds generic systems (r = n), systems whose skew invariant
-was set to a random skew matrix of smaller even rank, and generic systems
-whose B is ill-conditioned or nearly rank-deficient.
+was set to a random skew matrix of smaller even rank, generic systems
+whose B is ill-conditioned or nearly rank-deficient, and realizable
+systems (r = 0) built from small integers and scaled by 1/10, whose
+S_tilde is pure roundoff.
 """
 
 import numpy as np
 import pytest
+from conftest import integer_realizable_system
 
 from qrealize import LtiSystem, compute_s_tilde, synthesize_realization
 from qrealize.linalg import apply_theta
@@ -137,3 +140,12 @@ def test_ill_conditioned_b_keeps_full_count(seed, kappa, deficient):
     _, report = synthesize_realization(skew)
     assert report.all_passed
     _check_variants(sys, skew, seed)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_realizable_integer_systems_keep_no_extra_noise(n):
+    for seed in range(3):
+        sys = integer_realizable_system(np.random.default_rng([n, seed]), n)
+        skew = compute_s_tilde(sys)
+        assert (skew.rank_r, skew.n_v) == (0, sys.n_u)
+        _check_variants(sys, skew, seed)

@@ -10,18 +10,15 @@ import numpy as np
 import pytest
 from conftest import oscillator_built_system
 
-from qrealize import NumericalError, compute_s_tilde, oscillator, synthesize_realization
+from qrealize import compute_s_tilde, oscillator, synthesize_realization
 from qrealize.linalg import apply_theta
-
-# r = 0 systems fail the skew check of compute_s_tilde (ROADMAP item 1)
-REALIZABLE = pytest.mark.xfail(strict=True, raises=NumericalError, reason="r = 0, ROADMAP item 1")
 
 
 def _cases(ks):
     for n in (4, 8, 20, 32):
         for n_u in (2, 4):
             for k in sorted(ks(n)):
-                yield pytest.param(n, n_u, k, marks=REALIZABLE if k == 0 else ())
+                yield n, n_u, k
 
 
 def _synthesize_and_rebuild(system):

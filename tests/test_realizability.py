@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import overflow_matrices
+from conftest import integer_realizable_system, overflow_matrices
 from dense_reference import build_theta, dense_check_physical_realizability
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +16,6 @@ from qrealize import (
     DimensionError,
     LtiSystem,
     NumericalError,
-    TolerancePolicy,
     ValidationError,
     check_physical_realizability,
     compute_s_tilde,
@@ -25,6 +24,7 @@ from qrealize import (
     synthesize_realization,
 )
 from qrealize.cli import EXAMPLE_S_TILDE
+from qrealize.io import parse_system_document, serialize_system
 from qrealize.linalg import DEFAULT_POLICY
 from qrealize.realizability import residual_entry
 
@@ -148,19 +148,22 @@ class TestComputeSTilde:
         w = skew.eigenvalues
         assert np.abs(w + w[::-1]).max() <= 1e-9 * max(np.abs(w).max(), 1.0)
 
-    @pytest.mark.parametrize("name", ["entries", "norm"])
+    @pytest.mark.parametrize("name", ["entries", "norm", "terms"])
     def test_overflow_is_diagnosed_without_warning(self, name):
-        # finite inputs whose S_tilde or its norm overflows: a vacuous skew
-        # check or a failed eigensolver would follow
+        # finite inputs whose S_tilde, its norm or the term scale overflows:
+        # a vacuous skew check, a failed eigensolver or an infinite rank
+        # cutoff would follow
         sys = LtiSystem.from_matrices(*overflow_matrices()[name])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="overflows.*rescale"):
                 compute_s_tilde(sys)
 
-    @pytest.mark.parametrize("name, r", [("entries", 2), ("norm", 4)])
+    @pytest.mark.parametrize("name, r", [("entries", 2), ("norm", 4), ("terms", 0)])
     def test_rescaling_as_advised_gives_one_count(self, name, r):
-        # (alpha A, sqrt(alpha) B, sqrt(alpha) C) scales S_tilde by alpha
+        # (alpha A, sqrt(alpha) B, sqrt(alpha) C) scales S_tilde and the term
+        # scale by alpha. For "terms", S_tilde is 1e-160 of the term scale:
+        # roundoff against it, so r = 0
         a, b, c = overflow_matrices()[name]
         for alpha in (1e-250, 1e-280, 1e-300):
             root = math.sqrt(alpha)
@@ -171,7 +174,7 @@ class TestComputeSTilde:
             compute_s_tilde(LtiSystem.from_matrices(a, b, c))
         advised = re.search(r"alpha = 1e-(\d+)", str(excinfo.value))
         k = int(advised.group(1))
-        assert k == {"entries": 400, "norm": 161}[name]
+        assert k == {"entries": 400, "norm": 161, "terms": 160}[name]
         root = 10.0 ** (-k / 2)
         skew = compute_s_tilde(LtiSystem.from_matrices(root * (root * a), root * b, root * c))
         assert (skew.rank_r, skew.n_v) == (r, 2 + r)
@@ -381,28 +384,19 @@ def _projected_system(n, seed, delta):
     return LtiSystem.from_matrices(a0 + delta * rng.standard_normal((n, n)), b, c)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=NumericalError,
-    reason="known defect: the skew check and the rank cutoff of compute_s_tilde are "
-    "relative to ||S_tilde||, which is pure roundoff on a realizable system",
-)
 def test_realizable_projection_counts_no_extra_noise():
+    # S_tilde is roundoff here; measured against the term scale it has rank 0
     sys2 = _projected_system(4, 3, 0.0)
     b1 = build_theta(4) @ sys2.C.T @ build_theta(2)
     assert check_physical_realizability(sys2, b1, np.eye(2)).all_passed
     assert minimal_noise_count(sys2) == (0, 2)
+    assert multiplicity_noise_count(sys2) == 2
 
 
-# the skew check is relative to ||S_tilde||, about delta here, while the
-# roundoff it meets comes from terms of size ||A||
-_ITEM_1 = pytest.mark.xfail(strict=True, raises=NumericalError, reason="ROADMAP item 1")
 NEARLY_REALIZABLE = [(n, seed) for n in (8, 16, 32) for seed in (0, 3, 5)]
 
 
-@pytest.mark.parametrize(
-    "delta", [pytest.param(1e-6, marks=_ITEM_1), pytest.param(1e-4, marks=_ITEM_1), 1e-3]
-)
+@pytest.mark.parametrize("delta", [1e-6, 1e-4, 1e-3])
 @pytest.mark.parametrize("n, seed", NEARLY_REALIZABLE)
 def test_nearly_realizable_counts_full_rank(n, seed, delta):
     assert minimal_noise_count(_projected_system(n, seed, delta)) == (n, n + 2)
@@ -411,9 +405,40 @@ def test_nearly_realizable_counts_full_rank(n, seed, delta):
 @pytest.mark.parametrize("delta", [1e-6, 1e-4])
 @pytest.mark.parametrize("n, seed", NEARLY_REALIZABLE)
 def test_symmetry_tol_works_around_nearly_realizable_inputs(n, seed, delta):
-    # until item 1 lands, the README's workaround: a looser skew check
-    policy = TolerancePolicy(symmetry_tol=1e-8)
-    skew = compute_s_tilde(_projected_system(n, seed, delta), policy)
+    # the old workaround, a file symmetry_tol, is now an ignored key: the
+    # file still parses, and the defaults give r = n with six passing residuals
+    text = serialize_system(_projected_system(n, seed, delta), tolerances={"symmetry_tol": 1e-8})
+    doc = parse_system_document(text)
+    assert doc.policy == DEFAULT_POLICY
+    skew = compute_s_tilde(doc.system, doc.policy)
     assert (skew.rank_r, skew.n_v) == (n, n + 2)
     _, report = synthesize_realization(skew)
     assert report.all_passed and len(report.entries) == 6
+
+
+@pytest.mark.parametrize("n, seed", NEARLY_REALIZABLE)
+def test_delta_sweep_flips_from_no_extra_noise_to_full_rank(n, seed):
+    # delta = 0 is realizable and 1e-10 stays below the rank cutoff; by 1e-6
+    # every singular pair of S_tilde clears it, and at 1e-8 the flip is
+    # under way. Every step synthesizes cleanly, none aborts.
+    deltas = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
+    ranks = []
+    for delta in deltas:
+        skew = compute_s_tilde(_projected_system(n, seed, delta))
+        _, report = synthesize_realization(skew)
+        assert report.all_passed, delta
+        ranks.append(skew.rank_r)
+    assert ranks[:2] == [0, 0] and ranks[3:] == [n, n]
+    assert 0 < ranks[2] < n
+    assert ranks == sorted(ranks)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_scaled_integer_realizable_system_needs_no_extra_noise(n):
+    for seed in range(3):
+        system = integer_realizable_system(np.random.default_rng([n, seed]), n)
+        skew = compute_s_tilde(system)
+        assert (skew.rank_r, skew.n_v) == (0, system.n_u)
+        assert skew.multiplicity_count == system.n_u
+        _, report = synthesize_realization(skew)
+        assert report.all_passed and len(report.entries) == 6

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import integer_realizable_system
 from dense_reference import (
     build_p,
     build_theta,
@@ -498,10 +499,10 @@ def _reference_candidates(skew, trials, seed):
 def _reference_certificate(sys, trials, seed):
     """The certificate ranked one candidate at a time, by SVD on both routes."""
     skew = compute_s_tilde(sys)
-    imag_part = 0.25 * skew.S_tilde
+    imag_part, floor = 0.25 * skew.S_tilde, skew.term_scale / 4
     candidates = _reference_candidates(skew, trials, seed)
-    direct = [numerical_rank(xi + 1j * imag_part) for xi in candidates]
-    embedded = [complex_rank_via_real_embedding(xi, imag_part) for xi in candidates]
+    direct = [numerical_rank(xi + 1j * imag_part, floor=floor) for xi in candidates]
+    embedded = [complex_rank_via_real_embedding(xi, imag_part, floor=floor) for xi in candidates]
     return MinimalityCertificate(
         r=skew.rank_r,
         trials=len(candidates),
@@ -552,10 +553,10 @@ class TestMinimalityCertificate:
         # the direct-route stacks handed to numerical_rank, in order
         stacks = []
 
-        def recording_rank(stack, policy, hermitian=False):
+        def recording_rank(stack, policy, hermitian=False, floor=0.0):
             if not np.isrealobj(stack):
                 stacks.append(np.array(stack))
-            return numerical_rank(stack, policy, hermitian)
+            return numerical_rank(stack, policy, hermitian, floor)
 
         monkeypatch.setattr(synthesis, "numerical_rank", recording_rank)
         runs = []
@@ -578,6 +579,14 @@ class TestMinimalityCertificate:
         assert cert.r == 0
         assert cert.lower_bound_held
         assert cert.embedding_agreed
+
+    def test_realizable_system_bound(self):
+        # S_tilde is roundoff, so against the floor T/4 every candidate ranks 0
+        sys = integer_realizable_system(np.random.default_rng(8), 8)
+        cert = minimality_certificate(compute_s_tilde(sys), trials=40, seed=0)
+        assert (cert.r, cert.min_observed_rank) == (0, 0)
+        assert cert.lower_bound_held and cert.embedding_agreed
+        assert cert == _reference_certificate(sys, 40, seed=0)
 
     def test_small_and_paper_bounds(self, small_system, paper_system):
         for sys, bound in ((small_system, 1), (paper_system, 2)):
