@@ -85,6 +85,10 @@ def _print_residuals(report) -> None:
         print(f"{e.name:<16} relative={e.relative:.3e} tol={e.tol:.1e} {verdict}")
 
 
+def _optional(value, spec: str) -> str:
+    return "none" if value is None else format(value, spec)
+
+
 def cmd_count(args) -> int:
     skew = compute_s_tilde(*_load_system(args.path, args))
     print(f"r={skew.rank_r} n_v={skew.n_v}")
@@ -131,8 +135,8 @@ def cmd_paper_example(args) -> int:
     certificate = minimality_certificate(skew)
     cert_ok = certificate.lower_bound_held and certificate.embedding_agreed
     print(
-        f"certificate: trials={certificate.trials} "
-        f"min_observed_rank={certificate.min_observed_rank} "
+        f"certificate: stability_radius={_optional(certificate.stability_radius, '.3e')} "
+        f"decades_above_cutoff={_optional(certificate.decades_above_cutoff, '.2f')} "
         f"bound_held={'PASS' if certificate.lower_bound_held else 'FAIL'} "
         f"embedding_agreed={'PASS' if certificate.embedding_agreed else 'FAIL'}"
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParseError
-from .linalg import ROUNDOFF_TOL, TolerancePolicy
+from .linalg import TolerancePolicy
 
 __all__ = [
     "SystemDocument",
@@ -181,8 +181,8 @@ def report_document(realization, residuals, certificate) -> dict:
     r, n_v and the multiplicity count) come from the analysis record the
     realization carries; the tolerances, each residual entry and the
     certificate are written field by field with asdict, so their dataclasses
-    alone name the keys; "symmetry_tol" is the fixed ROUNDOFF_TOL, kept
-    until the report version changes. The report holds what the run adds
+    alone name the keys; a certificate value that does not exist is null.
+    The report holds what the run adds
     to its input, not the input: A, B and C stay in the system file,
     S_tilde is rebuilt from it by compute_s_tilde, and R and Lambda from it
     and the report's B1 by synthesis.oscillator. Residual values go in exactly as computed
@@ -192,7 +192,7 @@ def report_document(realization, residuals, certificate) -> dict:
     sys, policy = skew.system, skew.policy
     return {
         "version": __version__,
-        "tolerances": {"symmetry_tol": ROUNDOFF_TOL} | {k: float(v) for k, v in asdict(policy).items()},
+        "tolerances": {k: float(v) for k, v in asdict(policy).items()},
         "system": {
             "n": int(sys.n),
             "n_u": int(sys.n_u),

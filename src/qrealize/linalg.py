@@ -38,7 +38,8 @@ __all__ = [
 
 # Relative roundoff allowed where an identity is exact in arithmetic (the
 # skewness of S_tilde, Im Xi1, the factor round trip), against the same
-# floor as the rank cutoff of that quantity; reports call it symmetry_tol.
+# floor as the rank cutoff of that quantity. Reports before 0.5.0 wrote it
+# as the tolerance symmetry_tol.
 ROUNDOFF_TOL = 1e-12
 
 

@@ -6,12 +6,15 @@ noise matrices (B1, D1) that realize a validated triple (A, B, C) with the
 minimal number n_v = n_u + rank(S_tilde) of additional vacuum channels.
 Every synthesized realization is re-verified numerically: the generator
 reconstruction identities and the realizability conditions are measured
-and attached as a residual report. A randomized certificate for the rank
-lower bound (the reason fewer channels cannot work) is also provided.
+and attached as a residual report. A minimality certificate reads the
+margin by which fewer channels fail off the spectrum and checks the rank
+lower bound (the reason fewer channels cannot work) on the constructive
+candidates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +53,14 @@ __all__ = [
     "minimality_certificate",
 ]
 
-# Candidate spread for the randomized rank certificate, relative to the
-# Frobenius norm of the skew invariant.
+# Candidate spread for the certificate's random candidates, relative to
+# the Frobenius norm of the skew invariant.
 _CERTIFICATE_SCALES = (1e-2, 1.0, 1e2)
 
 # Bytes of the real-embedding stack the certificate ranks per
 # numerical_rank call (16 candidates at n = 32). Batching amortizes the
 # per-call cost of eigvalsh; the fixed budget keeps peak memory flat as
-# trials grow, where one stack of all 202 candidates at n = 32 adds about
+# trials grow, where one stack of 202 candidates at n = 32 would add about
 # 9 MB.
 _CERTIFICATE_BATCH_BYTES = 1 << 19
 
@@ -340,21 +343,56 @@ def synthesize_realization(
 
 @dataclass(frozen=True)
 class MinimalityCertificate:
-    """Randomized evidence that fewer extra channels cannot exist.
+    """Why fewer extra channels cannot exist: the spectral margin and two flags.
 
-    Every choice of the free real symmetric part Xi1 must leave the Gram
-    candidate Xi1 + (i/4) S_tilde with rank at least r/2; the certificate
-    records the minimum rank observed over all sampled candidates and
-    whether the direct rank agreed with the real-embedding rank on every
-    one of them. ``trials`` counts the candidates actually evaluated
-    (the requested random draws plus the two special ones).
+    The margin is read off the analysis record. The singular values
+    sigma_1 >= ... >= sigma_n of S_tilde are 4 |eigenvalues of S|, in
+    equal pairs since S_tilde is skew, and r of them lie above ``cutoff``,
+    rank_rel_tol times max(sigma_1, ``term_scale``). ``sigma_r`` and
+    ``sigma_next`` (sigma_{r+1}) flank the cutoff, and
+    ``decades_above_cutoff`` = log10(sigma_r / cutoff) and
+    ``decades_below_cutoff`` = log10(cutoff / sigma_next) say how far.
+    ``stability_radius`` is sigma_r / sqrt(2): a change dA of A moves
+    S_tilde by at most 2 ||dA||_F, and every skew matrix of rank r - 2 or
+    less is at least sqrt(2) sigma_r from S_tilde (Eckart-Young), so no A'
+    with ||A' - A||_F below the radius needs fewer than n_v channels.
+    ``noise_profile`` extends it: entry j (j = 1 ... r/2) is
+    (n_v - 2j, d_j), with d_j = sqrt(sum of the j smallest pair sigma^2 / 2)
+    the least ||dA||_F that brings the count down to n_v - 2j; d_1 is the
+    radius. The profile measures a change of A alone. Values that do not
+    exist are None: sigma_r and the radius when r = 0, sigma_next when
+    r = n, and a gap whose two ends are not both positive.
+
+    ``lower_bound_held`` says that the spectrum puts exactly r values above
+    the cutoff, which cross-checks the SVD rank of compute_s_tilde, and that
+    no ranked candidate Xi + (i/4) S_tilde has rank below r/2 (a theorem
+    for every real symmetric Xi: rank(Im H) <= 2 rank(H) for Hermitian H).
+    ``embedding_agreed`` says that every candidate's direct rank equals its
+    real-embedding rank. ``trials`` counts the candidates ranked (the
+    constructive minimizer Xi1, the zero matrix and any random draws) and
+    ``min_observed_rank`` is their least rank.
     """
 
     r: int
+    term_scale: float
+    cutoff: float
+    sigma_r: float | None
+    sigma_next: float | None
+    decades_above_cutoff: float | None
+    decades_below_cutoff: float | None
+    stability_radius: float | None
+    noise_profile: tuple
     trials: int
     min_observed_rank: int
     lower_bound_held: bool
     embedding_agreed: bool
+
+
+def _decades(high: float | None, low: float | None) -> float | None:
+    """log10(high / low) without forming the ratio; None unless both are positive."""
+    if not (high and low):
+        return None
+    return math.log10(high) - math.log10(low)
 
 
 def _certificate_batch(n: int) -> int:
@@ -363,34 +401,35 @@ def _certificate_batch(n: int) -> int:
 
 
 def minimality_certificate(
-    skew: SkewReport, trials: int = 200, seed: int = 0
+    skew: SkewReport, trials: int = 0, seed: int = 0
 ) -> MinimalityCertificate:
-    """Probe the rank lower bound rank(Xi1 + (i/4) S_tilde) >= r/2.
+    """The minimality margin of an analysis record, with the rank lower bound checked.
 
-    ``skew`` is the analysis record from compute_s_tilde; r, S_tilde and
-    the tolerance policy all come from it. Samples ``trials`` random real
-    symmetric candidates with entries at scales {1e-2, 1, 1e2} times
-    ||S_tilde||, always prepending the constructive minimizer and the zero
-    matrix. Random candidate t is (s_t ||S_tilde|| / 2)(G_t + G_t^T), where
-    G_t is the t-th n x n block of the standard normals drawn from
-    ``np.random.default_rng(seed)`` and s_t cycles through the three
-    scales, so the seed alone fixes the candidates, whatever the batch
-    size. Each candidate's rank is computed twice by the one rank kernel,
-    numerical_rank with hermitian=True and floor T/4 (T the record's term
-    scale) over a whole batch: once for the Hermitian matrix Xi + (i/4)
-    S_tilde and once, halved, for its real symmetric embedding [[Xi,
-    S_tilde/4], [-S_tilde/4, Xi]]; the two routes must agree, and the
-    minimum over all candidates is compared against r/2.
-    Candidates are ranked in batches held in buffers of fixed size (512 KiB
-    for the embeddings), so memory does not grow with ``trials``. A
-    violated bound is reported, not raised.
+    ``skew`` is the analysis record from compute_s_tilde; r, S_tilde, the
+    spectrum and the tolerance policy all come from it. The margin fields
+    (MinimalityCertificate) are read off the record's eigenvalues, with no
+    further decomposition. The rank bound rank(Xi + (i/4) S_tilde) >= r/2
+    is checked on the constructive minimizer Xi1 and the zero matrix, then
+    on ``trials`` random real symmetric candidates, none by default. Random
+    candidate t is (s_t ||S_tilde|| / 2)(G_t + G_t^T), where G_t is the
+    t-th n x n block of the standard normals drawn from
+    ``np.random.default_rng(seed)`` and s_t cycles through the scales
+    {1e-2, 1, 1e2}, so the seed alone fixes the candidates, whatever the
+    batch size. Each candidate's rank is computed twice by the one rank
+    kernel, numerical_rank with hermitian=True and floor T/4 (T the
+    record's term scale) over a whole batch: once for the Hermitian matrix
+    Xi + (i/4) S_tilde and once, halved, for its real symmetric embedding
+    [[Xi, S_tilde/4], [-S_tilde/4, Xi]]. Candidates are ranked in batches
+    held in buffers of fixed size (512 KiB for the embeddings), so memory
+    does not grow with ``trials``. A violated bound is reported, not
+    raised; a negative ``trials`` or ``seed`` raises ContractError.
     """
-    if trials < 1:
-        raise ContractError(f"trials must be >= 1, got {trials}")
+    if trials < 0:
+        raise ContractError(f"trials must be >= 0, got {trials}")
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
     policy, floor = skew.policy, skew.term_scale / 4
-    n = skew.system.n
+    n, r = skew.system.n, skew.rank_r
     imag_part = 0.25 * skew.S_tilde
 
     total = trials + 2
@@ -429,11 +468,26 @@ def minimality_certificate(
         )
         min_rank = min(min_rank, int(ranks.min()))
 
-    bound = skew.rank_r // 2
+    # the singular values of S_tilde, descending, and the r/2 pair values
+    # above the cutoff (the second of each pair), smallest first
+    sigma = np.sort(4.0 * np.abs(skew.eigenvalues))[::-1]
+    cutoff = policy.rank_rel_tol * max(float(sigma[0]), skew.term_scale)
+    pairs = sigma[1:r:2][::-1]
+    distances = np.hypot.accumulate(pairs) / math.sqrt(2.0)
+    sigma_r = float(sigma[r - 1]) if r else None
+    sigma_next = float(sigma[r]) if r < n else None
     return MinimalityCertificate(
-        r=skew.rank_r,
+        r=r,
+        term_scale=float(skew.term_scale),
+        cutoff=cutoff,
+        sigma_r=sigma_r,
+        sigma_next=sigma_next,
+        decades_above_cutoff=_decades(sigma_r, cutoff),
+        decades_below_cutoff=_decades(cutoff, sigma_next),
+        stability_radius=float(distances[0]) if r else None,
+        noise_profile=tuple((skew.n_v - 2 * j, float(d)) for j, d in enumerate(distances, 1)),
         trials=total,
         min_observed_rank=min_rank,
-        lower_bound_held=min_rank >= bound,
+        lower_bound_held=int(np.count_nonzero(sigma > cutoff)) == r and min_rank >= r // 2,
         embedding_agreed=agreed,
     )

@@ -21,7 +21,7 @@ from qrealize.io import (
     serialize_report,
     serialize_system,
 )
-from qrealize.linalg import ROUNDOFF_TOL, apply_theta
+from qrealize.linalg import apply_theta
 from qrealize.realizability import compute_s_tilde
 from qrealize.synthesis import synthesize_realization
 
@@ -154,9 +154,8 @@ class TestSynthesize:
             "residuals", "all_passed", "realization", "certificate",
         }
         assert doc["version"] == qrealize.__version__
-        assert set(doc["tolerances"]) == {"rank_rel_tol", "residual_tol", "symmetry_tol"}
-        # report 0.4.0 keeps the key; it holds the fixed roundoff bound
-        assert doc["tolerances"]["symmetry_tol"] == ROUNDOFF_TOL
+        # report 0.5.0 dropped symmetry_tol, the fixed roundoff bound
+        assert set(doc["tolerances"]) == {"rank_rel_tol", "residual_tol"}
         assert set(doc["system"]) == {"n", "n_u", "n_y"}
         assert set(doc["analysis"]) == {
             "eigenvalues_of_S", "r", "n_v", "multiplicity_noise_count",
@@ -164,6 +163,8 @@ class TestSynthesize:
         assert set(doc["realization"]) == {"B1", "D1", "n_v"}
         assert set(doc["certificate"]) == {
             "r", "trials", "min_observed_rank", "lower_bound_held", "embedding_agreed",
+            "term_scale", "cutoff", "sigma_r", "sigma_next",
+            "decades_above_cutoff", "decades_below_cutoff", "stability_radius", "noise_profile",
         }
         assert len(doc["residuals"]) == 6
         for entry in doc["residuals"]:
@@ -204,6 +205,8 @@ class TestRealizableSystem:
         assert (certificate["r"], certificate["min_observed_rank"]) == (0, 0)
         assert certificate["lower_bound_held"] is True
         assert certificate["embedding_agreed"] is True
+        # no pair to remove: no radius and an empty profile
+        assert (certificate["stability_radius"], certificate["noise_profile"]) == (None, [])
         assert main(["check", path, str(out)]) == 0
         assert capsys.readouterr().out.count(" PASS\n") == 3
 
@@ -388,6 +391,22 @@ class TestCheck:
 
         self._assert_check_reads_old_report(paper_file, tmp_path, capsys, make_old)
 
+    def test_accepts_a_0_4_0_report(self, paper_file, tmp_path, capsys):
+        # 0.4.0 reports also held symmetry_tol and the 202-candidate sampler
+        # certificate, here as the 0.4.0 paper report wrote them
+        def make_old(doc, system):
+            doc.update(version="0.4.0")
+            doc["tolerances"]["symmetry_tol"] = 1e-12
+            doc["certificate"] = {
+                "embedding_agreed": True,
+                "lower_bound_held": True,
+                "min_observed_rank": 2,
+                "r": 4,
+                "trials": 202,
+            }
+
+        self._assert_check_reads_old_report(paper_file, tmp_path, capsys, make_old)
+
     def test_zeroed_b1_fails_naming_output_coupling(self, paper_file, tmp_path, capsys):
         report = tmp_path / "report.json"
         main(["synthesize", paper_file, "-o", str(report)])
@@ -445,7 +464,8 @@ class TestPaperExample:
         out = capsys.readouterr().out
         assert "r=4 n_v=6" in out
         assert "reference match" in out and "PASS" in out
-        assert "bound_held=PASS" in out
+        assert "certificate: stability_radius=2.112e-01 decades_above_cutoff=8.06 bound_held=PASS" in out
+        assert "trials=" not in out
         assert "FAIL" not in out
 
     def test_embedded_system_matches_fixture(self, paper_system):
@@ -492,6 +512,12 @@ def test_readme_quotes_count_and_check_verbatim(paper_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", paper_file, str(report)]) == 0
     assert capsys.readouterr().out in blocks
+
+
+def test_readme_quotes_the_paper_example_certificate_verbatim(capsys):
+    assert main(["paper-example"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("certificate: ") and last + "\n" in _readme_blocks()
 
 
 def test_readme_library_use_runs_as_documented():

@@ -1,6 +1,7 @@
 """Tests for the constructive synthesis and the rank certificate."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -28,12 +29,14 @@ from qrealize import (
     oscillator,
     synthesize_realization,
 )
+from qrealize.cli import example_system
+from qrealize.io import report_document, serialize_report
 from qrealize.linalg import (
+    apply_theta,
     complex_rank_via_real_embedding,
     numerical_rank,
 )
 from qrealize.synthesis import (
-    MinimalityCertificate,
     _certificate_batch,
     build_b1,
     build_lambda_b0,
@@ -496,14 +499,22 @@ def _reference_candidates(skew, trials, seed):
     return candidates
 
 
+# The certificate fields the candidate ranking decides.
+_SAMPLER_FIELDS = ("r", "trials", "min_observed_rank", "lower_bound_held", "embedding_agreed")
+
+
+def _sampler_fields(cert):
+    return {name: getattr(cert, name) for name in _SAMPLER_FIELDS}
+
+
 def _reference_certificate(sys, trials, seed):
-    """The certificate ranked one candidate at a time, by SVD on both routes."""
+    """The sampler's fields, ranked one candidate at a time by SVD on both routes."""
     skew = compute_s_tilde(sys)
     imag_part, floor = 0.25 * skew.S_tilde, skew.term_scale / 4
     candidates = _reference_candidates(skew, trials, seed)
     direct = [numerical_rank(xi + 1j * imag_part, floor=floor) for xi in candidates]
     embedded = [complex_rank_via_real_embedding(xi, imag_part, floor=floor) for xi in candidates]
-    return MinimalityCertificate(
+    return dict(
         r=skew.rank_r,
         trials=len(candidates),
         min_observed_rank=min(direct),
@@ -523,8 +534,8 @@ def _system_n32():
 
 class TestMinimalityCertificate:
     def test_rejects_bad_trials(self, small_system):
-        with pytest.raises(ContractError):
-            minimality_certificate(compute_s_tilde(small_system), trials=0)
+        with pytest.raises(ContractError, match="trials"):
+            minimality_certificate(compute_s_tilde(small_system), trials=-1)
 
     def test_rejects_negative_seed(self, small_system):
         with pytest.raises(ContractError, match="seed"):
@@ -539,7 +550,7 @@ class TestMinimalityCertificate:
         # exactly, the next three spill 1-3 candidates into a second
         for trials in sorted({1, batch - 2, batch - 1, batch, batch + 1, 200} - {0}):
             cert = minimality_certificate(skew, trials=trials, seed=trials)
-            assert cert == _reference_certificate(sys, trials, seed=trials)
+            assert _sampler_fields(cert) == _reference_certificate(sys, trials, seed=trials)
         if name == "trivial":
             assert cert.min_observed_rank == 0
 
@@ -569,7 +580,8 @@ class TestMinimalityCertificate:
         # B = 1, then B = trials + 2 exactly, then a budget far above it
         assert (one_calls, whole_calls) == (trials + 2, 1)
         assert one_stack.shape == (trials + 2, sys.n, sys.n)
-        assert one == whole == big == _reference_certificate(sys, trials, seed=11)
+        assert one == whole == big
+        assert _sampler_fields(one) == _reference_certificate(sys, trials, seed=11)
         assert np.array_equal(one_stack, whole_stack) and np.array_equal(one_stack, big_stack)
         assert np.array_equal(one_stack.real, _reference_candidates(skew, trials, seed=11))
         assert np.array_equal(one_stack.imag, np.broadcast_to(0.25 * skew.S_tilde, one_stack.shape))
@@ -586,7 +598,7 @@ class TestMinimalityCertificate:
         cert = minimality_certificate(compute_s_tilde(sys), trials=40, seed=0)
         assert (cert.r, cert.min_observed_rank) == (0, 0)
         assert cert.lower_bound_held and cert.embedding_agreed
-        assert cert == _reference_certificate(sys, 40, seed=0)
+        assert _sampler_fields(cert) == _reference_certificate(sys, 40, seed=0)
 
     def test_small_and_paper_bounds(self, small_system, paper_system):
         for sys, bound in ((small_system, 1), (paper_system, 2)):
@@ -602,3 +614,114 @@ class TestMinimalityCertificate:
         a = minimality_certificate(skew, trials=50, seed=7)
         b = minimality_certificate(skew, trials=50, seed=7)
         assert a == b
+
+
+def _margin_systems():
+    """The paper example and seeded generic systems with n <= 32 (r = n)."""
+    systems = [("paper", example_system())]
+    for n, n_u in ((4, 2), (8, 2), (8, 4), (20, 4), (32, 8)):
+        for i in range(2):
+            systems.append((f"{n}-{n_u}-{i}", _random_system([n, n_u, i], n, n_u)))
+    return systems
+
+
+MARGIN_SYSTEMS = _margin_systems()
+
+
+def _witness(sys, keep):
+    """dA = -Theta T / 2, T the tail of S_tilde past its leading ``keep`` singular values.
+
+    -A^T Theta - Theta A moves by -T, so A + dA has the skew invariant
+    S_tilde - T, of rank ``keep``.
+    """
+    u, s, vt = np.linalg.svd(compute_s_tilde(sys).S_tilde)
+    tail = (u[:, keep:] * s[keep:]) @ vt[keep:]
+    return -0.5 * apply_theta(tail, "left")
+
+
+def _shifted(sys, delta_a):
+    return LtiSystem.from_matrices(sys.A + delta_a, sys.B, sys.C)
+
+
+class TestMinimalityMargin:
+    def test_default_ranks_only_the_two_constructive_candidates(self, paper_system):
+        cert = minimality_certificate(compute_s_tilde(paper_system))
+        assert cert.trials == 2
+        assert _sampler_fields(cert) == _reference_certificate(paper_system, 0, seed=0)
+        assert cert.lower_bound_held and cert.embedding_agreed
+
+    @pytest.mark.parametrize("name, sys", MARGIN_SYSTEMS, ids=[m[0] for m in MARGIN_SYSTEMS])
+    def test_fields_match_the_svd_of_s_tilde(self, name, sys):
+        skew = compute_s_tilde(sys)
+        cert = minimality_certificate(skew)
+        s = np.linalg.svd(skew.S_tilde, compute_uv=False)
+        r, top = skew.rank_r, s[0]
+        assert (r, cert.r) == (sys.n, sys.n)
+        assert cert.term_scale == skew.term_scale
+        assert cert.cutoff == pytest.approx(1e-9 * max(top, skew.term_scale), rel=1e-12)
+        assert abs(cert.sigma_r - s[r - 1]) <= 1e-13 * top
+        assert cert.sigma_next is None and cert.decades_below_cutoff is None
+        assert cert.decades_above_cutoff == pytest.approx(np.log10(cert.sigma_r / cert.cutoff), abs=1e-12)
+        assert cert.stability_radius == pytest.approx(cert.sigma_r / np.sqrt(2), rel=1e-15)
+        # the profile climbs from the radius to ||S_tilde|| / 2, the distance to r = 0
+        assert [m for m, _ in cert.noise_profile] == list(range(skew.n_v - 2, sys.n_u - 1, -2))
+        assert cert.noise_profile[0][1] == cert.stability_radius
+        distances = [d for _, d in cert.noise_profile]
+        assert distances == sorted(distances)
+        assert distances[-1] == pytest.approx(np.linalg.norm(skew.S_tilde) / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("name, sys", MARGIN_SYSTEMS, ids=[m[0] for m in MARGIN_SYSTEMS])
+    def test_noise_profile_is_attained_and_tight(self, name, sys):
+        cert = minimality_certificate(compute_s_tilde(sys))
+        r = cert.r
+        for j, (n_v, distance) in enumerate(cert.noise_profile, 1):
+            delta_a = _witness(sys, r - 2 * j)
+            # the witness attains the distance and drops the count by exactly 2j
+            assert np.linalg.norm(delta_a) == pytest.approx(distance, rel=1e-12)
+            assert minimal_noise_count(_shifted(sys, delta_a)) == (r - 2 * j, n_v)
+            # just short of it, the count holds
+            assert minimal_noise_count(_shifted(sys, 0.999 * delta_a))[0] == r
+
+    def test_partial_rank_gap_on_both_sides(self, paper_system):
+        # rank_rel_tol 0.5 cuts the paper spectrum between its two pairs
+        skew = compute_s_tilde(paper_system, TolerancePolicy(rank_rel_tol=0.5))
+        cert = minimality_certificate(skew)
+        s = np.linalg.svd(skew.S_tilde, compute_uv=False)
+        assert cert.r == 2 and cert.lower_bound_held and cert.embedding_agreed
+        assert abs(cert.sigma_r - s[1]) <= 1e-13 * s[0]
+        assert abs(cert.sigma_next - s[2]) <= 1e-13 * s[0]
+        assert cert.decades_above_cutoff > 0 and cert.decades_below_cutoff > 0
+        assert cert.noise_profile == ((skew.system.n_u, cert.stability_radius),)
+
+    @pytest.mark.parametrize("kind", ["trivial", "zero", "realizable"])
+    def test_no_extra_noise_has_an_empty_profile(self, trivial_system, kind):
+        sys = {
+            "trivial": trivial_system,
+            "zero": LtiSystem.from_matrices(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))),
+            "realizable": integer_realizable_system(np.random.default_rng(8), 8),
+        }[kind]
+        rz, report = synthesize_realization(sys)
+        cert = minimality_certificate(rz.skew)
+        assert (cert.r, cert.noise_profile) == (0, ())
+        assert cert.sigma_r is None and cert.stability_radius is None
+        assert cert.decades_above_cutoff is None
+        assert cert.lower_bound_held and cert.embedding_agreed
+        if kind == "realizable":
+            # roundoff below the cutoff: a finite gap
+            assert cert.decades_below_cutoff > 0
+        else:
+            # S_tilde is exactly 0, and so is sigma_next: no gap to measure
+            assert cert.sigma_next == 0.0 and cert.decades_below_cutoff is None
+        # absent values are null, and the report holds no non-finite float
+        text = serialize_report(report_document(rz, report, cert))
+        doc = json.loads(text, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+        assert doc["certificate"]["stability_radius"] is None
+        assert doc["certificate"]["noise_profile"] == []
+
+    def test_spectrum_disagreeing_with_r_fails_the_bound(self, paper_system):
+        # a record whose r the spectrum does not back: the candidates still
+        # rank >= r/2, but exactly r values above the cutoff is required too
+        skew = compute_s_tilde(paper_system)
+        cert = minimality_certificate(dataclasses.replace(skew, rank_r=2))
+        assert cert.min_observed_rank >= 1 and cert.embedding_agreed
+        assert cert.lower_bound_held is False
