@@ -11,7 +11,7 @@ relative cutoff for one matrix or a stack of them and takes them as
 |eigvalsh| when the caller promises Hermitian input; low-rank
 factorization of a PSD matrix from eigenpairs the caller already holds
 (truncated and verified, never recomputed), the real-embedding rank of a
-complex matrix, and the norms of the column-pair wedge products
+Hermitian matrix or stack, and the norms of the column-pair wedge products
 x y^T - y x^T.
 """
 
@@ -217,18 +217,28 @@ def psd_low_rank_factor(
 
 def complex_rank_via_real_embedding(
     are, aim, policy: TolerancePolicy = DEFAULT_POLICY, floor: float = 0.0
-) -> int:
-    """Rank of (are + i*aim) computed as half the rank of [[are, aim], [-aim, are]].
+) -> int | np.ndarray:
+    """Rank of the Hermitian are + i*aim, as half the rank of [[are, aim], [-aim, are]].
 
-    An independent route to numerical_rank(are + 1j * aim, policy, floor=floor): the
-    embedding repeats every singular value of the complex matrix exactly twice.
+    An independent route to numerical_rank(are + 1j * aim, policy, True, floor):
+    the real symmetric embedding repeats every eigenvalue of the Hermitian
+    matrix exactly twice, and numerical_rank ranks it with hermitian=True,
+    so the input must be Hermitian (are symmetric, aim skew). ``are`` and
+    ``aim`` are one matrix each or stacks that broadcast together; a stack
+    gives an int array of the ranks, as numerical_rank does.
     """
     are = np.asarray(are, dtype=float)
     aim = np.asarray(aim, dtype=float)
-    if are.shape != aim.shape:
-        raise DimensionError(f"real and imaginary parts differ in shape: {are.shape} vs {aim.shape}")
-    embedding = np.block([[are, aim], [-aim, are]])
-    return numerical_rank(embedding, policy, floor=floor) // 2
+    try:
+        *stack, k, l = np.broadcast_shapes(are.shape, aim.shape)
+    except ValueError:
+        shapes = f"{are.shape} and {aim.shape}"
+        raise DimensionError(f"parts of shapes {shapes} do not broadcast to matrices") from None
+    embedding = np.empty((*stack, 2 * k, 2 * l))
+    embedding[..., :k, :l] = embedding[..., k:, l:] = are
+    embedding[..., :k, l:] = aim
+    embedding[..., k:, :l] = -aim
+    return numerical_rank(embedding, policy, hermitian=True, floor=floor) // 2
 
 
 def wedge_norms(x, y) -> np.ndarray:

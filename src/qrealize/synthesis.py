@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericalError
+from .errors import DimensionError, NumericalError
 from .linalg import (
     DEFAULT_POLICY,
     ROUNDOFF_TOL,
     TolerancePolicy,
     apply_theta,
+    complex_rank_via_real_embedding,
     numerical_rank,
     psd_low_rank_factor,
 )
@@ -52,18 +53,6 @@ __all__ = [
     "synthesize_realization",
     "minimality_certificate",
 ]
-
-# Candidate spread for the certificate's random candidates, relative to
-# the Frobenius norm of the skew invariant.
-_CERTIFICATE_SCALES = (1e-2, 1.0, 1e2)
-
-# Bytes of the real-embedding stack the certificate ranks per
-# numerical_rank call (16 candidates at n = 32). Batching amortizes the
-# per-call cost of eigvalsh; the fixed budget keeps peak memory flat as
-# trials grow, where one stack of 202 candidates at n = 32 would add about
-# 9 MB.
-_CERTIFICATE_BATCH_BYTES = 1 << 19
-
 
 def build_r(sys: LtiSystem) -> np.ndarray:
     """Hamiltonian matrix R = -(1/4)(Theta A + (Theta A)^T), symmetric n x n.
@@ -368,8 +357,8 @@ class MinimalityCertificate:
     no ranked candidate Xi + (i/4) S_tilde has rank below r/2 (a theorem
     for every real symmetric Xi: rank(Im H) <= 2 rank(H) for Hermitian H).
     ``embedding_agreed`` says that every candidate's direct rank equals its
-    real-embedding rank. ``trials`` counts the candidates ranked (the
-    constructive minimizer Xi1, the zero matrix and any random draws) and
+    real-embedding rank. ``trials`` counts the candidates ranked, always 2
+    (the constructive minimizer Xi1 and the zero matrix), and
     ``min_observed_rank`` is their least rank.
     """
 
@@ -395,78 +384,28 @@ def _decades(high: float | None, low: float | None) -> float | None:
     return math.log10(high) - math.log10(low)
 
 
-def _certificate_batch(n: int) -> int:
-    """Candidates per batch: their 2n x 2n float64 embeddings fill the budget."""
-    return max(1, _CERTIFICATE_BATCH_BYTES // (8 * (2 * n) ** 2))
-
-
-def minimality_certificate(
-    skew: SkewReport, trials: int = 0, seed: int = 0
-) -> MinimalityCertificate:
+def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
     """The minimality margin of an analysis record, with the rank lower bound checked.
 
     ``skew`` is the analysis record from compute_s_tilde; r, S_tilde, the
     spectrum and the tolerance policy all come from it. The margin fields
     (MinimalityCertificate) are read off the record's eigenvalues, with no
     further decomposition. The rank bound rank(Xi + (i/4) S_tilde) >= r/2
-    is checked on the constructive minimizer Xi1 and the zero matrix, then
-    on ``trials`` random real symmetric candidates, none by default. Random
-    candidate t is (s_t ||S_tilde|| / 2)(G_t + G_t^T), where G_t is the
-    t-th n x n block of the standard normals drawn from
-    ``np.random.default_rng(seed)`` and s_t cycles through the scales
-    {1e-2, 1, 1e2}, so the seed alone fixes the candidates, whatever the
-    batch size. Each candidate's rank is computed twice by the one rank
-    kernel, numerical_rank with hermitian=True and floor T/4 (T the
-    record's term scale) over a whole batch: once for the Hermitian matrix
-    Xi + (i/4) S_tilde and once, halved, for its real symmetric embedding
-    [[Xi, S_tilde/4], [-S_tilde/4, Xi]]. Candidates are ranked in batches
-    held in buffers of fixed size (512 KiB for the embeddings), so memory
-    does not grow with ``trials``. A violated bound is reported, not
-    raised; a negative ``trials`` or ``seed`` raises ContractError.
+    is checked on the two constructive candidates, the minimizer Xi1 and
+    the zero matrix, ranked as one stack by two routes under floor T/4 (T
+    the record's term scale): numerical_rank of the Hermitian matrices
+    with hermitian=True, and complex_rank_via_real_embedding, which ranks
+    their real symmetric embeddings [[Xi, S_tilde/4], [-S_tilde/4, Xi]].
+    A violated bound or a disagreement is reported, not raised.
     """
-    if trials < 0:
-        raise ContractError(f"trials must be >= 0, got {trials}")
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
     policy, floor = skew.policy, skew.term_scale / 4
     n, r = skew.system.n, skew.rank_r
     imag_part = 0.25 * skew.S_tilde
-
-    total = trials + 2
-    batch = min(_certificate_batch(n), total)
-    direct = np.empty((batch, n, n), dtype=complex)
-    direct.imag[...] = imag_part
-    embedded = np.empty((batch, 2 * n, 2 * n))
-    embedded[:, :n, n:] = imag_part
-    embedded[:, n:, :n] = -imag_part
-
-    # the constructive minimizer and the zero matrix lead the first batch
-    special = np.zeros((2, n, n))
-    special[0] = build_xi1(skew)
-    base = float(np.linalg.norm(skew.S_tilde)) or 1.0
-    factors = np.array(_CERTIFICATE_SCALES) * base * 0.5
-    rng = np.random.default_rng(seed)
-    draws = np.empty((batch, n, n))
-    min_rank = n
-    agreed = True
-    for start in range(0, total, batch):
-        k = min(batch, total - start)
-        lead = special[start : start + k]
-        xi = direct.real[:k]
-        xi[: len(lead)] = lead
-        g = draws[: k - len(lead)]
-        rng.standard_normal(out=g)
-        drawn = xi[len(lead) :]
-        np.add(g, g.transpose(0, 2, 1), out=drawn)
-        t = np.arange(start + len(lead), start + k) - 2
-        drawn *= factors[t % 3, None, None]
-        embedded[:k, :n, :n] = xi
-        embedded[:k, n:, n:] = xi
-        ranks = numerical_rank(direct[:k], policy, hermitian=True, floor=floor)
-        agreed = agreed and np.array_equal(
-            numerical_rank(embedded[:k], policy, hermitian=True, floor=floor) // 2, ranks
-        )
-        min_rank = min(min_rank, int(ranks.min()))
+    xi = np.zeros((2, n, n))
+    xi[0] = build_xi1(skew)
+    ranks = numerical_rank(xi + 1j * imag_part, policy, hermitian=True, floor=floor)
+    embedded = complex_rank_via_real_embedding(xi, imag_part, policy, floor)
+    min_rank = int(ranks.min())
 
     # the singular values of S_tilde, descending, and the r/2 pair values
     # above the cutoff (the second of each pair), smallest first
@@ -486,8 +425,8 @@ def minimality_certificate(
         decades_below_cutoff=_decades(cutoff, sigma_next),
         stability_radius=float(distances[0]) if r else None,
         noise_profile=tuple((skew.n_v - 2 * j, float(d)) for j, d in enumerate(distances, 1)),
-        trials=total,
+        trials=len(xi),
         min_observed_rank=min_rank,
         lower_bound_held=int(np.count_nonzero(sigma > cutoff)) == r and min_rank >= r // 2,
-        embedding_agreed=agreed,
+        embedding_agreed=np.array_equal(embedded, ranks),
     )

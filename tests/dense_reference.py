@@ -11,6 +11,11 @@ and Gamma are built from their definitions with ``kron``, the commutation
 identity is evaluated with the complex T_w, and every term that sets a
 scale is formed as an n x n matrix. The library computes the same checks
 in real arithmetic with closed-form scales; the tests compare the two.
+
+The seeded random-candidate reference ranks the minimality certificate's
+two constructive candidates and any number of random real symmetric ones
+by full SVD on both of the certificate's routes, where the library ranks
+only the two constructive candidates, by |eigvalsh|.
 """
 
 import math
@@ -18,7 +23,9 @@ import math
 import numpy as np
 
 from qrealize.errors import DimensionError
+from qrealize.linalg import numerical_rank
 from qrealize.realizability import ResidualEntry, ResidualReport
+from qrealize.synthesis import build_xi1
 
 J_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 M_BLOCK = 0.5 * np.array([[1.0, 1.0j], [1.0, -1.0j]])
@@ -168,3 +175,45 @@ def dense_rebuild_residuals(realization):
     c_rebuilt = build_p(sys.n_y).T @ big_sigma @ stack
     output = dense_entry("output_rebuild", c_rebuilt - sys.C, [sys.C, c_rebuilt], tol)
     return ResidualReport(entries=(state, fields, output))
+
+
+def reference_candidates(skew, trials, seed):
+    """Xi1, the zero matrix, then ``trials`` seeded random real symmetric candidates.
+
+    Random candidate t is (s_t ||S_tilde|| / 2)(G_t + G_t^T), where G_t is
+    the t-th n x n block of the standard normals drawn from
+    np.random.default_rng(seed) and s_t cycles through 1e-2, 1 and 1e2.
+    Returns the candidates as one stack.
+    """
+    n = skew.system.n
+    candidates = [build_xi1(skew), np.zeros((n, n))]
+    base = float(np.linalg.norm(skew.S_tilde)) or 1.0
+    rng = np.random.default_rng(seed)
+    for t in range(trials):
+        g = rng.standard_normal((n, n))
+        candidates.append((1e-2, 1.0, 1e2)[t % 3] * base * 0.5 * (g + g.T))
+    return np.array(candidates)
+
+
+def reference_certificate(skew, trials=0, seed=0):
+    """The certificate fields the candidates decide, ranked by full SVD on both routes.
+
+    Each candidate Xi is ranked as Xi + (i/4) S_tilde and, halved, as its
+    real embedding [[Xi, S_tilde/4], [-S_tilde/4, Xi]], both under the
+    record's policy and floor T/4, by numerical_rank's general SVD.
+    ``lower_bound_held`` here is the candidate half of the certificate's
+    flag: no candidate ranks below r/2.
+    """
+    imag_part, floor = 0.25 * skew.S_tilde, skew.term_scale / 4
+    xi = reference_candidates(skew, trials, seed)
+    block = np.broadcast_to(imag_part, xi.shape)
+    direct = numerical_rank(xi + 1j * imag_part, skew.policy, floor=floor)
+    embedding = np.block([[xi, block], [-block, xi]])
+    embedded = numerical_rank(embedding, skew.policy, floor=floor) // 2
+    return dict(
+        r=skew.rank_r,
+        trials=len(xi),
+        min_observed_rank=int(direct.min()),
+        lower_bound_held=bool(direct.min() >= skew.rank_r // 2),
+        embedding_agreed=np.array_equal(direct, embedded),
+    )

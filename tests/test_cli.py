@@ -21,7 +21,7 @@ from qrealize.io import (
     serialize_report,
     serialize_system,
 )
-from qrealize.linalg import apply_theta
+from qrealize.linalg import apply_theta, complex_rank_via_real_embedding
 from qrealize.realizability import compute_s_tilde
 from qrealize.synthesis import synthesize_realization
 
@@ -493,6 +493,20 @@ class TestPaperExample:
             "feedthrough",
         ]
         assert "bound_held=PASS" in captured.out
+
+    def test_disagreeing_embedding_route_fails(self, capsys, monkeypatch):
+        # the certificate's real-embedding ranks, off by one
+        import qrealize.synthesis as synthesis
+
+        def off_by_one(are, aim, policy, floor):
+            return complex_rank_via_real_embedding(are, aim, policy, floor) + 1
+
+        monkeypatch.setattr(synthesis, "complex_rank_via_real_embedding", off_by_one)
+        cert = synthesis.minimality_certificate(compute_s_tilde(example_system()))
+        assert cert.lower_bound_held and not cert.embedding_agreed
+        assert main(["paper-example"]) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.endswith(" bound_held=PASS embedding_agreed=FAIL")
 
 
 def _readme_blocks(language=r"\w*"):

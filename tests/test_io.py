@@ -204,7 +204,7 @@ class TestParseRealization:
 
 def _report_text(sys):
     rz, report = synthesize_realization(sys)
-    cert = minimality_certificate(rz.skew, trials=20)
+    cert = minimality_certificate(rz.skew)
     return serialize_report(report_document(rz, report, cert))
 
 
@@ -276,26 +276,28 @@ def _seeded_system(n, n_u, seed):
 class TestEncoderMatchesJsonDumps:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_paper_report(self, paper_system, seed):
-        rz, report = synthesize_realization(paper_system)
-        cert = minimality_certificate(rz.skew, trials=200, seed=seed)
-        doc = report_document(rz, report, cert)
+        # seed 0 reports the paper system itself, the others a seeded shift of its A
+        shift = 1e-3 * seed * np.random.default_rng(seed).standard_normal(paper_system.A.shape)
+        sys = LtiSystem.from_matrices(paper_system.A + shift, paper_system.B, paper_system.C)
+        rz, report = synthesize_realization(sys)
+        doc = report_document(rz, report, minimality_certificate(rz.skew))
         assert serialize_report(doc) == _dumps(doc)
 
     @pytest.mark.parametrize("n", [4, 32, 64])
     def test_seeded_report(self, n):
         rz, report = synthesize_realization(_seeded_system(n, 8 if n > 4 else 2, n))
-        doc = report_document(rz, report, minimality_certificate(rz.skew, trials=5))
+        doc = report_document(rz, report, minimality_certificate(rz.skew))
         assert serialize_report(doc) == _dumps(doc)
 
     def test_trivial_report_with_empty_block(self, trivial_system):
         rz, report = synthesize_realization(trivial_system)
         assert rz.Lambda_b1.shape[0] == 0
-        doc = report_document(rz, report, minimality_certificate(rz.skew, trials=5))
+        doc = report_document(rz, report, minimality_certificate(rz.skew))
         assert serialize_report(doc) == _dumps(doc)
 
     def test_infinite_residual(self, small_system):
         rz, report = synthesize_realization(small_system)
-        doc = report_document(rz, report, minimality_certificate(rz.skew, trials=5))
+        doc = report_document(rz, report, minimality_certificate(rz.skew))
         doc["residuals"][0]["relative"] = float("inf")
         doc["analysis"]["eigenvalues_of_S"][0] = float("-inf")
         text = serialize_report(doc)

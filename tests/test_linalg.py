@@ -409,6 +409,7 @@ class TestRealEmbeddingRank:
         stack = np.stack([m, -m, np.zeros_like(m), m + np.eye(n)])
         expected = [numerical_rank(x) for x in stack]
         assert numerical_rank(stack, hermitian=True).tolist() == expected
+        assert complex_rank_via_real_embedding(stack.real, stack.imag).tolist() == expected
 
     def test_pure_imaginary(self):
         # i*J has rank 2 while the parts individually have ranks 0 and 2

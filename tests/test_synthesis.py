@@ -12,12 +12,12 @@ from dense_reference import (
     dense_gamma,
     dense_rebuild_residuals,
     dense_theta,
+    reference_certificate,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrealize import (
-    ContractError,
     DimensionError,
     LtiSystem,
     NumericalError,
@@ -31,13 +31,8 @@ from qrealize import (
 )
 from qrealize.cli import example_system
 from qrealize.io import report_document, serialize_report
-from qrealize.linalg import (
-    apply_theta,
-    complex_rank_via_real_embedding,
-    numerical_rank,
-)
+from qrealize.linalg import apply_theta, numerical_rank
 from qrealize.synthesis import (
-    _certificate_batch,
     build_b1,
     build_lambda_b0,
     build_lambda_b1,
@@ -486,41 +481,12 @@ class TestProofIdentities:
             assert _rel(lhs - skew.S, skew.S) <= 1e-9
 
 
-def _reference_candidates(skew, trials, seed):
-    """The constructive minimizer, the zero matrix, then the seeded draws."""
-    n = skew.system.n
-    candidates = [build_xi1(skew), np.zeros((n, n))]
-    base = float(np.linalg.norm(skew.S_tilde)) or 1.0
-    rng = np.random.default_rng(seed)
-    for t in range(trials):
-        # candidate t is the t-th n x n block of one seeded stream
-        g = rng.standard_normal((n, n))
-        candidates.append((1e-2, 1.0, 1e2)[t % 3] * base * 0.5 * (g + g.T))
-    return candidates
-
-
 # The certificate fields the candidate ranking decides.
 _SAMPLER_FIELDS = ("r", "trials", "min_observed_rank", "lower_bound_held", "embedding_agreed")
 
 
 def _sampler_fields(cert):
     return {name: getattr(cert, name) for name in _SAMPLER_FIELDS}
-
-
-def _reference_certificate(sys, trials, seed):
-    """The sampler's fields, ranked one candidate at a time by SVD on both routes."""
-    skew = compute_s_tilde(sys)
-    imag_part, floor = 0.25 * skew.S_tilde, skew.term_scale / 4
-    candidates = _reference_candidates(skew, trials, seed)
-    direct = [numerical_rank(xi + 1j * imag_part, floor=floor) for xi in candidates]
-    embedded = [complex_rank_via_real_embedding(xi, imag_part, floor=floor) for xi in candidates]
-    return dict(
-        r=skew.rank_r,
-        trials=len(candidates),
-        min_observed_rank=min(direct),
-        lower_bound_held=min(direct) >= skew.rank_r // 2,
-        embedding_agreed=direct == embedded,
-    )
 
 
 def _system_n32():
@@ -533,87 +499,48 @@ def _system_n32():
 
 
 class TestMinimalityCertificate:
-    def test_rejects_bad_trials(self, small_system):
-        with pytest.raises(ContractError, match="trials"):
-            minimality_certificate(compute_s_tilde(small_system), trials=-1)
-
-    def test_rejects_negative_seed(self, small_system):
-        with pytest.raises(ContractError, match="seed"):
-            minimality_certificate(compute_s_tilde(small_system), seed=-1)
-
     @pytest.mark.parametrize("name", ["trivial", "small", "paper", "n32"])
     def test_matches_per_candidate_svd_loop(self, fixture_systems, name):
         sys = _system_n32() if name == "n32" else fixture_systems[name]
         skew = compute_s_tilde(sys)
-        batch = _certificate_batch(sys.n)
-        # trials + 2 candidates are ranked: batch - 2 fills one batch
-        # exactly, the next three spill 1-3 candidates into a second
-        for trials in sorted({1, batch - 2, batch - 1, batch, batch + 1, 200} - {0}):
-            cert = minimality_certificate(skew, trials=trials, seed=trials)
-            assert _sampler_fields(cert) == _reference_certificate(sys, trials, seed=trials)
+        cert = minimality_certificate(skew)
+        assert _sampler_fields(cert) == reference_certificate(skew)
         if name == "trivial":
             assert cert.min_observed_rank == 0
 
-    @pytest.mark.parametrize("name", ["paper", "n32"])
-    def test_batch_size_changes_nothing(self, fixture_systems, name, monkeypatch):
-        import qrealize.synthesis as synthesis
-
-        sys = _system_n32() if name == "n32" else fixture_systems[name]
-        skew = compute_s_tilde(sys)
-        trials = 40
-        # the direct-route stacks handed to numerical_rank, in order
-        stacks = []
-
-        def recording_rank(stack, policy, hermitian=False, floor=0.0):
-            if not np.isrealobj(stack):
-                stacks.append(np.array(stack))
-            return numerical_rank(stack, policy, hermitian, floor)
-
-        monkeypatch.setattr(synthesis, "numerical_rank", recording_rank)
-        runs = []
-        for batch_bytes in (1, 8 * (2 * sys.n) ** 2 * (trials + 2), 1 << 40):
-            monkeypatch.setattr(synthesis, "_CERTIFICATE_BATCH_BYTES", batch_bytes)
-            stacks.clear()
-            cert = minimality_certificate(skew, trials=trials, seed=11)
-            runs.append((cert, np.concatenate(stacks), len(stacks)))
-        (one, one_stack, one_calls), (whole, whole_stack, whole_calls), (big, big_stack, _) = runs
-        # B = 1, then B = trials + 2 exactly, then a budget far above it
-        assert (one_calls, whole_calls) == (trials + 2, 1)
-        assert one_stack.shape == (trials + 2, sys.n, sys.n)
-        assert one == whole == big
-        assert _sampler_fields(one) == _reference_certificate(sys, trials, seed=11)
-        assert np.array_equal(one_stack, whole_stack) and np.array_equal(one_stack, big_stack)
-        assert np.array_equal(one_stack.real, _reference_candidates(skew, trials, seed=11))
-        assert np.array_equal(one_stack.imag, np.broadcast_to(0.25 * skew.S_tilde, one_stack.shape))
-
     def test_trivial_bound(self, trivial_system):
-        cert = minimality_certificate(compute_s_tilde(trivial_system), trials=10, seed=0)
+        skew = compute_s_tilde(trivial_system)
+        cert = minimality_certificate(skew)
         assert cert.r == 0
         assert cert.lower_bound_held
         assert cert.embedding_agreed
+        ref = reference_certificate(skew, trials=10, seed=0)
+        assert ref["lower_bound_held"] and ref["embedding_agreed"]
 
     def test_realizable_system_bound(self):
         # S_tilde is roundoff, so against the floor T/4 every candidate ranks 0
-        sys = integer_realizable_system(np.random.default_rng(8), 8)
-        cert = minimality_certificate(compute_s_tilde(sys), trials=40, seed=0)
+        skew = compute_s_tilde(integer_realizable_system(np.random.default_rng(8), 8))
+        cert = minimality_certificate(skew)
         assert (cert.r, cert.min_observed_rank) == (0, 0)
         assert cert.lower_bound_held and cert.embedding_agreed
-        assert _sampler_fields(cert) == _reference_certificate(sys, 40, seed=0)
+        ref = reference_certificate(skew, trials=40, seed=0)
+        assert (ref["min_observed_rank"], ref["lower_bound_held"], ref["embedding_agreed"]) == (0, True, True)
 
     def test_small_and_paper_bounds(self, small_system, paper_system):
         for sys, bound in ((small_system, 1), (paper_system, 2)):
-            cert = minimality_certificate(compute_s_tilde(sys), trials=200, seed=0)
-            assert cert.min_observed_rank >= bound
-            assert cert.lower_bound_held
-            assert cert.embedding_agreed
-            # requested draws plus the constructive and zero candidates
-            assert cert.trials == 202
+            skew = compute_s_tilde(sys)
+            assert minimality_certificate(skew).min_observed_rank >= bound
+            ref = reference_certificate(skew, trials=200, seed=0)
+            assert ref["min_observed_rank"] >= bound
+            assert ref["lower_bound_held"]
+            assert ref["embedding_agreed"]
+            # the random draws plus the constructive and zero candidates
+            assert ref["trials"] == 202
 
     def test_deterministic(self, paper_system):
         skew = compute_s_tilde(paper_system)
-        a = minimality_certificate(skew, trials=50, seed=7)
-        b = minimality_certificate(skew, trials=50, seed=7)
-        assert a == b
+        assert minimality_certificate(skew) == minimality_certificate(skew)
+        assert reference_certificate(skew, 50, seed=7) == reference_certificate(skew, 50, seed=7)
 
 
 def _margin_systems():
@@ -647,7 +574,7 @@ class TestMinimalityMargin:
     def test_default_ranks_only_the_two_constructive_candidates(self, paper_system):
         cert = minimality_certificate(compute_s_tilde(paper_system))
         assert cert.trials == 2
-        assert _sampler_fields(cert) == _reference_certificate(paper_system, 0, seed=0)
+        assert _sampler_fields(cert) == reference_certificate(compute_s_tilde(paper_system))
         assert cert.lower_bound_held and cert.embedding_agreed
 
     @pytest.mark.parametrize("name, sys", MARGIN_SYSTEMS, ids=[m[0] for m in MARGIN_SYSTEMS])
