@@ -52,7 +52,8 @@ def as_real_matrix(name: str, x) -> np.ndarray:
 
     Booleans, integers and floats convert. Anything else raises
     ValidationError naming the matrix: complex entries, whose imaginary part
-    the conversion would drop, strings, other objects and ragged rows.
+    the conversion would drop, strings, other objects, ragged rows and
+    non-finite entries, which no later arithmetic should meet.
     """
     try:
         m = np.asarray(x)
@@ -60,7 +61,10 @@ def as_real_matrix(name: str, x) -> np.ndarray:
         raise ValidationError(f"{name} is not a rectangular array") from exc
     if m.dtype.kind not in "biuf":
         raise ValidationError(f"{name} must hold real numbers, got dtype {m.dtype}")
-    return np.atleast_2d(m.astype(float, copy=False))
+    m = np.atleast_2d(m.astype(float, copy=False))
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{name} contains non-finite entries")
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +74,8 @@ class LtiSystem:
     The dimensions pair into conjugate quadratures, so n, n_u, and n_y must
     all be even, and the theory handled here additionally requires as many
     outputs as inputs (n_y = n_u). Construction converts each matrix with
-    as_real_matrix and raises ValidationError naming the first violated
-    invariant. n, n_u and n_y are read off the shapes.
+    as_real_matrix (real and finite) and raises ValidationError naming the
+    first violated invariant. n, n_u and n_y are read off the shapes.
     """
 
     A: np.ndarray
@@ -96,9 +100,6 @@ class LtiSystem:
             raise ValidationError(f"B must be {n}x{n_u}, got shape {B.shape}")
         if C.shape != (n_y, n):
             raise ValidationError(f"C must be {n_y}x{n}, got shape {C.shape}")
-        for name, m in (("A", A), ("B", B), ("C", C)):
-            if not np.isfinite(m).all():
-                raise ValidationError(f"{name} contains non-finite entries")
 
     @property
     def n(self) -> int:
@@ -311,6 +312,21 @@ def residual_entry(name: str, delta, terms, tol: float, norms=()) -> ResidualEnt
     )
 
 
+def _b11(sys: LtiSystem) -> np.ndarray:
+    """B_11 = Theta C^T diag(J), the noise inputs that carry the outputs, by signed swaps."""
+    return apply_theta(apply_theta(sys.C.T, "left"), "right")
+
+
+def _noise_inputs(sys: LtiSystem, b1) -> np.ndarray:
+    """B1 as a real, finite matrix of shape n x (n_y + an even count); anything else raises."""
+    b1 = as_real_matrix("B1", b1)
+    if b1.ndim != 2 or b1.shape[0] != sys.n or b1.shape[1] < sys.n_y or b1.shape[1] % 2:
+        raise DimensionError(
+            f"B1 must be {sys.n} x (n_y + an even count) with n_y = {sys.n_y}, got shape {b1.shape}"
+        )
+    return b1
+
+
 def check_physical_realizability(
     sys: LtiSystem, B1, D1, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> ResidualReport:
@@ -321,17 +337,18 @@ def check_physical_realizability(
     sys : LtiSystem
         System supplying A, B, C, valid by construction; only B1 and D1 are checked here.
     B1 : array_like
-        Real n x n_v noise input matrix; n_v is inferred from its width.
+        Real, finite n x n_v noise input matrix, n_v = n_y + an even count.
     D1 : array_like
-        Real n_y x n_v output feedthrough matrix.
+        Real, finite n_y x n_v output feedthrough matrix.
     policy : TolerancePolicy
 
     Returns
     -------
     ResidualReport
         Entries named "commutation", "output_coupling" (first n_y columns
-        of [B1 B] must equal Theta C^T diag(J)) and "feedthrough"
-        (D1 = [I 0]), each compared to residual_tol.
+        of [B1 B] must equal B_11 = Theta C^T diag(J), which oscillator
+        reads Lambda_b0 from: Lambda = _coupling_rows of [B_11, B1[:, n_y:], B])
+        and "feedthrough" (D1 = [I 0]), each compared to residual_tol.
 
     The quantum commutation preservation identity
     i A Theta + i Theta A^T + [B1 B] T_w [B1 B]^T = 0, with
@@ -344,16 +361,9 @@ def check_physical_realizability(
     A Theta, Theta A^T and the pair terms x_k y_k^T - y_k x_k^T, whose
     norms come in closed form from wedge_norms, so no pair term is formed.
     """
-    b1 = as_real_matrix("B1", B1)
+    b1 = _noise_inputs(sys, B1)
     d1 = as_real_matrix("D1", D1)
     n_v = b1.shape[1]
-    if b1.shape[0] != sys.n:
-        raise DimensionError(f"B1 must have {sys.n} rows, got shape {b1.shape}")
-    if n_v % 2 != 0 or n_v < max(sys.n_y, 2):
-        raise DimensionError(
-            f"B1 must supply an even number of noise quadratures >= n_y={sys.n_y}, "
-            f"got {n_v} columns"
-        )
     if d1.shape != (sys.n_y, n_v):
         raise DimensionError(f"D1 must be {sys.n_y}x{n_v}, got shape {d1.shape}")
 
@@ -374,7 +384,7 @@ def check_physical_realizability(
     )
 
     got = bb[:, : sys.n_y]
-    target = apply_theta(apply_theta(sys.C.T, "left"), "right")
+    target = _b11(sys)
     output_coupling = residual_entry(
         "output_coupling", got - target, [got, target], policy.residual_tol
     )

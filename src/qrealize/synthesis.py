@@ -1,9 +1,11 @@
 """Constructive synthesis of minimal quantum-noise realizations.
 
-Builds the Hamiltonian matrix R, the coupling matrix Lambda (stacked from
-the output block, the extra-noise block, and the input block), and the
-noise matrices (B1, D1) that realize a validated triple (A, B, C) with the
+Builds the Hamiltonian matrix R, the noise matrices (B1, D1) and the
+coupling matrix Lambda that realize a validated triple (A, B, C) with the
 minimal number n_v = n_u + rank(S_tilde) of additional vacuum channels.
+_field_inputs turns coupling rows into real input column pairs and its exact
+inverse _coupling_rows turns them back: Lambda is _coupling_rows of
+[B_11, B1[:, n_y:], B], with B_11 = Theta C^T diag(J).
 Every synthesized realization is re-verified numerically: the generator
 reconstruction identities and the realizability conditions are measured
 and attached as a residual report. A minimality certificate reads the
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
+from .errors import NumericalError
 from .linalg import (
     DEFAULT_POLICY,
     ROUNDOFF_TOL,
@@ -33,7 +35,8 @@ from .realizability import (
     LtiSystem,
     ResidualReport,
     SkewReport,
-    as_real_matrix,
+    _b11,
+    _noise_inputs,
     check_physical_realizability,
     compute_s_tilde,
     residual_entry,
@@ -43,8 +46,6 @@ __all__ = [
     "Realization",
     "MinimalityCertificate",
     "build_r",
-    "build_lambda_b0",
-    "build_lambda_b2",
     "build_xi1",
     "build_xi2",
     "build_lambda_b1",
@@ -64,39 +65,6 @@ def build_r(sys: LtiSystem) -> np.ndarray:
     out = -0.25 * (theta_a + theta_a.T)
     out += 0.0
     return out
-
-
-def _complex_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re + i im as a new complex array whose zero parts are all +0.0."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    out += 0.0
-    return out
-
-
-def build_lambda_b0(sys: LtiSystem) -> np.ndarray:
-    """Output coupling block, n_y/2 x n.
-
-    Lambda_b0 = ((1/2) C^T P^T [I; iI])^T with the interleaving permutation
-    P sized by n_y, which is (1/2)(C[0::2] + i C[1::2]): row k pairs the
-    two output quadratures of pair k. Feeding the result back through the
-    output reconstruction identity returns C exactly.
-    """
-    return _complex_rows(0.5 * sys.C[0::2], 0.5 * sys.C[1::2])
-
-
-def build_lambda_b2(sys: LtiSystem) -> np.ndarray:
-    """Input coupling block, n_u/2 x n.
-
-    Lambda_b2 = -i [I 0] Gamma_nu B^T Theta, where the leading half of
-    Gamma = P blockdiag(M, ..., M) holds the first row (1/2)[1, i] of M in
-    each column pair; with Y = B^T Theta (a signed column swap), row k is
-    (1/2)(Y[2k+1] - i Y[2k]). Its Gram matrix carries the imaginary part
-    -(1/4) Theta B Theta_u B^T Theta of the generator.
-    """
-    b_theta = apply_theta(sys.B.T, "right")
-    return _complex_rows(0.5 * b_theta[1::2], -0.5 * b_theta[0::2])
 
 
 def build_xi1(skew: SkewReport) -> np.ndarray:
@@ -173,12 +141,27 @@ def _field_inputs(lam: np.ndarray) -> np.ndarray:
     column k of -Lambda^dag with column k of Lambda^T, so quadrature pair k
     of [-Lambda^dag Lambda^T] Gamma is i (Im l_k, -Re l_k) for row l_k of
     Lambda, and pair k of the product is 2 Theta (-Im l_k, Re l_k): the
-    product is real, with 2 * rows of Lambda columns.
+    product is real, with 2 * rows of Lambda columns; _coupling_rows undoes it.
     """
     quadratures = np.empty((lam.shape[1], 2 * lam.shape[0]))
     quadratures[:, 0::2] = -lam.imag.T
     quadratures[:, 1::2] = lam.real.T
     return 2.0 * apply_theta(quadratures, "left")
+
+
+def _coupling_rows(cols: np.ndarray) -> np.ndarray:
+    """The coupling rows Lambda with _field_inputs(Lambda) = cols, the exact inverse.
+
+    Theta^-1 = -Theta, so with Q = -Theta cols / 2, Re Lambda = Q[:, 1::2]^T
+    and Im Lambda = -Q[:, 0::2]^T. Every entry is +-cols/2, so nothing is
+    rounded, and zero parts are +0.0.
+    """
+    q = -0.5 * apply_theta(cols, "left")
+    lam = np.empty((cols.shape[1] // 2, cols.shape[0]), dtype=complex)
+    lam.real = q[:, 1::2].T
+    lam.imag = -q[:, 0::2].T
+    lam += 0.0
+    return lam
 
 
 def _coupled_outputs(lam: np.ndarray, n_y: int) -> np.ndarray:
@@ -205,32 +188,27 @@ def _gram_imag(lam: np.ndarray) -> np.ndarray:
 def oscillator(sys: LtiSystem, b1) -> tuple[np.ndarray, np.ndarray]:
     """(R, Lambda) of the oscillator a system and its noise input matrix B1 fix.
 
-    R comes from A (build_r), Lambda_b0 from C and Lambda_b2 from B. The
-    extra-noise block B_12 = B1[:, n_y:] is _field_inputs(Lambda_b1) undone:
-    with Q = -Theta B_12 / 2, Re Lambda_b1 = Q[:, 1::2]^T and
-    Im Lambda_b1 = -Q[:, 0::2]^T, both exact. synthesize_realization takes
-    its R and Lambda from here, so there is one assembly; their zeros are +0.0.
+    R comes from A (build_r), and Lambda is _coupling_rows of
+    [B_11, B1[:, n_y:], B] with B_11 = Theta C^T diag(J) (_b11): Lambda_b0
+    comes from C, Lambda_b1 from the extra-noise columns and Lambda_b2
+    from B, all exact, and B1[:, :n_y] is not read. synthesize_realization
+    takes its R and Lambda from here, so there is one assembly; their
+    zeros are +0.0. A non-finite or misshapen B1 raises.
     """
-    b1 = as_real_matrix("B1", b1)
-    if b1.ndim != 2 or b1.shape[0] != sys.n or b1.shape[1] < sys.n_y or b1.shape[1] % 2:
-        raise DimensionError(
-            f"B1 must be {sys.n} x (n_y + an even count) with n_y = {sys.n_y}, got shape {b1.shape}"
-        )
-    q = -0.5 * apply_theta(b1[:, sys.n_y :], "left")
-    lam = [build_lambda_b0(sys), _complex_rows(q[:, 1::2].T, -q[:, 0::2].T), build_lambda_b2(sys)]
-    return build_r(sys), np.vstack(lam)
+    b1 = _noise_inputs(sys, b1)
+    cols = np.hstack([_b11(sys), b1[:, sys.n_y :], sys.B])
+    return build_r(sys), _coupling_rows(cols)
 
 
 def build_b1(sys: LtiSystem, lambda_b1: np.ndarray) -> np.ndarray:
     """Noise input matrix B1 = [B_11 | B_12], n x (n_y + 2 * rows of Lambda_b1).
 
-    B_11 = Theta C^T diag(J) couples the output-carrying channels; both
-    commutation matrices are applied as signed swaps (apply_theta).
-    B_12 = 2i Theta [-Lambda_b1^dag Lambda_b1^T] Gamma couples the extra
-    ones. B_12 is real by construction and computed in real arithmetic.
+    B_11 = Theta C^T diag(J) (_b11) couples the output-carrying
+    channels, and B_12 = _field_inputs(Lambda_b1) =
+    2i Theta [-Lambda_b1^dag Lambda_b1^T] Gamma, real by construction and
+    computed in real arithmetic, couples the extra ones.
     """
-    b11 = apply_theta(apply_theta(sys.C.T, "left"), "right")
-    return np.hstack([b11, _field_inputs(lambda_b1)])
+    return np.hstack([_b11(sys), _field_inputs(lambda_b1)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from dense_reference import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrealize import ContractError, DimensionError, LtiSystem, NumericalError
+from qrealize import ContractError, DimensionError, LtiSystem, NumericalError, oscillator
 from qrealize.linalg import (
     DEFAULT_POLICY,
     ROUNDOFF_TOL,
@@ -32,13 +32,7 @@ from qrealize.linalg import (
     psd_low_rank_factor,
     wedge_norms,
 )
-from qrealize.synthesis import (
-    _coupled_outputs,
-    _field_inputs,
-    build_lambda_b0,
-    build_lambda_b2,
-    build_r,
-)
+from qrealize.synthesis import _coupled_outputs, _coupling_rows, _field_inputs, build_r
 
 even_sizes = st.sampled_from([2, 4, 6, 8, 10])
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -183,11 +177,6 @@ class TestIndexOperators:
         )
         p = build_p(size)
         ladder = np.vstack([np.eye(half), 1j * np.eye(half)])
-        _assert_index_form(build_lambda_b0(sys), (0.5 * sys.C.T @ p.T @ ladder).T)
-        _assert_index_form(
-            build_lambda_b2(sys),
-            -1j * np.eye(half, size) @ build_gamma(size) @ sys.B.T @ dense_theta(n),
-        )
         # Sigma keeps the n_y/2 leading rows of Lambda, however many follow
         lam = _signed_zeros(rng, (half + 3, n)) + 1j * _signed_zeros(rng, (half + 3, n))
         sigma = build_sigma(size, half + 3)
@@ -203,6 +192,17 @@ class TestIndexOperators:
         b_dense = 2j * dense_theta(n) @ np.hstack([-rows.conj().T, rows.T]) @ dense_gamma(size)
         assert not b_dense.imag.any()
         _assert_index_form(_field_inputs(rows), b_dense.real)
+        # _coupling_rows is the exact inverse of _field_inputs, from either side
+        _assert_index_form(_coupling_rows(_field_inputs(rows)), rows)
+        cols = _signed_zeros(rng, (n, size))
+        _assert_index_form(_field_inputs(_coupling_rows(cols)), cols)
+        # oscillator's output and input blocks, around one extra-noise row
+        _, blocks = oscillator(sys, _signed_zeros(rng, (n, size + 2)))
+        _assert_index_form(blocks[:half], (0.5 * sys.C.T @ p.T @ ladder).T)
+        _assert_index_form(
+            blocks[half + 1 :],
+            -1j * np.eye(half, size) @ build_gamma(size) @ sys.B.T @ dense_theta(n),
+        )
 
     @pytest.mark.parametrize("size", range(2, 66, 2))
     def test_r_matches_dense_product(self, size):

@@ -281,6 +281,15 @@ class TestCheckPhysicalRealizability:
             with pytest.raises(ValidationError, match=f"{which} .*{message}"):
                 check_physical_realizability(paper_system, *args)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("which", ["B1", "D1"])
+    def test_non_finite_input_is_named(self, paper_system, which, value):
+        # rejected before any arithmetic: no warning, no residual of nan
+        b1, d1 = np.zeros((4, 6)), np.eye(2, 6)
+        (b1 if which == "B1" else d1)[0, 0] = value
+        with pytest.raises(ValidationError, match=f"{which} contains non-finite entries"):
+            check_physical_realizability(paper_system, b1, d1)
+
     def test_shape_errors(self, paper_system):
         with pytest.raises(DimensionError):
             check_physical_realizability(paper_system, np.zeros((3, 6)), np.eye(2, 6))
@@ -288,6 +297,9 @@ class TestCheckPhysicalRealizability:
             check_physical_realizability(paper_system, np.zeros((4, 5)), np.eye(2, 5))
         with pytest.raises(DimensionError):
             check_physical_realizability(paper_system, np.zeros((4, 6)), np.eye(2, 4))
+        # B1 obeys the same shape rule as in oscillator, so a stack is refused too
+        with pytest.raises(DimensionError, match="B1 must be 4 x"):
+            check_physical_realizability(paper_system, np.zeros((4, 6, 1)), np.eye(2, 6))
 
     @given(seeds)
     @settings(max_examples=20, deadline=None)

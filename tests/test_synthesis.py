@@ -32,15 +32,7 @@ from qrealize import (
 from qrealize.cli import example_system
 from qrealize.io import report_document, serialize_report
 from qrealize.linalg import apply_theta, numerical_rank
-from qrealize.synthesis import (
-    build_b1,
-    build_lambda_b0,
-    build_lambda_b1,
-    build_lambda_b2,
-    build_r,
-    build_xi1,
-    build_xi2,
-)
+from qrealize.synthesis import build_b1, build_lambda_b1, build_r, build_xi1, build_xi2
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -75,33 +67,39 @@ class TestBuildR:
         assert np.linalg.norm(r - r.T) < 1e-14 * np.linalg.norm(r)
 
 
+def _lambda_b0(sys):
+    return synthesize_realization(sys)[0].Lambda_b0
+
+
+def _lambda_b2(sys):
+    return synthesize_realization(sys)[0].Lambda_b2
+
+
 class TestCouplingBlocks:
+    """The output and input blocks of Lambda, which oscillator reads off C and B."""
+
     def test_lambda_b0_zero_output(self, trivial_system):
-        assert not build_lambda_b0(trivial_system).any()
+        assert not _lambda_b0(trivial_system).any()
 
     def test_lambda_b0_small(self, small_system):
-        assert np.allclose(
-            build_lambda_b0(small_system), np.array([[0.5, 0.5j]]), atol=1e-15
-        )
+        assert np.allclose(_lambda_b0(small_system), np.array([[0.5, 0.5j]]), atol=1e-15)
 
     def test_lambda_b0_rebuilds_c(self, paper_system):
         # the output reconstruction identity only sees the leading rows
-        lb0 = build_lambda_b0(paper_system)
+        lb0 = _lambda_b0(paper_system)
         p = build_p(paper_system.n_y)
         rebuilt = p.T @ np.vstack([2.0 * lb0.real, 2.0 * lb0.imag])
         assert np.linalg.norm(rebuilt - paper_system.C) <= 1e-10
 
     def test_lambda_b2_zero_input(self, trivial_system):
-        assert not build_lambda_b2(trivial_system).any()
+        assert not _lambda_b2(trivial_system).any()
 
     def test_lambda_b2_small(self, small_system):
-        assert np.allclose(
-            build_lambda_b2(small_system), np.array([[-0.5, -0.5j]]), atol=1e-15
-        )
+        assert np.allclose(_lambda_b2(small_system), np.array([[-0.5, -0.5j]]), atol=1e-15)
 
     def test_lambda_b2_gram_identity(self, paper_system):
         sys = paper_system
-        lb2 = build_lambda_b2(sys)
+        lb2 = _lambda_b2(sys)
         theta = build_theta(sys.n)
         theta_u = build_theta(sys.n_u)
         target = -0.25 * theta @ sys.B @ theta_u @ sys.B.T @ theta
@@ -109,7 +107,7 @@ class TestCouplingBlocks:
 
     def test_lambda_b0_gram_identity(self, paper_system):
         sys = paper_system
-        lb0 = build_lambda_b0(sys)
+        lb0 = _lambda_b0(sys)
         target = 0.25 * sys.C.T @ build_theta(sys.n_y) @ sys.C
         assert np.linalg.norm((lb0.conj().T @ lb0).imag - target) <= 1e-10
 
@@ -252,6 +250,23 @@ class TestOscillator:
         # a cast would drop the imaginary part with only a warning
         with pytest.raises(ValidationError, match="B1 must hold real numbers"):
             oscillator(paper_system, np.full((4, 6), 1e-3j))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_b1_is_a_validation_error(self, paper_system, value):
+        b1 = np.zeros((4, 6))
+        b1[0, -1] = value
+        with pytest.raises(ValidationError, match="B1 contains non-finite entries"):
+            oscillator(paper_system, b1)
+
+    def test_lambda_b0_comes_from_c_not_from_b1(self, fixture_systems):
+        # the output columns B1[:, :n_y] are B_11, rebuilt from C; B1's own are not read
+        for sys in fixture_systems.values():
+            rz, _ = synthesize_realization(sys)
+            b1 = rz.B1.copy()
+            b1[:, : sys.n_y] = np.random.default_rng(sys.n).standard_normal((sys.n, sys.n_y))
+            r_mat, lam = oscillator(sys, b1)
+            assert np.array_equal(r_mat, rz.R) and np.array_equal(lam, rz.Lambda)
+            assert not _has_negative_zero(r_mat, lam)
 
 
 def _assert_same_rebuild_entries(report, reference):
