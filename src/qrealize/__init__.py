@@ -8,7 +8,7 @@ numerical verification report.
 """
 
 # qrealize.io stamps it into every report.
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .errors import (
     ContractError,

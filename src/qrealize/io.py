@@ -177,27 +177,22 @@ def serialize_system(sys, tolerances=None) -> str:
 def report_document(realization, residuals, certificate) -> dict:
     """Assemble the full report as plain JSON-ready data.
 
-    The system sizes, the tolerances and the analysis (the spectrum of S,
-    r, n_v and the multiplicity count) come from the analysis record the
-    realization carries; the tolerances, each residual entry and the
-    certificate are written field by field with asdict, so their dataclasses
-    alone name the keys; a certificate value that does not exist is null.
-    The report holds what the run adds
-    to its input, not the input: A, B and C stay in the system file,
-    S_tilde is rebuilt from it by compute_s_tilde, and R and Lambda from it
-    and the report's B1 by synthesis.oscillator. Residual values go in exactly as computed
-    (shortest round-trip float encoding), so nothing is lost to formatting.
+    The tolerances and the analysis (the spectrum of S, r, n_v and the
+    multiplicity count) come from the analysis record the realization
+    carries, and each appears once; the tolerances, each residual entry and
+    the certificate are written field by field with asdict, so their
+    dataclasses alone name the keys; a certificate value that does not
+    exist is null. The report holds what the run adds to its input, not
+    the input: A, B and C, and with them the sizes n, n_u and n_y, stay in
+    the system file, S_tilde is rebuilt from it by compute_s_tilde, and R
+    and Lambda from it and the report's B1 by synthesis.oscillator.
+    Residual values go in exactly as computed (shortest round-trip float
+    encoding), so nothing is lost to formatting.
     """
     skew = realization.skew
-    sys, policy = skew.system, skew.policy
     return {
         "version": __version__,
-        "tolerances": {k: float(v) for k, v in asdict(policy).items()},
-        "system": {
-            "n": int(sys.n),
-            "n_u": int(sys.n_u),
-            "n_y": int(sys.n_y),
-        },
+        "tolerances": {k: float(v) for k, v in asdict(skew.policy).items()},
         "analysis": {
             "eigenvalues_of_S": [float(x) for x in skew.eigenvalues],
             "r": int(skew.rank_r),
@@ -209,7 +204,6 @@ def report_document(realization, residuals, certificate) -> dict:
         "realization": {
             "B1": _real_lists(realization.B1),
             "D1": _real_lists(realization.D1),
-            "n_v": int(realization.n_v),
         },
         "certificate": asdict(certificate),
     }

@@ -23,9 +23,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .linalg import (
-    DEFAULT_POLICY,
     ROUNDOFF_TOL,
-    TolerancePolicy,
     apply_theta,
     complex_rank_via_real_embedding,
     numerical_rank,
@@ -90,7 +88,7 @@ def build_xi1(skew: SkewReport) -> np.ndarray:
 
 
 def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
-    """Gram matrix Xi2 = Xi1 + (i/4) S_tilde of the extra-noise coupling.
+    """Gram matrix Xi2 = Xi1 + S, S = (i/4) S_tilde, of the extra-noise coupling.
 
     Must come out Hermitian PSD with numerical rank exactly r/2 under the
     record's policy; anything else means the construction went wrong and
@@ -103,7 +101,7 @@ def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
     build_lambda_b1 and psd_low_rank_factor, is taken from |eigvalsh|.
     """
     policy = skew.policy
-    xi2 = xi1 + 0.25j * skew.S_tilde
+    xi2 = xi1 + skew.S
     w = np.linalg.eigvalsh(xi2)
     top = max(float(np.abs(w).max()), skew.term_scale / 2)
     cutoff = policy.rank_rel_tol * top
@@ -247,18 +245,15 @@ class Realization:
         return self.Lambda[self.n_v // 2 :]
 
 
-def synthesize_realization(
-    sys: LtiSystem | SkewReport, policy: TolerancePolicy = DEFAULT_POLICY
-):
+def synthesize_realization(sys: LtiSystem | SkewReport):
     """Construct and verify a minimal realization of a validated system.
 
     Parameters
     ----------
     sys : LtiSystem or SkewReport
-        The system, or the analysis record compute_s_tilde already returned
-        for it. A system is analysed under ``policy``; a record is used as
-        is, with the policy it holds, and ``policy`` is ignored.
-    policy : TolerancePolicy
+        The system, analysed under the default policy, or the analysis
+        record compute_s_tilde returned for it, synthesized under the policy
+        it holds. Any other policy goes through compute_s_tilde(sys, policy).
 
     Returns
     -------
@@ -271,7 +266,7 @@ def synthesize_realization(
         against residual_tol, and ``report.all_passed`` is the verdict:
         the pair is returned whether or not the residuals pass.
     """
-    skew = sys if isinstance(sys, SkewReport) else compute_s_tilde(sys, policy)
+    skew = sys if isinstance(sys, SkewReport) else compute_s_tilde(sys)
     sys, policy, n_v = skew.system, skew.policy, skew.n_v
 
     xi2 = build_xi2(skew, build_xi1(skew))
@@ -312,7 +307,8 @@ def synthesize_realization(
 class MinimalityCertificate:
     """Why fewer extra channels cannot exist: the spectral margin and two flags.
 
-    The margin is read off the analysis record. The singular values
+    The margin is read off the analysis record, which alone holds the r,
+    n_v and n below (rank_r, n_v and system.n). The singular values
     sigma_1 >= ... >= sigma_n of S_tilde are 4 |eigenvalues of S|, in
     equal pairs since S_tilde is skew, and r of them lie above ``cutoff``,
     rank_rel_tol times max(sigma_1, ``term_scale``). ``sigma_r`` and
@@ -335,12 +331,10 @@ class MinimalityCertificate:
     no ranked candidate Xi + (i/4) S_tilde has rank below r/2 (a theorem
     for every real symmetric Xi: rank(Im H) <= 2 rank(H) for Hermitian H).
     ``embedding_agreed`` says that every candidate's direct rank equals its
-    real-embedding rank. ``trials`` counts the candidates ranked, always 2
-    (the constructive minimizer Xi1 and the zero matrix), and
-    ``min_observed_rank`` is their least rank.
+    real-embedding rank, and ``min_observed_rank`` is the least rank of the
+    two candidates, the constructive minimizer Xi1 and the zero matrix.
     """
 
-    r: int
     term_scale: float
     cutoff: float
     sigma_r: float | None
@@ -349,7 +343,6 @@ class MinimalityCertificate:
     decades_below_cutoff: float | None
     stability_radius: float | None
     noise_profile: tuple
-    trials: int
     min_observed_rank: int
     lower_bound_held: bool
     embedding_agreed: bool
@@ -394,7 +387,6 @@ def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
     sigma_r = float(sigma[r - 1]) if r else None
     sigma_next = float(sigma[r]) if r < n else None
     return MinimalityCertificate(
-        r=r,
         term_scale=float(skew.term_scale),
         cutoff=cutoff,
         sigma_r=sigma_r,
@@ -403,7 +395,6 @@ def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
         decades_below_cutoff=_decades(cutoff, sigma_next),
         stability_radius=float(distances[0]) if r else None,
         noise_profile=tuple((skew.n_v - 2 * j, float(d)) for j, d in enumerate(distances, 1)),
-        trials=len(xi),
         min_observed_rank=min_rank,
         lower_bound_held=int(np.count_nonzero(sigma > cutoff)) == r and min_rank >= r // 2,
         embedding_agreed=np.array_equal(embedded, ranks),

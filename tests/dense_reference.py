@@ -211,8 +211,6 @@ def reference_certificate(skew, trials=0, seed=0):
     embedding = np.block([[xi, block], [-block, xi]])
     embedded = numerical_rank(embedding, skew.policy, floor=floor) // 2
     return dict(
-        r=skew.rank_r,
-        trials=len(xi),
         min_observed_rank=int(direct.min()),
         lower_bound_held=bool(direct.min() >= skew.rank_r // 2),
         embedding_agreed=np.array_equal(direct, embedded),

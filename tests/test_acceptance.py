@@ -201,7 +201,7 @@ def test_criterion_6_necessity_certificates(corpus, capsys):
                 failures.append(f"system {i}: bound violated")
             if not (cert.embedding_agreed and ref["embedding_agreed"]):
                 failures.append(f"system {i}: rank routes disagree")
-            if ref["min_observed_rank"] < cert.r // 2:
+            if ref["min_observed_rank"] < skew.rank_r // 2:
                 failures.append(f"system {i}: min rank {ref['min_observed_rank']}")
         elapsed = time.perf_counter() - start
         if elapsed >= 60.0:

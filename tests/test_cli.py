@@ -150,19 +150,19 @@ class TestSynthesize:
         assert main(["synthesize", request.getfixturevalue(fixture), "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {
-            "version", "tolerances", "system", "analysis",
+            "version", "tolerances", "analysis",
             "residuals", "all_passed", "realization", "certificate",
         }
         assert doc["version"] == qrealize.__version__
         # report 0.5.0 dropped symmetry_tol, the fixed roundoff bound
         assert set(doc["tolerances"]) == {"rank_rel_tol", "residual_tol"}
-        assert set(doc["system"]) == {"n", "n_u", "n_y"}
+        # report 0.6.0 dropped the sizes, realization.n_v, certificate.r and trials
         assert set(doc["analysis"]) == {
             "eigenvalues_of_S", "r", "n_v", "multiplicity_noise_count",
         }
-        assert set(doc["realization"]) == {"B1", "D1", "n_v"}
+        assert set(doc["realization"]) == {"B1", "D1"}
         assert set(doc["certificate"]) == {
-            "r", "trials", "min_observed_rank", "lower_bound_held", "embedding_agreed",
+            "min_observed_rank", "lower_bound_held", "embedding_agreed",
             "term_scale", "cutoff", "sigma_r", "sigma_next",
             "decades_above_cutoff", "decades_below_cutoff", "stability_radius", "noise_profile",
         }
@@ -199,10 +199,10 @@ class TestRealizableSystem:
         assert capsys.readouterr().out == f"wrote {out} (n_v={n_u}, residuals pass)\n"
         doc = json.loads(out.read_text())
         assert doc["all_passed"] is True and len(doc["residuals"]) == 6
-        assert (doc["analysis"]["r"], doc["realization"]["n_v"]) == (0, n_u)
+        assert (doc["analysis"]["r"], doc["analysis"]["n_v"]) == (0, n_u)
         assert np.array(doc["realization"]["B1"]).shape == (b.shape[0], n_u)
         certificate = doc["certificate"]
-        assert (certificate["r"], certificate["min_observed_rank"]) == (0, 0)
+        assert certificate["min_observed_rank"] == 0
         assert certificate["lower_bound_held"] is True
         assert certificate["embedding_agreed"] is True
         # no pair to remove: no radius and an empty profile
@@ -340,6 +340,14 @@ def test_non_utf8_file_is_one_error_line(paper_file, tmp_path, capsys, which):
     assert all(line.startswith(f"error: {bad} is not UTF-8") for line in captured.err.splitlines())
 
 
+def _as_0_5_0(doc, system):
+    """Edit a report in place to the 0.5.0 form: the sizes, realization.n_v, certificate.r and trials."""
+    doc["version"] = "0.5.0"
+    doc["system"] = {"n": system.n, "n_u": system.n_u, "n_y": system.n_y}
+    doc["realization"]["n_v"] = doc["analysis"]["n_v"]
+    doc["certificate"].update(r=doc["analysis"]["r"], trials=2)
+
+
 class TestCheck:
     def test_synthesized_report_round_trips(self, paper_file, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -364,9 +372,14 @@ class TestCheck:
         old_b1, old_d1 = parse_realization(old.read_text())
         assert np.array_equal(b1, old_b1) and np.array_equal(d1, old_d1)
 
+    def test_accepts_a_0_5_0_report(self, paper_file, tmp_path, capsys):
+        # 0.5.0 reports also held the sizes, realization.n_v, certificate.r and trials
+        self._assert_check_reads_old_report(paper_file, tmp_path, capsys, _as_0_5_0)
+
     def test_accepts_a_0_1_0_report(self, paper_file, tmp_path, capsys):
         # 0.1.0 reports also held the seed, the input matrices and S_tilde
         def make_old(doc, system):
+            _as_0_5_0(doc, system)
             doc.update(version="0.1.0", seed=0)
             doc["system"].update({key: _real_lists(getattr(system, key)) for key in "ABC"})
             doc["analysis"]["S_tilde"] = _real_lists(compute_s_tilde(system).S_tilde)
@@ -376,6 +389,7 @@ class TestCheck:
     def test_accepts_a_0_2_0_report(self, paper_file, tmp_path, capsys):
         # 0.2.0 reports also held the seed, R and Lambda, the latter as [re, im] pairs
         def make_old(doc, system):
+            _as_0_5_0(doc, system)
             rz, _ = synthesize_realization(system)
             doc.update(version="0.2.0", seed=0)
             doc["realization"].update(
@@ -387,6 +401,7 @@ class TestCheck:
     def test_accepts_a_0_3_0_report(self, paper_file, tmp_path, capsys):
         # 0.3.0 reports also held the certificate seed
         def make_old(doc, system):
+            _as_0_5_0(doc, system)
             doc.update(version="0.3.0", seed=0)
 
         self._assert_check_reads_old_report(paper_file, tmp_path, capsys, make_old)
@@ -395,6 +410,7 @@ class TestCheck:
         # 0.4.0 reports also held symmetry_tol and the 202-candidate sampler
         # certificate, here as the 0.4.0 paper report wrote them
         def make_old(doc, system):
+            _as_0_5_0(doc, system)
             doc.update(version="0.4.0")
             doc["tolerances"]["symmetry_tol"] = 1e-12
             doc["certificate"] = {
