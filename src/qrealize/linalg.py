@@ -86,6 +86,13 @@ def _fro(a) -> float:
     return float(np.linalg.norm(a)) if np.size(a) else 0.0
 
 
+def _gram_parts(f) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of F^dag F, F = P + iQ: [P; Q]^T [P; Q] (syrk) and P^T Q - (P^T Q)^T."""
+    pq = np.concatenate([f.real, f.imag])
+    cross = pq[: len(f)].T @ pq[len(f) :]
+    return pq.T @ pq, cross - cross.T
+
+
 def apply_theta(m, side: str) -> np.ndarray:
     """Theta M (``side="left"``) or M Theta (``side="right"``) for a real matrix M.
 
@@ -185,12 +192,11 @@ def psd_low_rank_factor(
     already holds, laid out as hermitian_eig returns it; the kernel keeps
     the top-k pairs, F = sqrt(d_k) * U_k, and verifies them, never
     decomposing xi2 itself. ``floor`` is as in numerical_rank. Raises
-    NumericalError when k is not the numerical rank of xi2 (from
-    |eigvalsh|, one triangle), when a negative entry of d exceeds the rank
-    cutoff, or when F^dag F misses all of xi2 by more than ROUNDOFF_TOL
-    times max(||xi2||, floor) plus ||d[k:]||, the exact miss of the
-    eigenvalues the cutoff dropped; eigenpairs of any other matrix miss by
-    more. The truncation itself is left to the residuals residual_tol judges.
+    NumericalError when k is not the numerical rank of xi2 (|eigvalsh|, one
+    triangle), when a negative d exceeds the rank cutoff, or when F^dag F
+    (_gram_parts) misses xi2 by more than ROUNDOFF_TOL * max(||xi2||, floor)
+    plus ||d[k:]||, the exact miss of the dropped eigenvalues; other
+    eigenpairs miss by more. The residuals residual_tol judges weigh the cut.
     """
     xi2 = np.asarray(xi2)
     u = np.asarray(u)
@@ -204,7 +210,8 @@ def psd_low_rank_factor(
         if d[-1] < -cutoff:
             raise NumericalError(f"matrix is not PSD: eigenvalue {d[-1]:.3e} below -{cutoff:.3e}")
     factor = np.sqrt(np.clip(d[:k], 0.0, None))[:, None] * u[:k, :]
-    residual = _fro(factor.conj().T @ factor - xi2)
+    re, im = _gram_parts(factor)
+    residual = float(np.hypot(_fro(re - xi2.real), _fro(im - xi2.imag)))
     scale = max(_fro(xi2), floor)
     dropped = _fro(d[k:])
     if residual > ROUNDOFF_TOL * scale + dropped:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import NumericalError
 from .linalg import (
     ROUNDOFF_TOL,
+    _gram_parts,
     apply_theta,
     complex_rank_via_real_embedding,
     numerical_rank,
@@ -69,48 +70,50 @@ def build_xi1(skew: SkewReport) -> np.ndarray:
     """Real symmetric PSD part chosen to minimize the Gram rank.
 
     With S = U^dag D U from the record (``skew.U``, ``skew.eigenvalues``),
-    returns Xi1 = U^dag |D| U, the positive square root of S^2. The product
-    is real in exact arithmetic; an imaginary part above ROUNDOFF_TOL times
-    max(||Xi1||, T/4), T the record's term scale, raises NumericalError, as
-    eigenpairs that are not the record's do. Otherwise the imaginary part
-    is dropped and the result exactly symmetrized.
+    returns Xi1 = U^dag |D| U = F^dag F, F = |D|^(1/2) U, the positive square
+    root of S^2, formed in real arithmetic (_gram_parts). An imaginary part
+    above ROUNDOFF_TOL times max(||Xi1||, T/4), T the record's term scale,
+    raises NumericalError, as eigenpairs that are not the record's do;
+    otherwise it is dropped and the real part exactly symmetrized.
     """
-    u = skew.U
-    xi1 = (u.conj().T * np.abs(skew.eigenvalues)) @ u
-    scale = max(float(np.linalg.norm(xi1)), skew.term_scale / 4)
-    imag = float(np.linalg.norm(xi1.imag))
+    re, im = _gram_parts(np.sqrt(np.abs(skew.eigenvalues))[:, None] * skew.U)
+    imag = float(np.linalg.norm(im))
+    scale = max(float(np.hypot(np.linalg.norm(re), imag)), skew.term_scale / 4)
     if imag > ROUNDOFF_TOL * scale:
         raise NumericalError(
             f"Xi1 came out complex: imaginary norm {imag:.3e} exceeds {ROUNDOFF_TOL:.1e} * {scale:.3e}"
         )
-    xi1 = xi1.real
-    return 0.5 * (xi1 + xi1.T)
+    return 0.5 * (re + re.T)
 
 
 def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
     """Gram matrix Xi2 = Xi1 + S, S = (i/4) S_tilde, of the extra-noise coupling.
 
-    Must come out Hermitian PSD with numerical rank exactly r/2 under the
-    record's policy; anything else means the construction went wrong and
-    raises NumericalError. Both tests put their floor at rank_rel_tol
-    times max(the largest |eigenvalue|, T/2), T the record's term scale,
-    and both messages say so: a rank_rel_tol below roundoff fails them.
-    Its eigvalsh test is the only numerical PSD test of Xi2 itself:
-    build_lambda_b1 factors Xi2 from the record's eigenvalues instead.
-    Xi2 is Hermitian by construction, so its rank, here and in
-    build_lambda_b1 and psd_low_rank_factor, is taken from |eigvalsh|.
+    Must be Hermitian PSD of numerical rank r/2 under the record's policy, or
+    NumericalError names the floor, rank_rel_tol * max(largest |eigenvalue|,
+    T/2), that a sub-roundoff rank_rel_tol fails. A Cholesky of Xi2 + c I,
+    c = rank_rel_tol * max(largest |diagonal|, T/2) <= the floor, tests Xi2
+    itself for PSD, eigvalsh deciding if it fails; both read one triangle.
     """
-    policy = skew.policy
+    policy, half_t, k = skew.policy, skew.term_scale / 2, skew.rank_r // 2
     xi2 = xi1 + skew.S
+    shift = policy.rank_rel_tol * max(float(np.abs(xi2.diagonal().real).max()), half_t)
+    psd = True
+    try:  # Xi2 + c I has a Cholesky factor only if no eigenvalue of Xi2 is below -c
+        np.linalg.cholesky(xi2 + shift * np.eye(len(xi2)))
+    except np.linalg.LinAlgError:
+        psd = False
+    rank = numerical_rank(xi2, policy, hermitian=True, floor=half_t)
+    if psd and rank == k:
+        return xi2
     w = np.linalg.eigvalsh(xi2)
-    top = max(float(np.abs(w).max()), skew.term_scale / 2)
+    top = max(float(np.abs(w).max()), half_t)
     cutoff = policy.rank_rel_tol * top
     floor = f"(floor: rank_rel_tol {policy.rank_rel_tol:.1e} times max(largest |eigenvalue|, T/2) {top:.3e})"
     if w[0] < -cutoff:
         raise NumericalError(f"Xi2 is not PSD: eigenvalue {w[0]:.3e} below -{cutoff:.3e} {floor}")
-    rank = numerical_rank(xi2, policy, hermitian=True, floor=skew.term_scale / 2)
-    if rank != skew.rank_r // 2:
-        raise NumericalError(f"Xi2 has numerical rank {rank}, expected r/2 = {skew.rank_r // 2} {floor}")
+    if rank != k:
+        raise NumericalError(f"Xi2 has numerical rank {rank}, expected r/2 = {k} {floor}")
     return xi2
 
 

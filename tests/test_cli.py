@@ -320,6 +320,25 @@ class TestTolerancePrecedence:
         assert line.startswith("error: Xi2 ") and "rank_rel_tol" in line
         assert not report.exists()
 
+    def test_rank_tol_1e_16_counts_and_then_fails_the_psd_test(
+        self, paper_file, tmp_path, capsys
+    ):
+        # the README's example: count passes at a cutoff below roundoff, and
+        # synthesis stops at Xi2's PSD test, whose eigenvalue digits are roundoff
+        assert main(["count", paper_file, "--rank-tol", "1e-16"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "r=4 n_v=6"
+        report = tmp_path / "report.json"
+        assert main(["synthesize", paper_file, "-o", str(report), "--rank-tol", "1e-16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert re.fullmatch(
+            r"error: Xi2 is not PSD: eigenvalue -\S+ below -\S+ \(floor: rank_rel_tol 1\.0e-16 "
+            r"times max\(largest \|eigenvalue\|, T/2\) \S+\)",
+            line,
+        ), line
+        assert not report.exists()
+
 
 @pytest.mark.parametrize("which", ["system", "report"])
 def test_non_utf8_file_is_one_error_line(paper_file, tmp_path, capsys, which):

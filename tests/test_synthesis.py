@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from qrealize import (
 )
 from qrealize.cli import example_system
 from qrealize.io import report_document, serialize_report
-from qrealize.linalg import apply_theta, numerical_rank
+from qrealize.linalg import _gram_parts, apply_theta, numerical_rank
 from qrealize.synthesis import build_b1, build_lambda_b1, build_r, build_xi1, build_xi2
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -160,6 +161,65 @@ class TestXiConstruction:
         skew = compute_s_tilde(small_system)
         with pytest.raises(NumericalError, match="PSD"):
             build_xi2(skew, -0.5 * np.eye(2))
+
+    @pytest.mark.parametrize("cholesky", ["numpy", "failing"])
+    def test_xi2_psd_decision_on_both_sides_of_the_floor(
+        self, small_system, monkeypatch, cholesky
+    ):
+        # Xi1 = (0.5 - delta) I makes Xi2's eigenvalues {-delta, 1 - delta}. The
+        # Cholesky shift c = rank_rel_tol * max(largest |diagonal|, T/2) lies
+        # below the PSD cutoff: delta = cutoff/2 < c passes the Cholesky, a delta
+        # between c and the cutoff fails it and passes the eigvalsh fallback,
+        # and 2 cutoff fails both, eigvalsh naming the eigenvalue. The verdicts
+        # are the same when every Cholesky fails.
+        skew = compute_s_tilde(small_system)
+        rel, top = skew.policy.rank_rel_tol, max(1.0, skew.term_scale / 2)
+        cutoff, shift = rel * top, rel * max(0.5, skew.term_scale / 2)
+        assert shift < cutoff
+        raised = []
+        cholesky_of = np.linalg.cholesky
+
+        def spy(a):
+            try:
+                if cholesky == "failing":
+                    raise np.linalg.LinAlgError("no Cholesky factor")
+                return cholesky_of(a)
+            except np.linalg.LinAlgError:
+                raised.append(True)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        for delta in (cutoff / 2, (shift + cutoff) / 2):
+            xi2 = build_xi2(skew, (0.5 - delta) * np.eye(2))
+            assert np.allclose(np.linalg.eigvalsh(xi2), [-delta, 1.0 - delta], rtol=0, atol=1e-15)
+        assert len(raised) == (2 if cholesky == "failing" else 1)
+        message = (
+            f"Xi2 is not PSD: eigenvalue {-2 * cutoff:.3e} below -{cutoff:.3e} (floor: "
+            f"rank_rel_tol {rel:.1e} times max(largest |eigenvalue|, T/2) {top:.3e})"
+        )
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            build_xi2(skew, (0.5 - 2 * cutoff) * np.eye(2))
+        assert len(raised) == (3 if cholesky == "failing" else 2)
+
+    def test_real_arithmetic_grams_match_the_complex_products(self, paper_system, corpus):
+        # Xi1 = Re(U^dag |D| U) and the factor's round trip ||F^dag F - Xi2||,
+        # formed from real and imaginary parts, agree with complex arithmetic
+        for sys in [paper_system] + corpus[:30] + [_random_system(64, n=64, n_u=8)]:
+            skew = compute_s_tilde(sys)
+            xi1 = build_xi1(skew)
+            u = skew.U
+            product = (u.conj().T * np.abs(skew.eigenvalues)) @ u
+            assert np.linalg.norm(xi1 - product.real) <= 1e-14 * np.linalg.norm(product)
+            xi2 = build_xi2(skew, xi1)
+            factor = build_lambda_b1(skew, xi2)
+            gram = factor.conj().T @ factor
+            re_part, im_part = _gram_parts(factor)
+            assert np.linalg.norm(re_part + 1j * im_part - gram) <= 1e-14 * np.linalg.norm(xi2)
+            complex_residual = np.linalg.norm(gram - xi2)
+            real_residual = np.hypot(
+                np.linalg.norm(re_part - xi2.real), np.linalg.norm(im_part - xi2.imag)
+            )
+            assert abs(real_residual - complex_residual) <= 1e-14 * np.linalg.norm(xi2)
 
     def test_lambda_b1_rows_and_gram(self, paper_system):
         skew = compute_s_tilde(paper_system)
@@ -331,6 +391,21 @@ class TestSynthesizeRealization:
         assert len(calls) == 0
         synthesize_realization(paper_system)
         assert len(calls) == 1
+
+    def test_xi2_psd_test_makes_no_eigvalsh_call(self, paper_system, corpus, monkeypatch):
+        # a shifted Cholesky proves Xi2 PSD; eigvalsh only decides when it fails
+        skew = compute_s_tilde(paper_system)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        for record in [skew] + [compute_s_tilde(sys) for sys in corpus[:10]]:
+            synthesize_realization(record)
+        assert calls == []
 
     def test_xi2_ranks_take_the_hermitian_route(self, paper_system, corpus, monkeypatch):
         # three rank checks of Xi2 through |eigvalsh|, one full SVD of S_tilde
