@@ -127,9 +127,15 @@ def parse_system_document(text: str) -> SystemDocument:
     system = LtiSystem.from_matrices(a, b, c)
 
     tolerances = doc.get("tolerances", {})
+    if isinstance(tolerances, dict):
+        tolerances = {key: value for key, value in tolerances.items() if key != "symmetry_tol"}
+    return SystemDocument(system=system, policy=_tolerance_policy(tolerances))
+
+
+def _tolerance_policy(tolerances) -> TolerancePolicy:
+    """The policy a "tolerances" object sets, or the ParseError of the parser and writer alike."""
     if not isinstance(tolerances, dict):
         raise ParseError("tolerances must be a JSON object")
-    tolerances = {key: value for key, value in tolerances.items() if key != "symmetry_tol"}
     unknown = sorted(set(tolerances) - {field.name for field in fields(TolerancePolicy)})
     if unknown:
         raise ParseError(f"unknown tolerance keys: {', '.join(unknown)}")
@@ -137,10 +143,9 @@ def parse_system_document(text: str) -> SystemDocument:
         if type(value) not in _NUMBER_TYPES:
             raise ParseError(f"tolerance {key} must be a number")
     try:
-        policy = TolerancePolicy(**tolerances)
+        return TolerancePolicy(**tolerances)
     except ValueError as exc:
         raise ParseError(f"tolerance {exc}") from exc
-    return SystemDocument(system=system, policy=policy)
 
 
 def parse_realization(text: str):
@@ -167,10 +172,14 @@ def _real_lists(m) -> list:
 
 
 def serialize_system(sys, tolerances=None) -> str:
-    """Render a system (plus optional tolerance overrides) back to file form."""
+    """Render a system (plus optional tolerance overrides) back to file form.
+
+    Tolerances the parser would refuse, or ignore ("symmetry_tol"), raise its ParseError.
+    """
     doc = {"A": _real_lists(sys.A), "B": _real_lists(sys.B), "C": _real_lists(sys.C)}
     if tolerances:
-        doc["tolerances"] = {key: float(tolerances[key]) for key in tolerances}
+        _tolerance_policy(tolerances)  # so every value is a float: no int lies in (0, 1)
+        doc["tolerances"] = dict(tolerances)
     return _encode(doc, "") + "\n"
 
 

@@ -57,6 +57,8 @@ class TolerancePolicy:
     tolerance is relative, so each must lie strictly between 0 and 1;
     anything else (including inf and nan) raises ValueError. A cutoff of 1
     or more would count every singular value as zero and pass any residual.
+    A rank_rel_tol below unit roundoff (1.1e-16) is accepted, but then
+    rounding, not the input, decides the rank and PSD tests of Xi2.
     A system file's "tolerances" are these fields by name
     (io.parse_system_document builds the policy from them), and the command
     line flags are laid over that policy with dataclasses.replace.
@@ -80,17 +82,6 @@ class TolerancePolicy:
 
 
 DEFAULT_POLICY = TolerancePolicy()
-
-
-def _fro(a) -> float:
-    return float(np.linalg.norm(a)) if np.size(a) else 0.0
-
-
-def _gram_parts(f) -> tuple[np.ndarray, np.ndarray]:
-    """(Re, Im) of F^dag F, F = P + iQ: [P; Q]^T [P; Q] (syrk) and P^T Q - (P^T Q)^T."""
-    pq = np.concatenate([f.real, f.imag])
-    cross = pq[: len(f)].T @ pq[len(f) :]
-    return pq.T @ pq, cross - cross.T
 
 
 def apply_theta(m, side: str) -> np.ndarray:
@@ -194,9 +185,9 @@ def psd_low_rank_factor(
     decomposing xi2 itself. ``floor`` is as in numerical_rank. Raises
     NumericalError when k is not the numerical rank of xi2 (|eigvalsh|, one
     triangle), when a negative d exceeds the rank cutoff, or when F^dag F
-    (_gram_parts) misses xi2 by more than ROUNDOFF_TOL * max(||xi2||, floor)
-    plus ||d[k:]||, the exact miss of the dropped eigenvalues; other
-    eigenpairs miss by more. The residuals residual_tol judges weigh the cut.
+    misses xi2 by more than ROUNDOFF_TOL * max(||xi2||, floor) plus
+    ||d[k:]||, the exact miss of the dropped eigenvalues; other eigenpairs
+    miss by more. The residuals residual_tol judges weigh the cut.
     """
     xi2 = np.asarray(xi2)
     u = np.asarray(u)
@@ -210,10 +201,9 @@ def psd_low_rank_factor(
         if d[-1] < -cutoff:
             raise NumericalError(f"matrix is not PSD: eigenvalue {d[-1]:.3e} below -{cutoff:.3e}")
     factor = np.sqrt(np.clip(d[:k], 0.0, None))[:, None] * u[:k, :]
-    re, im = _gram_parts(factor)
-    residual = float(np.hypot(_fro(re - xi2.real), _fro(im - xi2.imag)))
-    scale = max(_fro(xi2), floor)
-    dropped = _fro(d[k:])
+    residual = float(np.linalg.norm(factor.conj().T @ factor - xi2))
+    scale = max(float(np.linalg.norm(xi2)), floor)
+    dropped = float(np.linalg.norm(d[k:]))
     if residual > ROUNDOFF_TOL * scale + dropped:
         raise NumericalError(
             f"round-trip residual {residual:.3e} exceeds roundoff {ROUNDOFF_TOL:.1e}"

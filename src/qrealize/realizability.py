@@ -293,7 +293,7 @@ def residual_entry(name: str, delta, terms, tol: float, norms=()) -> ResidualEnt
     scale with a zero residual is a clean pass, a zero scale with a
     nonzero residual can never pass.
     """
-    absolute = float(np.linalg.norm(delta)) if np.size(delta) else 0.0
+    absolute = float(np.linalg.norm(delta))
     scale = max(
         max((float(np.linalg.norm(t)) for t in terms), default=0.0),
         float(np.max(norms, initial=0.0)),

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import NumericalError
 from .linalg import (
     ROUNDOFF_TOL,
-    _gram_parts,
     apply_theta,
     complex_rank_via_real_embedding,
     numerical_rank,
@@ -70,20 +69,21 @@ def build_xi1(skew: SkewReport) -> np.ndarray:
     """Real symmetric PSD part chosen to minimize the Gram rank.
 
     With S = U^dag D U from the record (``skew.U``, ``skew.eigenvalues``),
-    returns Xi1 = U^dag |D| U = F^dag F, F = |D|^(1/2) U, the positive square
-    root of S^2, formed in real arithmetic (_gram_parts). An imaginary part
+    returns Xi1 = U^dag |D| U, the positive square root of S^2, as one
+    complex product. It is real in exact arithmetic; an imaginary part
     above ROUNDOFF_TOL times max(||Xi1||, T/4), T the record's term scale,
     raises NumericalError, as eigenpairs that are not the record's do;
     otherwise it is dropped and the real part exactly symmetrized.
     """
-    re, im = _gram_parts(np.sqrt(np.abs(skew.eigenvalues))[:, None] * skew.U)
-    imag = float(np.linalg.norm(im))
-    scale = max(float(np.hypot(np.linalg.norm(re), imag)), skew.term_scale / 4)
+    u = skew.U
+    xi1 = (u.conj().T * np.abs(skew.eigenvalues)) @ u
+    scale = max(float(np.linalg.norm(xi1)), skew.term_scale / 4)
+    imag = float(np.linalg.norm(xi1.imag))
     if imag > ROUNDOFF_TOL * scale:
         raise NumericalError(
             f"Xi1 came out complex: imaginary norm {imag:.3e} exceeds {ROUNDOFF_TOL:.1e} * {scale:.3e}"
         )
-    return 0.5 * (re + re.T)
+    return 0.5 * (xi1.real + xi1.real.T)
 
 
 def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:

@@ -12,6 +12,10 @@ identity is evaluated with the complex T_w, and every term that sets a
 scale is formed as an n x n matrix. The library computes the same checks
 in real arithmetic with closed-form scales; the tests compare the two.
 
+real_arithmetic_xi1 forms Xi1 = U^dag |D| U from the real and imaginary
+parts of F = |D|^(1/2) U, a second rounding of the same matrix that the
+library's one complex product can be swapped for.
+
 The seeded random-candidate reference ranks the minimality certificate's
 two constructive candidates and any number of random real symmetric ones
 by full SVD on both of the certificate's routes, where the library ranks
@@ -175,6 +179,18 @@ def dense_rebuild_residuals(realization):
     c_rebuilt = build_p(sys.n_y).T @ big_sigma @ stack
     output = dense_entry("output_rebuild", c_rebuilt - sys.C, [sys.C, c_rebuilt], tol)
     return ResidualReport(entries=(state, fields, output))
+
+
+def real_arithmetic_xi1(skew):
+    """Xi1 = Re(F^dag F), F = |D|^(1/2) U = P + iQ, as [P; Q]^T [P; Q], symmetrized.
+
+    The imaginary part P^T Q - Q^T P vanishes in exact arithmetic and is
+    not formed; build_xi1(skew) checks it.
+    """
+    f = np.sqrt(np.abs(skew.eigenvalues))[:, None] * skew.U
+    pq = np.concatenate([f.real, f.imag])
+    re = pq.T @ pq
+    return 0.5 * (re + re.T)
 
 
 def reference_candidates(skew, trials, seed):

@@ -29,7 +29,7 @@ from qrealize.io import (
     serialize_system,
 )
 from qrealize.cli import example_system
-from qrealize.linalg import DEFAULT_POLICY
+from qrealize.linalg import DEFAULT_POLICY, TolerancePolicy
 
 HUGE = "1" + "0" * 400  # an integer literal beyond the float range
 
@@ -182,6 +182,33 @@ class TestToleranceAndSeedHandling:
         tolerances = {"symmetry_tol": value, "residual_tol": 1e-6}
         policy = parse_system_document(_paper_text(tolerances=tolerances)).policy
         assert policy == replace(DEFAULT_POLICY, residual_tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "tolerances, message",
+        [
+            ({"foo": 1e-3}, "unknown tolerance keys: foo"),
+            ({"symmetry_tol": 1e-8}, "unknown tolerance keys: symmetry_tol"),
+            ({"rank_rel_tol": 0.0}, "tolerance rank_rel_tol must be finite and in"),
+            ({"residual_tol": float("nan")}, "tolerance residual_tol must be finite and in"),
+            ({"rank_rel_tol": True}, "tolerance rank_rel_tol must be a number"),
+            ([("rank_rel_tol", 1e-6)], "tolerances must be a JSON object"),
+        ],
+        ids=["unknown", "legacy", "zero", "nan", "bool", "pairs"],
+    )
+    def test_writer_refuses_what_the_parser_refuses(self, tolerances, message):
+        # the same rule, same message: a file the writer would write with
+        # these tolerances (the legacy key aside) is one the parser rejects
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+            serialize_system(example_system(), tolerances=tolerances)
+        if "symmetry_tol" not in tolerances:
+            text = _paper_text()[:-1] + ', "tolerances": %s}' % json.dumps(tolerances)
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+                parse_system_document(text)
+
+    def test_writer_output_parses_to_its_tolerances(self):
+        tolerances = {"rank_rel_tol": 1e-6, "residual_tol": 1e-5}
+        doc = parse_system_document(serialize_system(example_system(), tolerances=tolerances))
+        assert doc.policy == TolerancePolicy(**tolerances)
 
 
 class TestParseRealization:

@@ -1,5 +1,6 @@
 """Tests for system validation, the skew invariant, and the noise counts."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -419,8 +420,9 @@ def test_nearly_realizable_counts_full_rank(n, seed, delta):
 def test_symmetry_tol_works_around_nearly_realizable_inputs(n, seed, delta):
     # the old workaround, a file symmetry_tol, is now an ignored key: the
     # file still parses, and the defaults give r = n with six passing residuals
-    text = serialize_system(_projected_system(n, seed, delta), tolerances={"symmetry_tol": 1e-8})
-    doc = parse_system_document(text)
+    data = json.loads(serialize_system(_projected_system(n, seed, delta)))
+    data["tolerances"] = {"symmetry_tol": 1e-8}
+    doc = parse_system_document(json.dumps(data))
     assert doc.policy == DEFAULT_POLICY
     skew = compute_s_tilde(doc.system, doc.policy)
     assert (skew.rank_r, skew.n_v) == (n, n + 2)
