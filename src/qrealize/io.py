@@ -56,6 +56,8 @@ def _loads(text: str):
         ) from exc
     except ValueError as exc:  # an integer literal beyond the int_max_str_digits limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than the recursion limit
+        raise ParseError(f"invalid JSON: nested too deeply ({exc})") from exc
 
 
 def _parse_matrix(name: str, node) -> np.ndarray:

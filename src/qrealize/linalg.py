@@ -6,12 +6,12 @@ command line alike; ROUNDOFF_TOL, the fixed bound of the roundoff checks;
 the block commutation matrix Theta = blockdiag(J, ..., J), J = [[0, 1],
 [-1, 0]], applied as a signed swap of quadrature pairs rather than a
 dense product; Hermitian eigendecomposition with a deterministic ordering;
-numerical_rank, the one rank kernel, which counts singular values above a
-relative cutoff for one matrix or a stack of them and takes them as
-|eigvalsh| when the caller promises Hermitian input; low-rank
+numerical_rank, the one rank kernel, which counts the singular values of
+one matrix above a relative cutoff and takes them as |eigvalsh| when the
+caller promises Hermitian input; low-rank
 factorization of a PSD matrix from eigenpairs the caller already holds
 (truncated and verified, never recomputed), the real-embedding rank of a
-Hermitian matrix or stack, and the norms of the column-pair wedge products
+Hermitian matrix, and the norms of the column-pair wedge products
 x y^T - y x^T.
 """
 
@@ -148,30 +148,25 @@ def hermitian_eig(h):
 
 def numerical_rank(
     m, policy: TolerancePolicy = DEFAULT_POLICY, hermitian: bool = False, floor: float = 0.0
-) -> int | np.ndarray:
-    """Count of singular values above rank_rel_tol times max(the largest one, floor).
+) -> int:
+    """Count of singular values of one matrix above rank_rel_tol * max(the largest, floor).
 
     ``floor`` is the input's term scale carried to ``m`` (SkewReport), so
     a matrix that is all roundoff, as on a realizable system, has rank 0.
-    ``m`` is one matrix, which gives an int, or a stack of shape
-    (..., k, l), which gives an int array of shape m.shape[:-2] with the
-    rank of each matrix. An all-zero matrix has rank 0; an empty matrix
-    or stack gives 0 or zeros. ``hermitian=True`` promises that every
-    matrix is Hermitian (real symmetric when real) and requires them
-    square; np.linalg.svd then takes the singular values as the sorted
-    |eigvalsh|, which reads only the lower triangle and costs a fraction
-    of a complex SVD.
+    An all-zero or empty matrix has rank 0; input that is not one matrix
+    raises DimensionError. ``hermitian=True`` promises that ``m`` is
+    Hermitian (real symmetric when real) and requires it square;
+    np.linalg.svd then takes the singular values as the sorted |eigvalsh|,
+    which reads only the lower triangle and costs a fraction of a complex SVD.
     """
     m = np.asarray(m)
-    if m.ndim < 2 or (hermitian and m.shape[-1] != m.shape[-2]):
-        kind = "square " if hermitian else ""
-        raise DimensionError(f"numerical_rank requires {kind}matrices, got shape {m.shape}")
+    if m.ndim != 2 or (hermitian and m.shape[0] != m.shape[1]):
+        kind = "a square matrix" if hermitian else "one matrix"
+        raise DimensionError(f"numerical_rank requires {kind}, got shape {m.shape}")
     if m.size == 0:
-        ranks = np.zeros(m.shape[:-2], dtype=int)
-    else:
-        s = np.linalg.svd(m, compute_uv=False, hermitian=hermitian)
-        ranks = np.count_nonzero(s > policy.rank_rel_tol * np.maximum(s[..., :1], floor), axis=-1)
-    return int(ranks) if m.ndim == 2 else ranks
+        return 0
+    s = np.linalg.svd(m, compute_uv=False, hermitian=hermitian)
+    return int(np.count_nonzero(s > policy.rank_rel_tol * max(s[0], floor)))
 
 
 def psd_low_rank_factor(
@@ -214,27 +209,20 @@ def psd_low_rank_factor(
 
 def complex_rank_via_real_embedding(
     are, aim, policy: TolerancePolicy = DEFAULT_POLICY, floor: float = 0.0
-) -> int | np.ndarray:
+) -> int:
     """Rank of the Hermitian are + i*aim, as half the rank of [[are, aim], [-aim, are]].
 
     An independent route to numerical_rank(are + 1j * aim, policy, True, floor):
     the real symmetric embedding repeats every eigenvalue of the Hermitian
     matrix exactly twice, and numerical_rank ranks it with hermitian=True,
     so the input must be Hermitian (are symmetric, aim skew). ``are`` and
-    ``aim`` are one matrix each or stacks that broadcast together; a stack
-    gives an int array of the ranks, as numerical_rank does.
+    ``aim`` are one matrix each, of one shape, or DimensionError is raised.
     """
     are = np.asarray(are, dtype=float)
     aim = np.asarray(aim, dtype=float)
-    try:
-        *stack, k, l = np.broadcast_shapes(are.shape, aim.shape)
-    except ValueError:
-        shapes = f"{are.shape} and {aim.shape}"
-        raise DimensionError(f"parts of shapes {shapes} do not broadcast to matrices") from None
-    embedding = np.empty((*stack, 2 * k, 2 * l))
-    embedding[..., :k, :l] = embedding[..., k:, l:] = are
-    embedding[..., :k, l:] = aim
-    embedding[..., k:, :l] = -aim
+    if are.ndim != 2 or are.shape != aim.shape:
+        raise DimensionError(f"parts of shapes {are.shape} and {aim.shape} are not one matrix")
+    embedding = np.block([[are, aim], [-aim, are]])
     return numerical_rank(embedding, policy, hermitian=True, floor=floor) // 2
 
 

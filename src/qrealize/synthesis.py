@@ -270,12 +270,12 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
         the pair is returned whether or not the residuals pass.
     """
     skew = sys if isinstance(sys, SkewReport) else compute_s_tilde(sys)
-    sys, policy, n_v = skew.system, skew.policy, skew.n_v
+    sys, policy = skew.system, skew.policy
 
     xi2 = build_xi2(skew, build_xi1(skew))
     b1 = build_b1(sys, build_lambda_b1(skew, xi2))
     r_mat, lam = oscillator(sys, b1)
-    d1 = np.eye(sys.n_y, n_v)
+    rz = Realization(skew=skew, R=r_mat, Lambda=lam, B1=b1, D1=np.eye(sys.n_y, skew.n_v))
 
     tol = policy.residual_tol
 
@@ -289,7 +289,7 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
         [sys.A],
         tol,
         norms=[2.0 * np.linalg.norm(r_mat)]
-        + [2.0 * np.linalg.norm(_gram_imag(m)) for m in np.split(lam, [sys.n_y // 2, n_v // 2])],
+        + [2.0 * np.linalg.norm(_gram_imag(m)) for m in (rz.Lambda_b0, rz.Lambda_b1, rz.Lambda_b2)],
     )
 
     # [B1 B] = 2i Theta [-Lambda^dag Lambda^T] Gamma
@@ -301,9 +301,8 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
     c_rebuilt = _coupled_outputs(lam, sys.n_y)
     output = residual_entry("output_rebuild", c_rebuilt - sys.C, [sys.C, c_rebuilt], tol)
 
-    check = check_physical_realizability(sys, b1, d1, policy)
-    report = ResidualReport(entries=(state, fields, output) + check.entries)
-    return Realization(skew=skew, R=r_mat, Lambda=lam, B1=b1, D1=d1), report
+    check = check_physical_realizability(sys, b1, rz.D1, policy)
+    return rz, ResidualReport(entries=(state, fields, output) + check.entries)
 
 
 @dataclass(frozen=True)
@@ -366,20 +365,19 @@ def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
     (MinimalityCertificate) are read off the record's eigenvalues, with no
     further decomposition. The rank bound rank(Xi + (i/4) S_tilde) >= r/2
     is checked on the two constructive candidates, the minimizer Xi1 and
-    the zero matrix, ranked as one stack by two routes under floor T/4 (T
-    the record's term scale): numerical_rank of the Hermitian matrices
-    with hermitian=True, and complex_rank_via_real_embedding, which ranks
-    their real symmetric embeddings [[Xi, S_tilde/4], [-S_tilde/4, Xi]].
+    the zero matrix, each ranked by two routes under floor T/4 (T the
+    record's term scale): numerical_rank of the Hermitian Xi + (i/4)
+    S_tilde with hermitian=True, and complex_rank_via_real_embedding, which
+    ranks its real symmetric embedding [[Xi, S_tilde/4], [-S_tilde/4, Xi]].
     A violated bound or a disagreement is reported, not raised.
     """
     policy, floor = skew.policy, skew.term_scale / 4
     n, r = skew.system.n, skew.rank_r
     imag_part = 0.25 * skew.S_tilde
-    xi = np.zeros((2, n, n))
-    xi[0] = build_xi1(skew)
-    ranks = numerical_rank(xi + 1j * imag_part, policy, hermitian=True, floor=floor)
-    embedded = complex_rank_via_real_embedding(xi, imag_part, policy, floor)
-    min_rank = int(ranks.min())
+    candidates = (build_xi1(skew), np.zeros((n, n)))
+    ranks = [numerical_rank(xi + 1j * imag_part, policy, True, floor) for xi in candidates]
+    embedded = [complex_rank_via_real_embedding(xi, imag_part, policy, floor) for xi in candidates]
+    min_rank = min(ranks)
 
     # the singular values of S_tilde, descending, and the r/2 pair values
     # above the cutoff (the second of each pair), smallest first
@@ -400,5 +398,5 @@ def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
         noise_profile=tuple((skew.n_v - 2 * j, float(d)) for j, d in enumerate(distances, 1)),
         min_observed_rank=min_rank,
         lower_bound_held=int(np.count_nonzero(sigma > cutoff)) == r and min_rank >= r // 2,
-        embedding_agreed=np.array_equal(embedded, ranks),
+        embedding_agreed=embedded == ranks,
     )

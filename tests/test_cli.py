@@ -377,6 +377,28 @@ def test_non_utf8_file_is_one_error_line(paper_file, tmp_path, capsys, which):
     assert all(line.startswith(f"error: {bad} is not UTF-8") for line in captured.err.splitlines())
 
 
+@pytest.mark.parametrize("which", ["system", "report"])
+def test_deeply_nested_file_is_one_error_line(paper_file, tmp_path, capsys, which):
+    # json.loads raises RecursionError, not JSONDecodeError, past the recursion limit
+    report = tmp_path / "report.json"
+    assert main(["synthesize", paper_file, "-o", str(report)]) == 0
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"A": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    capsys.readouterr()
+    if which == "system":
+        assert main(["count", str(deep)]) == 1
+        argv = ["check", str(deep), str(report)]
+    else:
+        argv = ["check", paper_file, str(deep)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == (2 if which == "system" else 1)
+    assert all(
+        line.startswith("error: invalid JSON: nested too deeply") for line in captured.err.splitlines()
+    )
+
+
 def _as_0_5_0(doc, system):
     """Edit a report in place to the 0.5.0 form: the sizes, realization.n_v, certificate.r and trials."""
     doc["version"] = "0.5.0"

@@ -32,6 +32,8 @@ from qrealize.cli import example_system
 from qrealize.linalg import DEFAULT_POLICY, TolerancePolicy
 
 HUGE = "1" + "0" * 400  # an integer literal beyond the float range
+# arrays nested past any recursion limit: json.loads raises RecursionError
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def _paper_text(**extra):
@@ -124,6 +126,13 @@ class TestParseSystem:
         text = '{"A": [[%s]], "B": [[0]], "C": [[0]]}' % ("1" * 5000)
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_system_document(text).system
+
+    @pytest.mark.parametrize(
+        "text", ['{"A": %s, "B": [[0]], "C": [[0]]}' % DEEP, DEEP], ids=["matrix", "document"]
+    )
+    def test_deeply_nested_json_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="invalid JSON: nested too deeply"):
+            parse_system_document(text)
 
     def test_odd_output_dimension_rejected(self):
         doc = {
@@ -227,6 +236,13 @@ class TestParseRealization:
     def test_missing_key(self):
         with pytest.raises(ParseError, match="'D1'"):
             parse_realization(json.dumps({"B1": [[0.0, 0.0]]}))
+
+    @pytest.mark.parametrize(
+        "text", ['{"B1": %s, "D1": [[1.0]]}' % DEEP, DEEP], ids=["matrix", "document"]
+    )
+    def test_deeply_nested_json_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="invalid JSON: nested too deeply"):
+            parse_realization(text)
 
 
 def _report_text(sys):

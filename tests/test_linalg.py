@@ -281,7 +281,8 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((0, 4))) == 0
         assert numerical_rank(np.zeros((3, 3)), hermitian=True) == 0
         assert numerical_rank(np.zeros((0, 0)), hermitian=True) == 0
-        assert numerical_rank(np.zeros((0, 4, 4)), hermitian=True).shape == (0,)
+        with pytest.raises(DimensionError):
+            numerical_rank(np.zeros((0, 4, 4)), hermitian=True)
 
     def test_relative_cutoff(self):
         assert numerical_rank(np.diag([1.0, 1e-15])) == 1
@@ -300,25 +301,27 @@ class TestNumericalRank:
         assert numerical_rank(np.diag([1.0, 1e-6]), floor=1e4) == 1
         # a floor below sigma_max changes nothing
         assert numerical_rank(np.diag([1.0, 2e-9]), floor=0.5) == 2
-        stack = np.stack([roundoff, np.eye(2)])
-        assert numerical_rank(stack, hermitian=True, floor=1.0).tolist() == [0, 2]
+        assert numerical_rank(roundoff, hermitian=True, floor=1.0) == 0
+        assert numerical_rank(np.eye(2), hermitian=True, floor=1.0) == 2
 
     def test_rectangular(self):
         m = np.vstack([np.eye(2), np.zeros((3, 2))])
         assert numerical_rank(m) == 2
 
     def test_stack_matches_each_matrix(self):
+        # one matrix in, one int out; a stack is refused rather than ranked
         rng = np.random.default_rng(7)
         stack = rng.standard_normal((2, 3, 5, 2))
         stack[0, 1] = 0.0
         stack[1, 2, :, 1] = 3.0 * stack[1, 2, :, 0]
-        ranks = numerical_rank(stack)
-        assert ranks.shape == (2, 3)
-        assert ranks.tolist() == [[numerical_rank(m) for m in row] for row in stack]
-        assert ranks[0, 1] == 0 and ranks[1, 2] == 1
-        assert numerical_rank(np.zeros((3, 0, 4))).tolist() == [0, 0, 0]
-        with pytest.raises(DimensionError):
-            numerical_rank(np.ones(3))
+        assert type(numerical_rank(stack[0, 0])) is int
+        assert numerical_rank(stack[0, 1]) == 0 and numerical_rank(stack[1, 2]) == 1
+        assert numerical_rank(stack[1, 0]) == 2
+        for bad in (stack, stack[0], np.zeros((3, 0, 4)), np.ones(3), np.float64(1.0)):
+            with pytest.raises(DimensionError):
+                numerical_rank(bad)
+            with pytest.raises(DimensionError):
+                numerical_rank(bad, hermitian=True)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_hermitian_route_matches_svd(self, seed):
@@ -406,10 +409,10 @@ class TestRealEmbeddingRank:
         embedding = np.block([[m.real, m.imag], [-m.imag, m.real]])
         assert numerical_rank(embedding, hermitian=True) == 2 * direct
         # -m: negative eigenvalues count by magnitude; m + I: full rank
-        stack = np.stack([m, -m, np.zeros_like(m), m + np.eye(n)])
-        expected = [numerical_rank(x) for x in stack]
-        assert numerical_rank(stack, hermitian=True).tolist() == expected
-        assert complex_rank_via_real_embedding(stack.real, stack.imag).tolist() == expected
+        for x in (m, -m, np.zeros_like(m), m + np.eye(n)):
+            expected = numerical_rank(x)
+            assert numerical_rank(x, hermitian=True) == expected
+            assert complex_rank_via_real_embedding(x.real, x.imag) == expected
 
     def test_pure_imaginary(self):
         # i*J has rank 2 while the parts individually have ranks 0 and 2
@@ -420,6 +423,13 @@ class TestRealEmbeddingRank:
             complex_rank_via_real_embedding(np.eye(2), np.eye(3))
         with pytest.raises(DimensionError):
             numerical_rank(np.zeros((2, 3)), hermitian=True)
+        # one pair of matrices in, one int out: stacks and parts that only
+        # broadcast together are refused
+        stack = np.zeros((2, 3, 3))
+        for are, aim in ((stack, stack), (np.eye(3), stack), (np.eye(2), np.zeros((1, 2)))):
+            with pytest.raises(DimensionError):
+                complex_rank_via_real_embedding(are, aim)
+        assert type(complex_rank_via_real_embedding(np.eye(3), np.zeros((3, 3)))) is int
 
 
 def _exact_pair_norm(x, y):
