@@ -332,9 +332,10 @@ class MinimalityCertificate:
     the cutoff, which cross-checks the SVD rank of compute_s_tilde, and that
     no ranked candidate Xi + (i/4) S_tilde has rank below r/2 (a theorem
     for every real symmetric Xi: rank(Im H) <= 2 rank(H) for Hermitian H).
-    ``embedding_agreed`` says that every candidate's direct rank equals its
-    real-embedding rank, and ``min_observed_rank`` is the least rank of the
-    two candidates, the constructive minimizer Xi1 and the zero matrix.
+    ``min_observed_rank`` is the least real-embedding rank of the two
+    candidates, Xi1 (whose Xi1 + S is Xi2) and zero (S), and
+    ``embedding_agreed`` says each equals the count above ``cutoff`` of
+    the spectrum the record gives it, d of S: |d| + d for Xi2, d for S.
     """
 
     term_scale: float
@@ -365,30 +366,29 @@ def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
     (MinimalityCertificate) are read off the record's eigenvalues, with no
     further decomposition. The rank bound rank(Xi + (i/4) S_tilde) >= r/2
     is checked on the two constructive candidates, the minimizer Xi1 and
-    the zero matrix, each ranked by two routes under floor T/4 (T the
-    record's term scale): numerical_rank of the Hermitian Xi + (i/4)
-    S_tilde with hermitian=True, and complex_rank_via_real_embedding, which
-    ranks its real symmetric embedding [[Xi, S_tilde/4], [-S_tilde/4, Xi]].
-    A violated bound or a disagreement is reported, not raised.
+    the zero matrix, each ranked once by complex_rank_via_real_embedding
+    ([[Xi, S_tilde/4], [-S_tilde/4, Xi]]) under the floor of the matrix it
+    is, T/2 for Xi1 + S = Xi2 (as in build_xi2) and T/4 for S, T the
+    record's term scale, and compared with the rank the record's spectrum
+    gives it. A violated bound or a disagreement is reported, not raised.
     """
-    policy, floor = skew.policy, skew.term_scale / 4
-    n, r = skew.system.n, skew.rank_r
+    policy, t, n, r = skew.policy, skew.term_scale, skew.system.n, skew.rank_r
     imag_part = 0.25 * skew.S_tilde
-    candidates = (build_xi1(skew), np.zeros((n, n)))
-    ranks = [numerical_rank(xi + 1j * imag_part, policy, True, floor) for xi in candidates]
-    embedded = [complex_rank_via_real_embedding(xi, imag_part, policy, floor) for xi in candidates]
-    min_rank = min(ranks)
+    candidates = ((build_xi1(skew), t / 2), (np.zeros((n, n)), t / 4))
+    ranks = [complex_rank_via_real_embedding(xi, imag_part, policy, f) for xi, f in candidates]
 
     # the singular values of S_tilde, descending, and the r/2 pair values
     # above the cutoff (the second of each pair), smallest first
     sigma = np.sort(4.0 * np.abs(skew.eigenvalues))[::-1]
-    cutoff = policy.rank_rel_tol * max(float(sigma[0]), skew.term_scale)
+    cutoff = policy.rank_rel_tol * max(float(sigma[0]), t)
+    # the ranks the spectrum gives Xi2 (|d| + d) and S (d)
+    spectral = [int(np.count_nonzero(v > cutoff)) for v in (4.0 * skew.eigenvalues, sigma)]
     pairs = sigma[1:r:2][::-1]
     distances = np.hypot.accumulate(pairs) / math.sqrt(2.0)
     sigma_r = float(sigma[r - 1]) if r else None
     sigma_next = float(sigma[r]) if r < n else None
     return MinimalityCertificate(
-        term_scale=float(skew.term_scale),
+        term_scale=float(t),
         cutoff=cutoff,
         sigma_r=sigma_r,
         sigma_next=sigma_next,
@@ -396,7 +396,7 @@ def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
         decades_below_cutoff=_decades(cutoff, sigma_next),
         stability_radius=float(distances[0]) if r else None,
         noise_profile=tuple((skew.n_v - 2 * j, float(d)) for j, d in enumerate(distances, 1)),
-        min_observed_rank=min_rank,
-        lower_bound_held=int(np.count_nonzero(sigma > cutoff)) == r and min_rank >= r // 2,
-        embedding_agreed=embedded == ranks,
+        min_observed_rank=min(ranks),
+        lower_bound_held=spectral[1] == r and min(ranks) >= r // 2,
+        embedding_agreed=ranks == spectral,
     )

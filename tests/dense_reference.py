@@ -18,8 +18,9 @@ library's one complex product can be swapped for.
 
 The seeded random-candidate reference ranks the minimality certificate's
 two constructive candidates and any number of random real symmetric ones
-by full SVD on both of the certificate's routes, where the library ranks
-only the two constructive candidates, by |eigvalsh|.
+by full SVD on two routes, the complex matrix and its real embedding,
+where the library ranks only the two constructive candidates, by
+|eigvalsh| of the embedding, and compares them with the record's spectrum.
 """
 
 import math
@@ -210,14 +211,14 @@ def reference_candidates(skew, trials, seed):
     return np.array(candidates)
 
 
-def _stack_ranks(stack, skew):
+def _stack_ranks(stack, skew, floors):
     """Rank of each matrix of a stack by one general SVD, under numerical_rank's rule.
 
     A singular value counts when it exceeds the record's rank_rel_tol times
-    max(the matrix's largest one, T/4), T the record's term scale.
+    max(the matrix's largest one, its floor), one floor per matrix.
     """
     s = np.linalg.svd(stack, compute_uv=False)
-    cutoff = skew.policy.rank_rel_tol * np.maximum(s[:, :1], skew.term_scale / 4)
+    cutoff = skew.policy.rank_rel_tol * np.maximum(s[:, :1], floors[:, None])
     return np.count_nonzero(s > cutoff, axis=-1)
 
 
@@ -226,16 +227,20 @@ def reference_certificate(skew, trials=0, seed=0):
 
     Each candidate Xi is ranked as Xi + (i/4) S_tilde and, halved, as its
     real embedding [[Xi, S_tilde/4], [-S_tilde/4, Xi]], both under the
-    record's policy and floor T/4, by one general SVD of the whole stack
-    per route, apart from the library's numerical_rank, which it checks.
+    record's policy, by one general SVD of the whole stack per route,
+    apart from the library's numerical_rank, which it checks. The floor is
+    T/2 for the constructive Xi1, whose Xi1 + S is the Xi2 that build_xi2
+    ranks, and T/4 for every other candidate, T the record's term scale.
     ``lower_bound_held`` here is the candidate half of the certificate's
     flag: no candidate ranks below r/2.
     """
     imag_part = 0.25 * skew.S_tilde
     xi = reference_candidates(skew, trials, seed)
     block = np.broadcast_to(imag_part, xi.shape)
-    direct = _stack_ranks(xi + 1j * imag_part, skew)
-    embedded = _stack_ranks(np.block([[xi, block], [-block, xi]]), skew) // 2
+    floors = np.full(len(xi), skew.term_scale / 4)
+    floors[0] = skew.term_scale / 2
+    direct = _stack_ranks(xi + 1j * imag_part, skew, floors)
+    embedded = _stack_ranks(np.block([[xi, block], [-block, xi]]), skew, floors) // 2
     return dict(
         min_observed_rank=int(direct.min()),
         lower_bound_held=bool(direct.min() >= skew.rank_r // 2),

@@ -399,6 +399,29 @@ def test_deeply_nested_file_is_one_error_line(paper_file, tmp_path, capsys, whic
     )
 
 
+@pytest.mark.parametrize(
+    "which, text, message",
+    [
+        (
+            "system",
+            '{"A": [[0, 1], []], "B": [[0, 0], [0, 0]], "C": [[0, 0], [0, 0]]}',
+            "A row 1 must be a non-empty array",
+        ),
+        ("report", "[1, 2]", "top-level document must be a JSON object"),
+        ("report", '{"realization": [1, 2]}', "realization must be a JSON object"),
+    ],
+    ids=["empty-row", "report-document", "report-realization"],
+)
+def test_misshapen_document_is_one_error_line(paper_file, tmp_path, capsys, which, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = ["count", str(bad)] if which == "system" else ["check", paper_file, str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _as_0_5_0(doc, system):
     """Edit a report in place to the 0.5.0 form: the sizes, realization.n_v, certificate.r and trials."""
     doc["version"] = "0.5.0"

@@ -82,6 +82,12 @@ class TestParseSystem:
         with pytest.raises(ParseError, match="non-empty"):
             parse_system_document(json.dumps({"A": [], "B": [[0.0]], "C": [[0.0]]})).system
 
+    @pytest.mark.parametrize("row", [[], 0.0], ids=["empty", "not-a-list"])
+    def test_row_that_is_not_a_non_empty_array_is_named(self, row):
+        bad = {"A": [[0.0, 1.0], row], "B": [[0.0], [0.0]], "C": [[0.0, 0.0]]}
+        with pytest.raises(ParseError, match=r"^A row 1 must be a non-empty array$"):
+            parse_system_document(json.dumps(bad)).system
+
     def test_ragged_rows_named(self):
         bad = {"A": [[0.0, 1.0], [2.0]], "B": [[0.0], [0.0]], "C": [[0.0, 0.0]]}
         with pytest.raises(ParseError, match="A row 1"):
@@ -236,6 +242,18 @@ class TestParseRealization:
     def test_missing_key(self):
         with pytest.raises(ParseError, match="'D1'"):
             parse_realization(json.dumps({"B1": [[0.0, 0.0]]}))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "top-level document must be a JSON object"),
+            ('{"realization": [1, 2]}', "realization must be a JSON object"),
+        ],
+        ids=["document", "realization"],
+    )
+    def test_node_that_is_not_an_object(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_realization(text)
 
     @pytest.mark.parametrize(
         "text", ['{"B1": %s, "D1": [[1.0]]}' % DEEP, DEEP], ids=["matrix", "document"]

@@ -82,6 +82,10 @@ class TestValidateSystem:
         with pytest.raises(ValidationError, match="B must be"):
             LtiSystem(A=np.zeros((4, 4)), B=np.zeros((2, 2)), C=np.zeros((2, 4)))
 
+    def test_rejects_c_with_the_wrong_column_count(self):
+        with pytest.raises(ValidationError, match=re.escape("C must be 2x4, got shape (2, 2)")):
+            LtiSystem(A=np.zeros((4, 4)), B=np.zeros((4, 2)), C=np.zeros((2, 2)))
+
     @pytest.mark.parametrize(
         "value, message",
         [
@@ -180,6 +184,31 @@ class TestComputeSTilde:
         skew = compute_s_tilde(LtiSystem.from_matrices(root * (root * a), root * b, root * c))
         assert (skew.rank_r, skew.n_v) == (r, 2 + r)
 
+    def test_odd_rank_is_diagnosed(self, paper_system, monkeypatch):
+        # a skew matrix has even rank, so an odd count is a cutoff inside a pair;
+        # naturally it takes a rank_rel_tol where rounding decides
+        import qrealize.realizability as realizability
+
+        monkeypatch.setattr(realizability, "numerical_rank", lambda *args, **kwargs: 3)
+        message = (
+            "numerical rank 3 of the skew invariant is odd; "
+            "adjust rank_rel_tol away from the singular-value cluster"
+        )
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            compute_s_tilde(paper_system)
+
+    def test_lost_antisymmetry_is_diagnosed(self, monkeypatch):
+        # Theta applied as the identity: S_tilde gains the symmetric part B B^T - C^T C
+        import qrealize.realizability as realizability
+
+        sys = _random_system([4, 2, 0], 4, 2)
+        monkeypatch.setattr(realizability, "apply_theta", lambda m, side: np.array(m, dtype=float))
+        with pytest.raises(
+            NumericalError,
+            match=r"^skew invariant lost antisymmetry: residual \S+ exceeds 1\.0e-12 \* \S+$",
+        ):
+            compute_s_tilde(sys)
+
 
 class TestNoiseCounts:
     def test_minimal_counts(self, fixture_systems):
@@ -222,6 +251,12 @@ class TestResidualEntry:
         e = residual_entry("x", np.eye(2) * 1e-6, [np.eye(2), 10.0 * np.eye(2)], 1e-8)
         assert e.scale == pytest.approx(np.linalg.norm(10.0 * np.eye(2)))
         assert e.relative == pytest.approx(e.absolute / e.scale)
+
+    def test_report_entry_of_an_unknown_name_is_a_key_error(self, paper_system):
+        _, report = synthesize_realization(paper_system)
+        assert report.entry("commutation") is report.entries[3]
+        with pytest.raises(KeyError, match=re.escape("no residual named 'bogus'")):
+            report.entry("bogus")
 
     def test_precomputed_norms_count_as_terms(self):
         e = residual_entry("x", np.eye(2), [np.eye(2)], 1e-8, norms=np.array([3.0, 20.0]))

@@ -594,11 +594,22 @@ def _system_n32():
     )
 
 
+def _loose_n8():
+    """The n=8, n_u=2 system of default_rng([8, 2, 1]) at rank_rel_tol 0.5.
+
+    Xi2's second eigenvalue, 2.106, lies between the cutoffs under floor
+    T/4 (1.910) and under T/2 (2.166), the floor build_xi2 ranks it with.
+    """
+    return compute_s_tilde(_random_system([8, 2, 1], 8, 2), TolerancePolicy(rank_rel_tol=0.5))
+
+
 class TestMinimalityCertificate:
-    @pytest.mark.parametrize("name", ["trivial", "small", "paper", "n32"])
+    @pytest.mark.parametrize("name", ["trivial", "small", "paper", "n32", "n8-loose"])
     def test_matches_per_candidate_svd_loop(self, fixture_systems, name):
-        sys = _system_n32() if name == "n32" else fixture_systems[name]
-        skew = compute_s_tilde(sys)
+        if name == "n8-loose":
+            skew = _loose_n8()
+        else:
+            skew = compute_s_tilde(_system_n32() if name == "n32" else fixture_systems[name])
         cert = minimality_certificate(skew)
         assert _sampler_fields(cert) == reference_certificate(skew)
         if name == "trivial":
@@ -635,6 +646,41 @@ class TestMinimalityCertificate:
         skew = compute_s_tilde(paper_system)
         assert minimality_certificate(skew) == minimality_certificate(skew)
         assert reference_certificate(skew, 50, seed=7) == reference_certificate(skew, 50, seed=7)
+
+    def test_loose_tolerance_ranks_xi2_under_its_own_floor(self):
+        skew = _loose_n8()
+        rz, _ = synthesize_realization(skew)
+        cert = minimality_certificate(skew)
+        assert rz.Lambda_b1.shape[0] == cert.min_observed_rank == skew.rank_r // 2 == 1
+        assert cert.lower_bound_held and cert.embedding_agreed
+
+    def test_a_wrong_xi1_disagrees_with_the_spectrum(self, paper_system, monkeypatch):
+        # Xi1 + 1e-3 I is no minimizer: its Xi2 has full rank 4, where the
+        # spectrum |d| + d gives 2; ranked by two routes, it would agree with itself
+        import qrealize.synthesis as synthesis
+
+        exact_xi1 = synthesis.build_xi1
+
+        def shifted_xi1(skew):
+            return exact_xi1(skew) + 1e-3 * np.eye(skew.system.n)
+
+        monkeypatch.setattr(synthesis, "build_xi1", shifted_xi1)
+        cert = minimality_certificate(compute_s_tilde(paper_system))
+        assert cert.embedding_agreed is False
+        assert cert.min_observed_rank == 4
+
+    def test_one_svd_per_candidate(self, paper_system, monkeypatch):
+        skew = compute_s_tilde(paper_system)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        minimality_certificate(skew)
+        assert len(calls) == 2
 
 
 def _margin_systems():
