@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import ParseError
 from .linalg import TolerancePolicy
+from .realizability import LtiSystem
 
 __all__ = [
     "SystemDocument",
@@ -43,7 +44,7 @@ class SystemDocument:
     defaults; command line flags, if any, are applied over it by the CLI.
     """
 
-    system: "LtiSystem"
+    system: LtiSystem
     policy: TolerancePolicy
 
 
@@ -115,8 +116,6 @@ def parse_system_document(text: str) -> SystemDocument:
     Other top-level keys, such as the "seed" that files for reports before
     0.4.0 could set, are ignored, and so is a "symmetry_tol" tolerance.
     """
-    from .realizability import LtiSystem
-
     doc = _loads(text)
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be a JSON object")

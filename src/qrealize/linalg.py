@@ -5,14 +5,13 @@ their defaults and checks them, for the library, system files and the
 command line alike; ROUNDOFF_TOL, the fixed bound of the roundoff checks;
 the block commutation matrix Theta = blockdiag(J, ..., J), J = [[0, 1],
 [-1, 0]], applied as a signed swap of quadrature pairs rather than a
-dense product; Hermitian eigendecomposition with a deterministic ordering;
-numerical_rank, the one rank kernel, which counts the singular values of
-one matrix above a relative cutoff and takes them as |eigvalsh| when the
-caller promises Hermitian input; low-rank
-factorization of a PSD matrix from eigenpairs the caller already holds
-(truncated and verified, never recomputed), the real-embedding rank of a
-Hermitian matrix, and the norms of the column-pair wedge products
-x y^T - y x^T.
+dense product; hermitian_eig, the one owner of the eigenpair order and
+phase convention; numerical_rank, the one rank kernel, which counts the
+singular values of one matrix above a relative cutoff and takes them as
+|eigvalsh| when the caller promises Hermitian input; low-rank factorization
+of a PSD matrix from eigenpairs the caller already holds (truncated and
+verified, never recomputed), the real-embedding rank of a Hermitian
+matrix, and the norms of the column-pair wedge products x y^T - y x^T.
 """
 
 from __future__ import annotations
@@ -114,36 +113,27 @@ def apply_theta(m, side: str) -> np.ndarray:
     return out
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Scale each column so its largest-magnitude entry is real and positive.
-
-    Ties pick the first index, so the convention is deterministic.
-    """
-    if vectors.shape[1] == 0:
-        return vectors
-    lead_rows = np.argmax(np.abs(vectors), axis=0)
-    lead = vectors[lead_rows, np.arange(vectors.shape[1])]
-    mags = np.abs(lead)
-    phases = np.where(mags > 0, lead / np.where(mags > 0, mags, 1.0), 1.0)
-    return vectors / phases
-
-
 def hermitian_eig(h):
     """Eigendecomposition H = U^dag diag(d) U of a Hermitian matrix.
 
-    Returns (U, d): the rows of U are the conjugated eigenvectors,
-    phase-fixed for determinism, and d holds the real eigenvalues sorted
-    descending. Reads only the lower triangle of ``h`` (np.linalg.eigh):
-    the caller vouches that it is Hermitian.
+    Returns (U, d): d holds the real eigenvalues sorted descending, and the
+    rows of U the conjugated eigenvectors in that order, each scaled so its
+    largest-magnitude entry (the first on ties) is real and positive; a zero
+    vector stays as it is. Reads only the lower triangle of ``h``
+    (np.linalg.eigh): the caller vouches that it is Hermitian.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionError(f"hermitian_eig requires a square matrix, got shape {h.shape}")
     d, v = np.linalg.eigh(h)
     order = np.argsort(-d, kind="stable")
-    d = d[order]
-    v = _fix_phases(v[:, order])
-    return v.conj().T, d
+    v = v[:, order]  # the one n x n copy: the phases and the conjugation act in place
+    if v.size:
+        lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        mags = np.abs(lead)
+        v /= np.where(mags > 0, lead / np.where(mags > 0, mags, 1.0), 1.0)
+    np.conjugate(v, out=v)
+    return v.T, d[order]
 
 
 def numerical_rank(

@@ -130,12 +130,12 @@ class SkewReport:
     is relative to at least T (S_tilde), T/2 (Xi2) or T/4 (S, Xi1, certificate candidates).
     S = (i/4) S_tilde is Hermitian because S_tilde is real skew-symmetric;
     it is derived on access rather than stored, to keep the record small.
-    S = U^dag diag(eigenvalues) U with the eigenvalues sorted descending
-    and the rows of U phase-fixed as in hermitian_eig. ``rank_r`` is the
-    (even) numerical rank of S_tilde and ``multiplicity_count`` the
-    multiplicity-based bound n_u + 2(n - n_lambda). The exact minimal noise
-    count ``n_v = n_u + rank_r`` is derived on access, so it cannot
-    disagree with the rank.
+    S = U^dag diag(eigenvalues) U, in the order and phases hermitian_eig
+    sets (eigenvalues descending). ``rank_r`` is the (even) numerical rank
+    of S_tilde and ``multiplicity_count`` the multiplicity-based bound
+    n_u + 2(n - n_lambda). The exact minimal noise count
+    ``n_v = n_u + rank_r`` is derived on access, so it cannot disagree
+    with the rank.
     """
 
     system: LtiSystem

@@ -1,7 +1,11 @@
 """Tests for JSON parsing and report serialization."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 import re
+import typing
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -21,6 +25,7 @@ from qrealize import (
     synthesize_realization,
 )
 from qrealize.io import (
+    SystemDocument,
     _real_lists,
     parse_realization,
     parse_system_document,
@@ -309,6 +314,29 @@ def test_pyproject_version_matches_package():
     project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, flags=re.M | re.S).group(1)
     (version,) = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project, flags=re.M)
     assert version == qrealize.__version__
+
+
+def test_type_hints_resolve_in_every_module():
+    # every annotation names something its module can see, so
+    # typing.get_type_hints works on each class and function qrealize defines
+    modules = [qrealize] + [
+        importlib.import_module(f"qrealize.{info.name}")
+        for info in pkgutil.iter_modules(qrealize.__path__)
+    ]
+    defined = [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if (inspect.isclass(obj) or inspect.isfunction(obj)) and obj.__module__ == module.__name__
+    ]
+    assert SystemDocument in defined
+    unresolved = []
+    for obj in defined:
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{obj.__module__}.{obj.__qualname__}: {exc}")
+    assert not unresolved
 
 
 def test_matrix_encoding_matches_elementwise_loops():

@@ -231,6 +231,20 @@ class TestHermitianEig:
         assert np.array_equal(u, np.eye(3))
         assert np.array_equal(d, np.zeros(3))
 
+    def test_empty_matrix(self):
+        u, d = hermitian_eig(np.zeros((0, 0)))
+        assert u.shape == (0, 0)
+        assert d.shape == (0,)
+
+    def test_magnitude_tie_picks_the_first_entry(self):
+        # both entries of each eigenvector of [[0, 1], [1, 0]] tie in magnitude;
+        # the first is made real and positive, so the -1 row reads (+, -)
+        u, d = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.allclose(d, [1.0, -1.0])
+        assert np.array_equal(np.abs(u[:, 0]), np.abs(u[:, 1]))
+        assert np.all(u[:, 0] > 0)
+        assert u[1, 1] < 0
+
     def test_reads_the_lower_triangle_only(self):
         # the caller promises a Hermitian matrix; the upper triangle is not read
         h = np.array([[2.0, 1.0], [1.0, 2.0]])
