@@ -138,7 +138,8 @@ def cmd_paper_example(args) -> int:
         f"certificate: stability_radius={_optional(certificate.stability_radius, '.3e')} "
         f"decades_above_cutoff={_optional(certificate.decades_above_cutoff, '.2f')} "
         f"bound_held={'PASS' if certificate.lower_bound_held else 'FAIL'} "
-        f"embedding_agreed={'PASS' if certificate.embedding_agreed else 'FAIL'}"
+        f"embedding_agreed={'PASS' if certificate.embedding_agreed else 'FAIL'} "
+        f"proven_r={certificate.proven_r}"
     )
     return 0 if (match_ok and counts_ok and report.all_passed and cert_ok) else 1
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -190,7 +191,7 @@ def report_document(realization, residuals, certificate) -> dict:
     The tolerances and the analysis (the spectrum of S, r, n_v and the
     multiplicity count) come from the analysis record the realization
     carries, and each appears once; the tolerances, each residual entry and
-    the certificate are written field by field with asdict, so their
+    the certificate are written field by field (_fields), so their
     dataclasses alone name the keys; a certificate value that does not
     exist is null. The report holds what the run adds to its input, not
     the input: A, B and C, and with them the sizes n, n_u and n_y, stay in
@@ -202,21 +203,26 @@ def report_document(realization, residuals, certificate) -> dict:
     skew = realization.skew
     return {
         "version": __version__,
-        "tolerances": {k: float(v) for k, v in asdict(skew.policy).items()},
+        "tolerances": {k: float(v) for k, v in _fields(skew.policy).items()},
         "analysis": {
             "eigenvalues_of_S": [float(x) for x in skew.eigenvalues],
             "r": int(skew.rank_r),
             "n_v": int(skew.n_v),
             "multiplicity_noise_count": int(skew.multiplicity_count),
         },
-        "residuals": [asdict(e) for e in residuals],
+        "residuals": [_fields(e) for e in residuals],
         "all_passed": residuals.all_passed,
         "realization": {
             "B1": _real_lists(realization.B1),
             "D1": _real_lists(realization.D1),
         },
-        "certificate": asdict(certificate),
+        "certificate": _fields(certificate),
     }
+
+
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, values as they are (dataclasses.asdict deep-copies each)."""
+    return {field.name: getattr(obj, field.name) for field in fields(obj)}
 
 
 def _encode(node, pad: str) -> str:
@@ -224,9 +230,17 @@ def _encode(node, pad: str) -> str:
 
     CPython's C encoder does not indent, and its pure-Python one costs
     several function calls per number. Here a row of finite floats is one
-    join over float.__repr__, the repr json itself writes; keys, strings,
-    ints, bools, None and non-finite floats go through json.dumps.
+    join over float.__repr__, the repr json itself writes; keys and leaves of
+    exact type int, finite float, str, bool or None are written as json writes
+    them, and any other leaf (nan, inf, a subclass such as np.float64) by json.dumps.
     """
+    kind = type(node)
+    if kind is int or kind is float and math.isfinite(node):
+        return repr(node)
+    if kind is str:
+        return encode_basestring_ascii(node)
+    if kind is bool or node is None:
+        return "null" if node is None else "true" if node else "false"
     if not isinstance(node, (dict, list, tuple)):
         return json.dumps(node)
     if not node:
@@ -234,7 +248,7 @@ def _encode(node, pad: str) -> str:
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(node, dict):
-        items = [f"{json.dumps(key)}: {_encode(node[key], inner)}" for key in sorted(node)]
+        items = [f"{encode_basestring_ascii(key)}: {_encode(node[key], inner)}" for key in sorted(node)]
         return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
     if set(map(type, node)) == _FLOAT_ONLY and math.isfinite(sum(node)):
         items = map(float.__repr__, node)

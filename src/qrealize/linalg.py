@@ -202,11 +202,11 @@ def complex_rank_via_real_embedding(
 ) -> int:
     """Rank of the Hermitian are + i*aim, as half the rank of [[are, aim], [-aim, are]].
 
-    An independent route to numerical_rank(are + 1j * aim, policy, True, floor):
-    the real symmetric embedding repeats every eigenvalue of the Hermitian
-    matrix exactly twice, and numerical_rank ranks it with hermitian=True,
-    so the input must be Hermitian (are symmetric, aim skew). ``are`` and
-    ``aim`` are one matrix each, of one shape, or DimensionError is raised.
+    An independent route to numerical_rank(are + 1j * aim, policy, True, floor)
+    that only tests call: the real symmetric embedding repeats every eigenvalue
+    of the Hermitian matrix twice, and numerical_rank ranks it with
+    hermitian=True, so the input must be Hermitian (are symmetric, aim skew).
+    ``are`` and ``aim`` are one matrix each, of one shape, or DimensionError is raised.
     """
     are = np.asarray(are, dtype=float)
     aim = np.asarray(aim, dtype=float)

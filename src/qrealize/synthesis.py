@@ -9,9 +9,8 @@ inverse _coupling_rows turns them back: Lambda is _coupling_rows of
 Every synthesized realization is re-verified numerically: the generator
 reconstruction identities and the realizability conditions are measured
 and attached as a residual report. A minimality certificate reads the
-margin by which fewer channels fail off the spectrum and checks the rank
-lower bound (the reason fewer channels cannot work) on the constructive
-candidates.
+margin by which fewer channels fail off the spectrum, and from the
+record's eigenpairs proves a lower bound on the rank of the computed S_tilde.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .errors import NumericalError
 from .linalg import (
     ROUNDOFF_TOL,
     apply_theta,
-    complex_rank_via_real_embedding,
     numerical_rank,
     psd_low_rank_factor,
 )
@@ -328,14 +326,13 @@ class MinimalityCertificate:
     exist are None: sigma_r and the radius when r = 0, sigma_next when
     r = n, and a gap whose two ends are not both positive.
 
-    ``lower_bound_held`` says that the spectrum puts exactly r values above
-    the cutoff, which cross-checks the SVD rank of compute_s_tilde, and that
-    no ranked candidate Xi + (i/4) S_tilde has rank below r/2 (a theorem
-    for every real symmetric Xi: rank(Im H) <= 2 rank(H) for Hermitian H).
-    ``min_observed_rank`` is the least real-embedding rank of the two
-    candidates, Xi1 (whose Xi1 + S is Xi2) and zero (S), and
-    ``embedding_agreed`` says each equals the count above ``cutoff`` of
-    the spectrum the record gives it, d of S: |d| + d for Xi2, d for S.
+    ``proven_r`` is the rank the record proves (minimality_certificate): the
+    computed S_tilde has at least proven_r singular values above ``cutoff``;
+    ``eta`` bounds the error of the record's eigenpairs, in the units of S.
+    ``lower_bound_held`` says that proven_r = r and that the spectrum puts
+    exactly r values above the cutoff, cross-checking compute_s_tilde's SVD
+    rank. ``embedding_agreed`` (named for the real-embedding ranks that once
+    decided it) says that the proof applied and proven_r equals that count.
     """
 
     term_scale: float
@@ -346,7 +343,8 @@ class MinimalityCertificate:
     decades_below_cutoff: float | None
     stability_radius: float | None
     noise_profile: tuple
-    min_observed_rank: int
+    proven_r: int
+    eta: float
     lower_bound_held: bool
     embedding_agreed: bool
 
@@ -358,35 +356,60 @@ def _decades(high: float | None, low: float | None) -> float | None:
     return math.log10(high) - math.log10(low)
 
 
-def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
-    """The minimality margin of an analysis record, with the rank lower bound checked.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the unit roundoff of a double."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
-    ``skew`` is the analysis record from compute_s_tilde; r, S_tilde, the
-    spectrum and the tolerance policy all come from it. The margin fields
-    (MinimalityCertificate) are read off the record's eigenvalues, with no
-    further decomposition. The rank bound rank(Xi + (i/4) S_tilde) >= r/2
-    is checked on the two constructive candidates, the minimizer Xi1 and
-    the zero matrix, each ranked once by complex_rank_via_real_embedding
-    ([[Xi, S_tilde/4], [-S_tilde/4, Xi]]) under the floor of the matrix it
-    is, T/2 for Xi1 + S = Xi2 (as in build_xi2) and T/4 for S, T the
-    record's term scale, and compared with the rank the record's spectrum
-    gives it. A violated bound or a disagreement is reported, not raised.
+
+def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
+    """The minimality margin of an analysis record and the rank it proves, from the record alone.
+
+    The margin fields are read off the record's eigenvalues d, and proven_r
+    off its eigenpairs S ~ U^dag D U, S = (i/4) S_tilde, with no
+    decomposition, by a residual bound (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4 and 11). Let Q = U^dag, R = S Q - Q D, E = Q^dag Q - I,
+    c = cutoff / 4 and H the Hermitian part of S, ||S - H||_2 <= kappa =
+    ||S_tilde + S_tilde^T||_F / 8. If ||E||_2 < 1, Q is nonsingular and, for
+    c' = c + kappa, Q^dag (H - c' I) Q = (D - c' I) + F, F the Hermitian part
+    of E (D - c' I) + Q^dag R, ||F||_2 <= ||E|| (max|d| + c') + ||Q|| ||R||.
+    By Sylvester's law of inertia and Weyl's inequality, H has at least
+    #{d_j > c' + ||F||} eigenvalues above c' and #{d_j < -c' - ||F||} below
+    -c', so S has as many singular values above c (Weyl) and S_tilde above
+    cutoff. In Frobenius norms, proven_r = #{|d_j| > c + eta} with
+    eta = kappa + (||E|| + rho_E)(max|d| + c + kappa) + ||Q|| (||R|| + rho_R),
+    which is 0 when ||E|| + rho_E >= 1 fails the proof: then eta > max|d|.
+
+    rho_E and rho_R bound the rounding of E and R (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3; no underflow). A part of an
+    entry of an n x n complex product XY sums 2n real products, so in any
+    order ||fl(XY) - XY|| <= sqrt(2) gamma_2n ||X|| ||Y||, and Q D errs by
+    at most gamma_1 max|d| ||Q||: rho_E = g ||E|| + (1 + g) sqrt(2) gamma_2n
+    ||Q||^2 and rho_R = g ||R|| + (1 + g)(sqrt(2) gamma_2n ||S|| + gamma_1
+    max|d|) ||Q||. kappa and ||Q|| carry 1 + g too; g = gamma_(12n^2 + 64)
+    covers the subtraction forming E or R, each computed norm (within
+    1 + gamma_(4n^2 + 2) of its matrix's) and the < 30 roundings of eta, c + eta.
     """
     policy, t, n, r = skew.policy, skew.term_scale, skew.system.n, skew.rank_r
-    imag_part = 0.25 * skew.S_tilde
-    candidates = ((build_xi1(skew), t / 2), (np.zeros((n, n)), t / 4))
-    ranks = [complex_rank_via_real_embedding(xi, imag_part, policy, f) for xi, f in candidates]
-
+    d = skew.eigenvalues
     # the singular values of S_tilde, descending, and the r/2 pair values
     # above the cutoff (the second of each pair), smallest first
-    sigma = np.sort(4.0 * np.abs(skew.eigenvalues))[::-1]
+    sigma = np.sort(4.0 * np.abs(d))[::-1]
     cutoff = policy.rank_rel_tol * max(float(sigma[0]), t)
-    # the ranks the spectrum gives Xi2 (|d| + d) and S (d)
-    spectral = [int(np.count_nonzero(v > cutoff)) for v in (4.0 * skew.eigenvalues, sigma)]
     pairs = sigma[1:r:2][::-1]
     distances = np.hypot.accumulate(pairs) / math.sqrt(2.0)
     sigma_r = float(sigma[r - 1]) if r else None
     sigma_next = float(sigma[r]) if r < n else None
+    # the bound of the docstring, in Frobenius norms with their rho terms
+    q, top, c = skew.U.conj().T, float(sigma[0]) / 4, cutoff / 4
+    g, product = 1.0 + _gamma(12 * n * n + 64), math.sqrt(2.0) * _gamma(2 * n)
+    q_norm, s_norm = g * float(np.linalg.norm(q)), float(np.linalg.norm(skew.S_tilde)) / 4
+    kappa = g * float(np.linalg.norm(skew.S_tilde + skew.S_tilde.T)) / 8
+    e_bound = g * (float(np.linalg.norm(skew.U @ q - np.eye(n))) + product * q_norm**2)
+    residual = float(np.linalg.norm(skew.S @ q - q * d))
+    r_bound = g * (residual + (product * s_norm + _gamma(1) * top) * q_norm)
+    eta = kappa + e_bound * (top + c + kappa) + q_norm * r_bound
+    proven_r = int(np.count_nonzero(np.abs(d) > c + eta))
+    spectral = int(np.count_nonzero(sigma > cutoff))
     return MinimalityCertificate(
         term_scale=float(t),
         cutoff=cutoff,
@@ -395,8 +418,9 @@ def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
         decades_above_cutoff=_decades(sigma_r, cutoff),
         decades_below_cutoff=_decades(cutoff, sigma_next),
         stability_radius=float(distances[0]) if r else None,
-        noise_profile=tuple((skew.n_v - 2 * j, float(d)) for j, d in enumerate(distances, 1)),
-        min_observed_rank=min(ranks),
-        lower_bound_held=spectral[1] == r and min(ranks) >= r // 2,
-        embedding_agreed=ranks == spectral,
+        noise_profile=tuple((skew.n_v - 2 * j, float(x)) for j, x in enumerate(distances, 1)),
+        proven_r=proven_r,
+        eta=eta,
+        lower_bound_held=spectral == r and proven_r == r,
+        embedding_agreed=e_bound < 1 and proven_r == spectral,
     )

@@ -1,9 +1,11 @@
 """Shared fixtures: the three reference systems and a seeded random corpus."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qrealize import LtiSystem, synthesize_realization
+from qrealize import LtiSystem, compute_s_tilde, synthesize_realization
 from qrealize.cli import example_system
 from qrealize.linalg import apply_theta
 from qrealize.synthesis import _coupled_outputs, _field_inputs
@@ -75,6 +77,40 @@ def integer_realizable_system(rng, n, n_u=2, scale=10.0):
     a = -apply_theta((x - z) / 2 + m + m.T, "left")
     root = np.sqrt(scale)
     return LtiSystem(a / scale, b / root, c / root)
+
+
+def projected_system(n, seed, delta):
+    """A0 + delta M with A0 = A - Theta S_tilde / 2 for a seeded (A, B, C), n_u = 2.
+
+    A0 makes S_tilde vanish, so (A0, B, C) is physically realizable with
+    n_v = n_u noises and r = 0; adding delta times a standard normal M
+    makes the count r = n for delta > 0.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, 2))
+    c = rng.standard_normal((2, n))
+    s_tilde = compute_s_tilde(LtiSystem.from_matrices(a, b, c)).S_tilde
+    a0 = a - apply_theta(s_tilde, "left") / 2
+    return LtiSystem.from_matrices(a0 + delta * rng.standard_normal((n, n)), b, c)
+
+
+def rotated_record(skew, i, j, angle):
+    """The analysis record with rows i and j of U turned by ``angle`` in their plane.
+
+    The rows stay orthonormal but are no longer eigenvectors of S unless d_i = d_j.
+    """
+    u = skew.U.copy()
+    cos, sin = np.cos(angle), np.sin(angle)
+    u[i], u[j] = cos * skew.U[i] + sin * skew.U[j], cos * skew.U[j] - sin * skew.U[i]
+    return dataclasses.replace(skew, U=u)
+
+
+def shifted_record(skew, j, delta):
+    """The analysis record with eigenvalue j moved by ``delta`` and U kept."""
+    d = skew.eigenvalues.copy()
+    d[j] += delta
+    return dataclasses.replace(skew, eigenvalues=d)
 
 
 def overflow_matrices():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qrealize
-from conftest import overflow_matrices, paper_matrices
+from conftest import overflow_matrices, paper_matrices, rotated_record, shifted_record
 from dense_reference import real_arithmetic_xi1
 from qrealize.cli import _build_parser, example_system, main
 from qrealize.io import (
@@ -22,9 +22,9 @@ from qrealize.io import (
     serialize_report,
     serialize_system,
 )
-from qrealize.linalg import apply_theta, complex_rank_via_real_embedding
+from qrealize.linalg import apply_theta
 from qrealize.realizability import compute_s_tilde
-from qrealize.synthesis import synthesize_realization
+from qrealize.synthesis import minimality_certificate, synthesize_realization
 
 
 @pytest.fixture
@@ -179,8 +179,9 @@ class TestSynthesize:
             "eigenvalues_of_S", "r", "n_v", "multiplicity_noise_count",
         }
         assert set(doc["realization"]) == {"B1", "D1"}
+        # report 0.7.0 replaced min_observed_rank by proven_r and eta
         assert set(doc["certificate"]) == {
-            "min_observed_rank", "lower_bound_held", "embedding_agreed",
+            "proven_r", "eta", "lower_bound_held", "embedding_agreed",
             "term_scale", "cutoff", "sigma_r", "sigma_next",
             "decades_above_cutoff", "decades_below_cutoff", "stability_radius", "noise_profile",
         }
@@ -220,7 +221,7 @@ class TestRealizableSystem:
         assert (doc["analysis"]["r"], doc["analysis"]["n_v"]) == (0, n_u)
         assert np.array(doc["realization"]["B1"]).shape == (b.shape[0], n_u)
         certificate = doc["certificate"]
-        assert certificate["min_observed_rank"] == 0
+        assert certificate["proven_r"] == 0
         assert certificate["lower_bound_held"] is True
         assert certificate["embedding_agreed"] is True
         # no pair to remove: no radius and an empty profile
@@ -422,8 +423,17 @@ def test_misshapen_document_is_one_error_line(paper_file, tmp_path, capsys, whic
     assert captured.err == f"error: {message}\n"
 
 
+def _as_0_6_0(doc, system):
+    """Edit a report in place to the 0.6.0 form: min_observed_rank in place of proven_r and eta."""
+    doc["version"] = "0.6.0"
+    certificate = doc["certificate"]
+    del certificate["proven_r"], certificate["eta"]
+    certificate["min_observed_rank"] = doc["analysis"]["r"] // 2
+
+
 def _as_0_5_0(doc, system):
     """Edit a report in place to the 0.5.0 form: the sizes, realization.n_v, certificate.r and trials."""
+    _as_0_6_0(doc, system)
     doc["version"] = "0.5.0"
     doc["system"] = {"n": system.n, "n_u": system.n_u, "n_y": system.n_y}
     doc["realization"]["n_v"] = doc["analysis"]["n_v"]
@@ -453,6 +463,10 @@ class TestCheck:
         b1, d1 = parse_realization(report.read_text())
         old_b1, old_d1 = parse_realization(old.read_text())
         assert np.array_equal(b1, old_b1) and np.array_equal(d1, old_d1)
+
+    def test_accepts_a_0_6_0_report(self, paper_file, tmp_path, capsys):
+        # 0.6.0 certificates held min_observed_rank, the least real-embedding rank
+        self._assert_check_reads_old_report(paper_file, tmp_path, capsys, _as_0_6_0)
 
     def test_accepts_a_0_5_0_report(self, paper_file, tmp_path, capsys):
         # 0.5.0 reports also held the sizes, realization.n_v, certificate.r and trials
@@ -592,19 +606,26 @@ class TestPaperExample:
         ]
         assert "bound_held=PASS" in captured.out
 
-    def test_disagreeing_embedding_route_fails(self, capsys, monkeypatch):
-        # the certificate's real-embedding ranks, off by one
-        import qrealize.synthesis as synthesis
+    @pytest.mark.parametrize("corruption", ["rotated", "shifted"])
+    def test_corrupted_record_fails_the_certificate(self, capsys, monkeypatch, corruption):
+        # the certificate reads a record whose eigenpairs do not verify: two
+        # rows of U turned by 0.3 between d = 0.645 and -0.645, or d_0 moved by 0.3
+        def corrupt(skew):
+            if corruption == "rotated":
+                return rotated_record(skew, 0, skew.system.n - 1, 0.3)
+            return shifted_record(skew, 0, 0.3)
 
-        def off_by_one(are, aim, policy, floor):
-            return complex_rank_via_real_embedding(are, aim, policy, floor) + 1
+        cert = minimality_certificate(corrupt(compute_s_tilde(example_system())))
+        assert cert.proven_r < 4
 
-        monkeypatch.setattr(synthesis, "complex_rank_via_real_embedding", off_by_one)
-        cert = synthesis.minimality_certificate(compute_s_tilde(example_system()))
-        assert cert.lower_bound_held and not cert.embedding_agreed
+        def certify_corrupted(skew):
+            return minimality_certificate(corrupt(skew))
+
+        monkeypatch.setattr(qrealize.cli, "minimality_certificate", certify_corrupted)
         assert main(["paper-example"]) == 1
         last = capsys.readouterr().out.splitlines()[-1]
-        assert last.endswith(" bound_held=PASS embedding_agreed=FAIL")
+        assert last.startswith("certificate: ")
+        assert last.endswith(f" bound_held=FAIL embedding_agreed=FAIL proven_r={cert.proven_r}")
 
 
 def _readme_blocks(language=r"\w*"):

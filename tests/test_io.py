@@ -400,6 +400,23 @@ class TestEncoderMatchesJsonDumps:
         doc.update(tolerances={"rank_rel_tol": 1e-7})
         assert serialize_system(sys, tolerances={"rank_rel_tol": 1e-7}) == _dumps(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"leaf": np.float64(0.1), "row": [np.float64(1.5), 2.0], "nested": {"x": np.float64(-0.0)}},
+            {"flag": True, "one": 1, "mixed": [True, 1, 1.0, False, 0, None]},
+            {"zero": -0.0, "row": [-0.0, 0.0], "leaf": [-0.0]},
+            {"\u00e9\u4e2d": 1.0, 'quote"': "\u00e9", "back\\slash\n": "tab\t", "\ud800": "\x7f"},
+            {"big": 2**53 + 1, "bigger": -(2**64) - 3, "row": [2**53 + 1, 0.5]},
+            {"nan": float("nan"), "inf": float("inf"), "row": [1.0, float("-inf")], "np": np.float64("nan")},
+        ],
+        ids=["np-float64", "true-next-to-1", "negative-zero", "keys-and-strings", "big-int", "non-finite"],
+    )
+    def test_leaves_the_encoder_formats_itself(self, doc):
+        # exact int, float, bool, str and None leaves skip json.dumps; every
+        # other leaf, such as an np.float64 or a non-finite float, goes through it
+        assert serialize_report(doc) == _dumps(doc)
+
     @given(
         st.recursive(
             st.none()

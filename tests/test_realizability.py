@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import integer_realizable_system, overflow_matrices
+from conftest import integer_realizable_system, overflow_matrices, projected_system
 from dense_reference import build_theta, dense_check_physical_realizability
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -418,23 +418,9 @@ class TestAgainstDenseReference:
         assert peak < 8 * 2**20
 
 
-def _projected_system(n, seed, delta):
-    # A0 = A - Theta S_tilde / 2 makes S_tilde vanish, so (A0, B, C) is
-    # physically realizable with n_v = n_u noises and r = 0; adding delta
-    # times a standard normal M makes the count r = n for delta > 0
-    rng = np.random.default_rng(seed)
-    n_u = 2
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n_u))
-    c = rng.standard_normal((n_u, n))
-    s_tilde = compute_s_tilde(LtiSystem.from_matrices(a, b, c)).S_tilde
-    a0 = a - build_theta(n) @ s_tilde / 2
-    return LtiSystem.from_matrices(a0 + delta * rng.standard_normal((n, n)), b, c)
-
-
 def test_realizable_projection_counts_no_extra_noise():
     # S_tilde is roundoff here; measured against the term scale it has rank 0
-    sys2 = _projected_system(4, 3, 0.0)
+    sys2 = projected_system(4, 3, 0.0)
     b1 = build_theta(4) @ sys2.C.T @ build_theta(2)
     assert check_physical_realizability(sys2, b1, np.eye(2)).all_passed
     assert minimal_noise_count(sys2) == (0, 2)
@@ -447,7 +433,7 @@ NEARLY_REALIZABLE = [(n, seed) for n in (8, 16, 32) for seed in (0, 3, 5)]
 @pytest.mark.parametrize("delta", [1e-6, 1e-4, 1e-3])
 @pytest.mark.parametrize("n, seed", NEARLY_REALIZABLE)
 def test_nearly_realizable_counts_full_rank(n, seed, delta):
-    assert minimal_noise_count(_projected_system(n, seed, delta)) == (n, n + 2)
+    assert minimal_noise_count(projected_system(n, seed, delta)) == (n, n + 2)
 
 
 @pytest.mark.parametrize("delta", [1e-6, 1e-4])
@@ -455,7 +441,7 @@ def test_nearly_realizable_counts_full_rank(n, seed, delta):
 def test_symmetry_tol_works_around_nearly_realizable_inputs(n, seed, delta):
     # the old workaround, a file symmetry_tol, is now an ignored key: the
     # file still parses, and the defaults give r = n with six passing residuals
-    data = json.loads(serialize_system(_projected_system(n, seed, delta)))
+    data = json.loads(serialize_system(projected_system(n, seed, delta)))
     data["tolerances"] = {"symmetry_tol": 1e-8}
     doc = parse_system_document(json.dumps(data))
     assert doc.policy == DEFAULT_POLICY
@@ -473,7 +459,7 @@ def test_delta_sweep_flips_from_no_extra_noise_to_full_rank(n, seed):
     deltas = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
     ranks = []
     for delta in deltas:
-        skew = compute_s_tilde(_projected_system(n, seed, delta))
+        skew = compute_s_tilde(projected_system(n, seed, delta))
         _, report = synthesize_realization(skew)
         assert report.all_passed, delta
         ranks.append(skew.rank_r)

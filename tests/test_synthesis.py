@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import integer_realizable_system
+from conftest import integer_realizable_system, projected_system, rotated_record, shifted_record
 from dense_reference import (
     build_p,
     build_theta,
@@ -15,7 +15,7 @@ from dense_reference import (
     dense_theta,
     reference_certificate,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qrealize import (
@@ -577,12 +577,17 @@ class TestProofIdentities:
             assert _rel(lhs - skew.S, skew.S) <= 1e-9
 
 
-# The certificate fields the candidate ranking decides.
-_SAMPLER_FIELDS = ("min_observed_rank", "lower_bound_held", "embedding_agreed")
-
-
 def _sampler_fields(cert):
-    return {name: getattr(cert, name) for name in _SAMPLER_FIELDS}
+    """The certificate in the terms of dense_reference.reference_certificate's candidate ranking.
+
+    Of the two constructive candidates, Xi2 has rank r/2 and S rank r, so
+    the least rank the reference observes is half the proven count.
+    """
+    return dict(
+        min_observed_rank=cert.proven_r // 2,
+        lower_bound_held=cert.lower_bound_held,
+        embedding_agreed=cert.embedding_agreed,
+    )
 
 
 def _system_n32():
@@ -613,7 +618,7 @@ class TestMinimalityCertificate:
         cert = minimality_certificate(skew)
         assert _sampler_fields(cert) == reference_certificate(skew)
         if name == "trivial":
-            assert cert.min_observed_rank == 0
+            assert cert.proven_r == 0
 
     def test_trivial_bound(self, trivial_system):
         skew = compute_s_tilde(trivial_system)
@@ -628,7 +633,7 @@ class TestMinimalityCertificate:
         # S_tilde is roundoff, so against the floor T/4 every candidate ranks 0
         skew = compute_s_tilde(integer_realizable_system(np.random.default_rng(8), 8))
         cert = minimality_certificate(skew)
-        assert (skew.rank_r, cert.min_observed_rank) == (0, 0)
+        assert (skew.rank_r, cert.proven_r) == (0, 0)
         assert cert.lower_bound_held and cert.embedding_agreed
         ref = reference_certificate(skew, trials=40, seed=0)
         assert (ref["min_observed_rank"], ref["lower_bound_held"], ref["embedding_agreed"]) == (0, True, True)
@@ -636,7 +641,7 @@ class TestMinimalityCertificate:
     def test_small_and_paper_bounds(self, small_system, paper_system):
         for sys, bound in ((small_system, 1), (paper_system, 2)):
             skew = compute_s_tilde(sys)
-            assert minimality_certificate(skew).min_observed_rank >= bound
+            assert minimality_certificate(skew).proven_r == 2 * bound
             ref = reference_certificate(skew, trials=200, seed=0)
             assert ref["min_observed_rank"] >= bound
             assert ref["lower_bound_held"]
@@ -651,36 +656,66 @@ class TestMinimalityCertificate:
         skew = _loose_n8()
         rz, _ = synthesize_realization(skew)
         cert = minimality_certificate(skew)
-        assert rz.Lambda_b1.shape[0] == cert.min_observed_rank == skew.rank_r // 2 == 1
+        least = reference_certificate(skew)["min_observed_rank"]
+        assert rz.Lambda_b1.shape[0] == least == cert.proven_r // 2 == skew.rank_r // 2 == 1
         assert cert.lower_bound_held and cert.embedding_agreed
 
-    def test_a_wrong_xi1_disagrees_with_the_spectrum(self, paper_system, monkeypatch):
-        # Xi1 + 1e-3 I is no minimizer: its Xi2 has full rank 4, where the
-        # spectrum |d| + d gives 2; ranked by two routes, it would agree with itself
+    @pytest.mark.parametrize("size", [1e-8, 1e-4, 1e-2])
+    @pytest.mark.parametrize("corruption", ["rotated", "shifted"])
+    def test_a_corrupted_record_raises_eta(self, paper_system, corruption, size):
+        # turning rows 0 and 3 of U (d = 0.645 and -0.645) by theta leaves
+        # sin(theta) |d_0 - d_3| in R, and moving d_0 by delta leaves delta
+        skew = compute_s_tilde(paper_system)
+        d = skew.eigenvalues
+        if corruption == "rotated":
+            least, skew = np.sin(size) * (d[0] - d[3]), rotated_record(skew, 0, 3, size)
+        else:
+            least, skew = size, shifted_record(skew, 0, size)
+        cert = minimality_certificate(skew)
+        assert cert.eta >= least
+        # eta stays below the smallest |d|, 0.0747, so the count is still proven
+        assert cert.proven_r == 4 and cert.lower_bound_held and cert.embedding_agreed
+
+    @pytest.mark.parametrize("corruption", ["rotated", "shifted"])
+    def test_a_grossly_corrupted_record_fails_both_flags(self, paper_system, corruption):
+        skew = compute_s_tilde(paper_system)
+        if corruption == "rotated":
+            skew = rotated_record(skew, 0, 3, 0.3)
+        else:
+            skew = shifted_record(skew, 0, 0.3)
+        cert = minimality_certificate(skew)
+        assert cert.proven_r < 4
+        assert cert.lower_bound_held is False and cert.embedding_agreed is False
+
+    @pytest.mark.parametrize("name", ["paper", "trivial"])
+    def test_vectors_far_from_orthonormal_fail_the_proof(self, fixture_systems, name):
+        # 2U gives E = 3I: no proof, so no count, and embedding_agreed fails even
+        # where, at r = 0, the count of 0 matches the spectrum's
+        skew = compute_s_tilde(fixture_systems[name])
+        cert = minimality_certificate(dataclasses.replace(skew, U=2.0 * skew.U))
+        assert cert.proven_r == 0 and cert.eta > np.abs(skew.eigenvalues).max()
+        assert cert.embedding_agreed is False
+        assert cert.lower_bound_held is (skew.rank_r == 0)
+
+    def test_makes_no_lapack_call(self, paper_system, monkeypatch):
+        # the proof reads the record's eigenpairs: no SVD, eigh or eigvalsh, and no Xi1
         import qrealize.synthesis as synthesis
 
-        exact_xi1 = synthesis.build_xi1
-
-        def shifted_xi1(skew):
-            return exact_xi1(skew) + 1e-3 * np.eye(skew.system.n)
-
-        monkeypatch.setattr(synthesis, "build_xi1", shifted_xi1)
-        cert = minimality_certificate(compute_s_tilde(paper_system))
-        assert cert.embedding_agreed is False
-        assert cert.min_observed_rank == 4
-
-    def test_one_svd_per_candidate(self, paper_system, monkeypatch):
         skew = compute_s_tilde(paper_system)
         calls = []
-        svd = np.linalg.svd
 
-        def counting_svd(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
+        def counted(name, kernel):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        minimality_certificate(skew)
-        assert len(calls) == 2
+            return call
+
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(synthesis, "build_xi1", counted("build_xi1", synthesis.build_xi1))
+        assert minimality_certificate(skew).proven_r == 4
+        assert calls == []
 
 
 def _margin_systems():
@@ -785,9 +820,68 @@ class TestMinimalityMargin:
         assert doc["certificate"]["noise_profile"] == []
 
     def test_spectrum_disagreeing_with_r_fails_the_bound(self, paper_system):
-        # a record whose r the spectrum does not back: the candidates still
-        # rank >= r/2, but exactly r values above the cutoff is required too
+        # a record whose r the spectrum does not back: the proof still gives
+        # at least r, but exactly r values above the cutoff is required too
         skew = compute_s_tilde(paper_system)
         cert = minimality_certificate(dataclasses.replace(skew, rank_r=2))
-        assert cert.min_observed_rank >= 1 and cert.embedding_agreed
+        assert cert.proven_r >= 2 and cert.embedding_agreed
         assert cert.lower_bound_held is False
+
+
+SOUNDNESS_TOLERANCES = (1e-9, 1e-3, 0.5, 1e-14)
+SOUNDNESS_SYSTEMS = (
+    MARGIN_SYSTEMS
+    + [("loose-8-2-1", _random_system([8, 2, 1], 8, 2))]
+    + [
+        (f"projected-{n}-{seed}-{delta:.0e}", projected_system(n, seed, delta))
+        for n in (8, 16, 32)
+        for seed in (0, 3)
+        for delta in (1e-8, 1e-12)
+    ]
+)
+
+PROVEN_SYSTEMS = MARGIN_SYSTEMS + [
+    (f"{n}-{n_u}-0", _random_system([n, n_u, 0], n, n_u)) for n, n_u in ((64, 8), (192, 16))
+]
+
+
+def _assert_sound(skew):
+    """proven_r is at most the SVD count of the record's own S_tilde above the certificate's cutoff."""
+    cert = minimality_certificate(skew)
+    s = np.linalg.svd(skew.S_tilde, compute_uv=False)
+    assert cert.proven_r <= np.count_nonzero(s > cert.cutoff)
+    return cert
+
+
+class TestProvenRank:
+    @pytest.mark.parametrize("tol", SOUNDNESS_TOLERANCES)
+    @pytest.mark.parametrize("name, sys", SOUNDNESS_SYSTEMS, ids=[m[0] for m in SOUNDNESS_SYSTEMS])
+    def test_never_exceeds_the_svd_count(self, name, sys, tol):
+        _assert_sound(compute_s_tilde(sys, TolerancePolicy(rank_rel_tol=tol)))
+
+    @given(
+        seed=seeds,
+        half_n=st.integers(1, 8),
+        half_u=st.integers(1, 2),
+        tol=st.sampled_from(SOUNDNESS_TOLERANCES),
+        delta=st.sampled_from([None, 1e-8, 1e-12]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_search_finds_no_count_above_the_svd_count(self, seed, half_n, half_u, tol, delta):
+        n = 2 * half_n
+        if delta is None:
+            sys = _random_system(seed, n, 2 * half_u)
+        else:
+            sys = projected_system(n, seed, delta)
+        try:
+            skew = compute_s_tilde(sys, TolerancePolicy(rank_rel_tol=tol))
+        except NumericalError:  # an odd rank: the cutoff splits a singular pair
+            assume(False)
+        _assert_sound(skew)
+
+    @pytest.mark.parametrize("name, sys", PROVEN_SYSTEMS, ids=[m[0] for m in PROVEN_SYSTEMS])
+    def test_proves_r_at_the_default_tolerance(self, name, sys):
+        skew = compute_s_tilde(sys)
+        cert = _assert_sound(skew)
+        assert cert.proven_r == skew.rank_r == sys.n
+        assert 0 < cert.eta < cert.cutoff / 4
