@@ -7,8 +7,10 @@ the block commutation matrix Theta = blockdiag(J, ..., J), J = [[0, 1],
 [-1, 0]], applied as a signed swap of quadrature pairs rather than a
 dense product; hermitian_eig, the one owner of the eigenpair order and
 phase convention; numerical_rank, the one rank kernel, which counts the
-singular values of one matrix above a relative cutoff and takes them as
-|eigvalsh| when the caller promises Hermitian input; low-rank factorization
+singular values of one matrix above a relative cutoff, takes them as
+|eigvalsh| when the caller promises Hermitian input, and returns them with
+the count, so a caller that needs the spectrum makes no second
+factorization; low-rank factorization
 of a PSD matrix from eigenpairs the caller already holds (truncated and
 verified, never recomputed), the real-embedding rank of a Hermitian
 matrix, and the norms of the column-pair wedge products x y^T - y x^T.
@@ -138,25 +140,28 @@ def hermitian_eig(h):
 
 def numerical_rank(
     m, policy: TolerancePolicy = DEFAULT_POLICY, hermitian: bool = False, floor: float = 0.0
-) -> int:
-    """Count of singular values of one matrix above rank_rel_tol * max(the largest, floor).
+) -> tuple[int, np.ndarray]:
+    """(rank, s): the singular values s of one matrix and how many exceed a relative cutoff.
 
-    ``floor`` is the input's term scale carried to ``m`` (SkewReport), so
-    a matrix that is all roundoff, as on a realizable system, has rank 0.
-    An all-zero or empty matrix has rank 0; input that is not one matrix
-    raises DimensionError. ``hermitian=True`` promises that ``m`` is
-    Hermitian (real symmetric when real) and requires it square;
-    np.linalg.svd then takes the singular values as the sorted |eigvalsh|,
-    which reads only the lower triangle and costs a fraction of a complex SVD.
+    The cutoff is rank_rel_tol * max(s[0], floor). ``s`` holds all
+    min(m.shape) singular values, descending; callers that need only the
+    rank ignore it. ``floor`` is the input's term scale carried to ``m``
+    (SkewReport), so a matrix that is all roundoff, as on a realizable
+    system, has rank 0. An all-zero or empty matrix has rank 0; input that
+    is not one matrix raises DimensionError. ``hermitian=True`` promises
+    that ``m`` is Hermitian (real symmetric when real) and requires it
+    square; np.linalg.svd then takes the singular values as the sorted
+    |eigvalsh|, which reads only the lower triangle and costs a fraction of
+    a complex SVD.
     """
     m = np.asarray(m)
     if m.ndim != 2 or (hermitian and m.shape[0] != m.shape[1]):
         kind = "a square matrix" if hermitian else "one matrix"
         raise DimensionError(f"numerical_rank requires {kind}, got shape {m.shape}")
     if m.size == 0:
-        return 0
+        return 0, np.zeros(0)
     s = np.linalg.svd(m, compute_uv=False, hermitian=hermitian)
-    return int(np.count_nonzero(s > policy.rank_rel_tol * max(s[0], floor)))
+    return int(np.count_nonzero(s > policy.rank_rel_tol * max(s[0], floor))), s
 
 
 def psd_low_rank_factor(
@@ -178,7 +183,7 @@ def psd_low_rank_factor(
     u = np.asarray(u)
     d = np.asarray(d, dtype=float)
     k = int(k)
-    got = numerical_rank(xi2, policy, hermitian=True, floor=floor)
+    got, _ = numerical_rank(xi2, policy, hermitian=True, floor=floor)
     if got != k:
         raise NumericalError(f"requested {k} rows but the numerical rank is {got}")
     if d.size:
@@ -202,7 +207,7 @@ def complex_rank_via_real_embedding(
 ) -> int:
     """Rank of the Hermitian are + i*aim, as half the rank of [[are, aim], [-aim, are]].
 
-    An independent route to numerical_rank(are + 1j * aim, policy, True, floor)
+    An independent route to numerical_rank(are + 1j * aim, policy, True, floor)[0]
     that only tests call: the real symmetric embedding repeats every eigenvalue
     of the Hermitian matrix twice, and numerical_rank ranks it with
     hermitian=True, so the input must be Hermitian (are symmetric, aim skew).
@@ -213,7 +218,7 @@ def complex_rank_via_real_embedding(
     if are.ndim != 2 or are.shape != aim.shape:
         raise DimensionError(f"parts of shapes {are.shape} and {aim.shape} are not one matrix")
     embedding = np.block([[are, aim], [-aim, are]])
-    return numerical_rank(embedding, policy, hermitian=True, floor=floor) // 2
+    return numerical_rank(embedding, policy, hermitian=True, floor=floor)[0] // 2
 
 
 def wedge_norms(x, y) -> np.ndarray:

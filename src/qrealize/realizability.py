@@ -119,6 +119,33 @@ class LtiSystem:
         return cls(A, B, C)
 
 
+class _Eigenpairs:
+    """The U and eigenvalues fields of SkewReport: one hermitian_eig(S) fills both on first read.
+
+    A dataclass field whose default is a descriptor is stored through the
+    descriptor (the generated __init__ sets it with object.__setattr__), so
+    the record stays frozen against assignment. None, the default, means
+    not yet computed; a value given to the constructor, as
+    dataclasses.replace passes one, is kept as it is.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return None
+        cache = record.__dict__
+        if cache[self.name] is None:
+            for name, value in zip(("U", "eigenvalues"), hermitian_eig(record.S)):
+                if cache[name] is None:
+                    cache[name] = value
+        return cache[self.name]
+
+    def __set__(self, record, value):
+        record.__dict__[self.name] = value
+
+
 @dataclass(frozen=True, eq=False)
 class SkewReport:
     """Analysis record of one system: everything derived from S_tilde.
@@ -130,22 +157,29 @@ class SkewReport:
     is relative to at least T (S_tilde), T/2 (Xi2) or T/4 (S, Xi1, certificate candidates).
     S = (i/4) S_tilde is Hermitian because S_tilde is real skew-symmetric;
     it is derived on access rather than stored, to keep the record small.
+    ``rank_r`` is the (even) numerical rank of S_tilde and
+    ``multiplicity_count`` the multiplicity-based bound n_u + 2(n - n_lambda),
+    both read off the one SVD of S_tilde (compute_s_tilde). The exact
+    minimal noise count ``n_v = n_u + rank_r`` is derived on access, so it
+    cannot disagree with the rank.
+
     S = U^dag diag(eigenvalues) U, in the order and phases hermitian_eig
-    sets (eigenvalues descending). ``rank_r`` is the (even) numerical rank
-    of S_tilde and ``multiplicity_count`` the multiplicity-based bound
-    n_u + 2(n - n_lambda). The exact minimal noise count
-    ``n_v = n_u + rank_r`` is derived on access, so it cannot disagree
-    with the rank.
+    sets (eigenvalues descending). Only synthesis, the certificate and the
+    report read these eigenpairs, so they are not computed with the record:
+    the first read of either ``U`` or ``eigenvalues`` makes one
+    hermitian_eig(S), caches both on the record, and later reads reuse them.
+    A record built with either given, as dataclasses.replace builds one,
+    holds that value.
     """
 
     system: LtiSystem
     policy: TolerancePolicy
     S_tilde: np.ndarray
     term_scale: float
-    U: np.ndarray
-    eigenvalues: np.ndarray
     rank_r: int
     multiplicity_count: int
+    U: np.ndarray | None = _Eigenpairs()
+    eigenvalues: np.ndarray | None = _Eigenpairs()
 
     @property
     def S(self) -> np.ndarray:
@@ -178,11 +212,17 @@ def compute_s_tilde(
     alpha and keeps r, and an odd rank, which means the cutoff sits inside
     a singular-value pair of the skew S_tilde.
 
+    The one SVD that counts r also gives the multiplicity count, and no
+    eigendecomposition runs here (the record makes it when U or the
+    eigenvalues are first read). S_tilde is real skew, so its singular
+    values come in equal pairs sigma_1 = sigma_2 >= sigma_3 = sigma_4 ...
+    and the eigenvalues of S = (i/4) S_tilde are +-sigma/4, one of each
+    sign per pair: w = {sigma_1, sigma_3, ...}/4 and {-sigma_2, -sigma_4, ...}/4.
     n_lambda in the multiplicity count is the multiplicity of the least
-    eigenvalue of i*S_tilde, clustered with a gap of
-    MULTIPLICITY_CLUSTER_REL times max(the largest |eigenvalue|, T/4).
-    Multiplicity does not change under positive scaling, so the spectrum
-    of S is used directly.
+    w, clustered with a gap of MULTIPLICITY_CLUSTER_REL times
+    max(max |w|, T/4): n_lambda = #{w <= min w + gap}. Multiplicity does
+    not change under positive scaling, so the spectrum of S is used
+    directly.
     """
     theta_a = apply_theta(sys.A, "left")
     theta_b_theta_u = apply_theta(apply_theta(sys.B, "left"), "right")
@@ -212,13 +252,13 @@ def compute_s_tilde(
             f"skew invariant lost antisymmetry: residual {skewness:.3e} "
             f"exceeds {ROUNDOFF_TOL:.1e} * {max(scale, terms):.3e}"
         )
-    u, w = hermitian_eig(0.25j * s_tilde)
-    rank = numerical_rank(s_tilde, policy, floor=terms)
+    rank, sigma = numerical_rank(s_tilde, policy, floor=terms)
     if rank % 2 != 0:
         raise NumericalError(
             f"numerical rank {rank} of the skew invariant is odd; "
             "adjust rank_rel_tol away from the singular-value cluster"
         )
+    w = 0.25 * np.concatenate([sigma[0::2], -sigma[1::2]])
     gap = MULTIPLICITY_CLUSTER_REL * max(float(np.abs(w).max()), terms / 4)
     n_lambda = int(np.count_nonzero(w <= w.min() + gap))
     return SkewReport(
@@ -226,8 +266,6 @@ def compute_s_tilde(
         policy=policy,
         S_tilde=s_tilde,
         term_scale=terms,
-        U=u,
-        eigenvalues=w,
         rank_r=rank,
         multiplicity_count=sys.n_u + 2 * (sys.n - n_lambda),
     )
@@ -244,6 +282,9 @@ def multiplicity_noise_count(
 ) -> int:
     """Multiplicity-based noise count n_u + 2(n - n_lambda) (see compute_s_tilde).
 
+    n_lambda, the size of the cluster of least eigenvalues of S, is read
+    off the singular values of S_tilde that compute_s_tilde's rank count
+    already computes, so this makes one SVD and no eigendecomposition.
     Never smaller than the rank-based count, and it degenerates to n_u
     exactly when S_tilde = 0.
     """

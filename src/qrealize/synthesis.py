@@ -101,7 +101,7 @@ def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
         np.linalg.cholesky(xi2 + shift * np.eye(len(xi2)))
     except np.linalg.LinAlgError:
         psd = False
-    rank = numerical_rank(xi2, policy, hermitian=True, floor=half_t)
+    rank, _ = numerical_rank(xi2, policy, hermitian=True, floor=half_t)
     if psd and rank == k:
         return xi2
     w = np.linalg.eigvalsh(xi2)
@@ -129,7 +129,7 @@ def build_lambda_b1(skew: SkewReport, xi2: np.ndarray) -> np.ndarray:
     compare Grams, not entries.
     """
     d, floor = skew.eigenvalues, skew.term_scale / 2
-    k = numerical_rank(xi2, skew.policy, hermitian=True, floor=floor)
+    k, _ = numerical_rank(xi2, skew.policy, hermitian=True, floor=floor)
     return psd_low_rank_factor(xi2, skew.U, np.abs(d) + d, k, skew.policy, floor)
 
 

@@ -12,6 +12,10 @@ identity is evaluated with the complex T_w, and every term that sets a
 scale is formed as an n x n matrix. The library computes the same checks
 in real arithmetic with closed-form scales; the tests compare the two.
 
+eigenvalue_multiplicity_count applies the multiplicity cluster rule to the
+eigenvalues of S themselves, the route compute_s_tilde took before it read
+the same spectrum off the singular values of S_tilde.
+
 real_arithmetic_xi1 forms Xi1 = U^dag |D| U from the real and imaginary
 parts of F = |D|^(1/2) U, a second rounding of the same matrix that the
 library's one complex product can be swapped for.
@@ -28,7 +32,7 @@ import math
 import numpy as np
 
 from qrealize.errors import DimensionError
-from qrealize.realizability import ResidualEntry, ResidualReport
+from qrealize.realizability import MULTIPLICITY_CLUSTER_REL, ResidualEntry, ResidualReport
 from qrealize.synthesis import build_xi1
 
 J_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -179,6 +183,18 @@ def dense_rebuild_residuals(realization):
     c_rebuilt = build_p(sys.n_y).T @ big_sigma @ stack
     output = dense_entry("output_rebuild", c_rebuilt - sys.C, [sys.C, c_rebuilt], tol)
     return ResidualReport(entries=(state, fields, output))
+
+
+def eigenvalue_multiplicity_count(skew):
+    """The multiplicity bound n_u + 2(n - n_lambda) from the record's eigenvalues w of S.
+
+    n_lambda = #{w <= min w + gap}, gap = MULTIPLICITY_CLUSTER_REL *
+    max(max |w|, T/4), T the record's term scale.
+    """
+    w = skew.eigenvalues
+    gap = MULTIPLICITY_CLUSTER_REL * max(float(np.abs(w).max()), skew.term_scale / 4)
+    n_lambda = int(np.count_nonzero(w <= w.min() + gap))
+    return skew.system.n_u + 2 * (skew.system.n - n_lambda)
 
 
 def real_arithmetic_xi1(skew):

@@ -257,6 +257,45 @@ class TestOneAnalysisPerCommand:
         assert len(analysis_calls) == 1
 
 
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Names of the np.linalg eigh and svd calls made while the test runs."""
+    calls = []
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
+
+
+def _seeded_file(tmp_path, n, n_u=8):
+    rng = np.random.default_rng([n, n_u, 0])
+    system = qrealize.LtiSystem(
+        rng.standard_normal((n, n)), rng.standard_normal((n, n_u)), rng.standard_normal((n_u, n))
+    )
+    path = tmp_path / f"seeded{n}.json"
+    path.write_text(serialize_system(system))
+    return str(path)
+
+
+class TestLapackCallsPerCommand:
+    @pytest.mark.parametrize("which", ["paper", "seeded64"])
+    def test_count_is_one_svd_and_no_eigh(self, which, paper_file, tmp_path, lapack_calls):
+        path = paper_file if which == "paper" else _seeded_file(tmp_path, 64)
+        assert main(["count", path]) == 0
+        assert lapack_calls == ["svd"]
+
+    def test_synthesize_makes_one_eigh(self, paper_file, tmp_path, lapack_calls):
+        assert main(["synthesize", paper_file, "-o", str(tmp_path / "report.json")]) == 0
+        assert lapack_calls.count("eigh") == 1
+
+
 class TestParserReuse:
     def test_flags_do_not_carry_over(self, paper_file, analysis_calls):
         # one parser serves every main() call of the process
@@ -719,3 +758,43 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, n):
             assert proc.returncode == 0, proc.stderr
             reports.append(out.read_bytes())
         assert reports[0] == reports[1], f"seed {seed}"
+
+
+def _cli_run(args, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    cmd = [sys.executable, "-m", "qrealize.cli", *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("n", [128, 192])
+def test_counts_and_verdicts_do_not_depend_on_blas_threads(tmp_path, n):
+    """r, n_v, the multiplicity bound, every verdict and proven_r agree under 1 and 2 threads.
+
+    The second half of the README's thread contract: above n = 64 the
+    report bytes may differ between thread counts, the answers may not.
+    """
+    system = _seeded_file(tmp_path, n)
+    seen = []
+    for threads in ("1", "2"):
+        count = _cli_run(["count", system], threads)
+        assert count.returncode == 0, count.stderr
+        out = tmp_path / f"report_{threads}.json"
+        synth = _cli_run(["synthesize", system, "-o", str(out)], threads)
+        doc = json.loads(out.read_text())
+        analysis, certificate = doc["analysis"], doc["certificate"]
+        seen.append(
+            dict(
+                count=count.stdout,
+                exit=synth.returncode,
+                r=analysis["r"],
+                n_v=analysis["n_v"],
+                multiplicity=analysis["multiplicity_noise_count"],
+                all_passed=doc["all_passed"],
+                residuals=[(e["name"], e["passed"]) for e in doc["residuals"]],
+                flags=(certificate["lower_bound_held"], certificate["embedding_agreed"]),
+                proven_r=certificate["proven_r"],
+            )
+        )
+    assert seen[0] == seen[1]
+    assert seen[0]["count"] == f"r={n} n_v={n + 8}\nmultiplicity_bound={8 + 2 * (n - 1)}\n"
+    assert seen[0]["exit"] == 0 and seen[0]["proven_r"] == n

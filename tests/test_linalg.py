@@ -291,46 +291,60 @@ class TestHermitianEig:
 
 class TestNumericalRank:
     def test_zero_and_empty(self):
-        assert numerical_rank(np.zeros((3, 3))) == 0
-        assert numerical_rank(np.zeros((0, 4))) == 0
-        assert numerical_rank(np.zeros((3, 3)), hermitian=True) == 0
-        assert numerical_rank(np.zeros((0, 0)), hermitian=True) == 0
+        assert numerical_rank(np.zeros((3, 3)))[0] == 0
+        assert numerical_rank(np.zeros((0, 4)))[0] == 0
+        assert numerical_rank(np.zeros((3, 3)), hermitian=True)[0] == 0
+        assert numerical_rank(np.zeros((0, 0)), hermitian=True)[0] == 0
         with pytest.raises(DimensionError):
             numerical_rank(np.zeros((0, 4, 4)), hermitian=True)
 
     def test_relative_cutoff(self):
-        assert numerical_rank(np.diag([1.0, 1e-15])) == 1
-        assert numerical_rank(np.diag([1.0, 1e-6])) == 2
-        assert numerical_rank(np.diag([1e-20, 1e-31])) == 1
+        assert numerical_rank(np.diag([1.0, 1e-15]))[0] == 1
+        assert numerical_rank(np.diag([1.0, 1e-6]))[0] == 2
+        assert numerical_rank(np.diag([1e-20, 1e-31]))[0] == 1
 
     def test_policy_override(self):
         loose = TolerancePolicy(rank_rel_tol=1e-3)
-        assert numerical_rank(np.diag([1.0, 1e-6]), loose) == 1
+        assert numerical_rank(np.diag([1.0, 1e-6]), loose)[0] == 1
 
     def test_floor_raises_the_cutoff(self):
         # the cutoff is rank_rel_tol times max(sigma_max, floor)
         roundoff = np.diag([1e-16, 1e-17])
-        assert numerical_rank(roundoff) == 2
-        assert numerical_rank(roundoff, floor=1.0) == 0
-        assert numerical_rank(np.diag([1.0, 1e-6]), floor=1e4) == 1
+        assert numerical_rank(roundoff)[0] == 2
+        assert numerical_rank(roundoff, floor=1.0)[0] == 0
+        assert numerical_rank(np.diag([1.0, 1e-6]), floor=1e4)[0] == 1
         # a floor below sigma_max changes nothing
-        assert numerical_rank(np.diag([1.0, 2e-9]), floor=0.5) == 2
-        assert numerical_rank(roundoff, hermitian=True, floor=1.0) == 0
-        assert numerical_rank(np.eye(2), hermitian=True, floor=1.0) == 2
+        assert numerical_rank(np.diag([1.0, 2e-9]), floor=0.5)[0] == 2
+        assert numerical_rank(roundoff, hermitian=True, floor=1.0)[0] == 0
+        assert numerical_rank(np.eye(2), hermitian=True, floor=1.0)[0] == 2
+
+    def test_returns_the_singular_values_it_counted(self):
+        # descending, all min(m.shape) of them, on both routes; empty for an empty matrix
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((5, 3))
+        h = m @ m.T - 2.0 * np.eye(5)
+        for x, hermitian in ((m, False), (m.T, False), (h, True), (h, False)):
+            rank, s = numerical_rank(x, hermitian=hermitian)
+            np.testing.assert_allclose(s, np.linalg.svd(x, compute_uv=False), rtol=1e-12)
+            assert np.all(np.diff(s) <= 0.0)
+            assert rank == np.count_nonzero(s > 1e-9 * s[0])
+        for empty in (np.zeros((0, 4)), np.zeros((0, 0))):
+            rank, s = numerical_rank(empty)
+            assert rank == 0 and s.shape == (0,)
 
     def test_rectangular(self):
         m = np.vstack([np.eye(2), np.zeros((3, 2))])
-        assert numerical_rank(m) == 2
+        assert numerical_rank(m)[0] == 2
 
     def test_stack_matches_each_matrix(self):
-        # one matrix in, one int out; a stack is refused rather than ranked
+        # one matrix in, one int rank out; a stack is refused rather than ranked
         rng = np.random.default_rng(7)
         stack = rng.standard_normal((2, 3, 5, 2))
         stack[0, 1] = 0.0
         stack[1, 2, :, 1] = 3.0 * stack[1, 2, :, 0]
-        assert type(numerical_rank(stack[0, 0])) is int
-        assert numerical_rank(stack[0, 1]) == 0 and numerical_rank(stack[1, 2]) == 1
-        assert numerical_rank(stack[1, 0]) == 2
+        assert type(numerical_rank(stack[0, 0])[0]) is int
+        assert numerical_rank(stack[0, 1])[0] == 0 and numerical_rank(stack[1, 2])[0] == 1
+        assert numerical_rank(stack[1, 0])[0] == 2
         for bad in (stack, stack[0], np.zeros((3, 0, 4)), np.ones(3), np.float64(1.0)):
             with pytest.raises(DimensionError):
                 numerical_rank(bad)
@@ -354,12 +368,11 @@ class TestNumericalRank:
         policies = [DEFAULT_POLICY] + [TolerancePolicy(rank_rel_tol=float(c)) for c in cuts]
         for m in (h, h.real, gram, gram.real):
             for policy in policies:
-                assert numerical_rank(m, policy, hermitian=True) == numerical_rank(m, policy)
+                assert numerical_rank(m, policy, hermitian=True)[0] == numerical_rank(m, policy)[0]
         for j, cut in enumerate(cuts):
-            assert numerical_rank(h, TolerancePolicy(rank_rel_tol=float(cut)), hermitian=True) == (
-                1 + j * max(1, n // 6)
-            )
-        assert numerical_rank(gram, hermitian=True) == k
+            policy = TolerancePolicy(rank_rel_tol=float(cut))
+            assert numerical_rank(h, policy, hermitian=True)[0] == 1 + j * max(1, n // 6)
+        assert numerical_rank(gram, hermitian=True)[0] == k
 
 
 class TestPsdLowRankFactor:
@@ -371,7 +384,7 @@ class TestPsdLowRankFactor:
         g = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
         # generic g has full row rank k
         xi = g.conj().T @ g
-        k_eff = numerical_rank(xi)
+        k_eff = numerical_rank(xi)[0]
         factor = psd_low_rank_factor(xi, *hermitian_eig(xi), k_eff)
         assert factor.shape == (k_eff, n)
         assert np.linalg.norm(factor.conj().T @ factor - xi) <= 1e-10 * max(
@@ -416,16 +429,16 @@ class TestRealEmbeddingRank:
         k = int(rng.integers(0, n + 1))
         g = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
         m = g.conj().T @ g
-        direct = numerical_rank(m)
+        direct = numerical_rank(m)[0]
         embedded = complex_rank_via_real_embedding(m.real, m.imag)
         assert embedded == direct
-        assert numerical_rank(m, hermitian=True) == direct
+        assert numerical_rank(m, hermitian=True)[0] == direct
         embedding = np.block([[m.real, m.imag], [-m.imag, m.real]])
-        assert numerical_rank(embedding, hermitian=True) == 2 * direct
+        assert numerical_rank(embedding, hermitian=True)[0] == 2 * direct
         # -m: negative eigenvalues count by magnitude; m + I: full rank
         for x in (m, -m, np.zeros_like(m), m + np.eye(n)):
-            expected = numerical_rank(x)
-            assert numerical_rank(x, hermitian=True) == expected
+            expected = numerical_rank(x)[0]
+            assert numerical_rank(x, hermitian=True)[0] == expected
             assert complex_rank_via_real_embedding(x.real, x.imag) == expected
 
     def test_pure_imaginary(self):

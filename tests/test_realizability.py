@@ -1,5 +1,6 @@
 """Tests for system validation, the skew invariant, and the noise counts."""
 
+import dataclasses
 import json
 import math
 import re
@@ -8,8 +9,20 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import integer_realizable_system, overflow_matrices, projected_system
-from dense_reference import build_theta, dense_check_physical_realizability
+from conftest import (
+    integer_realizable_system,
+    make_corpus,
+    overflow_matrices,
+    paper_matrices,
+    projected_system,
+    rotated_record,
+    shifted_record,
+)
+from dense_reference import (
+    build_theta,
+    dense_check_physical_realizability,
+    eigenvalue_multiplicity_count,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +39,7 @@ from qrealize import (
 )
 from qrealize.cli import EXAMPLE_S_TILDE
 from qrealize.io import parse_system_document, serialize_system
-from qrealize.linalg import DEFAULT_POLICY
+from qrealize.linalg import DEFAULT_POLICY, TolerancePolicy, apply_theta, hermitian_eig
 from qrealize.realizability import residual_entry
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -189,7 +202,7 @@ class TestComputeSTilde:
         # naturally it takes a rank_rel_tol where rounding decides
         import qrealize.realizability as realizability
 
-        monkeypatch.setattr(realizability, "numerical_rank", lambda *args, **kwargs: 3)
+        monkeypatch.setattr(realizability, "numerical_rank", lambda *args, **kwargs: (3, np.ones(4)))
         message = (
             "numerical rank 3 of the skew invariant is odd; "
             "adjust rank_rel_tol away from the singular-value cluster"
@@ -208,6 +221,103 @@ class TestComputeSTilde:
             match=r"^skew invariant lost antisymmetry: residual \S+ exceeds 1\.0e-12 \* \S+$",
         ):
             compute_s_tilde(sys)
+
+
+class TestLazyEigenpairs:
+    """The record's U and eigenvalues come from one hermitian_eig(S), made on first read."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        return calls
+
+    @pytest.mark.parametrize("first", ["U", "eigenvalues"])
+    def test_first_read_makes_the_one_eigh(self, paper_system, eigh_calls, first):
+        skew = compute_s_tilde(paper_system)
+        assert eigh_calls == []
+        getattr(skew, first)
+        assert len(eigh_calls) == 1
+        u, d = skew.U, skew.eigenvalues
+        assert skew.U is u and skew.eigenvalues is d
+        assert len(eigh_calls) == 1
+
+    def test_equals_hermitian_eig_of_s(self, paper_system, corpus):
+        for sys in [paper_system] + corpus[:20]:
+            skew = compute_s_tilde(sys)
+            u, d = hermitian_eig(skew.S)
+            assert np.array_equal(skew.eigenvalues, d) and np.array_equal(skew.U, u)
+
+    def test_record_stays_frozen(self, paper_system):
+        skew = compute_s_tilde(paper_system)
+        for name in ("U", "eigenvalues"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(skew, name, np.zeros(4))
+
+    def test_replace_keeps_a_given_value(self, paper_system):
+        # the corrupted records the certificate tests build hold the value given
+        skew = compute_s_tilde(paper_system)
+        rotated = rotated_record(skew, 0, 3, 0.3)
+        assert rotated.eigenvalues is skew.eigenvalues
+        assert not np.allclose(rotated.U, skew.U)
+        shifted = shifted_record(skew, 0, 0.3)
+        assert shifted.U is skew.U and shifted.eigenvalues[0] == skew.eigenvalues[0] + 0.3
+        doubled = dataclasses.replace(compute_s_tilde(paper_system), U=2.0 * skew.U)
+        assert np.array_equal(doubled.U, 2.0 * skew.U)
+        assert np.array_equal(doubled.eigenvalues, skew.eigenvalues)
+
+
+def _direct_sum(*systems):
+    """The uncoupled system whose A, B and C are block diagonal in the given ones."""
+
+    def blocks(ms):
+        out = np.zeros((sum(m.shape[0] for m in ms), sum(m.shape[1] for m in ms)))
+        i = j = 0
+        for m in ms:
+            out[i : i + m.shape[0], j : j + m.shape[1]] = m
+            i, j = i + m.shape[0], j + m.shape[1]
+        return out
+
+    return LtiSystem(*(blocks([s[k] for s in systems]) for k in range(3)))
+
+
+def _multiplicity_inputs():
+    """The seeded corpus, its r = 0 projections, and direct sums with a repeated spectrum."""
+    corpus = make_corpus()
+    systems = corpus + [
+        LtiSystem(s.A - apply_theta(compute_s_tilde(s).S_tilde, "left") / 2, s.B, s.C)
+        for s in corpus
+    ]
+    paper = paper_matrices()
+    rng = np.random.default_rng([20, 4, 0])
+    seeded = (rng.standard_normal((20, 20)), rng.standard_normal((20, 4)), rng.standard_normal((4, 20)))
+    systems += [_direct_sum(paper, paper), _direct_sum(paper, paper, paper), _direct_sum(seeded, seeded)]
+    return systems
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.5, 1e-14])
+def test_multiplicity_from_singular_values_equals_the_eigenvalue_rule(tol):
+    # compute_s_tilde reads the spectrum of S off the SVD of S_tilde as
+    # +-sigma/4; the cluster rule applied to the record's own eigenvalues
+    # must give the same bound, generic (n_lambda = 1) or not
+    policy = TolerancePolicy(rank_rel_tol=tol)
+    checked = repeated = 0
+    for sys in _multiplicity_inputs():
+        try:
+            skew = compute_s_tilde(sys, policy)
+        except NumericalError as exc:  # a cutoff inside a singular-value pair
+            assert "is odd" in str(exc)
+            continue
+        assert skew.multiplicity_count == eigenvalue_multiplicity_count(skew), sys.n
+        checked += 1
+        repeated += skew.multiplicity_count != sys.n_u + 2 * (sys.n - 1)
+    assert checked >= 200 and repeated >= 100
 
 
 class TestNoiseCounts:

@@ -144,7 +144,7 @@ class TestXiConstruction:
         for name, sys in fixture_systems.items():
             skew = compute_s_tilde(sys)
             xi2 = build_xi2(skew, build_xi1(skew))
-            assert numerical_rank(xi2) == expected[name]
+            assert numerical_rank(xi2)[0] == expected[name]
 
     def test_xi2_small_spectrum(self, small_system):
         skew = compute_s_tilde(small_system)
@@ -373,8 +373,7 @@ class TestSynthesizeRealization:
 
     def test_one_hermitian_eigendecomposition(self, paper_system, monkeypatch):
         # Xi2 is factored from the record's eigenpairs, so the only eigh is
-        # the one compute_s_tilde makes for the record
-        skew = compute_s_tilde(paper_system)
+        # the record's own, made when synthesis first reads U, and none after
         calls = []
         eigh = np.linalg.eigh
 
@@ -383,10 +382,15 @@ class TestSynthesizeRealization:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        synthesize_realization(skew)
+        skew = compute_s_tilde(paper_system)
         assert len(calls) == 0
-        synthesize_realization(paper_system)
+        synthesize_realization(skew)
         assert len(calls) == 1
+        synthesize_realization(skew)
+        minimality_certificate(skew)
+        assert len(calls) == 1
+        synthesize_realization(paper_system)
+        assert len(calls) == 2
 
     def test_xi2_psd_test_makes_no_eigvalsh_call(self, paper_system, corpus, monkeypatch):
         # a shifted Cholesky proves Xi2 PSD; eigvalsh only decides when it fails
@@ -698,7 +702,8 @@ class TestMinimalityCertificate:
         assert cert.lower_bound_held is (skew.rank_r == 0)
 
     def test_makes_no_lapack_call(self, paper_system, monkeypatch):
-        # the proof reads the record's eigenpairs: no SVD, eigh or eigvalsh, and no Xi1
+        # the proof reads the record's eigenpairs: no SVD, eigvalsh or Xi1, and
+        # no eigh beyond the one that fills the record
         import qrealize.synthesis as synthesis
 
         skew = compute_s_tilde(paper_system)
@@ -714,6 +719,10 @@ class TestMinimalityCertificate:
         for name in ("svd", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(synthesis, "build_xi1", counted("build_xi1", synthesis.build_xi1))
+        assert minimality_certificate(skew).proven_r == 4
+        # the one eigh is the record's own, on the first read of its eigenpairs
+        assert calls == ["eigh"]
+        calls.clear()
         assert minimality_certificate(skew).proven_r == 4
         assert calls == []
 
