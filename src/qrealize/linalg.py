@@ -172,12 +172,14 @@ def psd_low_rank_factor(
     ``u`` and ``d`` are a decomposition xi2 = U^dag diag(d) U the caller
     already holds, laid out as hermitian_eig returns it; the kernel keeps
     the top-k pairs, F = sqrt(d_k) * U_k, and verifies them, never
-    decomposing xi2 itself. ``floor`` is as in numerical_rank. Raises
-    NumericalError when k is not the numerical rank of xi2 (|eigvalsh|, one
-    triangle), when a negative d exceeds the rank cutoff, or when F^dag F
-    misses xi2 by more than ROUNDOFF_TOL * max(||xi2||, floor) plus
-    ||d[k:]||, the exact miss of the dropped eigenvalues; other eigenpairs
-    miss by more. The residuals residual_tol judges weigh the cut.
+    decomposing xi2 itself. The caller vouches that d >= 0, as for the
+    |d| + d that build_lambda_b1 passes; a negative d among the top k is
+    clipped to 0, so the round trip misses by it. ``floor`` is as in
+    numerical_rank. Raises NumericalError when k is not the numerical rank
+    of xi2 (|eigvalsh|, one triangle), or when F^dag F misses xi2 by more
+    than ROUNDOFF_TOL * max(||xi2||, floor) plus ||d[k:]||, the exact miss
+    of the dropped eigenvalues; other eigenpairs miss by more. The
+    residuals residual_tol judges weigh the cut.
     """
     xi2 = np.asarray(xi2)
     u = np.asarray(u)
@@ -186,10 +188,6 @@ def psd_low_rank_factor(
     got, _ = numerical_rank(xi2, policy, hermitian=True, floor=floor)
     if got != k:
         raise NumericalError(f"requested {k} rows but the numerical rank is {got}")
-    if d.size:
-        cutoff = policy.rank_rel_tol * max(float(np.abs(d).max()), floor)
-        if d[-1] < -cutoff:
-            raise NumericalError(f"matrix is not PSD: eigenvalue {d[-1]:.3e} below -{cutoff:.3e}")
     factor = np.sqrt(np.clip(d[:k], 0.0, None))[:, None] * u[:k, :]
     residual = float(np.linalg.norm(factor.conj().T @ factor - xi2))
     scale = max(float(np.linalg.norm(xi2)), floor)

@@ -5,14 +5,16 @@ this module computes the skew-symmetric invariant S_tilde whose rank fixes
 the minimal number of additional vacuum noise channels, the companion
 Hermitian matrix S = (i/4) S_tilde, two noise counts (the exact rank-based
 one and the coarser multiplicity-based bound), all held in one analysis
-record per system, and the residual check that decides whether a
-candidate (B1, D1) completion is physically realizable.
+record per system whose eigenpairs of S are computed on first read, and
+the residual check that decides whether a candidate (B1, D1) completion
+is physically realizable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,33 +121,6 @@ class LtiSystem:
         return cls(A, B, C)
 
 
-class _Eigenpairs:
-    """The U and eigenvalues fields of SkewReport: one hermitian_eig(S) fills both on first read.
-
-    A dataclass field whose default is a descriptor is stored through the
-    descriptor (the generated __init__ sets it with object.__setattr__), so
-    the record stays frozen against assignment. None, the default, means
-    not yet computed; a value given to the constructor, as
-    dataclasses.replace passes one, is kept as it is.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return None
-        cache = record.__dict__
-        if cache[self.name] is None:
-            for name, value in zip(("U", "eigenvalues"), hermitian_eig(record.S)):
-                if cache[name] is None:
-                    cache[name] = value
-        return cache[self.name]
-
-    def __set__(self, record, value):
-        record.__dict__[self.name] = value
-
-
 @dataclass(frozen=True, eq=False)
 class SkewReport:
     """Analysis record of one system: everything derived from S_tilde.
@@ -166,10 +141,12 @@ class SkewReport:
     S = U^dag diag(eigenvalues) U, in the order and phases hermitian_eig
     sets (eigenvalues descending). Only synthesis, the certificate and the
     report read these eigenpairs, so they are not computed with the record:
-    the first read of either ``U`` or ``eigenvalues`` makes one
-    hermitian_eig(S), caches both on the record, and later reads reuse them.
-    A record built with either given, as dataclasses.replace builds one,
-    holds that value.
+    ``eigenpairs`` is a cached property, and the first read of it, of ``U``
+    or of ``eigenvalues`` makes one hermitian_eig(S) that later reads reuse.
+    The record's fields are the six facts compute_s_tilde computes
+    (system, policy, S_tilde, term_scale, rank_r, multiplicity_count), so
+    dataclasses.replace copies them alone and the copy computes its own
+    eigenpairs; repr and dataclasses.asdict make no eigendecomposition.
     """
 
     system: LtiSystem
@@ -178,12 +155,23 @@ class SkewReport:
     term_scale: float
     rank_r: int
     multiplicity_count: int
-    U: np.ndarray | None = _Eigenpairs()
-    eigenvalues: np.ndarray | None = _Eigenpairs()
 
     @property
     def S(self) -> np.ndarray:
         return 0.25j * self.S_tilde
+
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, eigenvalues) = hermitian_eig(S), computed on first read."""
+        return hermitian_eig(self.S)
+
+    @property
+    def U(self) -> np.ndarray:
+        return self.eigenpairs[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.eigenpairs[1]
 
     @property
     def n_v(self) -> int:

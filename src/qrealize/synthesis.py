@@ -123,8 +123,9 @@ def build_lambda_b1(skew: SkewReport, xi2: np.ndarray) -> np.ndarray:
     and Xi1 = U^dag |D| U, Xi2 = Xi1 + S = U^dag diag(|d| + d) U, so
     row j of Lambda_b1 is sqrt(2 d_j) U_j for the k = r/2 positive d_j. k,
     the numerical rank of Xi2, fixes the row count, and
-    psd_low_rank_factor checks that rank, that |d| + d is PSD and that the
-    round trip returns xi2, under the record's policy and floor T/2. The
+    psd_low_rank_factor checks that rank and that the round trip returns
+    xi2, under the record's policy and floor T/2 (|d| + d >= 0 holds
+    exactly in floating point, so no PSD check is needed). The
     factor is canonical only up to a left unitary, so callers should
     compare Grams, not entries.
     """

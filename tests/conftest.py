@@ -95,6 +95,18 @@ def projected_system(n, seed, delta):
     return LtiSystem.from_matrices(a0 + delta * rng.standard_normal((n, n)), b, c)
 
 
+def with_eigenpairs(skew, u, d):
+    """A copy of the analysis record whose eigenpairs are (u, d) instead of hermitian_eig(S).
+
+    The copy shares the six facts of ``skew``; its cached ``eigenpairs``
+    property is written directly, which a frozen record allows only
+    through object.__setattr__.
+    """
+    copy = dataclasses.replace(skew)
+    object.__setattr__(copy, "eigenpairs", (u, d))
+    return copy
+
+
 def rotated_record(skew, i, j, angle):
     """The analysis record with rows i and j of U turned by ``angle`` in their plane.
 
@@ -103,14 +115,14 @@ def rotated_record(skew, i, j, angle):
     u = skew.U.copy()
     cos, sin = np.cos(angle), np.sin(angle)
     u[i], u[j] = cos * skew.U[i] + sin * skew.U[j], cos * skew.U[j] - sin * skew.U[i]
-    return dataclasses.replace(skew, U=u)
+    return with_eigenpairs(skew, u, skew.eigenvalues)
 
 
 def shifted_record(skew, j, delta):
     """The analysis record with eigenvalue j moved by ``delta`` and U kept."""
     d = skew.eigenvalues.copy()
     d[j] += delta
-    return dataclasses.replace(skew, eigenvalues=d)
+    return with_eigenpairs(skew, skew.U, d)
 
 
 def overflow_matrices():

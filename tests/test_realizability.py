@@ -17,6 +17,7 @@ from conftest import (
     projected_system,
     rotated_record,
     shifted_record,
+    with_eigenpairs,
 )
 from dense_reference import (
     build_theta,
@@ -30,6 +31,7 @@ from qrealize import (
     DimensionError,
     LtiSystem,
     NumericalError,
+    SkewReport,
     ValidationError,
     check_physical_realizability,
     compute_s_tilde,
@@ -256,21 +258,41 @@ class TestLazyEigenpairs:
 
     def test_record_stays_frozen(self, paper_system):
         skew = compute_s_tilde(paper_system)
-        for name in ("U", "eigenvalues"):
+        for name in ("U", "eigenvalues", "eigenpairs"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(skew, name, np.zeros(4))
 
-    def test_replace_keeps_a_given_value(self, paper_system):
-        # the corrupted records the certificate tests build hold the value given
+    def test_fields_are_the_six_facts(self):
+        names = [f.name for f in dataclasses.fields(SkewReport)]
+        assert names == ["system", "policy", "S_tilde", "term_scale", "rank_r", "multiplicity_count"]
+
+    def test_replace_repr_and_fields_make_no_eigh(self, paper_system, eigh_calls):
         skew = compute_s_tilde(paper_system)
+        copy = dataclasses.replace(skew, rank_r=skew.rank_r)
+        repr(skew)
+        dataclasses.fields(skew)
+        dataclasses.asdict(skew)
+        assert eigh_calls == []
+        # the copy computes its own eigenpairs, once, equal to the source's
+        u, d = copy.U, copy.eigenvalues
+        assert len(eigh_calls) == 1
+        assert np.array_equal(u, skew.U) and np.array_equal(d, skew.eigenvalues)
+        assert len(eigh_calls) == 2
+
+    def test_with_eigenpairs_holds_the_given_values(self, paper_system, eigh_calls):
+        # the corrupted records the certificate tests build hold the values given
+        skew = compute_s_tilde(paper_system)
+        u, d = 2.0 * np.eye(4), np.arange(4.0)
+        faked = with_eigenpairs(skew, u, d)
+        assert faked.U is u and faked.eigenvalues is d
+        assert faked.S_tilde is skew.S_tilde and faked.rank_r == skew.rank_r
+        assert eigh_calls == []
         rotated = rotated_record(skew, 0, 3, 0.3)
         assert rotated.eigenvalues is skew.eigenvalues
         assert not np.allclose(rotated.U, skew.U)
         shifted = shifted_record(skew, 0, 0.3)
         assert shifted.U is skew.U and shifted.eigenvalues[0] == skew.eigenvalues[0] + 0.3
-        doubled = dataclasses.replace(compute_s_tilde(paper_system), U=2.0 * skew.U)
-        assert np.array_equal(doubled.U, 2.0 * skew.U)
-        assert np.array_equal(doubled.eigenvalues, skew.eigenvalues)
+        assert len(eigh_calls) == 1  # the source record's own, read by the fakes
 
 
 def _direct_sum(*systems):

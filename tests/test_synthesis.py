@@ -6,7 +6,13 @@ import re
 
 import numpy as np
 import pytest
-from conftest import integer_realizable_system, projected_system, rotated_record, shifted_record
+from conftest import (
+    integer_realizable_system,
+    projected_system,
+    rotated_record,
+    shifted_record,
+    with_eigenpairs,
+)
 from dense_reference import (
     build_p,
     build_theta,
@@ -137,7 +143,7 @@ class TestXiConstruction:
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         unitary = np.linalg.qr(g)[0]
         with pytest.raises(NumericalError, match="Xi1 came out complex"):
-            build_xi1(dataclasses.replace(skew, U=unitary))
+            build_xi1(with_eigenpairs(skew, unitary, skew.eigenvalues))
 
     def test_xi2_rank_is_half_r(self, fixture_systems):
         expected = {"paper": 2, "trivial": 0, "small": 1}
@@ -696,7 +702,7 @@ class TestMinimalityCertificate:
         # 2U gives E = 3I: no proof, so no count, and embedding_agreed fails even
         # where, at r = 0, the count of 0 matches the spectrum's
         skew = compute_s_tilde(fixture_systems[name])
-        cert = minimality_certificate(dataclasses.replace(skew, U=2.0 * skew.U))
+        cert = minimality_certificate(with_eigenpairs(skew, 2.0 * skew.U, skew.eigenvalues))
         assert cert.proven_r == 0 and cert.eta > np.abs(skew.eigenvalues).max()
         assert cert.embedding_agreed is False
         assert cert.lower_bound_held is (skew.rank_r == 0)
