@@ -38,7 +38,7 @@ __all__ = [
 
 
 # Relative roundoff allowed where an identity is exact in arithmetic (the
-# skewness of S_tilde, Im Xi1, the factor round trip), against the same
+# skewness of S_tilde, the factor round trip), against the same
 # floor as the rank cutoff of that quantity. Reports before 0.5.0 wrote it
 # as the tolerance symmetry_tol.
 ROUNDOFF_TOL = 1e-12
@@ -59,7 +59,7 @@ class TolerancePolicy:
     anything else (including inf and nan) raises ValueError. A cutoff of 1
     or more would count every singular value as zero and pass any residual.
     A rank_rel_tol below unit roundoff (1.1e-16) is accepted, but then
-    rounding, not the input, decides the rank and PSD tests of Xi2.
+    rounding, not the input, decides the rank test of Xi2.
     A system file's "tolerances" are these fields by name
     (io.parse_system_document builds the policy from them), and the command
     line flags are laid over that policy with dataclasses.replace.
@@ -172,10 +172,11 @@ def psd_low_rank_factor(
     ``u`` and ``d`` are a decomposition xi2 = U^dag diag(d) U the caller
     already holds, laid out as hermitian_eig returns it; the kernel keeps
     the top-k pairs, F = sqrt(d_k) * U_k, and verifies them, never
-    decomposing xi2 itself. The caller vouches that d >= 0, as for the
-    |d| + d that build_lambda_b1 passes; a negative d among the top k is
-    clipped to 0, so the round trip misses by it. ``floor`` is as in
-    numerical_rank. Raises NumericalError when k is not the numerical rank
+    decomposing xi2 itself. d is clipped to >= 0 first, as the |d| + d
+    that build_lambda_b1 passes already is, so neither the factor nor the
+    allowance below counts a negative eigenvalue: the round trip misses by
+    it, and so tests xi2 for PSD. ``floor`` is as in numerical_rank.
+    Raises NumericalError when k is not the numerical rank
     of xi2 (|eigvalsh|, one triangle), or when F^dag F misses xi2 by more
     than ROUNDOFF_TOL * max(||xi2||, floor) plus ||d[k:]||, the exact miss
     of the dropped eigenvalues; other eigenpairs miss by more. The
@@ -183,12 +184,12 @@ def psd_low_rank_factor(
     """
     xi2 = np.asarray(xi2)
     u = np.asarray(u)
-    d = np.asarray(d, dtype=float)
+    d = np.clip(np.asarray(d, dtype=float), 0.0, None)
     k = int(k)
     got, _ = numerical_rank(xi2, policy, hermitian=True, floor=floor)
     if got != k:
         raise NumericalError(f"requested {k} rows but the numerical rank is {got}")
-    factor = np.sqrt(np.clip(d[:k], 0.0, None))[:, None] * u[:k, :]
+    factor = np.sqrt(d[:k])[:, None] * u[:k, :]
     residual = float(np.linalg.norm(factor.conj().T @ factor - xi2))
     scale = max(float(np.linalg.norm(xi2)), floor)
     dropped = float(np.linalg.norm(d[k:]))

@@ -79,19 +79,26 @@ def integer_realizable_system(rng, n, n_u=2, scale=10.0):
     return LtiSystem(a / scale, b / root, c / root)
 
 
-def projected_system(n, seed, delta):
-    """A0 + delta M with A0 = A - Theta S_tilde / 2 for a seeded (A, B, C), n_u = 2.
+def realizable_projection(sys):
+    """(A0, B, C) with A0 = A - Theta S_tilde / 2, the r = 0 projection of a system.
 
     A0 makes S_tilde vanish, so (A0, B, C) is physically realizable with
-    n_v = n_u noises and r = 0; adding delta times a standard normal M
-    makes the count r = n for delta > 0.
+    n_v = n_u noises and r = 0.
+    """
+    a0 = sys.A - apply_theta(compute_s_tilde(sys).S_tilde, "left") / 2
+    return LtiSystem.from_matrices(a0, sys.B, sys.C)
+
+
+def projected_system(n, seed, delta):
+    """A0 + delta M for the realizable_projection (A0, B, C) of a seeded system, n_u = 2.
+
+    Adding delta times a standard normal M makes the count r = n for delta > 0.
     """
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, 2))
     c = rng.standard_normal((2, n))
-    s_tilde = compute_s_tilde(LtiSystem.from_matrices(a, b, c)).S_tilde
-    a0 = a - apply_theta(s_tilde, "left") / 2
+    a0 = realizable_projection(LtiSystem.from_matrices(a, b, c)).A
     return LtiSystem.from_matrices(a0 + delta * rng.standard_normal((n, n)), b, c)
 
 

@@ -368,8 +368,8 @@ class TestTolerancePrecedence:
         assert doc["tolerances"]["rank_rel_tol"] == 0.5
 
     def test_rank_tol_below_roundoff_names_the_tolerance(self, paper_file, tmp_path, capsys):
-        # count accepts the cutoff; Xi2's PSD or rank test, whichever trips
-        # first, aborts synthesis and names rank_rel_tol as the floor
+        # count accepts the cutoff; Xi2's rank test aborts synthesis and
+        # names rank_rel_tol as the floor
         report = tmp_path / "report.json"
         assert main(["synthesize", paper_file, "-o", str(report), "--rank-tol", "1e-300"]) == 1
         captured = capsys.readouterr()
@@ -378,11 +378,11 @@ class TestTolerancePrecedence:
         assert line.startswith("error: Xi2 ") and "rank_rel_tol" in line
         assert not report.exists()
 
-    def test_rank_tol_1e_16_counts_and_then_fails_the_psd_test(
+    def test_rank_tol_1e_16_counts_and_then_fails_the_xi2_rank_test(
         self, paper_file, tmp_path, capsys
     ):
         # the README's example: count passes at a cutoff below roundoff, and
-        # synthesis stops at Xi2's PSD test, whose eigenvalue digits are roundoff
+        # synthesis stops at Xi2's rank test, which counts a roundoff eigenvalue
         assert main(["count", paper_file, "--rank-tol", "1e-16"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "r=4 n_v=6"
         report = tmp_path / "report.json"
@@ -390,11 +390,10 @@ class TestTolerancePrecedence:
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert re.fullmatch(
-            r"error: Xi2 is not PSD: eigenvalue -\S+ below -\S+ \(floor: rank_rel_tol 1\.0e-16 "
-            r"times max\(largest \|eigenvalue\|, T/2\) \S+\)",
-            line,
-        ), line
+        assert line == (
+            "error: Xi2 has numerical rank 3, expected r/2 = 2 (floor: rank_rel_tol 1.0e-16 "
+            "times max(largest |eigenvalue|, T/2) 1.290e+00)"
+        )
         assert not report.exists()
 
 

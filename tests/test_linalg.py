@@ -420,6 +420,14 @@ class TestPsdLowRankFactor:
         with pytest.raises(NumericalError, match=r"round-trip residual 1\.000e\+00 exceeds"):
             psd_low_rank_factor(np.diag([1.0, -1.0]), *hermitian_eig(np.diag([1.0, -1.0])), 2)
 
+    def test_negative_eigenvalue_past_the_top_k_is_not_allowed_for(self):
+        # rank 2 counts |-1|, so k = 2 keeps (1, 0) and drops -1; the miss of
+        # 1.0 is the negative eigenvalue, not a dropped one the allowance excuses
+        xi = np.diag([1.0, 0.0, -1.0])
+        miss = r"round-trip residual 1\.000e\+00 exceeds .* \+ 0\.000e\+00"
+        with pytest.raises(NumericalError, match=miss):
+            psd_low_rank_factor(xi, *hermitian_eig(xi), 2)
+
 
 class TestRealEmbeddingRank:
     @given(seeds)

@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
-import re
 
 import numpy as np
 import pytest
 from conftest import (
     integer_realizable_system,
+    oscillator_built_system,
     projected_system,
+    realizable_projection,
     rotated_record,
     shifted_record,
     with_eigenpairs,
@@ -137,13 +138,14 @@ class TestXiConstruction:
         assert np.linalg.norm(xi1 @ xi1 - s_sq) <= 1e-9 * np.linalg.norm(s_sq)
 
     def test_xi1_rejects_eigenpairs_of_another_matrix(self, paper_system):
-        # a random unitary in place of U makes U^dag |D| U complex
+        # a random unitary in place of U: Xi1 keeps only the real part of
+        # U^dag |D| U, and the rank test of Xi2 rejects the result
         skew = compute_s_tilde(paper_system)
         rng = np.random.default_rng(7)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         unitary = np.linalg.qr(g)[0]
-        with pytest.raises(NumericalError, match="Xi1 came out complex"):
-            build_xi1(with_eigenpairs(skew, unitary, skew.eigenvalues))
+        with pytest.raises(NumericalError, match=r"^Xi2 has numerical rank 4, expected r/2 = 2 "):
+            synthesize_realization(with_eigenpairs(skew, unitary, skew.eigenvalues))
 
     def test_xi2_rank_is_half_r(self, fixture_systems):
         expected = {"paper": 2, "trivial": 0, "small": 1}
@@ -164,48 +166,39 @@ class TestXiConstruction:
             build_xi2(skew, np.diag([5.0, 3.0]))
 
     def test_xi2_rejects_indefinite_result(self, small_system):
+        # Xi1 = -I/2 gives Xi2 the eigenvalues {-1, 0}: rank 1 = r/2 passes
+        # build_xi2, and the factor of |d| + d cannot rebuild it
         skew = compute_s_tilde(small_system)
-        with pytest.raises(NumericalError, match="PSD"):
-            build_xi2(skew, -0.5 * np.eye(2))
+        xi2 = build_xi2(skew, -0.5 * np.eye(2))
+        assert np.allclose(np.linalg.eigvalsh(xi2), [-1.0, 0.0], atol=1e-12)
+        with pytest.raises(NumericalError, match="round-trip residual"):
+            build_lambda_b1(skew, xi2)
 
-    @pytest.mark.parametrize("cholesky", ["numpy", "failing"])
-    def test_xi2_psd_decision_on_both_sides_of_the_floor(
-        self, small_system, monkeypatch, cholesky
-    ):
-        # Xi1 = (0.5 - delta) I makes Xi2's eigenvalues {-delta, 1 - delta}. The
-        # Cholesky shift c = rank_rel_tol * max(largest |diagonal|, T/2) lies
-        # below the PSD cutoff: delta = cutoff/2 < c passes the Cholesky, a delta
-        # between c and the cutoff fails it and passes the eigvalsh fallback,
-        # and 2 cutoff fails both, eigvalsh naming the eigenvalue. The verdicts
-        # are the same when every Cholesky fails.
-        skew = compute_s_tilde(small_system)
-        rel, top = skew.policy.rank_rel_tol, max(1.0, skew.term_scale / 2)
-        cutoff, shift = rel * top, rel * max(0.5, skew.term_scale / 2)
-        assert shift < cutoff
-        raised = []
-        cholesky_of = np.linalg.cholesky
-
-        def spy(a):
+    @pytest.mark.parametrize("tol", [1e-9, 0.5, 1e-14, 1e-16])
+    def test_xi2_that_passes_the_rank_test_is_psd(self, paper_system, corpus, tol):
+        # the rank test counts |eigenvalues| against the cutoff, so whenever
+        # build_xi2 returns, no eigenvalue lies below minus that cutoff
+        systems = [paper_system] + corpus[:30]
+        systems += [realizable_projection(sys) for sys in systems]
+        systems += [
+            oscillator_built_system(np.random.default_rng([n, n_u, k]), n, n_u, k)
+            for n in (4, 8, 20, 32)
+            for n_u in (2, 4)
+            for k in sorted({0, 1, n // 4, n // 2})
+        ]
+        policy = TolerancePolicy(rank_rel_tol=tol)
+        returned = 0
+        for sys in systems:
             try:
-                if cholesky == "failing":
-                    raise np.linalg.LinAlgError("no Cholesky factor")
-                return cholesky_of(a)
-            except np.linalg.LinAlgError:
-                raised.append(True)
-                raise
-
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
-        for delta in (cutoff / 2, (shift + cutoff) / 2):
-            xi2 = build_xi2(skew, (0.5 - delta) * np.eye(2))
-            assert np.allclose(np.linalg.eigvalsh(xi2), [-delta, 1.0 - delta], rtol=0, atol=1e-15)
-        assert len(raised) == (2 if cholesky == "failing" else 1)
-        message = (
-            f"Xi2 is not PSD: eigenvalue {-2 * cutoff:.3e} below -{cutoff:.3e} (floor: "
-            f"rank_rel_tol {rel:.1e} times max(largest |eigenvalue|, T/2) {top:.3e})"
-        )
-        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
-            build_xi2(skew, (0.5 - 2 * cutoff) * np.eye(2))
-        assert len(raised) == (3 if cholesky == "failing" else 2)
+                skew = compute_s_tilde(sys, policy)
+                xi2 = build_xi2(skew, build_xi1(skew))
+            except NumericalError:
+                continue
+            returned += 1
+            w = np.linalg.eigvalsh(xi2)
+            cutoff = tol * max(float(np.abs(w).max()), skew.term_scale / 2)
+            assert w[0] >= -cutoff
+        assert returned >= len(systems) // 3
 
     def test_xi1_and_the_factor_round_trip_are_the_complex_grams(self, paper_system, corpus):
         # Xi1 = Re(U^dag |D| U), and the factor F misses Xi2 by no more than the
@@ -399,16 +392,12 @@ class TestSynthesizeRealization:
         assert len(calls) == 2
 
     def test_xi2_psd_test_makes_no_eigvalsh_call(self, paper_system, corpus, monkeypatch):
-        # a shifted Cholesky proves Xi2 PSD; eigvalsh only decides when it fails
+        # Xi2 is judged PSD by its rank test and the factor round trip alone:
+        # a synthesis makes no Cholesky and no eigvalsh call of its own
         skew = compute_s_tilde(paper_system)
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting_eigvalsh(*args, **kwargs):
-            calls.append(1)
-            return eigvalsh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        for name in ("cholesky", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: calls.append(name))
         for record in [skew] + [compute_s_tilde(sys) for sys in corpus[:10]]:
             synthesize_realization(record)
         assert calls == []
