@@ -24,8 +24,6 @@ from .realizability import (
     SkewReport,
     check_physical_realizability,
     compute_s_tilde,
-    minimal_noise_count,
-    multiplicity_noise_count,
 )
 from .synthesis import Realization, minimality_certificate, oscillator, synthesize_realization
 
@@ -43,8 +41,6 @@ __all__ = [
     "TolerancePolicy",
     "SkewReport",
     "compute_s_tilde",
-    "minimal_noise_count",
-    "multiplicity_noise_count",
     "check_physical_realizability",
     # synthesis
     "Realization",

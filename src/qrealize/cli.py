@@ -41,7 +41,7 @@ def example_system() -> LtiSystem:
     a = np.block([[-1.3894 * i2, -0.4472 * i2], [-0.2 * i2, -0.25 * i2]])
     b = np.vstack([-0.4472 * i2, np.zeros((2, 2))])
     c = np.hstack([-0.4472 * i2, np.zeros((2, 2))])
-    return LtiSystem.from_matrices(a, b, c)
+    return LtiSystem(a, b, c)
 
 
 # The tolerance flags: the TolerancePolicy field each one overrides, the flag
@@ -79,6 +79,17 @@ def _load_system(path: str, args):
     return doc.system, _with_flags(doc.policy, args)
 
 
+def _analysis(system: LtiSystem, policy: TolerancePolicy):
+    """compute_s_tilde(system, policy), warning on stderr when rank_rel_tol is below unit roundoff."""
+    if policy.rank_rel_tol < 2.0**-53:
+        print(
+            f"warning: rank_rel_tol {policy.rank_rel_tol:.1e} is below unit roundoff {2.0**-53:.1e}; "
+            "rounding, not the input, decides the rank tests",
+            file=sys.stderr,
+        )
+    return compute_s_tilde(system, policy)
+
+
 def _print_residuals(report) -> None:
     for e in report:
         verdict = "PASS" if e.passed else "FAIL"
@@ -90,14 +101,14 @@ def _optional(value, spec: str) -> str:
 
 
 def cmd_count(args) -> int:
-    skew = compute_s_tilde(*_load_system(args.path, args))
+    skew = _analysis(*_load_system(args.path, args))
     print(f"r={skew.rank_r} n_v={skew.n_v}")
     print(f"multiplicity_bound={skew.multiplicity_count}")
     return 0
 
 
 def cmd_synthesize(args) -> int:
-    skew = compute_s_tilde(*_load_system(args.path, args))
+    skew = _analysis(*_load_system(args.path, args))
     realization, report = synthesize_realization(skew)
 
     out = report_document(realization, report, minimality_certificate(skew))
@@ -117,7 +128,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_paper_example(args) -> int:
-    skew = compute_s_tilde(example_system(), _with_flags(DEFAULT_POLICY, args))
+    skew = _analysis(example_system(), _with_flags(DEFAULT_POLICY, args))
     print("S_tilde =")
     for row in skew.S_tilde:
         print("  " + "  ".join(f"{x:8.4f}" for x in row))

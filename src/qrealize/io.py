@@ -126,7 +126,7 @@ def parse_system_document(text: str) -> SystemDocument:
     a = _parse_matrix("A", doc["A"])
     b = _parse_matrix("B", doc["B"])
     c = _parse_matrix("C", doc["C"])
-    system = LtiSystem.from_matrices(a, b, c)
+    system = LtiSystem(a, b, c)
 
     tolerances = doc.get("tolerances", {})
     if isinstance(tolerances, dict):

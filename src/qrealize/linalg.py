@@ -32,7 +32,6 @@ __all__ = [
     "hermitian_eig",
     "numerical_rank",
     "psd_low_rank_factor",
-    "complex_rank_via_real_embedding",
     "wedge_norms",
 ]
 
@@ -59,7 +58,8 @@ class TolerancePolicy:
     anything else (including inf and nan) raises ValueError. A cutoff of 1
     or more would count every singular value as zero and pass any residual.
     A rank_rel_tol below unit roundoff (1.1e-16) is accepted, but then
-    rounding, not the input, decides the rank test of Xi2.
+    rounding, not the input, decides the rank test of Xi2; the command line
+    warns of it on stderr.
     A system file's "tolerances" are these fields by name
     (io.parse_system_document builds the policy from them), and the command
     line flags are laid over that policy with dataclasses.replace.
@@ -120,9 +120,9 @@ def hermitian_eig(h):
 
     Returns (U, d): d holds the real eigenvalues sorted descending, and the
     rows of U the conjugated eigenvectors in that order, each scaled so its
-    largest-magnitude entry (the first on ties) is real and positive; a zero
-    vector stays as it is. Reads only the lower triangle of ``h``
-    (np.linalg.eigh): the caller vouches that it is Hermitian.
+    largest-magnitude entry (the first on ties) is real and positive. Reads
+    only the lower triangle of ``h`` (np.linalg.eigh): the caller vouches
+    that it is Hermitian.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -130,10 +130,9 @@ def hermitian_eig(h):
     d, v = np.linalg.eigh(h)
     order = np.argsort(-d, kind="stable")
     v = v[:, order]  # the one n x n copy: the phases and the conjugation act in place
-    if v.size:
+    if v.size:  # argmax raises on a 0 x 0 input; eigh's unit columns have a nonzero lead
         lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-        mags = np.abs(lead)
-        v /= np.where(mags > 0, lead / np.where(mags > 0, mags, 1.0), 1.0)
+        v /= lead / np.abs(lead)
     np.conjugate(v, out=v)
     return v.T, d[order]
 
@@ -201,6 +200,7 @@ def psd_low_rank_factor(
     return factor
 
 
+# bench/tracing.py TRACED names it; it goes when the benchmark drops it (ROADMAP item 5)
 def complex_rank_via_real_embedding(
     are, aim, policy: TolerancePolicy = DEFAULT_POLICY, floor: float = 0.0
 ) -> int:

@@ -37,8 +37,6 @@ __all__ = [
     "ResidualReport",
     "MULTIPLICITY_CLUSTER_REL",
     "compute_s_tilde",
-    "minimal_noise_count",
-    "multiplicity_noise_count",
     "residual_entry",
     "check_physical_realizability",
 ]
@@ -115,6 +113,7 @@ class LtiSystem:
     def n_y(self) -> int:
         return self.C.shape[0]
 
+    # bench/workloads.py calls it; it goes when the benchmark drops it (ROADMAP item 5)
     @classmethod
     def from_matrices(cls, A, B, C) -> "LtiSystem":
         """The system (A, B, C); the same as LtiSystem(A, B, C)."""
@@ -259,6 +258,7 @@ def compute_s_tilde(
     )
 
 
+# bench/tracing.py TRACED names these two; they go when the benchmark drops them (ROADMAP item 5)
 def minimal_noise_count(sys: LtiSystem, policy: TolerancePolicy = DEFAULT_POLICY):
     """Exact minimum (r, n_v) with r = rank(S_tilde) and n_v = n_u + r."""
     skew = compute_s_tilde(sys, policy)
@@ -268,14 +268,7 @@ def minimal_noise_count(sys: LtiSystem, policy: TolerancePolicy = DEFAULT_POLICY
 def multiplicity_noise_count(
     sys: LtiSystem, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> int:
-    """Multiplicity-based noise count n_u + 2(n - n_lambda) (see compute_s_tilde).
-
-    n_lambda, the size of the cluster of least eigenvalues of S, is read
-    off the singular values of S_tilde that compute_s_tilde's rank count
-    already computes, so this makes one SVD and no eigendecomposition.
-    Never smaller than the rank-based count, and it degenerates to n_u
-    exactly when S_tilde = 0.
-    """
+    """The record's multiplicity_count n_u + 2(n - n_lambda), never below n_v (compute_s_tilde)."""
     return compute_s_tilde(sys, policy).multiplicity_count
 
 
@@ -300,12 +293,6 @@ class ResidualReport:
     @property
     def all_passed(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    def entry(self, name: str) -> ResidualEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(f"no residual named {name!r}")
 
     def __iter__(self):
         return iter(self.entries)

@@ -213,20 +213,16 @@ class Realization:
     D1: np.ndarray
 
     @property
-    def n_v(self) -> int:
-        return self.skew.n_v
-
-    @property
     def Lambda_b0(self) -> np.ndarray:
         return self.Lambda[: self.skew.system.n_y // 2]
 
     @property
     def Lambda_b1(self) -> np.ndarray:
-        return self.Lambda[self.skew.system.n_y // 2 : self.n_v // 2]
+        return self.Lambda[self.skew.system.n_y // 2 : self.skew.n_v // 2]
 
     @property
     def Lambda_b2(self) -> np.ndarray:
-        return self.Lambda[self.n_v // 2 :]
+        return self.Lambda[self.skew.n_v // 2 :]
 
 
 def synthesize_realization(sys: LtiSystem | SkewReport):

@@ -27,7 +27,7 @@ def make_corpus(count=CORPUS_SIZE, seed=CORPUS_SEED):
     for i in range(count):
         n, n_u = dims[i % len(dims)]
         systems.append(
-            LtiSystem.from_matrices(
+            LtiSystem(
                 rng.standard_normal((n, n)),
                 rng.standard_normal((n, n_u)),
                 rng.standard_normal((n_u, n)),
@@ -86,7 +86,7 @@ def realizable_projection(sys):
     n_v = n_u noises and r = 0.
     """
     a0 = sys.A - apply_theta(compute_s_tilde(sys).S_tilde, "left") / 2
-    return LtiSystem.from_matrices(a0, sys.B, sys.C)
+    return LtiSystem(a0, sys.B, sys.C)
 
 
 def projected_system(n, seed, delta):
@@ -98,8 +98,8 @@ def projected_system(n, seed, delta):
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, 2))
     c = rng.standard_normal((2, n))
-    a0 = realizable_projection(LtiSystem.from_matrices(a, b, c)).A
-    return LtiSystem.from_matrices(a0 + delta * rng.standard_normal((n, n)), b, c)
+    a0 = realizable_projection(LtiSystem(a, b, c)).A
+    return LtiSystem(a0 + delta * rng.standard_normal((n, n)), b, c)
 
 
 def with_eigenpairs(skew, u, d):
@@ -161,12 +161,12 @@ def paper_system():
 @pytest.fixture(scope="session")
 def trivial_system():
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return LtiSystem.from_matrices(j, np.zeros((2, 2)), np.zeros((2, 2)))
+    return LtiSystem(j, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 @pytest.fixture(scope="session")
 def small_system():
-    return LtiSystem.from_matrices(np.zeros((2, 2)), np.eye(2), np.eye(2))
+    return LtiSystem(np.zeros((2, 2)), np.eye(2), np.eye(2))
 
 
 @pytest.fixture(scope="session")

@@ -17,9 +17,7 @@ from conftest import CORPUS_SEED, paper_matrices
 from dense_reference import build_theta, reference_certificate
 from qrealize import (
     compute_s_tilde,
-    minimal_noise_count,
     minimality_certificate,
-    multiplicity_noise_count,
     synthesize_realization,
 )
 from qrealize.cli import EXAMPLE_S_TILDE, main
@@ -46,7 +44,7 @@ def test_criterion_1_paper_example_reproduction(paper_system, capsys):
     try:
         start = time.perf_counter()
         skew = compute_s_tilde(paper_system)
-        r, n_v = minimal_noise_count(paper_system)
+        r, n_v = skew.rank_r, skew.n_v
         elapsed = time.perf_counter() - start
         failures = []
         deviation = float(np.abs(skew.S_tilde - EXAMPLE_S_TILDE).max())
@@ -95,7 +93,7 @@ def test_criterion_3_reconstruction_identities(fixture_systems, corpus, capsys):
         for sys_ in list(fixture_systems.values()) + corpus:
             _, report = synthesize_realization(sys_)
             for name in rebuild_names:
-                entry = report.entry(name)
+                entry = {e.name: e for e in report}[name]
                 if entry.relative > 1e-8:
                     failures.append(f"{name} at {entry.relative:.2e}")
         elapsed = time.perf_counter() - start
@@ -220,8 +218,7 @@ def test_criterion_7_count_consistency(corpus, trivial_system, capsys):
         failures = []
         for sys_ in corpus + [trivial_system]:
             skew = compute_s_tilde(sys_)
-            r, n_v = minimal_noise_count(sys_)
-            bound = multiplicity_noise_count(sys_)
+            n_v, bound = skew.n_v, skew.multiplicity_count
             if bound < n_v:
                 failures.append(f"bound {bound} < n_v {n_v}")
             input_scale = max(

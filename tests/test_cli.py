@@ -274,8 +274,8 @@ def lapack_calls(monkeypatch):
     return calls
 
 
-def _seeded_file(tmp_path, n, n_u=8):
-    rng = np.random.default_rng([n, n_u, 0])
+def _seeded_file(tmp_path, n, n_u=8, seed=0):
+    rng = np.random.default_rng([n, n_u, seed])
     system = qrealize.LtiSystem(
         rng.standard_normal((n, n)), rng.standard_normal((n, n_u)), rng.standard_normal((n_u, n))
     )
@@ -369,12 +369,13 @@ class TestTolerancePrecedence:
 
     def test_rank_tol_below_roundoff_names_the_tolerance(self, paper_file, tmp_path, capsys):
         # count accepts the cutoff; Xi2's rank test aborts synthesis and
-        # names rank_rel_tol as the floor
+        # names rank_rel_tol as the floor, after the sub-roundoff warning
         report = tmp_path / "report.json"
         assert main(["synthesize", paper_file, "-o", str(report), "--rank-tol", "1e-300"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        (line,) = captured.err.splitlines()
+        warning, line = captured.err.splitlines()
+        assert warning.startswith("warning: rank_rel_tol 1.0e-300 is below unit roundoff")
         assert line.startswith("error: Xi2 ") and "rank_rel_tol" in line
         assert not report.exists()
 
@@ -389,12 +390,38 @@ class TestTolerancePrecedence:
         assert main(["synthesize", paper_file, "-o", str(report), "--rank-tol", "1e-16"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        (line,) = captured.err.splitlines()
+        warning, line = captured.err.splitlines()
+        assert warning == (
+            "warning: rank_rel_tol 1.0e-16 is below unit roundoff 1.1e-16; "
+            "rounding, not the input, decides the rank tests"
+        )
         assert line == (
             "error: Xi2 has numerical rank 3, expected r/2 = 2 (floor: rank_rel_tol 1.0e-16 "
             "times max(largest |eigenvalue|, T/2) 1.290e+00)"
         )
         assert not report.exists()
+
+    def test_final_policy_below_roundoff_warns_where_it_ranks(self, paper_file, tmp_path, capsys):
+        # the warning reads the policy after the flags are laid over the file;
+        # check ranks nothing, so it never warns, and stdout does not change
+        report = tmp_path / "report.json"
+        assert main(["synthesize", paper_file, "-o", str(report)]) == 0
+        assert main(["count", paper_file]) == 0
+        clean = capsys.readouterr().out.splitlines()[-2:]
+        low = self._with_tolerances(paper_file, tmp_path, rank_rel_tol=1e-17)
+        for argv, warns in (
+            (["count", low], True),
+            (["count", low, "--rank-tol", "1e-9"], False),
+            (["count", paper_file, "--rank-tol", "2.2e-16"], False),
+            (["paper-example", "--rank-tol", "1e-17"], True),
+            (["check", low, str(report)], False),
+        ):
+            main(argv)
+            captured = capsys.readouterr()
+            assert captured.err.startswith("warning: rank_rel_tol") is warns, argv
+            assert captured.err.count("warning:") == warns, argv
+            if argv[0] == "count":
+                assert captured.out.splitlines() == clean, argv
 
 
 @pytest.mark.parametrize("which", ["system", "report"])
@@ -784,15 +811,16 @@ def _nearly_realizable_file(tmp_path, delta, seed=0, n=128, n_u=8):
 
 
 @pytest.mark.parametrize(
-    ("n", "delta"),
+    ("n", "seed", "delta"),
     [
-        pytest.param(128, None, id="128"),
-        pytest.param(192, None, id="192"),
-        pytest.param(128, 1e-8, id="128-near-r0"),
-        pytest.param(128, 1e-6, id="128-near-r126"),
+        pytest.param(128, 0, None, id="128"),
+        pytest.param(128, 1, None, id="128-seed1"),
+        pytest.param(192, 0, None, id="192"),
+        pytest.param(128, 0, 1e-8, id="128-near-r0"),
+        pytest.param(128, 0, 1e-6, id="128-near-r126"),
     ],
 )
-def test_counts_and_verdicts_do_not_depend_on_blas_threads(tmp_path, n, delta):
+def test_counts_and_verdicts_do_not_depend_on_blas_threads(tmp_path, n, seed, delta):
     """r, n_v, the multiplicity bound, every verdict and proven_r agree under 1 and 2 threads.
 
     The second half of the README's thread contract: above n = 64 the
@@ -801,7 +829,7 @@ def test_counts_and_verdicts_do_not_depend_on_blas_threads(tmp_path, n, delta):
     "is r = 0?" decision and a rank short of n near their cutoffs.
     """
     if delta is None:
-        system = _seeded_file(tmp_path, n)
+        system = _seeded_file(tmp_path, n, seed=seed)
     else:
         system = _nearly_realizable_file(tmp_path, delta)
     seen = []

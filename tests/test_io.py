@@ -355,7 +355,7 @@ def _dumps(doc) -> str:
 
 def _seeded_system(n, n_u, seed):
     rng = np.random.default_rng(seed)
-    return LtiSystem.from_matrices(
+    return LtiSystem(
         rng.standard_normal((n, n)),
         rng.standard_normal((n, n_u)),
         rng.standard_normal((n_u, n)),
@@ -367,7 +367,7 @@ class TestEncoderMatchesJsonDumps:
     def test_paper_report(self, paper_system, seed):
         # seed 0 reports the paper system itself, the others a seeded shift of its A
         shift = 1e-3 * seed * np.random.default_rng(seed).standard_normal(paper_system.A.shape)
-        sys = LtiSystem.from_matrices(paper_system.A + shift, paper_system.B, paper_system.C)
+        sys = LtiSystem(paper_system.A + shift, paper_system.B, paper_system.C)
         rz, report = synthesize_realization(sys)
         doc = report_document(rz, report, minimality_certificate(rz.skew))
         assert serialize_report(doc) == _dumps(doc)

@@ -172,7 +172,7 @@ class TestIndexOperators:
     def test_p_gamma_sigma_slicings_match_dense_products(self, size):
         rng = np.random.default_rng(1000 + size)
         n, half = 6, size // 2
-        sys = LtiSystem.from_matrices(
+        sys = LtiSystem(
             *(_signed_zeros(rng, shape) for shape in ((n, n), (n, size), (size, n)))
         )
         p = build_p(size)
@@ -208,7 +208,7 @@ class TestIndexOperators:
     def test_r_matches_dense_product(self, size):
         rng = np.random.default_rng(2000 + size)
         a = _signed_zeros(rng, (size, size))
-        sys = LtiSystem.from_matrices(a, np.zeros((size, 2)), np.zeros((2, size)))
+        sys = LtiSystem(a, np.zeros((size, 2)), np.zeros((2, size)))
         theta = dense_theta(size)
         want = -0.25 * (theta @ a + a.T @ theta.T)
         assert np.array_equal(build_r(sys), want)
@@ -235,6 +235,13 @@ class TestHermitianEig:
         u, d = hermitian_eig(np.zeros((0, 0)))
         assert u.shape == (0, 0)
         assert d.shape == (0,)
+
+    @pytest.mark.parametrize("h", [[[-3.0]], [[0.0]], [[2.5 + 0j]]], ids=["negative", "zero", "complex"])
+    def test_one_by_one_vector_is_exactly_one(self, h):
+        # eigh's unit vector of a 1 x 1 matrix is +-1; the phase rule makes it 1
+        u, d = hermitian_eig(np.array(h))
+        assert np.array_equal(u, np.eye(1))
+        assert np.array_equal(d, np.real(h)[0])
 
     def test_magnitude_tie_picks_the_first_entry(self):
         # both entries of each eigenvector of [[0, 1], [1, 0]] tie in magnitude;

@@ -46,9 +46,9 @@ def _system(seed):
     c = rng.standard_normal((n_u, n))
     if seed % 4:
         r = 2 * int(rng.integers(1, n // 2))
-        s_tilde = compute_s_tilde(LtiSystem.from_matrices(a, b, c)).S_tilde
+        s_tilde = compute_s_tilde(LtiSystem(a, b, c)).S_tilde
         a = a - 0.5 * apply_theta(s_tilde - _skew_of_rank(rng, n, r), "left")
-    return LtiSystem.from_matrices(a, b, c)
+    return LtiSystem(a, b, c)
 
 
 def _ill_conditioned_system(seed, kappa, deficient):
@@ -114,7 +114,7 @@ def _variants(sys, seed):
 
 def _check_variants(sys, skew, seed):
     for name, matrices in _variants(sys, seed):
-        variant = LtiSystem.from_matrices(*matrices)
+        variant = LtiSystem(*matrices)
         got = compute_s_tilde(variant)
         assert (got.rank_r, got.n_v) == (skew.rank_r, skew.n_v), name
         _, report = synthesize_realization(got)

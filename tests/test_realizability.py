@@ -35,8 +35,6 @@ from qrealize import (
     ValidationError,
     check_physical_realizability,
     compute_s_tilde,
-    minimal_noise_count,
-    multiplicity_noise_count,
     synthesize_realization,
 )
 from qrealize.cli import EXAMPLE_S_TILDE
@@ -51,7 +49,7 @@ def _random_system(seed, n=None, n_u=None):
     rng = np.random.default_rng(seed)
     n = n or 2 * int(rng.integers(1, 6))
     n_u = n_u or 2 * int(rng.integers(1, 3))
-    return LtiSystem.from_matrices(
+    return LtiSystem(
         rng.standard_normal((n, n)),
         rng.standard_normal((n, n_u)),
         rng.standard_normal((n_u, n)),
@@ -79,19 +77,19 @@ class TestValidateSystem:
 
     def test_rejects_odd_n(self):
         with pytest.raises(ValidationError, match="n must be"):
-            LtiSystem.from_matrices(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((2, 3)))
+            LtiSystem(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros((2, 3)))
 
     def test_rejects_output_input_mismatch(self):
         with pytest.raises(ValidationError, match="n_y = n_u"):
-            LtiSystem.from_matrices(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((2, 4)))
+            LtiSystem(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((2, 4)))
 
     def test_rejects_odd_n_y(self):
         with pytest.raises(ValidationError):
-            LtiSystem.from_matrices(np.zeros((4, 4)), np.zeros((4, 2)), np.zeros((3, 4)))
+            LtiSystem(np.zeros((4, 4)), np.zeros((4, 2)), np.zeros((3, 4)))
 
     def test_rejects_non_square_a(self):
         with pytest.raises(ValidationError, match="square"):
-            LtiSystem.from_matrices(np.zeros((2, 4)), np.zeros((2, 2)), np.zeros((2, 2)))
+            LtiSystem(np.zeros((2, 4)), np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_rejects_inconsistent_shapes(self):
         with pytest.raises(ValidationError, match="B must be"):
@@ -119,7 +117,7 @@ class TestValidateSystem:
         a = np.zeros((2, 2))
         a[0, 1] = np.nan
         with pytest.raises(ValidationError, match="finite"):
-            LtiSystem.from_matrices(a, np.zeros((2, 2)), np.zeros((2, 2)))
+            LtiSystem(a, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestComputeSTilde:
@@ -173,7 +171,7 @@ class TestComputeSTilde:
         # finite inputs whose S_tilde, its norm or the term scale overflows:
         # a vacuous skew check, a failed eigensolver or an infinite rank
         # cutoff would follow
-        sys = LtiSystem.from_matrices(*overflow_matrices()[name])
+        sys = LtiSystem(*overflow_matrices()[name])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="overflows.*rescale"):
@@ -187,16 +185,16 @@ class TestComputeSTilde:
         a, b, c = overflow_matrices()[name]
         for alpha in (1e-250, 1e-280, 1e-300):
             root = math.sqrt(alpha)
-            skew = compute_s_tilde(LtiSystem.from_matrices(alpha * a, root * b, root * c))
+            skew = compute_s_tilde(LtiSystem(alpha * a, root * b, root * c))
             assert (skew.rank_r, skew.n_v) == (r, 2 + r)
         # the alpha the message names, applied to A as sqrt(alpha) twice
         with pytest.raises(NumericalError) as excinfo:
-            compute_s_tilde(LtiSystem.from_matrices(a, b, c))
+            compute_s_tilde(LtiSystem(a, b, c))
         advised = re.search(r"alpha = 1e-(\d+)", str(excinfo.value))
         k = int(advised.group(1))
         assert k == {"entries": 400, "norm": 161, "terms": 160}[name]
         root = 10.0 ** (-k / 2)
-        skew = compute_s_tilde(LtiSystem.from_matrices(root * (root * a), root * b, root * c))
+        skew = compute_s_tilde(LtiSystem(root * (root * a), root * b, root * c))
         assert (skew.rank_r, skew.n_v) == (r, 2 + r)
 
     def test_odd_rank_is_diagnosed(self, paper_system, monkeypatch):
@@ -344,30 +342,30 @@ def test_multiplicity_from_singular_values_equals_the_eigenvalue_rule(tol):
 
 class TestNoiseCounts:
     def test_minimal_counts(self, fixture_systems):
-        assert minimal_noise_count(fixture_systems["paper"]) == (4, 6)
-        assert minimal_noise_count(fixture_systems["trivial"]) == (0, 2)
-        assert minimal_noise_count(fixture_systems["small"]) == (2, 4)
+        for name, counts in (("paper", (4, 6)), ("trivial", (0, 2)), ("small", (2, 4))):
+            skew = compute_s_tilde(fixture_systems[name])
+            assert (skew.rank_r, skew.n_v) == counts, name
 
     def test_multiplicity_counts(self, fixture_systems):
         # trivial: all eigenvalues zero, so the cluster is everything
-        assert multiplicity_noise_count(fixture_systems["trivial"]) == 2
+        assert compute_s_tilde(fixture_systems["trivial"]).multiplicity_count == 2
         # small: spectrum of i*S_tilde is {+2, -2}, simple least eigenvalue
-        assert multiplicity_noise_count(fixture_systems["small"]) == 4
-        assert multiplicity_noise_count(fixture_systems["paper"]) == 8
+        assert compute_s_tilde(fixture_systems["small"]).multiplicity_count == 4
+        assert compute_s_tilde(fixture_systems["paper"]).multiplicity_count == 8
 
     def test_multiplicity_never_beats_rank_count(self, corpus):
         for sys in corpus:
-            r, n_v = minimal_noise_count(sys)
-            assert multiplicity_noise_count(sys) >= n_v
+            skew = compute_s_tilde(sys)
+            assert skew.multiplicity_count >= skew.n_v
 
     def test_both_counts_collapse_only_for_zero_invariant(self, corpus, trivial_system):
-        assert minimal_noise_count(trivial_system)[1] == trivial_system.n_u
-        assert multiplicity_noise_count(trivial_system) == trivial_system.n_u
+        skew = compute_s_tilde(trivial_system)
+        assert skew.n_v == skew.multiplicity_count == trivial_system.n_u
         for sys in corpus:
             skew = compute_s_tilde(sys)
             if np.linalg.norm(skew.S_tilde) > 0:
-                assert minimal_noise_count(sys)[1] > sys.n_u
-                assert multiplicity_noise_count(sys) > sys.n_u
+                assert skew.n_v > sys.n_u
+                assert skew.multiplicity_count > sys.n_u
 
 
 class TestResidualEntry:
@@ -383,12 +381,6 @@ class TestResidualEntry:
         e = residual_entry("x", np.eye(2) * 1e-6, [np.eye(2), 10.0 * np.eye(2)], 1e-8)
         assert e.scale == pytest.approx(np.linalg.norm(10.0 * np.eye(2)))
         assert e.relative == pytest.approx(e.absolute / e.scale)
-
-    def test_report_entry_of_an_unknown_name_is_a_key_error(self, paper_system):
-        _, report = synthesize_realization(paper_system)
-        assert report.entry("commutation") is report.entries[3]
-        with pytest.raises(KeyError, match=re.escape("no residual named 'bogus'")):
-            report.entry("bogus")
 
     def test_precomputed_norms_count_as_terms(self):
         e = residual_entry("x", np.eye(2), [np.eye(2)], 1e-8, norms=np.array([3.0, 20.0]))
@@ -409,7 +401,7 @@ class TestCheckPhysicalRealizability:
         report = check_physical_realizability(
             paper_system, np.zeros((4, 6)), np.eye(2, 6)
         )
-        assert not report.entry("output_coupling").passed
+        assert not {e.name: e for e in report}["output_coupling"].passed
 
     def test_trivial_zero_b1_passes(self, trivial_system):
         # A = J makes the commutation terms cancel exactly with B1 = B = 0
@@ -430,7 +422,7 @@ class TestCheckPhysicalRealizability:
         bb = np.hstack([b1, sys.B])
         theta = build_theta(4)
         delta = 1j * sys.A @ theta + 1j * theta @ sys.A.T + bb @ t_w @ bb.T
-        entry = check_physical_realizability(sys, b1, np.eye(2, 6)).entry("commutation")
+        entry = {e.name: e for e in check_physical_realizability(sys, b1, np.eye(2, 6))}["commutation"]
         assert entry.absolute == pytest.approx(np.linalg.norm(delta), rel=1e-14)
         assert not entry.passed
 
@@ -438,7 +430,7 @@ class TestCheckPhysicalRealizability:
         report = check_physical_realizability(
             trivial_system, np.zeros((2, 2)), np.zeros((2, 2))
         )
-        assert not report.entry("feedthrough").passed
+        assert not {e.name: e for e in report}["feedthrough"].passed
 
     @pytest.mark.parametrize("which", ["B1", "D1"])
     def test_complex_or_ragged_input_is_named(self, paper_system, which):
@@ -477,7 +469,7 @@ class TestCheckPhysicalRealizability:
         # coupling columns untouched
         sys = _random_system(seed)
         rz, _ = synthesize_realization(sys)
-        extra = rz.n_v - sys.n_y
+        extra = rz.skew.n_v - sys.n_y
         if extra == 0:
             return
         rng = np.random.default_rng(seed + 1)
@@ -493,16 +485,13 @@ class TestCheckPhysicalRealizability:
         assert np.allclose(v @ build_theta(extra) @ v.T, build_theta(extra), atol=1e-14)
 
         b1_rot = np.hstack([rz.B1[:, : sys.n_y], rz.B1[:, sys.n_y :] @ v])
-        before = check_physical_realizability(sys, rz.B1, rz.D1)
-        after = check_physical_realizability(sys, b1_rot, rz.D1)
-        assert after.entry("commutation").passed
+        before = {e.name: e for e in check_physical_realizability(sys, rz.B1, rz.D1)}
+        after = {e.name: e for e in check_physical_realizability(sys, b1_rot, rz.D1)}
+        assert after["commutation"].passed
         assert abs(
-            after.entry("commutation").absolute - before.entry("commutation").absolute
-        ) <= 1e-10 * max(before.entry("commutation").scale, 1.0)
-        assert (
-            after.entry("output_coupling").absolute
-            == before.entry("output_coupling").absolute
-        )
+            after["commutation"].absolute - before["commutation"].absolute
+        ) <= 1e-10 * max(before["commutation"].scale, 1.0)
+        assert after["output_coupling"].absolute == before["output_coupling"].absolute
 
 
 # the paper example, then seeded systems as (seed, n, n_u)
@@ -527,7 +516,7 @@ class TestAgainstDenseReference:
         for b1, realizable in candidates:
             got = check_physical_realizability(sys, b1, rz.D1)
             ref = dense_check_physical_realizability(sys, b1, rz.D1, DEFAULT_POLICY)
-            assert got.entry("commutation").passed is realizable
+            assert {e.name: e for e in got}["commutation"].passed is realizable
             for g, r in zip(got, ref):
                 assert g.name == r.name
                 assert g.passed == r.passed
@@ -555,8 +544,8 @@ def test_realizable_projection_counts_no_extra_noise():
     sys2 = projected_system(4, 3, 0.0)
     b1 = build_theta(4) @ sys2.C.T @ build_theta(2)
     assert check_physical_realizability(sys2, b1, np.eye(2)).all_passed
-    assert minimal_noise_count(sys2) == (0, 2)
-    assert multiplicity_noise_count(sys2) == 2
+    skew = compute_s_tilde(sys2)
+    assert (skew.rank_r, skew.n_v, skew.multiplicity_count) == (0, 2, 2)
 
 
 NEARLY_REALIZABLE = [(n, seed) for n in (8, 16, 32) for seed in (0, 3, 5)]
@@ -565,7 +554,8 @@ NEARLY_REALIZABLE = [(n, seed) for n in (8, 16, 32) for seed in (0, 3, 5)]
 @pytest.mark.parametrize("delta", [1e-6, 1e-4, 1e-3])
 @pytest.mark.parametrize("n, seed", NEARLY_REALIZABLE)
 def test_nearly_realizable_counts_full_rank(n, seed, delta):
-    assert minimal_noise_count(projected_system(n, seed, delta)) == (n, n + 2)
+    skew = compute_s_tilde(projected_system(n, seed, delta))
+    assert (skew.rank_r, skew.n_v) == (n, n + 2)
 
 
 @pytest.mark.parametrize("delta", [1e-6, 1e-4])

@@ -32,7 +32,6 @@ from qrealize import (
     TolerancePolicy,
     ValidationError,
     compute_s_tilde,
-    minimal_noise_count,
     minimality_certificate,
     oscillator,
     synthesize_realization,
@@ -49,7 +48,7 @@ def _random_system(seed, n=None, n_u=None):
     rng = np.random.default_rng(seed)
     n = n or 2 * int(rng.integers(1, 5))
     n_u = n_u or 2 * int(rng.integers(1, 3))
-    return LtiSystem.from_matrices(
+    return LtiSystem(
         rng.standard_normal((n, n)),
         rng.standard_normal((n, n_u)),
         rng.standard_normal((n_u, n)),
@@ -325,8 +324,9 @@ class TestOscillator:
 
 
 def _assert_same_rebuild_entries(report, reference):
+    entries = {e.name: e for e in report}
     for ref in reference:
-        got = report.entry(ref.name)
+        got = entries[ref.name]
         assert got.passed == ref.passed
         assert got.scale == pytest.approx(ref.scale, rel=1e-12, abs=0.0)
         if not ref.passed:
@@ -338,9 +338,9 @@ class TestSynthesizeRealization:
         expected_nv = {"paper": 6, "trivial": 2, "small": 4}
         for name, sys in fixture_systems.items():
             rz, report = synthesize_realization(sys)
-            assert rz.n_v == expected_nv[name]
+            assert rz.skew.n_v == expected_nv[name]
             assert rz.B1.shape == (sys.n, expected_nv[name])
-            assert np.array_equal(rz.D1, np.eye(sys.n_y, rz.n_v))
+            assert np.array_equal(rz.D1, np.eye(sys.n_y, rz.skew.n_v))
             assert report.all_passed
 
     def test_block_slices(self, paper_system):
@@ -355,7 +355,7 @@ class TestSynthesizeRealization:
     def test_carries_and_accepts_the_analysis_record(self, paper_system):
         skew = compute_s_tilde(paper_system)
         rz, report = synthesize_realization(skew)
-        assert rz.skew is skew and rz.n_v == skew.n_v == 6
+        assert rz.skew is skew and skew.n_v == 6
         again, _ = synthesize_realization(paper_system)
         assert again.skew.system is paper_system
         assert np.array_equal(again.Lambda, rz.Lambda) and np.array_equal(again.B1, rz.B1)
@@ -441,7 +441,7 @@ class TestSynthesizeRealization:
             out[: m.shape[0], : m.shape[1]] = out[m.shape[0] :, m.shape[1] :] = m
             return out
 
-        skew = compute_s_tilde(LtiSystem.from_matrices(twice(a), twice(b), twice(c)))
+        skew = compute_s_tilde(LtiSystem(twice(a), twice(b), twice(c)))
         d = skew.eigenvalues
         assert skew.rank_r == 8 and np.allclose(d[0::2], d[1::2], rtol=1e-12)
         rz, report = synthesize_realization(skew)
@@ -458,8 +458,8 @@ class TestSynthesizeRealization:
 
     def test_b1_width_is_tight(self, corpus, corpus_realizations):
         for sys, (rz, _) in zip(corpus, corpus_realizations):
-            r, n_v = minimal_noise_count(sys)
-            assert rz.B1.shape[1] == n_v == sys.n_u + r
+            skew = compute_s_tilde(sys)
+            assert rz.B1.shape[1] == skew.n_v == sys.n_u + skew.rank_r
 
     def test_corpus_residuals(self, corpus_realizations):
         for _, report in corpus_realizations:
@@ -472,7 +472,7 @@ class TestSynthesizeRealization:
         rng = np.random.default_rng(n)
         systems = [paper_system] if n == 4 else []
         systems += [
-            LtiSystem.from_matrices(
+            LtiSystem(
                 rng.standard_normal((n, n)),
                 rng.standard_normal((n, n_u)),
                 rng.standard_normal((n_u, n)),
@@ -496,7 +496,7 @@ class TestSynthesizeRealization:
         for sys in systems:
             rz, report = synthesize_realization(sys)
             assert not report.all_passed
-            assert not report.entry("input_rebuild").passed
+            assert not {e.name: e for e in report}["input_rebuild"].passed
             _assert_same_rebuild_entries(report, dense_rebuild_residuals(rz))
 
     def test_residual_names(self, small_system):
@@ -529,7 +529,7 @@ class TestSynthesizeRealization:
         # by 1e-10: rank_rel_tol drops that block's eigenvalues of Xi2, the
         # factor round trip allows for them, and the residuals judge the rest
         p, eps = paper_system, 1e-10
-        small = LtiSystem.from_matrices(
+        small = LtiSystem(
             np.block([[p.A, np.zeros_like(p.A)], [np.zeros_like(p.A), eps * p.A]]),
             np.block([[p.B, np.zeros_like(p.B)], [np.zeros_like(p.B), eps**0.5 * p.B]]),
             np.block([[p.C, np.zeros_like(p.C)], [np.zeros_like(p.C), eps**0.5 * p.C]]),
@@ -537,7 +537,7 @@ class TestSynthesizeRealization:
         rz, report = synthesize_realization(small)
         assert rz.skew.rank_r == compute_s_tilde(paper_system).rank_r
         assert report.all_passed
-        assert report.entry("commutation").relative > 1e-12
+        assert {e.name: e for e in report}["commutation"].relative > 1e-12
 
     @pytest.mark.parametrize("tol", [1e-20, 1e-17])
     def test_tiny_residual_tol_is_reported_not_raised(self, tol, paper_system):
@@ -558,7 +558,7 @@ class TestSynthesizeRealization:
         sys = _random_system(seed)
         rz, report = synthesize_realization(sys)
         assert report.all_passed
-        assert rz.B1.shape == (sys.n, rz.n_v)
+        assert rz.B1.shape == (sys.n, rz.skew.n_v)
 
 
 class TestProofIdentities:
@@ -591,7 +591,7 @@ def _sampler_fields(cert):
 
 def _system_n32():
     rng = np.random.default_rng(32)
-    return LtiSystem.from_matrices(
+    return LtiSystem(
         rng.standard_normal((32, 32)),
         rng.standard_normal((32, 8)),
         rng.standard_normal((8, 32)),
@@ -746,7 +746,7 @@ def _witness(sys, keep):
 
 
 def _shifted(sys, delta_a):
-    return LtiSystem.from_matrices(sys.A + delta_a, sys.B, sys.C)
+    return LtiSystem(sys.A + delta_a, sys.B, sys.C)
 
 
 class TestMinimalityMargin:
@@ -783,9 +783,10 @@ class TestMinimalityMargin:
             delta_a = _witness(sys, r - 2 * j)
             # the witness attains the distance and drops the count by exactly 2j
             assert np.linalg.norm(delta_a) == pytest.approx(distance, rel=1e-12)
-            assert minimal_noise_count(_shifted(sys, delta_a)) == (r - 2 * j, n_v)
+            shifted = compute_s_tilde(_shifted(sys, delta_a))
+            assert (shifted.rank_r, shifted.n_v) == (r - 2 * j, n_v)
             # just short of it, the count holds
-            assert minimal_noise_count(_shifted(sys, 0.999 * delta_a))[0] == r
+            assert compute_s_tilde(_shifted(sys, 0.999 * delta_a)).rank_r == r
 
     def test_partial_rank_gap_on_both_sides(self, paper_system):
         # rank_rel_tol 0.5 cuts the paper spectrum between its two pairs
@@ -802,7 +803,7 @@ class TestMinimalityMargin:
     def test_no_extra_noise_has_an_empty_profile(self, trivial_system, kind):
         sys = {
             "trivial": trivial_system,
-            "zero": LtiSystem.from_matrices(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))),
+            "zero": LtiSystem(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))),
             "realizable": integer_realizable_system(np.random.default_rng(8), 8),
         }[kind]
         rz, report = synthesize_realization(sys)
