@@ -83,7 +83,7 @@ def _analysis(system: LtiSystem, policy: TolerancePolicy):
     """compute_s_tilde(system, policy), warning on stderr when rank_rel_tol is below unit roundoff."""
     if policy.rank_rel_tol < 2.0**-53:
         print(
-            f"warning: rank_rel_tol {policy.rank_rel_tol:.1e} is below unit roundoff {2.0**-53:.1e}; "
+            f"warning: rank_rel_tol {policy.rank_rel_tol} is below unit roundoff 2^-53 = {2.0**-53}; "
             "rounding, not the input, decides the rank tests",
             file=sys.stderr,
         )

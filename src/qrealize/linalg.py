@@ -57,7 +57,7 @@ class TolerancePolicy:
     tolerance is relative, so each must lie strictly between 0 and 1;
     anything else (including inf and nan) raises ValueError. A cutoff of 1
     or more would count every singular value as zero and pass any residual.
-    A rank_rel_tol below unit roundoff (1.1e-16) is accepted, but then
+    A rank_rel_tol below unit roundoff (2^-53) is accepted, but then
     rounding, not the input, decides the rank test of Xi2; the command line
     warns of it on stderr.
     A system file's "tolerances" are these fields by name

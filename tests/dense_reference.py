@@ -20,11 +20,12 @@ real_arithmetic_xi1 forms Xi1 = U^dag |D| U from the real and imaginary
 parts of F = |D|^(1/2) U, a second rounding of the same matrix that the
 library's one complex product can be swapped for.
 
-The seeded random-candidate reference ranks the minimality certificate's
-two constructive candidates and any number of random real symmetric ones
-by full SVD on two routes, the complex matrix and its real embedding,
-where the library ranks only the two constructive candidates, by
-|eigvalsh| of the embedding, and compares them with the record's spectrum.
+The seeded random-candidate reference checks the theorem behind the
+minimality certificate, rank(Xi + (i/4) S_tilde) >= r/2 for every real
+symmetric Xi: it ranks the two constructive candidates (Xi1 and 0) and any
+number of random real symmetric ones by full SVD on two routes, the complex
+matrix and its real embedding. The library ranks no candidate: its
+certificate proves proven_r from the record's eigenpairs.
 """
 
 import math

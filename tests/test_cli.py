@@ -274,20 +274,27 @@ def lapack_calls(monkeypatch):
     return calls
 
 
-def _seeded_file(tmp_path, n, n_u=8, seed=0):
-    rng = np.random.default_rng([n, n_u, seed])
-    system = qrealize.LtiSystem(
-        rng.standard_normal((n, n)), rng.standard_normal((n, n_u)), rng.standard_normal((n_u, n))
-    )
-    path = tmp_path / f"seeded{n}.json"
-    path.write_text(serialize_system(system))
+def _seeded_file(path, n, entropy, delta=None, n_u=8):
+    """Write A, B, C drawn from default_rng(entropy) to path; with delta, A0 + delta M for A.
+
+    A0 = A - Theta S_tilde / 2 makes S_tilde vanish (r = 0); M is drawn next.
+    At n = 128 and entropy [128, 8, 0], delta = 1e-8 leaves r = 0 with the
+    largest singular value 0.10 decades below the cutoff, and delta = 1e-6
+    gives r = 126 with sigma_r 0.07 decades above it: each verdict sits near its cutoff.
+    """
+    rng = np.random.default_rng(entropy)
+    a, b, c = rng.standard_normal((n, n)), rng.standard_normal((n, n_u)), rng.standard_normal((n_u, n))
+    if delta is not None:
+        a = a - apply_theta(compute_s_tilde(qrealize.LtiSystem(a, b, c)).S_tilde, "left") / 2
+        a = a + delta * rng.standard_normal((n, n))
+    path.write_text(serialize_system(qrealize.LtiSystem(a, b, c)))
     return str(path)
 
 
 class TestLapackCallsPerCommand:
     @pytest.mark.parametrize("which", ["paper", "seeded64"])
     def test_count_is_one_svd_and_no_eigh(self, which, paper_file, tmp_path, lapack_calls):
-        path = paper_file if which == "paper" else _seeded_file(tmp_path, 64)
+        path = paper_file if which == "paper" else _seeded_file(tmp_path / "seeded64.json", 64, [64, 8, 0])
         assert main(["count", path]) == 0
         assert lapack_calls == ["svd"]
 
@@ -375,7 +382,7 @@ class TestTolerancePrecedence:
         captured = capsys.readouterr()
         assert captured.out == ""
         warning, line = captured.err.splitlines()
-        assert warning.startswith("warning: rank_rel_tol 1.0e-300 is below unit roundoff")
+        assert warning.startswith("warning: rank_rel_tol 1e-300 is below unit roundoff")
         assert line.startswith("error: Xi2 ") and "rank_rel_tol" in line
         assert not report.exists()
 
@@ -392,7 +399,7 @@ class TestTolerancePrecedence:
         assert captured.out == ""
         warning, line = captured.err.splitlines()
         assert warning == (
-            "warning: rank_rel_tol 1.0e-16 is below unit roundoff 1.1e-16; "
+            "warning: rank_rel_tol 1e-16 is below unit roundoff 2^-53 = 1.1102230246251565e-16; "
             "rounding, not the input, decides the rank tests"
         )
         assert line == (
@@ -413,6 +420,8 @@ class TestTolerancePrecedence:
             (["count", low], True),
             (["count", low, "--rank-tol", "1e-9"], False),
             (["count", paper_file, "--rank-tol", "2.2e-16"], False),
+            (["count", paper_file, "--rank-tol", "1.1e-16"], True),
+            (["count", paper_file, "--rank-tol", "1.11e-16"], True),
             (["paper-example", "--rank-tol", "1e-17"], True),
             (["check", low, str(report)], False),
         ):
@@ -420,6 +429,9 @@ class TestTolerancePrecedence:
             captured = capsys.readouterr()
             assert captured.err.startswith("warning: rank_rel_tol") is warns, argv
             assert captured.err.count("warning:") == warns, argv
+            # the tolerance and the roundoff never print alike
+            printed = re.findall(r"rank_rel_tol (\S+) is below unit roundoff 2\^-53 = (\S+);", captured.err)
+            assert [tol != roundoff for tol, roundoff in printed] == [True] * warns, argv
             if argv[0] == "count":
                 assert captured.out.splitlines() == clean, argv
 
@@ -756,8 +768,44 @@ def test_readme_rebuilds_the_oscillator_as_documented(paper_file, tmp_path):
     assert np.array_equal(r_mat, rz.R) and np.array_equal(lam, rz.Lambda)
 
 
-@pytest.mark.parametrize("n", [32, 64])
-def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, n):
+_THREAD_RUNNER = """\
+import contextlib, io, json, pathlib, sys
+from qrealize.cli import main
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        return main([str(arg) for arg in argv]), out.getvalue(), err.getvalue()
+root, out_dir = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+print(json.dumps({path.stem: [run("count", path), run("synthesize", path, "-o", out_dir / path.name)]
+                  for path in root.glob("*.json")}))
+"""
+
+
+@pytest.fixture(scope="module")
+def blas_thread_runs(tmp_path_factory):
+    """[(OUT_DIR of the reports, {system: [count, synthesize]})] under 1, then 2 BLAS threads.
+
+    OpenBLAS reads OPENBLAS_NUM_THREADS when numpy loads it, so one interpreter per
+    thread count runs _THREAD_RUNNER: [exit, stdout, stderr] of each main() call.
+    """
+    root = tmp_path_factory.mktemp("blas_threads")
+    (root / "paper.json").write_text(serialize_system(example_system()))
+    for n, seed in [(32, 0), (32, 1), (64, 0), (64, 1)]:
+        _seeded_file(root / f"{n}-{seed}.json", n, 1000 * n + seed)
+    for n, seed, delta in [(128, 0, None), (128, 1, None), (192, 0, None), (128, 0, 1e-8), (128, 0, 1e-6)]:
+        _seeded_file(root / f"{n}-{seed}-{delta}.json", n, [n, 8, seed], delta)
+    runs = []
+    for threads in ("1", "2"):
+        (root / threads).mkdir()
+        cmd = [sys.executable, "-c", _THREAD_RUNNER, str(root), str(root / threads)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((root / threads, json.loads(proc.stdout)))
+    return runs
+
+
+@pytest.mark.parametrize("n", [32, 64, "paper"])
+def test_report_bytes_do_not_depend_on_blas_threads(blas_thread_runs, n):
     """synthesize writes the same bytes under 1 and 2 OpenBLAS threads.
 
     Kept at n <= 64, where the bytes agree. At n = 128 a second thread
@@ -766,48 +814,11 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, n):
     the residuals in their last digits, so the README promises identical
     bytes only per thread count there.
     """
-    for seed in range(2):
-        rng = np.random.default_rng(1000 * n + seed)
-        doc = {
-            "A": rng.standard_normal((n, n)).tolist(),
-            "B": rng.standard_normal((n, 8)).tolist(),
-            "C": rng.standard_normal((8, n)).tolist(),
-        }
-        system = tmp_path / f"system{seed}.json"
-        system.write_text(json.dumps(doc))
-        reports = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"report{seed}_{threads}.json"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            cmd = [sys.executable, "-m", "qrealize.cli", "synthesize", str(system), "-o", str(out)]
-            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1], f"seed {seed}"
-
-
-def _cli_run(args, threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-    cmd = [sys.executable, "-m", "qrealize.cli", *args]
-    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
-
-
-def _nearly_realizable_file(tmp_path, delta, seed=0, n=128, n_u=8):
-    """A0 + delta M for the seeded system default_rng([n, n_u, seed]), A0 = A - Theta S_tilde / 2.
-
-    A0 makes S_tilde vanish (r = 0); M is drawn from the same generator
-    after A, B and C. At n = 128, n_u = 8 and seed 0, delta = 1e-8 leaves
-    r = 0 with the largest singular value 0.10 decades below the cutoff,
-    and delta = 1e-6 gives r = 126, not 128, with sigma_r 0.07 decades
-    above it: each verdict sits near its cutoff.
-    """
-    rng = np.random.default_rng([n, n_u, seed])
-    a, b, c = rng.standard_normal((n, n)), rng.standard_normal((n, n_u)), rng.standard_normal((n_u, n))
-    a0 = a - apply_theta(compute_s_tilde(qrealize.LtiSystem(a, b, c)).S_tilde, "left") / 2
-    system = qrealize.LtiSystem(a0 + delta * rng.standard_normal((n, n)), b, c)
-    path = tmp_path / f"near{n}_{seed}_{delta:g}.json"
-    path.write_text(serialize_system(system))
-    return str(path)
+    for name in ["paper"] if n == "paper" else [f"{n}-0", f"{n}-1"]:
+        synths = [results[name][1] for _, results in blas_thread_runs]
+        assert [code for code, _, _ in synths] == [0, 0], synths
+        one, two = [(out_dir / f"{name}.json").read_bytes() for out_dir, _ in blas_thread_runs]
+        assert one == two, name
 
 
 @pytest.mark.parametrize(
@@ -820,7 +831,7 @@ def _nearly_realizable_file(tmp_path, delta, seed=0, n=128, n_u=8):
         pytest.param(128, 0, 1e-6, id="128-near-r126"),
     ],
 )
-def test_counts_and_verdicts_do_not_depend_on_blas_threads(tmp_path, n, seed, delta):
+def test_counts_and_verdicts_do_not_depend_on_blas_threads(blas_thread_runs, n, seed, delta):
     """r, n_v, the multiplicity bound, every verdict and proven_r agree under 1 and 2 threads.
 
     The second half of the README's thread contract: above n = 64 the
@@ -828,31 +839,20 @@ def test_counts_and_verdicts_do_not_depend_on_blas_threads(tmp_path, n, seed, de
     Besides generic seeded systems (r = n), nearly realizable ones put the
     "is r = 0?" decision and a rank short of n near their cutoffs.
     """
-    if delta is None:
-        system = _seeded_file(tmp_path, n, seed=seed)
-    else:
-        system = _nearly_realizable_file(tmp_path, delta)
     seen = []
-    for threads in ("1", "2"):
-        count = _cli_run(["count", system], threads)
-        assert count.returncode == 0, count.stderr
-        out = tmp_path / f"report_{threads}.json"
-        synth = _cli_run(["synthesize", system, "-o", str(out)], threads)
-        doc = json.loads(out.read_text())
+    name = f"{n}-{seed}-{delta}"
+    for out_dir, results in blas_thread_runs:
+        (code, stdout, err), synth = results[name]
+        assert code == 0, err
+        doc = json.loads((out_dir / f"{name}.json").read_text())
         analysis, certificate = doc["analysis"], doc["certificate"]
-        seen.append(
-            dict(
-                count=count.stdout,
-                exit=synth.returncode,
-                r=analysis["r"],
-                n_v=analysis["n_v"],
-                multiplicity=analysis["multiplicity_noise_count"],
-                all_passed=doc["all_passed"],
-                residuals=[(e["name"], e["passed"]) for e in doc["residuals"]],
-                flags=(certificate["lower_bound_held"], certificate["embedding_agreed"]),
-                proven_r=certificate["proven_r"],
-            )
-        )
+        seen.append(dict(
+            count=stdout, exit=synth[0], all_passed=doc["all_passed"],
+            r=analysis["r"], n_v=analysis["n_v"], multiplicity=analysis["multiplicity_noise_count"],
+            residuals=[(e["name"], e["passed"]) for e in doc["residuals"]],
+            flags=(certificate["lower_bound_held"], certificate["embedding_agreed"]),
+            proven_r=certificate["proven_r"],
+        ))
     assert seen[0] == seen[1]
     r, bound = {None: (n, 8 + 2 * (n - 1)), 1e-8: (0, 8), 1e-6: (126, 92)}[delta]
     assert seen[0]["count"] == f"r={r} n_v={r + 8}\nmultiplicity_bound={bound}\n"
