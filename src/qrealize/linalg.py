@@ -5,15 +5,16 @@ their defaults and checks them, for the library, system files and the
 command line alike; ROUNDOFF_TOL, the fixed bound of the roundoff checks;
 the block commutation matrix Theta = blockdiag(J, ..., J), J = [[0, 1],
 [-1, 0]], applied as a signed swap of quadrature pairs rather than a
-dense product; hermitian_eig, the one owner of the eigenpair order and
-phase convention; numerical_rank, the one rank kernel, which counts the
+dense product; numerical_rank, the one rank kernel, which counts the
 singular values of one matrix above a relative cutoff, takes them as
-|eigvalsh| when the caller promises Hermitian input, and returns them with
-the count, so a caller that needs the spectrum makes no second
-factorization; low-rank factorization
-of a PSD matrix from eigenpairs the caller already holds (truncated and
-verified, never recomputed), the real-embedding rank of a Hermitian
-matrix, and the norms of the column-pair wedge products x y^T - y x^T.
+|eigvalsh| when the caller promises Hermitian input, and returns them
+(with the singular vectors on request) with the count, so a caller that
+needs the spectrum makes no second factorization; the eigenpairs of
+S = (i/4) K read off one real SVD of a real skew K (skew_spectrum,
+skew_eigenpairs), in the order and phases _phased_rows owns;
+low-rank factorization of a PSD matrix from eigenpairs the caller already
+holds (truncated and verified, never recomputed), and the norms of the
+column-pair wedge products x y^T - y x^T.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ __all__ = [
     "TolerancePolicy",
     "DEFAULT_POLICY",
     "apply_theta",
-    "hermitian_eig",
     "numerical_rank",
+    "skew_spectrum",
+    "skew_eigenpairs",
     "psd_low_rank_factor",
     "wedge_norms",
 ]
@@ -115,31 +117,44 @@ def apply_theta(m, side: str) -> np.ndarray:
     return out
 
 
+def _phased_rows(rows) -> np.ndarray:
+    """Rows of U, the conjugated eigenvectors, in the one phase convention, in place.
+
+    Each row is scaled so its largest-magnitude entry (the first on ties)
+    is real and positive; hermitian_eig and skew_eigenpairs both lay out
+    their U this way.
+    """
+    if rows.size:  # argmax raises on a 0 x 0 input; unit rows have a nonzero lead
+        lead = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
+        rows /= (lead / np.abs(lead))[:, None]
+    return rows
+
+
+# bench/tracing.py TRACED names it; it goes when the benchmark drops it (ROADMAP item 18)
 def hermitian_eig(h):
     """Eigendecomposition H = U^dag diag(d) U of a Hermitian matrix.
 
     Returns (U, d): d holds the real eigenvalues sorted descending, and the
-    rows of U the conjugated eigenvectors in that order, each scaled so its
-    largest-magnitude entry (the first on ties) is real and positive. Reads
-    only the lower triangle of ``h`` (np.linalg.eigh): the caller vouches
-    that it is Hermitian.
+    rows of U the conjugated eigenvectors in that order, in the phases of
+    _phased_rows. Reads only the lower triangle of ``h``
+    (np.linalg.eigh): the caller vouches that it is Hermitian. The pipeline
+    reads its eigenpairs off skew_eigenpairs; only tests call this.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionError(f"hermitian_eig requires a square matrix, got shape {h.shape}")
     d, v = np.linalg.eigh(h)
     order = np.argsort(-d, kind="stable")
-    v = v[:, order]  # the one n x n copy: the phases and the conjugation act in place
-    if v.size:  # argmax raises on a 0 x 0 input; eigh's unit columns have a nonzero lead
-        lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-        v /= lead / np.abs(lead)
-    np.conjugate(v, out=v)
-    return v.T, d[order]
+    return _phased_rows(v[:, order].conj().T), d[order]
 
 
 def numerical_rank(
-    m, policy: TolerancePolicy = DEFAULT_POLICY, hermitian: bool = False, floor: float = 0.0
-) -> tuple[int, np.ndarray]:
+    m,
+    policy: TolerancePolicy = DEFAULT_POLICY,
+    hermitian: bool = False,
+    floor: float = 0.0,
+    compute_uv: bool = False,
+) -> tuple:
     """(rank, s): the singular values s of one matrix and how many exceed a relative cutoff.
 
     The cutoff is rank_rel_tol * max(s[0], floor). ``s`` holds all
@@ -151,16 +166,84 @@ def numerical_rank(
     that ``m`` is Hermitian (real symmetric when real) and requires it
     square; np.linalg.svd then takes the singular values as the sorted
     |eigvalsh|, which reads only the lower triangle and costs a fraction of
-    a complex SVD.
+    a complex SVD. ``compute_uv=True``, as in np.linalg.svd, returns
+    (rank, (u, s, vt)) with m = u diag(s) vt from the same one SVD.
     """
     m = np.asarray(m)
     if m.ndim != 2 or (hermitian and m.shape[0] != m.shape[1]):
         kind = "a square matrix" if hermitian else "one matrix"
         raise DimensionError(f"numerical_rank requires {kind}, got shape {m.shape}")
     if m.size == 0:
-        return 0, np.zeros(0)
-    s = np.linalg.svd(m, compute_uv=False, hermitian=hermitian)
-    return int(np.count_nonzero(s > policy.rank_rel_tol * max(s[0], floor))), s
+        s = np.zeros(0)
+        return 0, (np.eye(m.shape[0]), s, np.eye(m.shape[1])) if compute_uv else s
+    svd = np.linalg.svd(m, compute_uv=compute_uv, hermitian=hermitian)
+    s = svd[1] if compute_uv else svd
+    return int(np.count_nonzero(s > policy.rank_rel_tol * max(s[0], floor))), svd
+
+
+def skew_spectrum(s) -> np.ndarray:
+    """Eigenvalues of S = (i/4) K, descending, from the singular values s of a real skew K.
+
+    A real skew K has its singular values in equal pairs s_1 = s_2 >= s_3 =
+    s_4 ..., and each pair gives S one eigenvalue of each sign:
+    [s[0::2], -s[1::2][::-1]] / 4.
+    """
+    s = np.asarray(s, dtype=float)
+    return 0.25 * np.concatenate([s[0::2], -s[1::2][::-1]])
+
+
+def skew_eigenpairs(u, s, vt, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(U, d) with S = U^dag diag(d) U for S = (i/4) K, from an SVD K = u diag(s) vt of a real skew K.
+
+    d is skew_spectrum(s). A singular triple gives S (v + iu) = (s/4)(v + iu),
+    but the two triples of a pair give one eigenvector of each sign only in
+    combination, so the vectors come by Rayleigh-Ritz on the diagonal blocks
+    of M = V^T K V = (V^T U) Sigma, V = vt^T, U = u. M couples only equal
+    singular values: its blocks are runs of consecutive indices, each at
+    least a pair (2j, 2j + 1), cut where every coupling across the cut is at
+    most the roundoff of the SVD, n eps max(s[0], floor) (eps = 2^-52, the
+    cutoff np.linalg.matrix_rank defaults to). The blocks of each size go
+    through one batched np.linalg.eigh of (i/4) times their skew part, and
+    the Ritz vectors are V times its eigenvectors. Sorted by Ritz value
+    (stable) and paired with d in that order, they are laid out as
+    hermitian_eig lays out its eigenpairs (_phased_rows). Apart from M,
+    every product is formed elementwise rather than by BLAS, whose
+    summation order can change with its thread count. K must be of even
+    size, as every skew invariant here is, or DimensionError is raised.
+    """
+    u, s, vt = np.asarray(u), np.asarray(s, dtype=float), np.asarray(vt)
+    n = s.shape[0]
+    if n % 2 or u.shape != (n, n) or vt.shape != (n, n):
+        raise DimensionError(
+            f"skew_eigenpairs needs the SVD of an even square matrix, got shapes "
+            f"{u.shape}, {s.shape}, {vt.shape}"
+        )
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex), skew_spectrum(s)
+    m = (vt @ u) * s
+    coupled = np.abs(m) > n * np.finfo(float).eps * max(float(s[0]), floor)
+    coupled |= coupled.T
+    # the last index each index couples to, at least its pair partner; a run
+    # ends where nothing at or before its end reaches past it
+    index = np.arange(n)
+    reach = np.maximum.accumulate(np.where(coupled, index[:, None], index | 1).max(axis=0))
+    ends = np.flatnonzero(reach == index) + 1
+    starts = np.concatenate(([0], ends[:-1]))
+    sizes = ends - starts
+    rows = np.empty((n, n), dtype=complex)
+    ritz = np.empty(n)
+    for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
+        block = starts[sizes == size][:, None] + np.arange(size)
+        blocks = m[block[:, :, None], block[:, None, :]]
+        ritz[block], y = np.linalg.eigh(0.125j * (blocks - blocks.transpose(0, 2, 1)))
+        # row j of each block of U is the conjugate of V times eigenvector j
+        y, basis = y.conj(), vt[block]
+        for j in range(size):
+            row = y[:, 0, j, None] * basis[:, 0]
+            for i in range(1, size):
+                row += y[:, i, j, None] * basis[:, i]
+            rows[block[:, j]] = row
+    return _phased_rows(rows[np.argsort(-ritz, kind="stable")]), skew_spectrum(s)
 
 
 def psd_low_rank_factor(
@@ -169,7 +252,8 @@ def psd_low_rank_factor(
     """Factor a PSD matrix of numerical rank k as F^dag F with F of k rows.
 
     ``u`` and ``d`` are a decomposition xi2 = U^dag diag(d) U the caller
-    already holds, laid out as hermitian_eig returns it; the kernel keeps
+    already holds, laid out as SkewReport.eigenpairs lays it out (d
+    descending, eigenvectors in the rows of U); the kernel keeps
     the top-k pairs, F = sqrt(d_k) * U_k, and verifies them, never
     decomposing xi2 itself. d is clipped to >= 0 first, as the |d| + d
     that build_lambda_b1 passes already is, so neither the factor nor the

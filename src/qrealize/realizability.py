@@ -5,9 +5,9 @@ this module computes the skew-symmetric invariant S_tilde whose rank fixes
 the minimal number of additional vacuum noise channels, the companion
 Hermitian matrix S = (i/4) S_tilde, two noise counts (the exact rank-based
 one and the coarser multiplicity-based bound), all held in one analysis
-record per system whose eigenpairs of S are computed on first read, and
-the residual check that decides whether a candidate (B1, D1) completion
-is physically realizable.
+record per system whose eigenpairs of S are read off an SVD of S_tilde on
+first read, and the residual check that decides whether a candidate
+(B1, D1) completion is physically realizable.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from .linalg import (
     ROUNDOFF_TOL,
     TolerancePolicy,
     apply_theta,
-    hermitian_eig,
     numerical_rank,
+    skew_eigenpairs,
+    skew_spectrum,
     wedge_norms,
 )
 
@@ -137,15 +138,22 @@ class SkewReport:
     minimal noise count ``n_v = n_u + rank_r`` is derived on access, so it
     cannot disagree with the rank.
 
-    S = U^dag diag(eigenvalues) U, in the order and phases hermitian_eig
-    sets (eigenvalues descending). Only synthesis, the certificate and the
-    report read these eigenpairs, so they are not computed with the record:
-    ``eigenpairs`` is a cached property, and the first read of it, of ``U``
-    or of ``eigenvalues`` makes one hermitian_eig(S) that later reads reuse.
-    The record's fields are the six facts compute_s_tilde computes
-    (system, policy, S_tilde, term_scale, rank_r, multiplicity_count), so
-    dataclasses.replace copies them alone and the copy computes its own
-    eigenpairs; repr and dataclasses.asdict make no eigendecomposition.
+    S = U^dag diag(eigenvalues) U, eigenvalues descending. Only synthesis,
+    the certificate and the report read these eigenpairs, so they are not
+    computed with the record: ``eigenpairs`` is a cached property, and the
+    first read of it, of ``U`` or of ``eigenvalues`` makes one real SVD
+    with vectors of the skew part (S_tilde - S_tilde^T)/2, whose singular
+    triples give the eigenpairs (linalg.skew_eigenpairs), and later reads
+    reuse them. S_tilde is skew to roundoff (compute_s_tilde checks it);
+    its skew part makes (i/4) of it exactly the Hermitian part of S, so the
+    vectors err by roundoff even where S_tilde, on a nearly realizable
+    system, is far from skew relative to its own norm. That SVD must count
+    rank_r under the record's policy and floor T, or NumericalError is
+    raised. The record's fields are the six facts compute_s_tilde
+    computes (system, policy, S_tilde, term_scale, rank_r,
+    multiplicity_count), so dataclasses.replace copies them alone and the
+    copy computes its own eigenpairs; repr and dataclasses.asdict make no
+    decomposition.
     """
 
     system: LtiSystem
@@ -161,8 +169,16 @@ class SkewReport:
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U, eigenvalues) = hermitian_eig(S), computed on first read."""
-        return hermitian_eig(self.S)
+        """(U, eigenvalues) from one SVD with vectors of S_tilde's skew part, on first read."""
+        skew_part = 0.5 * (self.S_tilde - self.S_tilde.T)
+        rank, svd = numerical_rank(skew_part, self.policy, floor=self.term_scale, compute_uv=True)
+        if rank != self.rank_r:
+            raise NumericalError(
+                f"the SVD of the skew invariant with vectors has numerical rank {rank}, "
+                f"not the record's r = {self.rank_r}; adjust rank_rel_tol away from the "
+                "singular-value cluster"
+            )
+        return skew_eigenpairs(*svd, self.term_scale)
 
     @property
     def U(self) -> np.ndarray:
@@ -200,11 +216,12 @@ def compute_s_tilde(
     a singular-value pair of the skew S_tilde.
 
     The one SVD that counts r also gives the multiplicity count, and no
-    eigendecomposition runs here (the record makes it when U or the
-    eigenvalues are first read). S_tilde is real skew, so its singular
+    singular vectors are computed here (the record computes them when U or
+    the eigenvalues are first read). S_tilde is real skew, so its singular
     values come in equal pairs sigma_1 = sigma_2 >= sigma_3 = sigma_4 ...
     and the eigenvalues of S = (i/4) S_tilde are +-sigma/4, one of each
-    sign per pair: w = {sigma_1, sigma_3, ...}/4 and {-sigma_2, -sigma_4, ...}/4.
+    sign per pair: w = {sigma_1, sigma_3, ...}/4 and {-sigma_2, -sigma_4, ...}/4
+    (linalg.skew_spectrum, which also gives the record its eigenvalues).
     n_lambda in the multiplicity count is the multiplicity of the least
     w, clustered with a gap of MULTIPLICITY_CLUSTER_REL times
     max(max |w|, T/4): n_lambda = #{w <= min w + gap}. Multiplicity does
@@ -245,7 +262,7 @@ def compute_s_tilde(
             f"numerical rank {rank} of the skew invariant is odd; "
             "adjust rank_rel_tol away from the singular-value cluster"
         )
-    w = 0.25 * np.concatenate([sigma[0::2], -sigma[1::2]])
+    w = skew_spectrum(sigma)
     gap = MULTIPLICITY_CLUSTER_REL * max(float(np.abs(w).max()), terms / 4)
     n_lambda = int(np.count_nonzero(w <= w.min() + gap))
     return SkewReport(

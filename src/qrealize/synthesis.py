@@ -78,11 +78,13 @@ def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
 
     Must have numerical rank r/2 under the record's policy, or
     NumericalError names the floor, rank_rel_tol * max(largest |eigenvalue|,
-    T/2), that a sub-roundoff rank_rel_tol fails. The rank test counts
-    |eigenvalues| against that floor, so it also rules out an eigenvalue
-    below minus the floor, unless one of the r/2 positive ones, each about
-    sigma_j / 2, falls below it: the rule that set r on S_tilde excludes
-    that beyond roundoff. build_lambda_b1's round trip is the last guard.
+    T/2), that a sub-roundoff rank_rel_tol fails; rank_rel_tol prints in
+    shortest round-trip form, so no two values print alike. The rank test
+    counts |eigenvalues| against that floor, so it also rules out an
+    eigenvalue below minus the floor, unless one of the r/2 positive ones,
+    each about sigma_j / 2, falls below it: the rule that set r on S_tilde
+    excludes that beyond roundoff. build_lambda_b1's round trip is the last
+    guard.
     """
     policy, half_t, k = skew.policy, skew.term_scale / 2, skew.rank_r // 2
     xi2 = xi1 + skew.S
@@ -91,7 +93,7 @@ def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
         top = max(float(s[0]), half_t)
         raise NumericalError(
             f"Xi2 has numerical rank {rank}, expected r/2 = {k} (floor: rank_rel_tol "
-            f"{policy.rank_rel_tol:.1e} times max(largest |eigenvalue|, T/2) {top:.3e})"
+            f"{policy.rank_rel_tol} times max(largest |eigenvalue|, T/2) {top:.3e})"
         )
     return xi2
 
@@ -102,18 +104,19 @@ def build_lambda_b1(skew: SkewReport, xi2: np.ndarray) -> np.ndarray:
     Read off the record rather than a second decomposition: with
     S = U^dag diag(d) U (``skew.U``, ``skew.eigenvalues``, d descending)
     and Xi1 = U^dag |D| U, Xi2 = Xi1 + S = U^dag diag(|d| + d) U, so
-    row j of Lambda_b1 is sqrt(2 d_j) U_j for the k = r/2 positive d_j. k,
-    the numerical rank of Xi2, fixes the row count, and
-    psd_low_rank_factor checks that rank and that the round trip returns
-    xi2, under the record's policy and floor T/2. |d| + d >= 0 holds
-    exactly in floating point, so an xi2 that is not PSD, or eigenpairs
-    that are not the record's, fail the round trip. The
+    row j of Lambda_b1 is sqrt(2 d_j) U_j for the k = r/2 positive d_j.
+    k is the rank build_xi2 verified on xi2, read off the record, and
+    psd_low_rank_factor checks that rank again and that the round trip
+    returns xi2, under the record's policy and floor T/2. |d| + d >= 0
+    holds exactly in floating point, so an xi2 that is not PSD, or
+    eigenpairs that are not the record's, fail the round trip. The
     factor is canonical only up to a left unitary, so callers should
     compare Grams, not entries.
     """
-    d, floor = skew.eigenvalues, skew.term_scale / 2
-    k, _ = numerical_rank(xi2, skew.policy, hermitian=True, floor=floor)
-    return psd_low_rank_factor(xi2, skew.U, np.abs(d) + d, k, skew.policy, floor)
+    d = skew.eigenvalues
+    return psd_low_rank_factor(
+        xi2, skew.U, np.abs(d) + d, skew.rank_r // 2, skew.policy, skew.term_scale / 2
+    )
 
 
 def _field_inputs(lam: np.ndarray) -> np.ndarray:

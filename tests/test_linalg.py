@@ -30,6 +30,8 @@ from qrealize.linalg import (
     hermitian_eig,
     numerical_rank,
     psd_low_rank_factor,
+    skew_eigenpairs,
+    skew_spectrum,
     wedge_norms,
 )
 from qrealize.synthesis import _coupled_outputs, _coupling_rows, _field_inputs, build_r
@@ -296,6 +298,108 @@ class TestHermitianEig:
             assert lead.real > 0
 
 
+class TestSkewEigenpairs:
+    """Eigenpairs of S = (i/4) K read off one SVD of a real skew K."""
+
+    @staticmethod
+    def _skew(rng, pair_values):
+        """Q blockdiag(a_1 J, a_2 J, ...) Q^T for a seeded orthogonal Q: singular values a_j, twice each."""
+        n = 2 * len(pair_values)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        core = np.kron(np.diag(pair_values), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        k = q @ core @ q.T
+        return 0.5 * (k - k.T)
+
+    @staticmethod
+    def _assert_eigenpairs(k, u, d, factor=8.0):
+        # orthonormal rows and S U^dag = U^dag D, each within factor * n u (times
+        # max(sigma_1, 1) for the residual), u = 2^-53 the unit roundoff
+        n = k.shape[0]
+        s = (0.25j * k) @ u.conj().T - u.conj().T * d
+        bound = factor * n * 2.0**-53
+        assert np.linalg.norm(u @ u.conj().T - np.eye(n)) <= bound
+        assert np.linalg.norm(s) <= bound * max(float(np.linalg.norm(k, 2)), 1.0)
+
+    def test_spectrum_order(self):
+        # one eigenvalue of each sign per pair, descending
+        s = np.array([5.0, 5.0, 3.0, 3.0, 1e-17, 0.0])
+        assert np.array_equal(skew_spectrum(s), [1.25, 0.75, 2.5e-18, -0.0, -0.75, -1.25])
+        assert skew_spectrum(np.zeros(0)).shape == (0,)
+
+    def test_empty(self):
+        _, svd = numerical_rank(np.zeros((0, 0)), compute_uv=True)
+        u, d = skew_eigenpairs(*svd)
+        assert u.shape == (0, 0) and d.shape == (0,)
+
+    @pytest.mark.parametrize("a", [1.0, 2.5, 0.0])
+    def test_two_by_two(self, a):
+        # S = (i/4) a J has eigenvalues +-a/4 with the vectors (1, -+i)/sqrt(2)
+        k = a * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        u, d = skew_eigenpairs(*np.linalg.svd(k))
+        assert np.array_equal(d, [a / 4, -a / 4])
+        self._assert_eigenpairs(k, u, d)
+        if a:
+            assert np.allclose(np.abs(u), np.sqrt(0.5), rtol=0, atol=1e-15)
+
+    def test_odd_or_misshapen_input_raises(self):
+        with pytest.raises(DimensionError):
+            skew_eigenpairs(*np.linalg.svd(np.zeros((3, 3))))
+        u, s, vt = np.linalg.svd(np.zeros((4, 4)))
+        with pytest.raises(DimensionError):
+            skew_eigenpairs(u[:, :2], s, vt)
+
+    def test_a_cluster_is_one_block(self, monkeypatch):
+        # three equal pairs couple into one 6 x 6 block; the two simple pairs
+        # are 2 x 2 blocks, batched into one eigh call
+        k = self._skew(np.random.default_rng(5), [3.0, 2.0, 2.0, 2.0, 0.5])
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(h, *args, **kwargs):
+            shapes.append(h.shape)
+            return eigh(h, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        u, d = skew_eigenpairs(*np.linalg.svd(k))
+        assert sorted(shapes) == [(1, 6, 6), (2, 2, 2)]
+        assert np.allclose(d, [0.75, 0.5, 0.5, 0.5, 0.125, -0.125, -0.5, -0.5, -0.5, -0.75], atol=1e-14)
+        self._assert_eigenpairs(k, u, d)
+
+    @pytest.mark.parametrize("eps", [1e-14, 1e-10, 1e-6, 1e-2])
+    def test_near_clusters(self, eps):
+        k = self._skew(np.random.default_rng(7), [1.0, 1.0 + eps, 1.0 - eps, 0.3])
+        u, d = skew_eigenpairs(*np.linalg.svd(k))
+        assert np.all(np.diff(d) <= 0)
+        self._assert_eigenpairs(k, u, d)
+
+    def test_roundoff_null_pairs(self):
+        # a pair whose couplings fall under the cut (the 1e-15 one here) is still
+        # one block, so S U^dag = U^dag D holds to roundoff there too
+        k = self._skew(np.random.default_rng(9), [1.0, 1e-13, 1e-15, 0.0])
+        u, d = skew_eigenpairs(*np.linalg.svd(k), floor=1.0)
+        self._assert_eigenpairs(k, u, d)
+
+    def test_phase_convention_and_determinism(self):
+        k = self._skew(np.random.default_rng(3), [4.0, 2.0, 1.0])
+        svd = np.linalg.svd(k)
+        u, d = skew_eigenpairs(*svd)
+        for row in u:
+            lead = row[np.argmax(np.abs(row))]
+            assert abs(lead.imag) <= 1e-14 * abs(lead) and lead.real > 0
+        again = skew_eigenpairs(*(x.copy() for x in svd))
+        assert np.array_equal(again[0], u) and np.array_equal(again[1], d)
+
+    @given(seeds, even_sizes)
+    @settings(max_examples=30, deadline=None)
+    def test_random_skew_matrices(self, seed, size):
+        rng = np.random.default_rng(seed)
+        k = rng.standard_normal((size, size))
+        k = k - k.T
+        u, d = skew_eigenpairs(*np.linalg.svd(k))
+        assert np.all(np.diff(d) <= 0)
+        self._assert_eigenpairs(k, u, d)
+
+
 class TestNumericalRank:
     def test_zero_and_empty(self):
         assert numerical_rank(np.zeros((3, 3)))[0] == 0
@@ -338,6 +442,18 @@ class TestNumericalRank:
         for empty in (np.zeros((0, 4)), np.zeros((0, 0))):
             rank, s = numerical_rank(empty)
             assert rank == 0 and s.shape == (0,)
+
+    def test_compute_uv_returns_the_one_svd(self):
+        # compute_uv=True, as in np.linalg.svd: (rank, (u, s, vt)) from the same
+        # factorization, counted by the same cutoff
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((6, 6))
+        m[:, 5] = m[:, 4]
+        rank, (u, s, vt) = numerical_rank(m, compute_uv=True)
+        assert rank == numerical_rank(m)[0] == 5
+        assert np.linalg.norm((u * s) @ vt - m) <= 1e-14 * np.linalg.norm(m)
+        rank, (u, s, vt) = numerical_rank(np.zeros((0, 0)), compute_uv=True)
+        assert rank == 0 and u.shape == vt.shape == (0, 0) and s.shape == (0,)
 
     def test_rectangular(self):
         m = np.vstack([np.eye(2), np.zeros((3, 2))])

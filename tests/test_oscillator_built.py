@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import oscillator_built_system
 
-from qrealize import compute_s_tilde, oscillator, synthesize_realization
+from qrealize import compute_s_tilde, minimality_certificate, oscillator, synthesize_realization
 from qrealize.linalg import apply_theta
 
 
@@ -22,10 +22,11 @@ def _cases(ks):
 
 
 def _synthesize_and_rebuild(system):
-    """Synthesize, require all six residuals, and rebuild A from oscillator(system, B1)."""
+    """Synthesize, require all six residuals and the proven count, and rebuild A from oscillator(system, B1)."""
     skew = compute_s_tilde(system)
     rz, report = synthesize_realization(skew)
     assert report.all_passed and len(report.entries) == 6
+    assert minimality_certificate(skew).proven_r == skew.rank_r
     r_mat, lam = oscillator(system, rz.B1)
     a = 2.0 * apply_theta(r_mat + (lam.conj().T @ lam).imag, "left")
     tol = skew.policy.residual_tol

@@ -44,7 +44,8 @@ def test_restating_names_are_gone_or_unexported():
     for name in ("minimal_noise_count", "multiplicity_noise_count"):
         assert name not in realizability.__all__
         assert not hasattr(qrealize, name)
-    assert "complex_rank_via_real_embedding" not in linalg.__all__
+    for name in ("complex_rank_via_real_embedding", "hermitian_eig"):
+        assert name not in linalg.__all__
 
 
 def test_names_the_benchmark_calls_stay_callable(paper_system):
@@ -52,6 +53,9 @@ def test_names_the_benchmark_calls_stay_callable(paper_system):
     assert realizability.minimal_noise_count(paper_system) == (skew.rank_r, skew.n_v) == (4, 6)
     assert realizability.multiplicity_noise_count(paper_system) == skew.multiplicity_count == 8
     assert linalg.complex_rank_via_real_embedding(skew.S.real, skew.S.imag) == skew.rank_r
+    u, d = linalg.hermitian_eig(skew.S)
+    assert np.allclose(d, skew.eigenvalues, rtol=0.0, atol=1e-14)
+    assert np.allclose(u.conj().T @ np.diag(d) @ u, skew.S, rtol=0.0, atol=1e-14)
     built = LtiSystem.from_matrices(paper_system.A, paper_system.B, paper_system.C)
     assert type(built) is LtiSystem
     for name in ("A", "B", "C"):

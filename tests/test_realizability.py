@@ -35,11 +35,18 @@ from qrealize import (
     ValidationError,
     check_physical_realizability,
     compute_s_tilde,
+    minimality_certificate,
     synthesize_realization,
 )
 from qrealize.cli import EXAMPLE_S_TILDE
 from qrealize.io import parse_system_document, serialize_system
-from qrealize.linalg import DEFAULT_POLICY, TolerancePolicy, apply_theta, hermitian_eig
+from qrealize.linalg import (
+    DEFAULT_POLICY,
+    TolerancePolicy,
+    apply_theta,
+    hermitian_eig,
+    skew_spectrum,
+)
 from qrealize.realizability import residual_entry
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -224,35 +231,63 @@ class TestComputeSTilde:
 
 
 class TestLazyEigenpairs:
-    """The record's U and eigenvalues come from one hermitian_eig(S), made on first read."""
+    """The record's U and eigenvalues come from one SVD of S_tilde with vectors, made on first read."""
 
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
+        # the record's factorization: "svd" for an SVD with vectors, "eigh" for its block eigh
         calls = []
-        eigh = np.linalg.eigh
+        eigh, svd = np.linalg.eigh, np.linalg.svd
 
         def counting_eigh(*args, **kwargs):
-            calls.append(1)
+            calls.append("eigh")
             return eigh(*args, **kwargs)
 
+        def counting_svd(*args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                calls.append("svd")
+            return svd(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         return calls
 
     @pytest.mark.parametrize("first", ["U", "eigenvalues"])
     def test_first_read_makes_the_one_eigh(self, paper_system, eigh_calls, first):
+        # one SVD with vectors, and one batched eigh of the paper system's two 2 x 2 blocks
         skew = compute_s_tilde(paper_system)
         assert eigh_calls == []
         getattr(skew, first)
-        assert len(eigh_calls) == 1
+        assert eigh_calls == ["svd", "eigh"]
         u, d = skew.U, skew.eigenvalues
         assert skew.U is u and skew.eigenvalues is d
-        assert len(eigh_calls) == 1
+        assert eigh_calls == ["svd", "eigh"]
 
-    def test_equals_hermitian_eig_of_s(self, paper_system, corpus):
+    def test_agrees_with_hermitian_eig_of_s(self, paper_system, corpus):
+        # Two backward-stable routes to one eigendecomposition, so they agree
+        # to roundoff, not bit for bit: each eigenvalue within 2 n u
+        # max(sigma_1, T) (u = 2^-53; measured at most 0.3 n u of it), and each
+        # row of U, once its unit phase is matched, within 8 n u max(sigma_1, T)
+        # over its eigenvalue's gap (measured at most 1 n u of it). The phase
+        # itself may differ: the phase rule picks the largest entry, and on the
+        # paper system two entries of a row tie in magnitude, so roundoff picks.
+        u_roundoff = 2.0**-53
         for sys in [paper_system] + corpus[:20]:
             skew = compute_s_tilde(sys)
             u, d = hermitian_eig(skew.S)
-            assert np.array_equal(skew.eigenvalues, d) and np.array_equal(skew.U, u)
+            bound = sys.n * u_roundoff * max(4.0 * float(np.abs(d).max()), skew.term_scale)
+            assert np.all(np.abs(skew.eigenvalues - d) <= 2.0 * bound)
+            padded = np.concatenate([[np.inf], d, [-np.inf]])
+            gap = np.minimum(padded[:-2] - d, d - padded[2:])
+            overlap = np.einsum("ij,ij->i", u.conj(), skew.U)
+            aligned = (overlap / np.abs(overlap))[:, None] * u
+            assert np.all(np.linalg.norm(skew.U - aligned, axis=1) * gap <= 8.0 * bound)
+
+    def test_svd_with_vectors_must_count_rank_r(self, paper_system):
+        # a record whose r its own SVD does not count has no eigenpairs
+        skew = dataclasses.replace(compute_s_tilde(paper_system), rank_r=2)
+        with pytest.raises(NumericalError, match=r"numerical rank 4, not the record's r = 2"):
+            skew.eigenpairs
 
     def test_record_stays_frozen(self, paper_system):
         skew = compute_s_tilde(paper_system)
@@ -273,9 +308,9 @@ class TestLazyEigenpairs:
         assert eigh_calls == []
         # the copy computes its own eigenpairs, once, equal to the source's
         u, d = copy.U, copy.eigenvalues
-        assert len(eigh_calls) == 1
+        assert eigh_calls == ["svd", "eigh"]
         assert np.array_equal(u, skew.U) and np.array_equal(d, skew.eigenvalues)
-        assert len(eigh_calls) == 2
+        assert eigh_calls == ["svd", "eigh"] * 2
 
     def test_with_eigenpairs_holds_the_given_values(self, paper_system, eigh_calls):
         # the corrupted records the certificate tests build hold the values given
@@ -290,7 +325,7 @@ class TestLazyEigenpairs:
         assert not np.allclose(rotated.U, skew.U)
         shifted = shifted_record(skew, 0, 0.3)
         assert shifted.U is skew.U and shifted.eigenvalues[0] == skew.eigenvalues[0] + 0.3
-        assert len(eigh_calls) == 1  # the source record's own, read by the fakes
+        assert eigh_calls == ["svd", "eigh"]  # the source record's own, read by the fakes
 
 
 def _direct_sum(*systems):
@@ -305,6 +340,62 @@ def _direct_sum(*systems):
         return out
 
     return LtiSystem(*(blocks([s[k] for s in systems]) for k in range(3)))
+
+
+def _scaled(matrices, alpha):
+    """(alpha A, sqrt(alpha) B, sqrt(alpha) C): S_tilde and its singular values scale by alpha."""
+    a, b, c = matrices
+    return alpha * a, math.sqrt(alpha) * b, math.sqrt(alpha) * c
+
+
+def _record_eigenpair_cases():
+    """(id, system, rank_rel_tol): repeated and nearly repeated spectra, r = 0, a loose count."""
+    paper = paper_matrices()
+    cases = [(f"paper-x{k}", _direct_sum(*[paper] * k), 1e-9) for k in range(2, 6)]
+    cases.append(("paper-tol-0.5", LtiSystem(*paper), 0.5))
+    for eps in (1e-14, 1e-10, 1e-6):
+        near = _scaled(paper, 1.0 + eps)
+        cases.append((f"near-{eps:.0e}", _direct_sum(paper, near), 1e-9))
+        cases.append((f"near3-{eps:.0e}", _direct_sum(paper, near, _scaled(paper, 1.0 - eps)), 1e-9))
+    projections = [LtiSystem(*paper)] + make_corpus()[:6]
+    cases += [
+        (f"r0-{i}", LtiSystem(s.A - apply_theta(compute_s_tilde(s).S_tilde, "left") / 2, s.B, s.C), 1e-9)
+        for i, s in enumerate(projections)
+    ]
+    return cases
+
+
+RECORD_EIGENPAIR_CASES = _record_eigenpair_cases()
+
+
+@pytest.mark.parametrize(
+    "name, sys, tol", RECORD_EIGENPAIR_CASES, ids=[c[0] for c in RECORD_EIGENPAIR_CASES]
+)
+def test_record_eigenpairs_hold_to_roundoff(name, sys, tol):
+    # With u = 2^-53 and scale = max(sigma_1, T): ||U U^dag - I||_F <= 8 n u and
+    # ||S U^dag - U^dag D||_F <= 8 n u scale (measured at most 3.4 n u and
+    # 3.0 n u scale on these and the corpus). d is the spectrum compute_s_tilde
+    # reads off its own SVD, skew_spectrum(sigma), to within 4 n u scale
+    # (measured 1.4): the two SVDs, with and without vectors, of S_tilde and
+    # of its exactly skew part, are each backward stable.
+    skew = compute_s_tilde(sys, TolerancePolicy(rank_rel_tol=tol))
+    u, d = skew.eigenpairs
+    n, u_roundoff = sys.n, 2.0**-53
+    sigma = np.linalg.svd(skew.S_tilde, compute_uv=False)
+    scale = max(float(sigma[0]), skew.term_scale)
+    assert np.linalg.norm(u @ u.conj().T - np.eye(n)) <= 8.0 * n * u_roundoff
+    q = u.conj().T
+    assert np.linalg.norm(skew.S @ q - q * d) <= 8.0 * n * u_roundoff * scale
+    assert np.all(np.diff(d) <= 0.0)
+    assert np.all(np.abs(d - skew_spectrum(sigma)) <= 4.0 * n * u_roundoff * scale)
+    # and the count the certificate proves from them is the record's own
+    assert minimality_certificate(skew).proven_r == skew.rank_r
+
+
+def test_record_eigenpairs_prove_r_on_the_corpus(corpus):
+    for sys in corpus:
+        skew = compute_s_tilde(sys)
+        assert minimality_certificate(skew).proven_r == skew.rank_r
 
 
 def _multiplicity_inputs():

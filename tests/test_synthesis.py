@@ -164,6 +164,19 @@ class TestXiConstruction:
         with pytest.raises(NumericalError, match="numerical rank"):
             build_xi2(skew, np.diag([5.0, 3.0]))
 
+    def test_xi2_error_prints_rank_rel_tol_in_full(self, small_system):
+        # shortest round-trip form, as the command line's warning prints it:
+        # 1.1e-16 and 1.14e-16 no longer both read 1.1e-16
+        messages = []
+        for tol in (1.1e-16, 1.14e-16):
+            skew = compute_s_tilde(small_system, TolerancePolicy(rank_rel_tol=tol))
+            with pytest.raises(NumericalError) as caught:
+                build_xi2(skew, np.diag([5.0, 3.0]))
+            messages.append(str(caught.value))
+        assert "rank_rel_tol 1.1e-16 times" in messages[0]
+        assert "rank_rel_tol 1.14e-16 times" in messages[1]
+        assert messages[0] != messages[1]
+
     def test_xi2_rejects_indefinite_result(self, small_system):
         # Xi1 = -I/2 gives Xi2 the eigenvalues {-1, 0}: rank 1 = r/2 passes
         # build_xi2, and the factor of |d| + d cannot rebuild it
@@ -371,25 +384,32 @@ class TestSynthesizeRealization:
         assert rz.skew.policy is policy and not report.all_passed
 
     def test_one_hermitian_eigendecomposition(self, paper_system, monkeypatch):
-        # Xi2 is factored from the record's eigenpairs, so the only eigh is
+        # Xi2 is factored from the record's eigenpairs, so the only SVD with
+        # vectors and the only eigh (of the record's 2 x 2 blocks, batched) are
         # the record's own, made when synthesis first reads U, and none after
         calls = []
-        eigh = np.linalg.eigh
+        eigh, svd = np.linalg.eigh, np.linalg.svd
 
         def counting_eigh(*args, **kwargs):
-            calls.append(1)
+            calls.append("eigh")
             return eigh(*args, **kwargs)
 
+        def counting_svd(*args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                calls.append("svd")
+            return svd(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         skew = compute_s_tilde(paper_system)
-        assert len(calls) == 0
+        assert calls == []
         synthesize_realization(skew)
-        assert len(calls) == 1
+        assert calls == ["svd", "eigh"]
         synthesize_realization(skew)
         minimality_certificate(skew)
-        assert len(calls) == 1
+        assert calls == ["svd", "eigh"]
         synthesize_realization(paper_system)
-        assert len(calls) == 2
+        assert calls == ["svd", "eigh"] * 2
 
     def test_xi2_psd_test_makes_no_eigvalsh_call(self, paper_system, corpus, monkeypatch):
         # Xi2 is judged PSD by its rank test and the factor round trip alone:
@@ -403,24 +423,29 @@ class TestSynthesizeRealization:
         assert calls == []
 
     def test_xi2_ranks_take_the_hermitian_route(self, paper_system, corpus, monkeypatch):
-        # three rank checks of Xi2 through |eigvalsh|, one full SVD of S_tilde
+        # two rank checks of Xi2 through |eigvalsh| (build_xi2's and
+        # psd_low_rank_factor's), and two SVDs of S_tilde: the count's, without
+        # vectors, and the record's, with vectors, of its exactly skew part
         calls = []
         svd = np.linalg.svd
 
         def counting_svd(a, *args, **kwargs):
-            calls.append((np.array(a), kwargs.get("hermitian", False)))
+            calls.append((np.array(a), kwargs.get("hermitian", False), kwargs.get("compute_uv", True)))
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         for sys in [paper_system] + corpus[:10]:
             calls.clear()
             rz, _ = synthesize_realization(sys)
-            hermitian = [a for a, flag in calls if flag]
-            full = [a for a, flag in calls if not flag]
+            hermitian = [a for a, flag, _ in calls if flag]
+            full = [(a, uv) for a, flag, uv in calls if not flag]
             xi2 = build_xi2(rz.skew, build_xi1(rz.skew))
-            assert len(hermitian) == 3
+            assert len(hermitian) == 2
             assert all(np.array_equal(a, xi2) for a in hermitian)
-            assert len(full) == 1 and np.array_equal(full[0], rz.skew.S_tilde)
+            s_tilde = rz.skew.S_tilde
+            assert [uv for _, uv in full] == [False, True]
+            assert np.array_equal(full[0][0], s_tilde)
+            assert np.array_equal(full[1][0], 0.5 * (s_tilde - s_tilde.T))
 
     def test_lambda_b1_rows_are_scaled_eigenvectors_of_s(self, paper_system, corpus):
         # Xi2 = U^dag diag(|d| + d) U, so row j is sqrt(2 d_j) U_j for j < r/2
@@ -697,8 +722,8 @@ class TestMinimalityCertificate:
         assert cert.lower_bound_held is (skew.rank_r == 0)
 
     def test_makes_no_lapack_call(self, paper_system, monkeypatch):
-        # the proof reads the record's eigenpairs: no SVD, eigvalsh or Xi1, and
-        # no eigh beyond the one that fills the record
+        # the proof reads the record's eigenpairs: no SVD, eigh, eigvalsh or Xi1
+        # beyond the record's own SVD with vectors and the one eigh of its blocks
         import qrealize.synthesis as synthesis
 
         skew = compute_s_tilde(paper_system)
@@ -715,8 +740,9 @@ class TestMinimalityCertificate:
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(synthesis, "build_xi1", counted("build_xi1", synthesis.build_xi1))
         assert minimality_certificate(skew).proven_r == 4
-        # the one eigh is the record's own, on the first read of its eigenpairs
-        assert calls == ["eigh"]
+        # the record's own, on the first read of its eigenpairs: one SVD of S_tilde
+        # with vectors and one batched eigh of the paper system's two 2 x 2 blocks
+        assert calls == ["svd", "eigh"]
         calls.clear()
         assert minimality_certificate(skew).proven_r == 4
         assert calls == []
@@ -750,7 +776,7 @@ def _shifted(sys, delta_a):
 
 
 class TestMinimalityMargin:
-    def test_default_ranks_only_the_two_constructive_candidates(self, paper_system):
+    def test_paper_certificate_matches_the_reference_ranking(self, paper_system):
         cert = minimality_certificate(compute_s_tilde(paper_system))
         assert _sampler_fields(cert) == reference_certificate(compute_s_tilde(paper_system))
         assert cert.lower_bound_held and cert.embedding_agreed
@@ -827,8 +853,10 @@ class TestMinimalityMargin:
     def test_spectrum_disagreeing_with_r_fails_the_bound(self, paper_system):
         # a record whose r the spectrum does not back: the proof still gives
         # at least r, but exactly r values above the cutoff is required too
+        # (the record's own SVD would refuse that r, so the fake keeps its eigenpairs)
         skew = compute_s_tilde(paper_system)
-        cert = minimality_certificate(dataclasses.replace(skew, rank_r=2))
+        faked = with_eigenpairs(dataclasses.replace(skew, rank_r=2), skew.U, skew.eigenvalues)
+        cert = minimality_certificate(faked)
         assert cert.proven_r >= 2 and cert.embedding_agreed
         assert cert.lower_bound_held is False
 
