@@ -5,7 +5,8 @@ a system file, ``synthesize`` writes a full verified realization report,
 ``check`` re-verifies a stored (B1, D1) pair against a system, and
 ``paper-example`` runs the built-in worked example end to end. Exit codes
 are stable for scripting: 0 all checks pass, 1 domain or validation
-failure, 2 I/O failure.
+failure, 2 I/O failure or a command line usage error (argparse's own exit,
+such as for an unknown flag).
 """
 
 from __future__ import annotations

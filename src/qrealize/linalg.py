@@ -2,7 +2,7 @@
 
 TolerancePolicy, the one place that names the two user tolerances, sets
 their defaults and checks them, for the library, system files and the
-command line alike; ROUNDOFF_TOL, the fixed bound of the roundoff checks;
+command line alike; ROUNDOFF_TOL, the fixed bound of the factor round trip;
 the block commutation matrix Theta = blockdiag(J, ..., J), J = [[0, 1],
 [-1, 0]], applied as a signed swap of quadrature pairs rather than a
 dense product; numerical_rank, the one rank kernel, which counts the
@@ -19,6 +19,7 @@ column-pair wedge products x y^T - y x^T.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,10 +39,10 @@ __all__ = [
 ]
 
 
-# Relative roundoff allowed where an identity is exact in arithmetic (the
-# skewness of S_tilde, the factor round trip), against the same
-# floor as the rank cutoff of that quantity. Reports before 0.5.0 wrote it
-# as the tolerance symmetry_tol.
+# Relative roundoff allowed in the factor round trip (psd_low_rank_factor),
+# an identity exact in arithmetic, against the same floor as the rank
+# cutoff of the factored matrix. Reports before 0.5.0 wrote it as the
+# tolerance symmetry_tol.
 ROUNDOFF_TOL = 1e-12
 
 
@@ -55,10 +56,11 @@ class TolerancePolicy:
                      (the synthesis identities and the realizability conditions);
                      it judges nothing else, so a report exists whatever its value
 
-    Roundoff checks are not tunable: they use ROUNDOFF_TOL. Every
-    tolerance is relative, so each must lie strictly between 0 and 1;
-    anything else (including inf and nan) raises ValueError. A cutoff of 1
-    or more would count every singular value as zero and pass any residual.
+    The factor round trip uses the fixed ROUNDOFF_TOL, not a tolerance.
+    Every tolerance is relative, so each must be a real number strictly
+    between 0 and 1; anything else (inf, nan, a string, None, a complex
+    number, an array) raises ValueError naming the field. A cutoff of 1 or
+    more would count every singular value as zero and pass any residual.
     A rank_rel_tol below unit roundoff (2^-53) is accepted, but then
     rounding, not the input, decides the rank test of Xi2; the command line
     warns of it on stderr.
@@ -71,13 +73,14 @@ class TolerancePolicy:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        # The comparison is exact for integers of any size; one too long
-        # to echo is shown by its leading digits and length.
+        # Only a numbers.Real (NumPy's floats are one) is compared, exactly for
+        # any integer; a long one shows its leading digits and length, others their repr.
         for field in fields(self):
             value = getattr(self, field.name)
-            if not 0.0 < value < 1.0:
-                shown = str(value)
-                if len(shown) > 32:
+            real = isinstance(value, numbers.Real)
+            if not (real and 0.0 < value < 1.0):
+                shown = str(value) if real else repr(value)
+                if real and len(shown) > 32:
                     shown = f"{shown[:8]}... ({len(shown)} digits)"
                 raise ValueError(
                     f"{field.name} must be finite and in (0, 1), i.e. positive and below 1, got {shown}"

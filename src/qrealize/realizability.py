@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DimensionError, NumericalError, ValidationError
 from .linalg import (
     DEFAULT_POLICY,
-    ROUNDOFF_TOL,
     TolerancePolicy,
     apply_theta,
     numerical_rank,
@@ -142,15 +141,12 @@ class SkewReport:
     the certificate and the report read these eigenpairs, so they are not
     computed with the record: ``eigenpairs`` is a cached property, and the
     first read of it, of ``U`` or of ``eigenvalues`` makes one real SVD
-    with vectors of the skew part (S_tilde - S_tilde^T)/2, whose singular
-    triples give the eigenpairs (linalg.skew_eigenpairs), and later reads
-    reuse them. S_tilde is skew to roundoff (compute_s_tilde checks it);
-    its skew part makes (i/4) of it exactly the Hermitian part of S, so the
-    vectors err by roundoff even where S_tilde, on a nearly realizable
-    system, is far from skew relative to its own norm. That SVD must count
-    rank_r under the record's policy and floor T, or NumericalError is
-    raised. The record's fields are the six facts compute_s_tilde
-    computes (system, policy, S_tilde, term_scale, rank_r,
+    with vectors of S_tilde, whose singular triples give the eigenpairs
+    (linalg.skew_eigenpairs), and later reads reuse them. S_tilde is
+    exactly skew (compute_s_tilde), so S is exactly Hermitian. That SVD
+    must count rank_r under the record's policy and floor T, or
+    NumericalError is raised. The record's fields are the six facts
+    compute_s_tilde computes (system, policy, S_tilde, term_scale, rank_r,
     multiplicity_count), so dataclasses.replace copies them alone and the
     copy computes its own eigenpairs; repr and dataclasses.asdict make no
     decomposition.
@@ -169,9 +165,8 @@ class SkewReport:
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U, eigenvalues) from one SVD with vectors of S_tilde's skew part, on first read."""
-        skew_part = 0.5 * (self.S_tilde - self.S_tilde.T)
-        rank, svd = numerical_rank(skew_part, self.policy, floor=self.term_scale, compute_uv=True)
+        """(U, eigenvalues) from one SVD of S_tilde with vectors, on first read."""
+        rank, svd = numerical_rank(self.S_tilde, self.policy, floor=self.term_scale, compute_uv=True)
         if rank != self.rank_r:
             raise NumericalError(
                 f"the SVD of the skew invariant with vectors has numerical rank {rank}, "
@@ -200,20 +195,20 @@ def compute_s_tilde(
 
     S_tilde = Theta B Theta_u B^T Theta - A^T Theta - Theta A - C^T Theta_y C,
     with the outer commutation matrices of size n and the middle one of
-    size n_u. Every Theta is applied as a signed swap (apply_theta): Theta
-    A is formed once, -A^T Theta - Theta A is (Theta A)^T - Theta A, and
-    the only dense products left, (Theta B Theta_u) B^T and (C^T Theta_y)
-    C, are the ones the left-to-right evaluation of the definition forms,
-    so every entry sums the same products in the same order.
+    size n_u. With Theta applied as a signed swap (apply_theta), each term
+    is a product minus its transpose: Z - Z^T for Z = (Theta B)[:, 1::2]
+    (Theta B)[:, 0::2]^T, (Theta A)^T - Theta A, and -(Q - Q^T) for
+    Q = C[0::2]^T C[1::2]. So S_tilde = G - G^T with G = Z - Theta A - Q,
+    exactly skew in floating point: round to nearest gives
+    fl(x - y) = -fl(y - x) and a zero diagonal.
 
     r counts the singular values of S_tilde above rank_rel_tol times
-    max(sigma_max, T), T the term scale (SkewReport), so a realizable
-    system, whose S_tilde is roundoff, has r = 0. A skewness above
-    ROUNDOFF_TOL times max(||S_tilde||, T) raises NumericalError: it
-    signals a bug, not bad input. So does an overflow of S_tilde, its norm
-    or T, since (alpha A, sqrt(alpha) B, sqrt(alpha) C) scales both by
-    alpha and keeps r, and an odd rank, which means the cutoff sits inside
-    a singular-value pair of the skew S_tilde.
+    max(sigma_max, T), T the term scale (SkewReport), here the largest
+    norm of Z - Z^T, Theta A and Q - Q^T, so a realizable system, whose
+    S_tilde is roundoff, has r = 0. An overflow of S_tilde, its norm or T
+    raises NumericalError, since (alpha A, sqrt(alpha) B, sqrt(alpha) C)
+    scales both by alpha and keeps r; so does an odd rank, which means the
+    cutoff sits inside a singular-value pair of the skew S_tilde.
 
     The one SVD that counts r also gives the multiplicity count, and no
     singular vectors are computed here (the record computes them when U or
@@ -229,14 +224,15 @@ def compute_s_tilde(
     directly.
     """
     theta_a = apply_theta(sys.A, "left")
-    theta_b_theta_u = apply_theta(apply_theta(sys.B, "left"), "right")
+    theta_b = apply_theta(sys.B, "left")
     # finite inputs can overflow here; the check below diagnoses that
     with np.errstate(over="ignore", invalid="ignore"):
-        inputs = apply_theta(theta_b_theta_u @ sys.B.T, "right")
-        outputs = apply_theta(sys.C.T, "right") @ sys.C
-        s_tilde = inputs + theta_a.T - theta_a - outputs
+        z = theta_b[:, 1::2] @ theta_b[:, 0::2].T
+        q = sys.C[0::2].T @ sys.C[1::2]
+        g = z - theta_a - q
+        s_tilde = g - g.T
         scale = float(np.linalg.norm(s_tilde))
-        terms = max(float(np.linalg.norm(t)) for t in (inputs, theta_a, outputs))
+        terms = max(float(np.linalg.norm(t)) for t in (z - z.T, theta_a, q - q.T))
     if not (math.isfinite(scale) and math.isfinite(terms)):
         # log10 of ||A||, ||B||^2 and ||C||^2, scaled by the largest entry so no norm overflows
         logs = [
@@ -249,12 +245,6 @@ def compute_s_tilde(
             f"skew invariant overflows double precision (||S_tilde|| = {scale}, term scale {terms}); "
             f"rescale the system: (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r; alpha = 1e-{k} "
             "brings ||A||, ||B||^2 and ||C||^2 to at most about 1 (apply sqrt(alpha) to A twice)"
-        )
-    skewness = float(np.linalg.norm(s_tilde + s_tilde.T))
-    if skewness > ROUNDOFF_TOL * max(scale, terms):
-        raise NumericalError(
-            f"skew invariant lost antisymmetry: residual {skewness:.3e} "
-            f"exceeds {ROUNDOFF_TOL:.1e} * {max(scale, terms):.3e}"
         )
     rank, sigma = numerical_rank(s_tilde, policy, floor=terms)
     if rank % 2 != 0:

@@ -349,16 +349,16 @@ def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
     The margin fields are read off the record's eigenvalues d, and proven_r
     off its eigenpairs S ~ U^dag D U, S = (i/4) S_tilde, with no
     decomposition, by a residual bound (Parlett, The Symmetric Eigenvalue
-    Problem, ch. 4 and 11). Let Q = U^dag, R = S Q - Q D, E = Q^dag Q - I,
-    c = cutoff / 4 and H the Hermitian part of S, ||S - H||_2 <= kappa =
-    ||S_tilde + S_tilde^T||_F / 8. If ||E||_2 < 1, Q is nonsingular and, for
-    c' = c + kappa, Q^dag (H - c' I) Q = (D - c' I) + F, F the Hermitian part
-    of E (D - c' I) + Q^dag R, ||F||_2 <= ||E|| (max|d| + c') + ||Q|| ||R||.
-    By Sylvester's law of inertia and Weyl's inequality, H has at least
-    #{d_j > c' + ||F||} eigenvalues above c' and #{d_j < -c' - ||F||} below
-    -c', so S has as many singular values above c (Weyl) and S_tilde above
-    cutoff. In Frobenius norms, proven_r = #{|d_j| > c + eta} with
-    eta = kappa + (||E|| + rho_E)(max|d| + c + kappa) + ||Q|| (||R|| + rho_R),
+    Problem, ch. 4 and 11). Let Q = U^dag, R = S Q - Q D, E = Q^dag Q - I
+    and c = cutoff / 4; S is exactly Hermitian, since compute_s_tilde
+    forms S_tilde exactly skew. If ||E||_2 < 1, Q is nonsingular and
+    Q^dag (S - c I) Q = (D - c I) + F, F the Hermitian part of
+    E (D - c I) + Q^dag R, ||F||_2 <= ||E|| (max|d| + c) + ||Q|| ||R||.
+    By Sylvester's law of inertia and Weyl's inequality, S has at least
+    #{d_j > c + ||F||} eigenvalues above c and #{d_j < -c - ||F||} below
+    -c, so as many singular values above c, and S_tilde above cutoff. In
+    Frobenius norms, proven_r = #{|d_j| > c + eta} with
+    eta = (||E|| + rho_E)(max|d| + c) + ||Q|| (||R|| + rho_R),
     which is 0 when ||E|| + rho_E >= 1 fails the proof: then eta > max|d|.
 
     rho_E and rho_R bound the rounding of E and R (Higham, Accuracy and
@@ -367,7 +367,7 @@ def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
     order ||fl(XY) - XY|| <= sqrt(2) gamma_2n ||X|| ||Y||, and Q D errs by
     at most gamma_1 max|d| ||Q||: rho_E = g ||E|| + (1 + g) sqrt(2) gamma_2n
     ||Q||^2 and rho_R = g ||R|| + (1 + g)(sqrt(2) gamma_2n ||S|| + gamma_1
-    max|d|) ||Q||. kappa and ||Q|| carry 1 + g too; g = gamma_(12n^2 + 64)
+    max|d|) ||Q||. ||Q|| carries 1 + g too; g = gamma_(12n^2 + 64)
     covers the subtraction forming E or R, each computed norm (within
     1 + gamma_(4n^2 + 2) of its matrix's) and the < 30 roundings of eta, c + eta.
     """
@@ -385,11 +385,10 @@ def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
     q, top, c = skew.U.conj().T, float(sigma[0]) / 4, cutoff / 4
     g, product = 1.0 + _gamma(12 * n * n + 64), math.sqrt(2.0) * _gamma(2 * n)
     q_norm, s_norm = g * float(np.linalg.norm(q)), float(np.linalg.norm(skew.S_tilde)) / 4
-    kappa = g * float(np.linalg.norm(skew.S_tilde + skew.S_tilde.T)) / 8
     e_bound = g * (float(np.linalg.norm(skew.U @ q - np.eye(n))) + product * q_norm**2)
     residual = float(np.linalg.norm(skew.S @ q - q * d))
     r_bound = g * (residual + (product * s_norm + _gamma(1) * top) * q_norm)
-    eta = kappa + e_bound * (top + c + kappa) + q_norm * r_bound
+    eta = e_bound * (top + c) + q_norm * r_bound
     proven_r = int(np.count_nonzero(np.abs(d) > c + eta))
     spectral = int(np.count_nonzero(sigma > cutoff))
     return MinimalityCertificate(

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import CORPUS_SEED, paper_matrices
+from conftest import CORPUS_SEED, paper_matrices, realizable_projection
 from dense_reference import build_theta, reference_certificate
 from qrealize import (
     compute_s_tilde,
@@ -155,12 +155,19 @@ def test_criterion_5_structural_properties(corpus, corpus_realizations, capsys):
     detail = ""
     try:
         failures = []
+        # S_tilde exactly skew and S exactly Hermitian, here and on the r = 0 projections
+        for projected in map(compute_s_tilde, map(realizable_projection, corpus)):
+            if not np.array_equal(projected.S_tilde, -projected.S_tilde.T):
+                failures.append("skewness of a projection")
+            if not np.array_equal(projected.S, projected.S.conj().T):
+                failures.append("S of a projection not Hermitian")
         for sys_, (rz, _) in zip(corpus, corpus_realizations):
             skew = compute_s_tilde(sys_)
             scale = float(np.linalg.norm(skew.S_tilde))
-            if scale > 0:
-                if np.linalg.norm(skew.S_tilde + skew.S_tilde.T) > 1e-12 * scale:
-                    failures.append("skewness")
+            if not np.array_equal(skew.S_tilde, -skew.S_tilde.T):
+                failures.append("skewness")
+            if not np.array_equal(skew.S, skew.S.conj().T):
+                failures.append("S not Hermitian")
             w = skew.eigenvalues
             if np.abs(w + w[::-1]).max() > 1e-9 * max(np.abs(w).max(), 1e-300):
                 failures.append("eigenvalue pairing")

@@ -542,7 +542,7 @@ class TestCheck:
         assert np.array_equal(b1, old_b1) and np.array_equal(d1, old_d1)
 
     def test_accepts_a_0_7_0_report(self, paper_file, tmp_path, capsys):
-        # 0.7.0 reports hold the keys of 0.8.0; only how the eigenpairs were computed changed
+        # 0.7.0 reports hold the keys of 0.8.1; only how the eigenpairs and S_tilde were computed changed
         self._assert_check_reads_old_report(
             paper_file, tmp_path, capsys, lambda doc, system: doc.update(version="0.7.0")
         )

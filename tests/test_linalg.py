@@ -50,10 +50,11 @@ class TestTolerancePolicy:
 
     @pytest.mark.parametrize("field", ["rank_rel_tol", "residual_tol"])
     def test_rejects_nonpositive(self, field):
-        # every tolerance is relative: it must lie strictly inside (0, 1)
-        for value in (0.0, -1e-9, np.inf, np.nan, 1.0, 2.0):
+        # every tolerance is relative: it must be a real number strictly inside (0, 1)
+        for value in (0.0, -1e-9, np.inf, np.nan, 1.0, 2.0, "0.1", None, 0.1 + 0j, np.array([0.1, 0.2])):
             with pytest.raises(ValueError, match=field):
                 TolerancePolicy(**{field: value})
+        assert getattr(TolerancePolicy(**{field: np.float32(0.5)}), field) == 0.5
 
     def test_symmetry_tol_is_not_a_field(self):
         # roundoff checks use ROUNDOFF_TOL; there is no knob to loosen them

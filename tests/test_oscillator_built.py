@@ -22,8 +22,10 @@ def _cases(ks):
 
 
 def _synthesize_and_rebuild(system):
-    """Synthesize, require all six residuals and the proven count, and rebuild A from oscillator(system, B1)."""
+    """Synthesize, require exact skewness, all six residuals and the proven count, and rebuild A from oscillator."""
     skew = compute_s_tilde(system)
+    assert np.array_equal(skew.S_tilde, -skew.S_tilde.T)
+    assert np.array_equal(skew.S, skew.S.conj().T)
     rz, report = synthesize_realization(skew)
     assert report.all_passed and len(report.entries) == 6
     assert minimality_certificate(skew).proven_r == skew.rank_r
