@@ -207,12 +207,12 @@ def skew_eigenpairs(u, s, vt, floor: float = 0.0) -> tuple[np.ndarray, np.ndarra
     most the roundoff of the SVD, n eps max(s[0], floor) (eps = 2^-52, the
     cutoff np.linalg.matrix_rank defaults to). The blocks of each size go
     through one batched np.linalg.eigh of (i/4) times their skew part, and
-    the Ritz vectors are V times its eigenvectors. Sorted by Ritz value
-    (stable) and paired with d in that order, they are laid out as
-    hermitian_eig lays out its eigenpairs (_phased_rows). Apart from M,
-    every product is formed elementwise rather than by BLAS, whose
-    summation order can change with its thread count. K must be of even
-    size, as every skew invariant here is, or DimensionError is raised.
+    the Ritz vectors are V times its eigenvectors, one np.einsum per block
+    size, which without ``optimize`` uses no BLAS: apart from M, no product
+    here sums in an order that the BLAS thread count can change. Sorted by
+    Ritz value (stable) and paired with d in that order, they are laid out
+    as hermitian_eig lays out its eigenpairs (_phased_rows). K must be of
+    even size, as every skew invariant here is, or DimensionError is raised.
     """
     u, s, vt = np.asarray(u), np.asarray(s, dtype=float), np.asarray(vt)
     n = s.shape[0]
@@ -240,12 +240,7 @@ def skew_eigenpairs(u, s, vt, floor: float = 0.0) -> tuple[np.ndarray, np.ndarra
         blocks = m[block[:, :, None], block[:, None, :]]
         ritz[block], y = np.linalg.eigh(0.125j * (blocks - blocks.transpose(0, 2, 1)))
         # row j of each block of U is the conjugate of V times eigenvector j
-        y, basis = y.conj(), vt[block]
-        for j in range(size):
-            row = y[:, 0, j, None] * basis[:, 0]
-            for i in range(1, size):
-                row += y[:, i, j, None] * basis[:, i]
-            rows[block[:, j]] = row
+        rows[block] = np.einsum("bij,bin->bjn", y.conj(), vt[block])
     return _phased_rows(rows[np.argsort(-ritz, kind="stable")]), skew_spectrum(s)
 
 

@@ -62,15 +62,15 @@ def build_xi1(skew: SkewReport) -> np.ndarray:
     """Real symmetric PSD part chosen to minimize the Gram rank.
 
     With S = U^dag D U from the record (``skew.U``, ``skew.eigenvalues``),
-    returns Xi1 = U^dag |D| U, the positive square root of S^2, as one
-    complex product. It is real in exact arithmetic; the imaginary part is
-    dropped and the real part exactly symmetrized. Eigenpairs that are not
-    the record's are caught downstream, by the rank test of build_xi2 or
-    the round trip of build_lambda_b1.
+    returns Xi1 = U^dag |D| U, the positive square root of S^2, as the real
+    Gram product W^T W, W = [Re F; Im F] for F = |D|^(1/2) U: numpy forms it
+    as a symmetric rank-k update, so it is exactly symmetric. Eigenpairs
+    that are not the record's are caught downstream, by the rank test of
+    build_xi2 or the round trip of build_lambda_b1.
     """
-    u = skew.U
-    xi1 = (u.conj().T * np.abs(skew.eigenvalues)) @ u
-    return 0.5 * (xi1.real + xi1.real.T)
+    f = np.sqrt(np.abs(skew.eigenvalues))[:, None] * skew.U
+    w = np.concatenate([f.real, f.imag])
+    return w.T @ w
 
 
 def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
@@ -204,16 +204,20 @@ class Realization:
     holds the system, the policy, r and n_v. R is the real symmetric
     Hamiltonian matrix (H = (1/2) x(0)^T R x(0)), Lambda the complex
     coupling matrix (L = Lambda x(0)) stacked as [Lambda_b0; Lambda_b1;
-    Lambda_b2] with n_y/2, r/2 and n_u/2 rows, and (B1, D1) the noise input
-    and feedthrough matrices for n_v additional channels. The intermediates
-    are not kept: build_xi1(skew), then build_xi2(skew, xi1), rebuild them.
+    Lambda_b2] with n_y/2, r/2 and n_u/2 rows, and B1 the noise input
+    matrix for n_v additional channels. The feedthrough D1 = [I 0],
+    n_y x n_v, is read off the record. The intermediates are not kept:
+    build_xi1(skew), then build_xi2(skew, xi1), rebuild them.
     """
 
     skew: SkewReport
     R: np.ndarray
     Lambda: np.ndarray
     B1: np.ndarray
-    D1: np.ndarray
+
+    @property
+    def D1(self) -> np.ndarray:
+        return np.eye(self.skew.system.n_y, self.skew.n_v)
 
     @property
     def Lambda_b0(self) -> np.ndarray:
@@ -255,7 +259,7 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
     xi2 = build_xi2(skew, build_xi1(skew))
     b1 = build_b1(sys, build_lambda_b1(skew, xi2))
     r_mat, lam = oscillator(sys, b1)
-    rz = Realization(skew=skew, R=r_mat, Lambda=lam, B1=b1, D1=np.eye(sys.n_y, skew.n_v))
+    rz = Realization(skew=skew, R=r_mat, Lambda=lam, B1=b1)
 
     tol = policy.residual_tol
 

@@ -36,25 +36,37 @@ def make_corpus(count=CORPUS_SIZE, seed=CORPUS_SEED):
     return systems
 
 
-def oscillator_built_system(rng, n, n_u, k, degenerate=None):
+def oscillator_built_system(rng, n, n_u, k, degenerate=None, dyadic=False):
     """A system built from a random oscillator with k hidden extra channels.
 
     R is a random symmetric n x n matrix, and Lambda stacks n_u/2 output
     rows, k extra rows and n_u/2 input rows, each a random complex n-vector.
     A = 2 Theta (R + Im Lambda^dag Lambda), B is the input columns of
     _field_inputs(Lambda) and C = _coupled_outputs(Lambda, n_u); the extra
-    channels are hidden. So r <= 2k, with equality for generic rows.
+    channels are hidden, and S_tilde = 4 Im H^dag H for the k extra rows H.
+    So r <= 2k, with equality for generic rows.
     ``degenerate="real"`` makes the first extra row real, whose Gram matrix
     then has no imaginary part, and ``"proportional"`` makes the second
     extra row a complex multiple of the first; each takes 2 off r.
+    ``"cluster"`` makes extra row j o_2j + i o_2j+1 for the rows o of a
+    random orthogonal matrix (2k <= n), so S_tilde keeps r = 2k with all 2k
+    nonzero singular values equal, one cluster. ``dyadic=True`` draws
+    quarter-integers in [-1, 1] instead of normals, and a real multiple
+    in {1/2, 1, 3/2, 2} for "proportional", so A, B, C and S_tilde hold
+    exactly in doubles.
     """
-    g = rng.standard_normal((n, n))
-    lam = rng.standard_normal((n_u + k, n)) + 1j * rng.standard_normal((n_u + k, n))
+    draw = (lambda shape: rng.integers(-4, 5, shape) / 4) if dyadic else rng.standard_normal
+    g = draw((n, n))
+    lam = draw((n_u + k, n)) + 1j * draw((n_u + k, n))
     first = n_u // 2
     if degenerate == "real":
         lam[first] = lam[first].real
     elif degenerate == "proportional":
-        lam[first + 1] = complex(*rng.standard_normal(2)) * lam[first]
+        factor = rng.integers(1, 5) / 2 if dyadic else complex(*rng.standard_normal(2))
+        lam[first + 1] = factor * lam[first]
+    elif degenerate == "cluster":
+        o = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam[first : first + k] = o[0 : 2 * k : 2] + 1j * o[1 : 2 * k : 2]
     a = 2.0 * apply_theta(0.5 * (g + g.T) + (lam.conj().T @ lam).imag, "left")
     return LtiSystem(a, _field_inputs(lam)[:, -n_u:], _coupled_outputs(lam, n_u))
 

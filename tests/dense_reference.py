@@ -16,9 +16,14 @@ eigenvalue_multiplicity_count applies the multiplicity cluster rule to the
 eigenvalues of S themselves, the route compute_s_tilde took before it read
 the same spectrum off the singular values of S_tilde.
 
-real_arithmetic_xi1 forms Xi1 = U^dag |D| U from the real and imaginary
-parts of F = |D|^(1/2) U, a second rounding of the same matrix that the
-library's one complex product can be swapped for.
+complex_product_xi1 forms Xi1 = U^dag |D| U as one complex product, keeps
+its real part and symmetrizes it, a second rounding of the same matrix that
+the library's real Gram product can be swapped for.
+
+loop_skew_eigenpairs is linalg.skew_eigenpairs with its Ritz rows summed
+by a Python loop nest over the entries of each block, one term at a time,
+rather than by one einsum per block size: the reference the library's rows
+match bit for bit.
 
 The seeded random-candidate reference checks the theorem behind the
 minimality certificate, rank(Xi + (i/4) S_tilde) >= r/2 for every real
@@ -33,6 +38,7 @@ import math
 import numpy as np
 
 from qrealize.errors import DimensionError
+from qrealize.linalg import _phased_rows, skew_spectrum
 from qrealize.realizability import MULTIPLICITY_CLUSTER_REL, ResidualEntry, ResidualReport
 from qrealize.synthesis import build_xi1
 
@@ -198,16 +204,44 @@ def eigenvalue_multiplicity_count(skew):
     return skew.system.n_u + 2 * (skew.system.n - n_lambda)
 
 
-def real_arithmetic_xi1(skew):
-    """Xi1 = Re(F^dag F), F = |D|^(1/2) U = P + iQ, as [P; Q]^T [P; Q], symmetrized.
+def complex_product_xi1(skew):
+    """Xi1 = Re(U^dag |D| U) from one complex product, its real part exactly symmetrized."""
+    u = skew.U
+    xi1 = (u.conj().T * np.abs(skew.eigenvalues)) @ u
+    return 0.5 * (xi1.real + xi1.real.T)
 
-    The imaginary part P^T Q - Q^T P vanishes in exact arithmetic and is
-    not formed; build_xi1(skew) checks it.
+
+def loop_skew_eigenpairs(u, s, vt, floor=0.0):
+    """skew_eigenpairs(u, s, vt, floor) with row j of each block summed term by term.
+
+    The blocks and their batched eigh are the library's; row j of a block
+    is conj(y_0j) v_0 + conj(y_1j) v_1 + ..., accumulated left to right
+    from the first product, for the block's eigenvectors y and rows v of vt.
     """
-    f = np.sqrt(np.abs(skew.eigenvalues))[:, None] * skew.U
-    pq = np.concatenate([f.real, f.imag])
-    re = pq.T @ pq
-    return 0.5 * (re + re.T)
+    n = s.shape[0]
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex), skew_spectrum(s)
+    m = (vt @ u) * s
+    coupled = np.abs(m) > n * np.finfo(float).eps * max(float(s[0]), floor)
+    coupled |= coupled.T
+    index = np.arange(n)
+    reach = np.maximum.accumulate(np.where(coupled, index[:, None], index | 1).max(axis=0))
+    ends = np.flatnonzero(reach == index) + 1
+    starts = np.concatenate(([0], ends[:-1]))
+    sizes = ends - starts
+    rows = np.empty((n, n), dtype=complex)
+    ritz = np.empty(n)
+    for size in sorted(set(sizes.tolist())):
+        block = starts[sizes == size][:, None] + np.arange(size)
+        blocks = m[block[:, :, None], block[:, None, :]]
+        ritz[block], y = np.linalg.eigh(0.125j * (blocks - blocks.transpose(0, 2, 1)))
+        y, basis = y.conj(), vt[block]
+        for j in range(size):
+            row = y[:, 0, j, None] * basis[:, 0]
+            for i in range(1, size):
+                row += y[:, i, j, None] * basis[:, i]
+            rows[block[:, j]] = row
+    return _phased_rows(rows[np.argsort(-ritz, kind="stable")]), skew_spectrum(s)
 
 
 def reference_candidates(skew, trials, seed):

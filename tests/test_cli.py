@@ -13,7 +13,7 @@ import pytest
 
 import qrealize
 from conftest import overflow_matrices, paper_matrices, rotated_record, shifted_record
-from dense_reference import real_arithmetic_xi1
+from dense_reference import complex_product_xi1
 from qrealize.cli import _build_parser, example_system, main
 from qrealize.io import (
     _real_lists,
@@ -115,8 +115,8 @@ class TestSynthesize:
         assert first.read_bytes() == second.read_bytes()
 
     def test_xi1_rounding_decides_nothing(self, paper_system, corpus, tmp_path, monkeypatch):
-        # Xi1 formed in real arithmetic rounds differently from the one complex
-        # product; at default tolerances every synthesized report keeps its bytes
+        # Xi1 formed as one complex product rounds differently from the real
+        # Gram product; at default tolerances every synthesized report keeps its bytes
         systems = [paper_system] + corpus[:30]
         paths = [tmp_path / f"system{i}.json" for i in range(len(systems))]
         for path, system in zip(paths, systems):
@@ -127,9 +127,9 @@ class TestSynthesize:
                 assert main(["synthesize", str(path), "-o", str(tmp_path / f"{tag}{i}.json")]) == 0
             return [(tmp_path / f"{tag}{i}.json").read_bytes() for i in range(len(paths))]
 
-        complex_reports = reports("complex")
-        monkeypatch.setattr(qrealize.synthesis, "build_xi1", real_arithmetic_xi1)
-        assert reports("real") == complex_reports
+        real_reports = reports("real")
+        monkeypatch.setattr(qrealize.synthesis, "build_xi1", complex_product_xi1)
+        assert reports("complex") == real_reports
 
     @pytest.mark.parametrize("seed", [7, -5, True])
     def test_seed_key_in_system_file_is_ignored(self, paper_file, tmp_path, seed):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import oscillator_built_system, realizable_projection
 from dense_reference import (
     J_BLOCK,
     M_BLOCK,
@@ -16,11 +17,19 @@ from dense_reference import (
     dense_gamma,
     dense_pair_norms,
     dense_theta,
+    loop_skew_eigenpairs,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrealize import ContractError, DimensionError, LtiSystem, NumericalError, oscillator
+from qrealize import (
+    ContractError,
+    DimensionError,
+    LtiSystem,
+    NumericalError,
+    compute_s_tilde,
+    oscillator,
+)
 from qrealize.linalg import (
     DEFAULT_POLICY,
     ROUNDOFF_TOL,
@@ -389,6 +398,34 @@ class TestSkewEigenpairs:
             assert abs(lead.imag) <= 1e-14 * abs(lead) and lead.real > 0
         again = skew_eigenpairs(*(x.copy() for x in svd))
         assert np.array_equal(again[0], u) and np.array_equal(again[1], d)
+
+    @pytest.mark.parametrize("family", ["paper and corpus", "projections", "clusters"])
+    def test_rows_match_the_loop_nest_bit_for_bit(self, family, paper_system, corpus, monkeypatch):
+        # the einsum sums each Ritz row in the loop nest's order, so U and d
+        # keep every bit, signbits included; the clusters, oscillator-built
+        # with orthonormal extra rows, put blocks larger than a pair through it
+        systems = [paper_system] + corpus
+        if family == "projections":
+            systems = [realizable_projection(sys) for sys in systems]
+        elif family == "clusters":
+            systems = [
+                oscillator_built_system(np.random.default_rng([n, k]), n, 2, k, "cluster")
+                for n in (4, 8, 20, 32, 64)
+                for k in sorted({2, n // 4, n // 2})
+            ]
+        sizes = set()
+        eigh = np.linalg.eigh
+
+        def recording_eigh(h, *args, **kwargs):
+            sizes.add(h.shape[-1])
+            return eigh(h, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        for sys in systems:
+            skew = compute_s_tilde(sys)
+            u, d = loop_skew_eigenpairs(*np.linalg.svd(skew.S_tilde), skew.term_scale)
+            assert skew.U.tobytes() == u.tobytes() and skew.eigenvalues.tobytes() == d.tobytes()
+        assert family != "clusters" or max(sizes) > 2
 
     @given(seeds, even_sizes)
     @settings(max_examples=30, deadline=None)

@@ -3,12 +3,14 @@
 An oscillator with k extra channels, hidden from the system it defines,
 needs at most 2k extra noise quadratures, and exactly 2k for generic
 coupling rows (conftest.oscillator_built_system). So the count is checked
-against a number known before the analysis runs, not only by synthesis.
+against a number known before the analysis runs, not only by synthesis,
+and on quarter-integer rows against the exact rank of the exact S_tilde.
 """
 
 import numpy as np
 import pytest
 from conftest import oscillator_built_system
+from exact_reference import exact_rank, exact_s_tilde
 
 from qrealize import compute_s_tilde, minimality_certificate, oscillator, synthesize_realization
 from qrealize.linalg import apply_theta
@@ -52,3 +54,18 @@ def test_degenerate_rows_need_fewer(n, n_u, k, degenerate):
         rng = np.random.default_rng([n, n_u, k, seed])
         system = oscillator_built_system(rng, n, n_u, k, degenerate)
         assert _synthesize_and_rebuild(system) == 2 * k - 2 < 2 * k
+
+
+@pytest.mark.parametrize("degenerate", [None, "proportional"])
+@pytest.mark.parametrize("n, n_u", [(4, 2), (8, 2), (8, 4), (12, 2), (12, 4)])
+def test_dyadic_rows_have_the_exact_rank(n, n_u, degenerate):
+    # quarter-integer rows make A, B, C and S_tilde exact in doubles, so the
+    # theorem holds with no tolerance: exact rank 2k, or 2k - 2 when one extra
+    # row is a real multiple of another, and the count reads the same rank
+    for k in sorted({2, max(2, n // 4), n // 2}):
+        for seed in range(2):
+            rng = np.random.default_rng([n, n_u, k, seed])
+            system = oscillator_built_system(rng, n, n_u, k, degenerate, dyadic=True)
+            exact, skew = exact_s_tilde(system), compute_s_tilde(system)
+            assert np.array_equal(np.array(exact, dtype=float), skew.S_tilde)
+            assert exact_rank(exact) == skew.rank_r == 2 * k - (2 if degenerate else 0)

@@ -6,6 +6,8 @@ restate them stay callable for the benchmark, which names them, but are not
 exported.
 """
 
+import dataclasses
+
 import numpy as np
 
 import qrealize
@@ -41,6 +43,8 @@ def test_all_names_the_listed_names_and_each_resolves():
 def test_restating_names_are_gone_or_unexported():
     assert not hasattr(ResidualReport, "entry")
     assert not hasattr(Realization, "n_v")
+    # D1 = [I 0] is read off the record, not stored
+    assert [f.name for f in dataclasses.fields(Realization)] == ["skew", "R", "Lambda", "B1"]
     for name in ("minimal_noise_count", "multiplicity_noise_count"):
         assert name not in realizability.__all__
         assert not hasattr(qrealize, name)

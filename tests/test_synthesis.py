@@ -129,12 +129,14 @@ class TestXiConstruction:
         assert np.allclose(build_xi1(skew), 0.5 * np.eye(2), atol=1e-12)
 
     def test_xi1_is_sqrt_of_s_squared(self, paper_system):
-        skew = compute_s_tilde(paper_system)
-        xi1 = build_xi1(skew)
-        assert np.array_equal(xi1, xi1.T)
-        assert np.linalg.eigvalsh(xi1).min() >= -1e-12
-        s_sq = (skew.S @ skew.S).real
-        assert np.linalg.norm(xi1 @ xi1 - s_sq) <= 1e-9 * np.linalg.norm(s_sq)
+        # the real Gram product is a symmetric rank-k update: exactly symmetric
+        for sys in (paper_system, _random_system(64, n=64, n_u=8)):
+            skew = compute_s_tilde(sys)
+            xi1 = build_xi1(skew)
+            assert np.array_equal(xi1, xi1.T)
+            assert np.linalg.eigvalsh(xi1).min() >= -1e-12
+            s_sq = (skew.S @ skew.S).real
+            assert np.linalg.norm(xi1 @ xi1 - s_sq) <= 1e-9 * np.linalg.norm(s_sq)
 
     def test_xi1_rejects_eigenpairs_of_another_matrix(self, paper_system):
         # a random unitary in place of U: Xi1 keeps only the real part of
