@@ -13,12 +13,14 @@ needs the spectrum makes no second factorization; the eigenpairs of
 S = (i/4) K read off one real SVD of a real skew K (skew_spectrum,
 skew_eigenpairs), in the order and phases _phased_rows owns;
 low-rank factorization of a PSD matrix from eigenpairs the caller already
-holds (truncated and verified, never recomputed), and the norms of the
+holds (truncated and verified, never recomputed); frobenius_norm, the one
+Frobenius norm, which no underflow takes to zero, and the norms of the
 column-pair wedge products x y^T - y x^T.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -35,6 +37,7 @@ __all__ = [
     "skew_spectrum",
     "skew_eigenpairs",
     "psd_low_rank_factor",
+    "frobenius_norm",
     "wedge_norms",
 ]
 
@@ -44,6 +47,10 @@ __all__ = [
 # cutoff of the factored matrix. Reports before 0.5.0 wrote it as the
 # tolerance symmetry_tol.
 ROUNDOFF_TOL = 1e-12
+
+# A norm below this may have lost entries whose squares underflow; at or above
+# it the sum of squares is at least 2^-920, and what it lost is below roundoff.
+_UNDERFLOW_NORM = 2.0**-460
 
 
 @dataclass(frozen=True)
@@ -271,9 +278,9 @@ def psd_low_rank_factor(
     if got != k:
         raise NumericalError(f"requested {k} rows but the numerical rank is {got}")
     factor = np.sqrt(d[:k])[:, None] * u[:k, :]
-    residual = float(np.linalg.norm(factor.conj().T @ factor - xi2))
-    scale = max(float(np.linalg.norm(xi2)), floor)
-    dropped = float(np.linalg.norm(d[k:]))
+    residual = frobenius_norm(factor.conj().T @ factor - xi2)
+    scale = max(frobenius_norm(xi2), floor)
+    dropped = frobenius_norm(d[k:])
     if residual > ROUNDOFF_TOL * scale + dropped:
         raise NumericalError(
             f"round-trip residual {residual:.3e} exceeds roundoff {ROUNDOFF_TOL:.1e}"
@@ -302,6 +309,24 @@ def complex_rank_via_real_embedding(
     return numerical_rank(embedding, policy, hermitian=True, floor=floor)[0] // 2
 
 
+def frobenius_norm(x) -> float:
+    """The Frobenius norm of an array, as np.linalg.norm gives it, but never lost to underflow.
+
+    np.linalg.norm sums unscaled squares, so entries below about 1e-162
+    square to zero, and a nonzero array can read 0.0. Only when its value
+    is below 2^-460 for a nonzero array is the array divided by its largest
+    |entry| first and the norm scaled back; every larger value, an
+    overflow to inf included, is np.linalg.norm's, bit for bit.
+    """
+    x = np.asarray(x)
+    value = float(np.linalg.norm(x))
+    if value < _UNDERFLOW_NORM and x.any():
+        peak = float(np.abs(x).max())
+        # by parts: numpy divides a complex number by 1 / peak, which overflows for a subnormal peak
+        value = peak * math.hypot(np.linalg.norm(x.real / peak), np.linalg.norm(x.imag / peak))
+    return value
+
+
 def wedge_norms(x, y) -> np.ndarray:
     """Frobenius norms ||x_k y_k^T - y_k x_k^T|| for matching columns of x and y.
 
@@ -309,6 +334,10 @@ def wedge_norms(x, y) -> np.ndarray:
     sqrt(2) ||x_k|| ||y_k - (x_k.y_k / ||x_k||^2) x_k||. Projecting out x_k
     keeps the value when the pair is nearly parallel, where the equivalent
     sqrt(2 (||x||^2 ||y||^2 - (x.y)^2)) cancels to nothing. A zero x_k gives 0.
+    A pair in which a nonzero column's squared norm underflows (its norm is
+    below 2^-460, as in frobenius_norm) is measured with each column divided
+    by its largest |entry| and scaled back, since the norm is bilinear in
+    (x_k, y_k); every other pair gets the unscaled value.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -316,7 +345,15 @@ def wedge_norms(x, y) -> np.ndarray:
         raise DimensionError(
             f"wedge_norms needs two matrices of one shape, got {x.shape} and {y.shape}"
         )
-    xx = np.einsum("ij,ij->j", x, x)
+    xx, yy = (np.einsum("ij,ij->j", m, m) for m in (x, y))
     xy = np.einsum("ij,ij->j", x, y)
     coef = np.divide(xy, xx, out=np.zeros_like(xx), where=xx > 0.0)
-    return np.sqrt(2.0 * xx) * np.linalg.norm(y - coef * x, axis=0)
+    norms = np.sqrt(2.0 * xx) * np.linalg.norm(y - coef * x, axis=0)
+    tiny = _UNDERFLOW_NORM**2
+    if (np.minimum(xx, yy) < tiny).any():
+        lost = (xx < tiny) & x.any(axis=0) | (yy < tiny) & y.any(axis=0)
+        # scaled, each column's largest |entry| is 1, so the second call scales nothing
+        px, py = (np.abs(m[:, lost]).max(axis=0, initial=0.0) for m in (x, y))
+        px, py = np.where(px > 0.0, px, 1.0), np.where(py > 0.0, py, 1.0)
+        norms[lost] = px * (py * wedge_norms(x[:, lost] / px, y[:, lost] / py))
+    return norms

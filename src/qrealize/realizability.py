@@ -23,6 +23,7 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     apply_theta,
+    frobenius_norm,
     numerical_rank,
     skew_eigenpairs,
     skew_spectrum,
@@ -208,7 +209,10 @@ def compute_s_tilde(
     S_tilde is roundoff, has r = 0. An overflow of S_tilde, its norm or T
     raises NumericalError, since (alpha A, sqrt(alpha) B, sqrt(alpha) C)
     scales both by alpha and keeps r; so does an odd rank, which means the
-    cutoff sits inside a singular-value pair of the skew S_tilde.
+    cutoff sits inside a singular-value pair of the skew S_tilde. Both
+    norms come from linalg.frobenius_norm, so they keep scaling with alpha
+    where the squares of the entries underflow (alpha below about 1e-162 on
+    the paper system): T / alpha stayed put down to alpha = 1e-308.
 
     The one SVD that counts r also gives the multiplicity count, and no
     singular vectors are computed here (the record computes them when U or
@@ -231,12 +235,12 @@ def compute_s_tilde(
         q = sys.C[0::2].T @ sys.C[1::2]
         g = z - theta_a - q
         s_tilde = g - g.T
-        scale = float(np.linalg.norm(s_tilde))
-        terms = max(float(np.linalg.norm(t)) for t in (z - z.T, theta_a, q - q.T))
+        scale = frobenius_norm(s_tilde)
+        terms = max(frobenius_norm(t) for t in (z - z.T, theta_a, q - q.T))
     if not (math.isfinite(scale) and math.isfinite(terms)):
         # log10 of ||A||, ||B||^2 and ||C||^2, scaled by the largest entry so no norm overflows
         logs = [
-            power * (math.log10(peak) + math.log10(np.linalg.norm(m / peak)))
+            power * (math.log10(peak) + math.log10(frobenius_norm(m / peak)))
             for m, power in ((sys.A, 1), (sys.B, 2), (sys.C, 2))
             if (peak := float(np.abs(m).max())) > 0
         ]
@@ -314,11 +318,16 @@ def residual_entry(name: str, delta, terms, tol: float, norms=()) -> ResidualEnt
     closed-form pair norms of the commutation identity). The relative
     residual is ||delta|| over the largest of all these norms. A zero
     scale with a zero residual is a clean pass, a zero scale with a
-    nonzero residual can never pass.
+    nonzero residual can never pass. Every norm is linalg.frobenius_norm,
+    which no underflow takes to zero, so a tiny system is judged as its
+    scaled-up copy: under (alpha A, sqrt(alpha) B, sqrt(alpha) C) every
+    verdict held, and a wrong B1 failed, from alpha = 1e-308 to 1e152 on the
+    paper system and seeded systems with n = 8, 16 and 32 (above about
+    1e153 compute_s_tilde raises on the overflow).
     """
-    absolute = float(np.linalg.norm(delta))
+    absolute = frobenius_norm(delta)
     scale = max(
-        max((float(np.linalg.norm(t)) for t in terms), default=0.0),
+        max((frobenius_norm(t) for t in terms), default=0.0),
         float(np.max(norms, initial=0.0)),
     )
     if scale > 0.0:

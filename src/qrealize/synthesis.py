@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import apply_theta, numerical_rank, psd_low_rank_factor
+from .linalg import apply_theta, frobenius_norm, numerical_rank, psd_low_rank_factor
 from .realizability import (
     LtiSystem,
     ResidualReport,
@@ -272,8 +272,8 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
         a_rebuilt - sys.A,
         [sys.A],
         tol,
-        norms=[2.0 * np.linalg.norm(r_mat)]
-        + [2.0 * np.linalg.norm(_gram_imag(m)) for m in (rz.Lambda_b0, rz.Lambda_b1, rz.Lambda_b2)],
+        norms=[2.0 * frobenius_norm(r_mat)]
+        + [2.0 * frobenius_norm(_gram_imag(m)) for m in (rz.Lambda_b0, rz.Lambda_b1, rz.Lambda_b2)],
     )
 
     # [B1 B] = 2i Theta [-Lambda^dag Lambda^T] Gamma
@@ -388,9 +388,9 @@ def minimality_certificate(skew: SkewReport) -> MinimalityCertificate:
     # the bound of the docstring, in Frobenius norms with their rho terms
     q, top, c = skew.U.conj().T, float(sigma[0]) / 4, cutoff / 4
     g, product = 1.0 + _gamma(12 * n * n + 64), math.sqrt(2.0) * _gamma(2 * n)
-    q_norm, s_norm = g * float(np.linalg.norm(q)), float(np.linalg.norm(skew.S_tilde)) / 4
-    e_bound = g * (float(np.linalg.norm(skew.U @ q - np.eye(n))) + product * q_norm**2)
-    residual = float(np.linalg.norm(skew.S @ q - q * d))
+    q_norm, s_norm = g * frobenius_norm(q), frobenius_norm(skew.S_tilde) / 4
+    e_bound = g * (frobenius_norm(skew.U @ q - np.eye(n)) + product * q_norm**2)
+    residual = frobenius_norm(skew.S @ q - q * d)
     r_bound = g * (residual + (product * s_norm + _gamma(1) * top) * q_norm)
     eta = e_bound * (top + c) + q_norm * r_bound
     proven_r = int(np.count_nonzero(np.abs(d) > c + eta))

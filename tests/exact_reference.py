@@ -7,7 +7,9 @@ and Theta only swaps and negates entries, so the S_tilde of double inputs,
 
 is an exact rational matrix (exact_s_tilde). exact_rank ranks it without
 rounding by fraction-free (Bareiss) elimination over the integers, after
-scaling by the common denominator of the entries.
+scaling by the common denominator of the entries. exact_magnitude is the
+entrywise sum M of the magnitudes of the terms S_tilde sums, which with
+exact_gamma bounds the rounding of the computed S_tilde.
 """
 
 import math
@@ -28,6 +30,10 @@ def _theta_rows(m):
 
 def _transpose(m):
     return [list(col) for col in zip(*m)]
+
+
+def _magnitudes(m):
+    return [[abs(x) for x in row] for row in m]
 
 
 def _product(x, y):
@@ -51,6 +57,28 @@ def exact_s_tilde(sys):
     return [
         [-z[i][j] + theta_a[j][i] - theta_a[i][j] - q[i][j] for j in range(n)] for i in range(n)
     ]
+
+
+def exact_magnitude(sys):
+    """M = |Theta B| |Theta_u| |Theta B|^T + |Theta A| + |Theta A|^T + |C|^T |Theta_y| |C|, exactly.
+
+    Entry (i, j) sums the magnitudes of every product and term that
+    S_tilde[i, j] adds up, as lists of rows of Fractions. |Theta| is the
+    unsigned swap of quadrature pairs, so |Theta X| is |X| with its pairs swapped.
+    """
+    a, b, c = _fractions(sys.A), _fractions(sys.B), _fractions(sys.C)
+    theta_b = _magnitudes(_theta_rows(b))
+    z = _product(theta_b, _magnitudes(_theta_rows(_transpose(theta_b))))
+    theta_a = _magnitudes(_theta_rows(a))
+    q = _product(_magnitudes(_transpose(c)), _magnitudes(_theta_rows(c)))
+    n = len(a)
+    return [[z[i][j] + theta_a[i][j] + theta_a[j][i] + q[i][j] for j in range(n)] for i in range(n)]
+
+
+def exact_gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53, as an exact Fraction."""
+    ku = Fraction(k, 2**53)
+    return ku / (1 - ku)
 
 
 def exact_rank(m):

@@ -106,6 +106,13 @@ class TestSynthesize:
         assert doc["analysis"]["n_v"] == 6
         assert len(doc["realization"]["B1"][0]) == 6
         assert "residuals pass" in capsys.readouterr().out
+        # the report's certificate proves r = 4 with both flags, a positive
+        # eigenpair error bound, a positive radius and r/2 profile entries
+        certificate = doc["certificate"]
+        assert certificate["proven_r"] == doc["analysis"]["r"] == 4
+        assert certificate["lower_bound_held"] is True and certificate["embedding_agreed"] is True
+        assert certificate["eta"] > 0 and certificate["stability_radius"] > 0
+        assert len(certificate["noise_profile"]) == 2
 
     def test_reports_are_byte_identical(self, paper_file, tmp_path):
         first = tmp_path / "a.json"
@@ -274,8 +281,8 @@ def lapack_calls(monkeypatch):
     return calls
 
 
-def _seeded_file(path, n, entropy, delta=None, n_u=8):
-    """Write A, B, C drawn from default_rng(entropy) to path; with delta, A0 + delta M for A.
+def _seeded_file(path, n, entropy, delta=None, n_u=8, tolerances=None):
+    """Write A, B, C drawn from default_rng(entropy) and any tolerances to path; with delta, A0 + delta M for A.
 
     A0 = A - Theta S_tilde / 2 makes S_tilde vanish (r = 0); M is drawn next.
     At n = 128 and entropy [128, 8, 0], delta = 1e-8 leaves r = 0 with the
@@ -287,7 +294,7 @@ def _seeded_file(path, n, entropy, delta=None, n_u=8):
     if delta is not None:
         a = a - apply_theta(compute_s_tilde(qrealize.LtiSystem(a, b, c)).S_tilde, "left") / 2
         a = a + delta * rng.standard_normal((n, n))
-    path.write_text(serialize_system(qrealize.LtiSystem(a, b, c)))
+    path.write_text(serialize_system(qrealize.LtiSystem(a, b, c), tolerances))
     return str(path)
 
 
@@ -361,18 +368,30 @@ class TestTolerancePrecedence:
         self, paper_file, tmp_path, capsys
     ):
         # a cutoff of 0.5 drops the smaller eigenvalue of Xi2; the factor
-        # cannot rebuild it, and the reported residuals say so
-        path = self._with_tolerances(paper_file, tmp_path, rank_rel_tol=0.5)
-        report = tmp_path / "report.json"
-        assert main(["synthesize", path, "-o", str(report)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert captured.out == (
-            f"wrote {report} (n_v=4, residuals FAIL: state_rebuild, commutation)\n"
-        )
-        doc = json.loads(report.read_text())
-        assert doc["all_passed"] is False
-        assert doc["tolerances"]["rank_rel_tol"] == 0.5
+        # cannot rebuild it, and the reported residuals say so, while the
+        # certificate proves the r the cutoff leaves. So too on the n = 8
+        # system of default_rng([8, 2, 1]), whose second Xi2 eigenvalue lies
+        # between the cutoffs under T/4 and T/2
+        rng = np.random.default_rng([8, 2, 1])
+        loose8 = tmp_path / "loose8.json"
+        loose8.write_text(serialize_system(
+            qrealize.LtiSystem(*(rng.standard_normal(shape) for shape in ((8, 8), (8, 2), (2, 8)))),
+            tolerances={"rank_rel_tol": 0.5},
+        ))
+        for path in (self._with_tolerances(paper_file, tmp_path, rank_rel_tol=0.5), str(loose8)):
+            report = tmp_path / "report.json"
+            assert main(["synthesize", path, "-o", str(report)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out == (
+                f"wrote {report} (n_v=4, residuals FAIL: state_rebuild, commutation)\n"
+            )
+            doc = json.loads(report.read_text())
+            assert doc["all_passed"] is False
+            assert doc["tolerances"]["rank_rel_tol"] == 0.5
+            certificate = doc["certificate"]
+            assert certificate["proven_r"] == doc["analysis"]["r"] == 2, path
+            assert certificate["lower_bound_held"] is True and certificate["embedding_agreed"] is True
 
     def test_rank_tol_below_roundoff_names_the_tolerance(self, paper_file, tmp_path, capsys):
         # count accepts the cutoff; Xi2's rank test aborts synthesis and
@@ -613,6 +632,27 @@ class TestCheck:
         out = capsys.readouterr().out
         assert any("output_coupling" in line and "FAIL" in line for line in out.splitlines())
 
+    @pytest.mark.parametrize("alpha", [1.0, 1e-165])
+    def test_doubled_noise_columns_fail_commutation_at_any_scale(self, tmp_path, capsys, alpha):
+        # (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r; at 1e-165 every entry
+        # of the commutation terms squares to an underflow, which no norm may
+        # read as 0. B1[:, n_y:] (n_y = 2) doubled misses by the same 0.755
+        a, b, c = paper_matrices()
+        path = tmp_path / "scaled.json"
+        path.write_text(serialize_system(qrealize.LtiSystem(alpha * a, np.sqrt(alpha) * b, np.sqrt(alpha) * c)))
+        report = tmp_path / "report.json"
+        assert main(["synthesize", str(path), "-o", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        b1 = np.array(doc["realization"]["B1"])
+        b1[:, 2:] *= 2.0
+        doc["realization"]["B1"] = b1.tolist()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(path), str(bad)]) == 1
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == "commutation      relative=7.550e-01 tol=1.0e-08 FAIL"
+
     def test_wrong_d1_fails_feedthrough(self, paper_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -770,8 +810,16 @@ def test_readme_rebuilds_the_oscillator_as_documented(paper_file, tmp_path):
     }
     values = {"text": Path(paper_file).read_text(), "report": report.read_text()}
     r_mat, lam = eval(line, namespace, values)
-    rz, _ = synthesize_realization(example_system())
+    system = example_system()
+    rz, _ = synthesize_realization(system)
     assert np.array_equal(r_mat, rz.R) and np.array_equal(lam, rz.Lambda)
+    # they give back A = 2 Theta (R + Im(Lambda^dag Lambda)) to roundoff, and
+    # C exactly from the leading n_y/2 rows, C = P^T [2 Re; 2 Im]
+    a = 2.0 * apply_theta(r_mat + (lam.conj().T @ lam).imag, "left")
+    assert np.linalg.norm(a - system.A) <= 1e-12 * np.linalg.norm(system.A)
+    c = np.empty_like(system.C)
+    c[0::2], c[1::2] = 2.0 * lam[: system.n_y // 2].real, 2.0 * lam[: system.n_y // 2].imag
+    assert np.array_equal(c, system.C)
 
 
 _THREAD_RUNNER = """\
@@ -797,6 +845,7 @@ def blas_thread_runs(tmp_path_factory):
     (root / "paper.json").write_text(serialize_system(example_system()))
     for n, seed in [(32, 0), (32, 1), (64, 0), (64, 1)]:
         _seeded_file(root / f"{n}-{seed}.json", n, 1000 * n + seed)
+    _seeded_file(root / "64-tight.json", 64, [64, 8, 0], tolerances={"rank_rel_tol": 1e-14})
     for n, seed, delta in [(128, 0, None), (128, 1, None), (192, 0, None), (128, 0, 1e-8), (128, 0, 1e-6)]:
         _seeded_file(root / f"{n}-{seed}-{delta}.json", n, [n, 8, seed], delta)
     runs = []
@@ -810,21 +859,35 @@ def blas_thread_runs(tmp_path_factory):
     return runs
 
 
-@pytest.mark.parametrize("n", [32, 64, "paper"])
+@pytest.mark.parametrize("n", [32, 64, "64-tight", "paper"])
 def test_report_bytes_do_not_depend_on_blas_threads(blas_thread_runs, n):
-    """synthesize writes the same bytes under 1 and 2 OpenBLAS threads.
+    """synthesize writes the same bytes under 1 and 2 OpenBLAS threads, and count agrees with them.
 
     Kept at n <= 64, where the bytes agree. At n = 128 a second thread
     changes the order in which BLAS sums the products behind the residuals
     and the certificate's eta, which move in their last digits (B1 and the
     eigenvalues do not), so the README promises identical bytes only per
-    thread count there.
+    thread count there. "64-tight" sets rank_rel_tol 1e-14 in its system
+    file, where the rank tests of Xi2 are tight and Xi1 comes from a BLAS
+    symmetric rank-k update. count reads r, n_v and the multiplicity bound
+    off one SVD of S_tilde, the report its analysis off the record's SVD
+    with vectors: they agree, and the bound follows the README's cluster
+    rule, gap = 1e-7 max(max|w|, T/4), on the report's eigenvalues_of_S.
     """
-    for name in ["paper"] if n == "paper" else [f"{n}-0", f"{n}-1"]:
+    names = {"paper": ["paper"], "64-tight": ["64-tight"]}.get(n, [f"{n}-0", f"{n}-1"])
+    for name in names:
         synths = [results[name][1] for _, results in blas_thread_runs]
         assert [code for code, _, _ in synths] == [0, 0], synths
         one, two = [(out_dir / f"{name}.json").read_bytes() for out_dir, _ in blas_thread_runs]
         assert one == two, name
+        doc = json.loads(one)
+        analysis, w = doc["analysis"], doc["analysis"]["eigenvalues_of_S"]
+        gap = 1e-7 * max(max(map(abs, w)), doc["certificate"]["term_scale"] / 4)
+        n_lambda = sum(x <= min(w) + gap for x in w)
+        bound = analysis["multiplicity_noise_count"]
+        assert bound == analysis["n_v"] - analysis["r"] + 2 * (len(w) - n_lambda), name
+        count = blas_thread_runs[0][1][name][0]
+        assert count == [0, f"r={analysis['r']} n_v={analysis['n_v']}\nmultiplicity_bound={bound}\n", ""]
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from qrealize.linalg import (
     TolerancePolicy,
     apply_theta,
     complex_rank_via_real_embedding,
+    frobenius_norm,
     hermitian_eig,
     numerical_rank,
     psd_low_rank_factor,
@@ -638,6 +639,29 @@ def _exact_pair_norm(x, y):
         return float((Decimal(total.numerator) / Decimal(total.denominator)).sqrt())
 
 
+class TestFrobeniusNorm:
+    @pytest.mark.parametrize("scale", [1.0, 1e-130, 1e150, 1e200])
+    def test_is_numpys_norm_outside_the_underflow_range(self, scale):
+        # bit for bit, an overflow to inf included
+        rng = np.random.default_rng(3)
+        for x in (rng.standard_normal((5, 7)), rng.standard_normal(4) + 1j * rng.standard_normal(4)):
+            with np.errstate(over="ignore"):
+                assert frobenius_norm(scale * x) == float(np.linalg.norm(scale * x))
+
+    def test_tiny_arrays_keep_their_norm(self):
+        # np.linalg.norm squares each entry first, and below about 1e-162 a square underflows
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((5, 7))
+        for power in (-480, -600, -1000):
+            tiny = 2.0**power * x
+            assert frobenius_norm(tiny) == pytest.approx(2.0**power * np.linalg.norm(x), rel=1e-15)
+        assert float(np.linalg.norm(2.0**-600 * x)) == 0.0
+        # the smallest subnormal: 16 entries of 2^-1074 have the norm 2^-1072 exactly
+        assert frobenius_norm(np.full((4, 4), 5e-324)) == 2.0**-1072
+        for zero in (np.zeros((3, 3)), np.zeros(0), np.zeros((2, 0), dtype=complex)):
+            assert frobenius_norm(zero) == 0.0
+
+
 class TestWedgeNorms:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_pairs_match_dense(self, seed):
@@ -683,6 +707,19 @@ class TestWedgeNorms:
         assert np.array_equal(closed, np.zeros(5))
         dense = np.array(dense_pair_norms(bb))
         assert np.all(np.abs(closed - dense) <= 1e-12 * np.sqrt(2.0) * (x @ x))
+
+    def test_tiny_pairs_keep_their_norms(self):
+        # at 2^-300 every square underflows: each pair with a nonzero column
+        # is measured scaled, and the pairs of ordinary size keep their bits
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((12, 4)), rng.standard_normal((12, 4))
+        tiny = 2.0**-300
+        assert np.allclose(wedge_norms(tiny * x, tiny * y), tiny**2 * wedge_norms(x, y), rtol=1e-14, atol=0.0)
+        x[:, 1], x[:, 3], y[:, 3] = tiny * x[:, 1], tiny * x[:, 3], 0.0
+        got = wedge_norms(x, y)
+        assert got[[0, 2]].tolist() == wedge_norms(x[:, [0, 2]], y[:, [0, 2]]).tolist()
+        assert got[1] == pytest.approx(tiny * wedge_norms(x[:, [1]] / tiny, y[:, [1]])[0], rel=1e-14)
+        assert got[3] == 0.0
 
     def test_shapes(self):
         assert wedge_norms(np.zeros((3, 0)), np.zeros((3, 0))).shape == (0,)

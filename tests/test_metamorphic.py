@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from conftest import integer_realizable_system
 
-from qrealize import LtiSystem, compute_s_tilde, synthesize_realization
+from qrealize import LtiSystem, compute_s_tilde, minimality_certificate, synthesize_realization
 from qrealize.linalg import apply_theta
 
-SCALES = (1e-8, 1e-4, 1e4, 1e8)
+SCALES = (1e-8, 1e-4, 1e4, 1e8, 1e-170, 1e-250)
 CONDITIONS = (1e2, 1e6, 1e12)
 
 
@@ -113,12 +113,27 @@ def _variants(sys, seed):
 
 
 def _check_variants(sys, skew, seed):
+    _, base = synthesize_realization(skew)
+    base_cert = minimality_certificate(skew)
     for name, matrices in _variants(sys, seed):
         variant = LtiSystem(*matrices)
         got = compute_s_tilde(variant)
         assert (got.rank_r, got.n_v) == (skew.rank_r, skew.n_v), name
         _, report = synthesize_realization(got)
         assert report.all_passed, name
+        if name.startswith("scale"):
+            # no norm underflows, however small alpha: the proof, every verdict
+            # and the term scale over alpha are the unscaled system's
+            alpha, cert = float(name.removeprefix("scale ")), minimality_certificate(got)
+            assert cert.proven_r == base_cert.proven_r, name
+            assert (cert.lower_bound_held, cert.embedding_agreed) == (
+                base_cert.lower_bound_held,
+                base_cert.embedding_agreed,
+            ), name
+            assert [e.passed for e in report] == [e.passed for e in base], name
+            assert got.term_scale / alpha == pytest.approx(skew.term_scale, rel=1e-12, abs=0.0), name
+            for entry, unscaled in zip(report, base):
+                assert entry.relative != 0.0 or unscaled.relative == 0.0, (name, entry)
 
 
 @pytest.mark.parametrize("seed", range(24))

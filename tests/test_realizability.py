@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dense_reference import (
     dense_check_physical_realizability,
     eigenvalue_multiplicity_count,
 )
+from exact_reference import exact_gamma, exact_magnitude, exact_s_tilde
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +192,29 @@ class TestComputeSTilde:
         n_u = sys.n_u
         bound = (_gamma(n_u // 2 + 3) + _gamma(n_u + 3)) / (1.0 - _gamma(n_u + 9)) * m
         assert np.all(np.abs(compute_s_tilde(sys).S_tilde - textbook) <= bound)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize("kind", ["generic", "projected", "delta-1e-08", "delta-1e-12", "integer"])
+    def test_is_within_its_rounding_bound_of_the_exact_value(self, kind, n):
+        # Each entry of G - G^T sums terms whose magnitudes add up to M, with
+        # n_u/2 + 3 roundings on any term's path: a dot product of length
+        # n_u/2 (Z) or n_y/2 (Q), the differences Z - Theta A and - Q, then
+        # G - G^T. So |fl(S_tilde) - S_tilde_exact| <= gamma_(n_u/2+3) M
+        # entrywise (Higham, ch. 3, in any summation order and with FMA; no
+        # underflow), compared here in exact arithmetic
+        for seed in range(2):
+            generic = _random_system([n, seed], n=n, n_u=(2, 4, 8)[(n + seed) % 3])
+            sys = {
+                "generic": generic,
+                "projected": realizable_projection(generic),
+                "delta-1e-08": projected_system(n, seed, 1e-8),
+                "delta-1e-12": projected_system(n, seed, 1e-12),
+                "integer": integer_realizable_system(np.random.default_rng([n, seed]), n),
+            }[kind]
+            computed, gamma = compute_s_tilde(sys).S_tilde, exact_gamma(sys.n_u // 2 + 3)
+            for row, exact_row, m_row in zip(computed, exact_s_tilde(sys), exact_magnitude(sys)):
+                for x, exact, m in zip(row.tolist(), exact_row, m_row):
+                    assert abs(Fraction(x) - exact) <= gamma * m
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
