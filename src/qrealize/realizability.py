@@ -401,18 +401,16 @@ def check_physical_realizability(
 
     bb = np.hstack([b1, sys.B])
 
+    # A Theta + Theta A^T + X Y^T - Y X^T = G - G^T with G = X Y^T + A Theta,
+    # since Theta A^T = -(A Theta)^T; Theta A^T has the norm of A Theta. The
+    # pairs can cancel each other, so they set the scale individually, not
+    # through their sum X Y^T - Y X^T.
     a_theta = apply_theta(sys.A, "right")
-    theta_at = -a_theta.T  # Theta A^T, since Theta^T = -Theta
     x, y = bb[:, 0::2], bb[:, 1::2]
-    xy = x @ y.T
-    # The pairs can cancel each other, so they set the scale individually,
-    # not through their sum X Y^T - Y X^T.
+    g = x @ y.T
+    g += a_theta
     commutation = residual_entry(
-        "commutation",
-        a_theta + theta_at + (xy - xy.T),
-        [a_theta, theta_at],
-        policy.residual_tol,
-        norms=wedge_norms(x, y),
+        "commutation", g - g.T, [a_theta], policy.residual_tol, norms=wedge_norms(x, y)
     )
 
     got = bb[:, : sys.n_y]

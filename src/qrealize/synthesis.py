@@ -63,33 +63,52 @@ def build_xi1(skew: SkewReport) -> np.ndarray:
 
     With S = U^dag D U from the record (``skew.U``, ``skew.eigenvalues``),
     returns Xi1 = U^dag |D| U, the positive square root of S^2, as the real
-    Gram product W^T W, W = [Re F; Im F] for F = |D|^(1/2) U: numpy forms it
-    as a symmetric rank-k update, so it is exactly symmetric. Eigenpairs
+    Gram product W^T W, W = [Re F; Im F] for F = |D|^(1/2) U, formed from
+    the parts of U with no complex n x n temporary: numpy forms it as a
+    symmetric rank-k update, so it is exactly symmetric. Eigenpairs
     that are not the record's are caught downstream, by the rank test of
     build_xi2 or the round trip of build_lambda_b1.
     """
-    f = np.sqrt(np.abs(skew.eigenvalues))[:, None] * skew.U
-    w = np.concatenate([f.real, f.imag])
+    root, u = np.sqrt(np.abs(skew.eigenvalues))[:, None], skew.U
+    w = np.concatenate([root * u.real, root * u.imag])
     return w.T @ w
 
 
 def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
     """Gram matrix Xi2 = Xi1 + S, S = (i/4) S_tilde, of the extra-noise coupling.
 
-    Must have numerical rank r/2 under the record's policy, or
-    NumericalError names the floor, rank_rel_tol * max(largest |eigenvalue|,
-    T/2), that a sub-roundoff rank_rel_tol fails; rank_rel_tol prints in
-    shortest round-trip form, so no two values print alike. The rank test
-    counts |eigenvalues| against that floor, so it also rules out an
-    eigenvalue below minus the floor, unless one of the r/2 positive ones,
-    each about sigma_j / 2, falls below it: the rule that set r on S_tilde
-    excludes that beyond roundoff. build_lambda_b1's round trip is the last
-    guard.
+    Xi1 and S_tilde/4 are written straight into the real and imaginary
+    parts of one complex array. Xi2 must have numerical rank r/2 under the
+    record's policy, or NumericalError names the floor, rank_rel_tol *
+    max(largest |eigenvalue|, T/2), that a sub-roundoff rank_rel_tol fails;
+    rank_rel_tol prints in shortest round-trip form, so no two values print
+    alike. The rank test counts |eigenvalues| against that floor, so it
+    also rules out an eigenvalue below minus the floor, unless one of the
+    r/2 positive ones, each about sigma_j / 2, falls below it: the rule
+    that set r on S_tilde excludes that beyond roundoff. build_lambda_b1's
+    round trip is the last guard.
+
+    When the term scale T is below the smallest normal double, the entries
+    of Xi1 and S underflow and lose their digits (to exactly 0 for
+    A = 5e-324 ones((4, 4)), B = C = 0), so no tolerance is at fault: the
+    error then names the underflow and the rescaling (alpha A, sqrt(alpha)
+    B, sqrt(alpha) C), which keeps r, with an alpha that brings T to about
+    1; that alpha can exceed the largest double, and its square root cannot.
     """
     policy, half_t, k = skew.policy, skew.term_scale / 2, skew.rank_r // 2
-    xi2 = xi1 + skew.S
+    xi2 = np.empty(xi1.shape, dtype=complex)
+    xi2.real = xi1
+    np.multiply(skew.S_tilde, 0.25, out=xi2.imag)
     rank, s = numerical_rank(xi2, policy, hermitian=True, floor=half_t)
     if rank != k:
+        t = skew.term_scale
+        if 0.0 < t < np.finfo(float).tiny:
+            raise NumericalError(
+                f"Xi2 has numerical rank {rank}, expected r/2 = {k}: the term scale T = {t:.3e} "
+                "is below the smallest normal double, so Xi1 and S = (i/4) S_tilde underflow; "
+                "rescale the system: (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r; "
+                f"alpha = 1e{-round(math.log10(t))} brings T to about 1 (apply sqrt(alpha) to A twice)"
+            )
         top = max(float(s[0]), half_t)
         raise NumericalError(
             f"Xi2 has numerical rank {rank}, expected r/2 = {k} (floor: rank_rel_tol "
@@ -165,8 +184,8 @@ def _coupled_outputs(lam: np.ndarray, n_y: int) -> np.ndarray:
 
 
 def _gram_imag(lam: np.ndarray) -> np.ndarray:
-    """Im(Lambda^dag Lambda) = P^T Q - Q^T P for Lambda = P + iQ, in real arithmetic."""
-    pq = lam.real.T @ lam.imag
+    """Im(Lambda^dag Lambda) = P^T Q - Q^T P for Lambda = P + iQ, from contiguous real parts."""
+    pq = np.ascontiguousarray(lam.real).T @ np.ascontiguousarray(lam.imag)
     return pq - pq.T
 
 
@@ -263,17 +282,18 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
 
     tol = policy.residual_tol
 
-    # A = 2 Theta (R + Im(Lambda^dag Lambda)); the Gram blocks cancel
-    # against each other, so they set the scale, not the near-zero sum.
-    # Theta is orthogonal, so the term 2 Theta X has the norm 2 ||X||.
-    a_rebuilt = 2.0 * apply_theta(r_mat + _gram_imag(lam), "left")
+    # A = 2 Theta (R + Im(Lambda^dag Lambda)), and Lambda^dag Lambda is the
+    # sum of its three row blocks' Grams; they cancel against each other,
+    # so they set the scale, not the near-zero sum. Theta is orthogonal, so
+    # the term 2 Theta X has the norm 2 ||X||.
+    grams = [_gram_imag(m) for m in (rz.Lambda_b0, rz.Lambda_b1, rz.Lambda_b2)]
+    a_rebuilt = 2.0 * apply_theta(r_mat + (grams[0] + grams[1] + grams[2]), "left")
     state = residual_entry(
         "state_rebuild",
         a_rebuilt - sys.A,
         [sys.A],
         tol,
-        norms=[2.0 * frobenius_norm(r_mat)]
-        + [2.0 * frobenius_norm(_gram_imag(m)) for m in (rz.Lambda_b0, rz.Lambda_b1, rz.Lambda_b2)],
+        norms=[2.0 * frobenius_norm(m) for m in [r_mat] + grams],
     )
 
     # [B1 B] = 2i Theta [-Lambda^dag Lambda^T] Gamma

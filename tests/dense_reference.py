@@ -20,10 +20,12 @@ complex_product_xi1 forms Xi1 = U^dag |D| U as one complex product, keeps
 its real part and symmetrizes it, a second rounding of the same matrix that
 the library's real Gram product can be swapped for.
 
-loop_skew_eigenpairs is linalg.skew_eigenpairs with its Ritz rows summed
-by a Python loop nest over the entries of each block, one term at a time,
-rather than by one einsum per block size: the reference the library's rows
-match bit for bit.
+loop_skew_eigenpairs is linalg.skew_eigenpairs with the Ritz rows of each
+block larger than a pair summed by a Python loop nest over its entries, one
+term at a time, rather than by one einsum per block size: the reference the
+library's rows match bit for bit. eigh_skew_eigenpairs is the route that
+puts every block, lone pairs included, through the batched eigh: the
+reference the closed-form pair rows match to a few ulps.
 
 The seeded random-candidate reference checks the theorem behind the
 minimality certificate, rank(Xi + (i/4) S_tilde) >= r/2 for every real
@@ -38,7 +40,7 @@ import math
 import numpy as np
 
 from qrealize.errors import DimensionError
-from qrealize.linalg import _phased_rows, skew_spectrum
+from qrealize.linalg import _pair_rows, _phased_rows, _ritz_blocks, skew_spectrum
 from qrealize.realizability import MULTIPLICITY_CLUSTER_REL, ResidualEntry, ResidualReport
 from qrealize.synthesis import build_xi1
 
@@ -212,26 +214,24 @@ def complex_product_xi1(skew):
 
 
 def loop_skew_eigenpairs(u, s, vt, floor=0.0):
-    """skew_eigenpairs(u, s, vt, floor) with row j of each block summed term by term.
+    """skew_eigenpairs(u, s, vt, floor) with row j of each larger block summed term by term.
 
-    The blocks and their batched eigh are the library's; row j of a block
-    is conj(y_0j) v_0 + conj(y_1j) v_1 + ..., accumulated left to right
-    from the first product, for the block's eigenvectors y and rows v of vt.
+    The blocks, the closed-form pair rows and the batched eigh of the larger
+    blocks are the library's; row j of a larger block is conj(y_0j) v_0 +
+    conj(y_1j) v_1 + ..., accumulated left to right from the first product,
+    for the block's eigenvectors y and rows v of vt.
     """
     n = s.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=complex), skew_spectrum(s)
-    m = (vt @ u) * s
-    coupled = np.abs(m) > n * np.finfo(float).eps * max(float(s[0]), floor)
-    coupled |= coupled.T
-    index = np.arange(n)
-    reach = np.maximum.accumulate(np.where(coupled, index[:, None], index | 1).max(axis=0))
-    ends = np.flatnonzero(reach == index) + 1
-    starts = np.concatenate(([0], ends[:-1]))
-    sizes = ends - starts
+    m, starts, sizes = _ritz_blocks(u, s, vt, floor)
     rows = np.empty((n, n), dtype=complex)
     ritz = np.empty(n)
-    for size in sorted(set(sizes.tolist())):
+    first = starts[sizes == 2]
+    plus, value = _pair_rows(m, vt, first)
+    rows[first], rows[first + 1] = plus, plus.conj()
+    ritz[first], ritz[first + 1] = value, -value
+    for size in sorted(set(sizes[sizes > 2].tolist())):
         block = starts[sizes == size][:, None] + np.arange(size)
         blocks = m[block[:, :, None], block[:, None, :]]
         ritz[block], y = np.linalg.eigh(0.125j * (blocks - blocks.transpose(0, 2, 1)))
@@ -240,7 +240,29 @@ def loop_skew_eigenpairs(u, s, vt, floor=0.0):
             row = y[:, 0, j, None] * basis[:, 0]
             for i in range(1, size):
                 row += y[:, i, j, None] * basis[:, i]
-            rows[block[:, j]] = row
+            rows[block[:, j]] = _phased_rows(row)
+    return rows[np.argsort(-ritz, kind="stable")], skew_spectrum(s)
+
+
+def eigh_skew_eigenpairs(u, s, vt, floor=0.0):
+    """skew_eigenpairs(u, s, vt, floor) with every block, pairs included, through batched eigh.
+
+    The route the library took before it wrote a lone pair's Ritz rows in
+    closed form: the blocks of each size go through one np.linalg.eigh of
+    (i/8)(M - M^T), and the rows are V times its eigenvectors, phased and
+    sorted by Ritz value as the library does.
+    """
+    n = s.shape[0]
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex), skew_spectrum(s)
+    m, starts, sizes = _ritz_blocks(u, s, vt, floor)
+    rows = np.empty((n, n), dtype=complex)
+    ritz = np.empty(n)
+    for size in sorted(set(sizes.tolist())):
+        block = starts[sizes == size][:, None] + np.arange(size)
+        blocks = m[block[:, :, None], block[:, None, :]]
+        ritz[block], y = np.linalg.eigh(0.125j * (blocks - blocks.transpose(0, 2, 1)))
+        rows[block] = np.einsum("bij,bin->bjn", y.conj(), vt[block])
     return _phased_rows(rows[np.argsort(-ritz, kind="stable")]), skew_spectrum(s)
 
 

@@ -97,6 +97,31 @@ def test_overflowing_system_is_one_error_line(tmp_path, capsys, name, command):
     assert not out.exists()
 
 
+def test_underflowing_system_names_the_underflow_and_the_rescaling(tmp_path, capsys):
+    # S_tilde holds +-1e-323, so count sees r = 2, but Xi1 and S = (i/4) S_tilde
+    # round to exactly 0; the error blames the underflow, not rank_rel_tol, and
+    # the alpha it names makes the rescaled system synthesize
+    a, b, c = np.full((4, 4), 5e-324), np.zeros((4, 2)), np.zeros((2, 4))
+    path, out = tmp_path / "tiny.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"A": a.tolist(), "B": b.tolist(), "C": c.tolist()}))
+    assert main(["count", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "r=2 n_v=4"
+    assert main(["synthesize", str(path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        "error: Xi2 has numerical rank 0, expected r/2 = 1: the term scale T = 1.976e-323 is "
+        "below the smallest normal double, so Xi1 and S = (i/4) S_tilde underflow; rescale the "
+        "system: (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r; alpha = 1e323 brings T to about 1 "
+        "(apply sqrt(alpha) to A twice)\n"
+    )
+    root = 10.0**161.5  # sqrt(alpha); alpha itself overflows
+    path.write_text(serialize_system(qrealize.LtiSystem(root * (root * a), root * b, root * c)))
+    assert main(["synthesize", str(path), "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["analysis"]["r"] == 2 and doc["all_passed"] is True
+
+
 class TestSynthesize:
     def test_writes_passing_report(self, paper_file, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -305,9 +330,11 @@ class TestLapackCallsPerCommand:
         assert main(["count", path]) == 0
         assert lapack_calls == ["svd"]
 
-    def test_synthesize_makes_one_eigh(self, paper_file, tmp_path, lapack_calls):
+    def test_synthesize_makes_no_eigh(self, paper_file, tmp_path, lapack_calls):
+        # the count's SVD, the record's SVD with vectors and the two rank tests
+        # of Xi2; the paper system's two lone pairs need no eigh
         assert main(["synthesize", paper_file, "-o", str(tmp_path / "report.json")]) == 0
-        assert lapack_calls.count("eigh") == 1
+        assert lapack_calls == ["svd"] * 4
 
 
 class TestParserReuse:
@@ -561,7 +588,7 @@ class TestCheck:
         assert np.array_equal(b1, old_b1) and np.array_equal(d1, old_d1)
 
     def test_accepts_a_0_7_0_report(self, paper_file, tmp_path, capsys):
-        # 0.7.0 reports hold the keys of 0.8.1; only how the eigenpairs and S_tilde were computed changed
+        # 0.7.0 reports hold the keys of 0.9.0; only how the eigenpairs, S_tilde and B1 were computed changed
         self._assert_check_reads_old_report(
             paper_file, tmp_path, capsys, lambda doc, system: doc.update(version="0.7.0")
         )

@@ -17,6 +17,7 @@ from dense_reference import (
     dense_gamma,
     dense_pair_norms,
     dense_theta,
+    eigh_skew_eigenpairs,
     loop_skew_eigenpairs,
 )
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from qrealize import (
     oscillator,
 )
 from qrealize.linalg import (
+    _ritz_blocks,
     DEFAULT_POLICY,
     ROUNDOFF_TOL,
     TolerancePolicy,
@@ -360,8 +362,8 @@ class TestSkewEigenpairs:
             skew_eigenpairs(u[:, :2], s, vt)
 
     def test_a_cluster_is_one_block(self, monkeypatch):
-        # three equal pairs couple into one 6 x 6 block; the two simple pairs
-        # are 2 x 2 blocks, batched into one eigh call
+        # three equal pairs couple into one 6 x 6 block, the one eigh call; the
+        # two lone pairs are 2 x 2 blocks, in closed form
         k = self._skew(np.random.default_rng(5), [3.0, 2.0, 2.0, 2.0, 0.5])
         shapes = []
         eigh = np.linalg.eigh
@@ -372,7 +374,7 @@ class TestSkewEigenpairs:
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         u, d = skew_eigenpairs(*np.linalg.svd(k))
-        assert sorted(shapes) == [(1, 6, 6), (2, 2, 2)]
+        assert shapes == [(1, 6, 6)]
         assert np.allclose(d, [0.75, 0.5, 0.5, 0.5, 0.125, -0.125, -0.5, -0.5, -0.5, -0.75], atol=1e-14)
         self._assert_eigenpairs(k, u, d)
 
@@ -437,6 +439,44 @@ class TestSkewEigenpairs:
         u, d = skew_eigenpairs(*np.linalg.svd(k))
         assert np.all(np.diff(d) <= 0)
         self._assert_eigenpairs(k, u, d)
+        self._assert_matches_the_eigh_route(np.linalg.svd(k))
+
+    @staticmethod
+    def _assert_matches_the_eigh_route(svd, floor=0.0):
+        # The closed-form rows of a lone pair are the batched eigh's to 4 ulps
+        # of 1, 4 eps with eps = 2^-52 (measured at most 2.02 eps over the
+        # paper system, the corpus, their projections and 2000 random skew
+        # matrices). A lone pair with mu = 0, an exactly zero block of M, has
+        # Ritz value 0 twice, and any orthonormal basis of its span is right:
+        # the eigh route keeps v_2j and v_2j+1, the closed form (v_2j +- i
+        # v_2j+1)/sqrt(2). Every other block has as many positive Ritz values
+        # as negative ones, so the z such pairs fill the middle 2z rows of
+        # the sorted U, and there the rows must span the same space.
+        u, d = skew_eigenpairs(*svd, floor)
+        ref, ref_d = eigh_skew_eigenpairs(*svd, floor)
+        assert d.tobytes() == ref_d.tobytes()
+        m, starts, sizes = _ritz_blocks(*svd, floor)
+        first = starts[sizes == 2]
+        half, z = len(d) // 2, np.count_nonzero(m[first, first + 1] == m[first + 1, first])
+        null = np.zeros(len(d), dtype=bool)
+        null[half - z : half + z] = True
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(u[~null] - ref[~null]) <= 4 * eps)
+        overlap = np.linalg.svd(u[null] @ ref[null].conj().T, compute_uv=False)
+        assert np.all(np.abs(overlap - 1.0) <= 4 * eps)
+        return z
+
+    @pytest.mark.parametrize("family", ["paper and corpus", "projections"])
+    def test_pair_rows_match_the_eigh_route(self, family, paper_system, corpus):
+        systems = [paper_system] + corpus
+        if family == "projections":
+            systems = [realizable_projection(sys) for sys in systems]
+        nulls = 0
+        for sys in systems:
+            skew = compute_s_tilde(sys)
+            nulls += self._assert_matches_the_eigh_route(np.linalg.svd(skew.S_tilde), skew.term_scale)
+        # only the projections, the r = 0 paper projection among them, hold pairs with mu = 0
+        assert bool(nulls) is (family == "projections")
 
 
 class TestNumericalRank:
@@ -642,11 +682,16 @@ def _exact_pair_norm(x, y):
 class TestFrobeniusNorm:
     @pytest.mark.parametrize("scale", [1.0, 1e-130, 1e150, 1e200])
     def test_is_numpys_norm_outside_the_underflow_range(self, scale):
-        # bit for bit, an overflow to inf included
+        # bit for bit, an overflow to inf included, in every memory layout the
+        # library passes: transposed and strided views, the parts of a complex array
         rng = np.random.default_rng(3)
-        for x in (rng.standard_normal((5, 7)), rng.standard_normal(4) + 1j * rng.standard_normal(4)):
+        c = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        f = rng.standard_normal((5, 7))
+        for x in (f, f.T, f[:, ::2], c, c.T, c.real, c.imag, c[1::2], rng.standard_normal(4) + 1j * rng.standard_normal(4)):
             with np.errstate(over="ignore"):
                 assert frobenius_norm(scale * x) == float(np.linalg.norm(scale * x))
+        for x in (np.arange(12).reshape(3, 4), [[1, 2], [3, 4]], np.float64(-3.0), [True, False]):
+            assert frobenius_norm(x) == float(np.linalg.norm(x))
 
     def test_tiny_arrays_keep_their_norm(self):
         # np.linalg.norm squares each entry first, and below about 1e-162 a square underflows

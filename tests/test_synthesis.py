@@ -387,8 +387,8 @@ class TestSynthesizeRealization:
 
     def test_one_hermitian_eigendecomposition(self, paper_system, monkeypatch):
         # Xi2 is factored from the record's eigenpairs, so the only SVD with
-        # vectors and the only eigh (of the record's 2 x 2 blocks, batched) are
-        # the record's own, made when synthesis first reads U, and none after
+        # vectors is the record's own, made when synthesis first reads U, and
+        # none after; the paper system's two lone pairs need no eigh
         calls = []
         eigh, svd = np.linalg.eigh, np.linalg.svd
 
@@ -406,12 +406,31 @@ class TestSynthesizeRealization:
         skew = compute_s_tilde(paper_system)
         assert calls == []
         synthesize_realization(skew)
-        assert calls == ["svd", "eigh"]
+        assert calls == ["svd"]
         synthesize_realization(skew)
         minimality_certificate(skew)
-        assert calls == ["svd", "eigh"]
+        assert calls == ["svd"]
         synthesize_realization(paper_system)
-        assert calls == ["svd", "eigh"] * 2
+        assert calls == ["svd"] * 2
+
+    @pytest.mark.parametrize("n, n_u, seed", [(32, 8, 0), (32, 8, 1), (192, 16, 0)])
+    def test_generic_synthesis_makes_four_svds_and_no_eigh(self, n, n_u, seed, monkeypatch):
+        # the count's SVD, the record's SVD with vectors and the two rank tests
+        # of Xi2; a generic system's pairs are all lone, in closed form
+        calls = []
+
+        def counted(name, kernel):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+
+            return call
+
+        for name in ("svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        _, report = synthesize_realization(_random_system([n, n_u, seed], n, n_u))
+        assert report.all_passed
+        assert calls == ["svd"] * 4
 
     def test_xi2_psd_test_makes_no_eigvalsh_call(self, paper_system, corpus, monkeypatch):
         # Xi2 is judged PSD by its rank test and the factor round trip alone:
@@ -724,7 +743,7 @@ class TestMinimalityCertificate:
 
     def test_makes_no_lapack_call(self, paper_system, monkeypatch):
         # the proof reads the record's eigenpairs: no SVD, eigh, eigvalsh or Xi1
-        # beyond the record's own SVD with vectors and the one eigh of its blocks
+        # beyond the record's own SVD with vectors
         import qrealize.synthesis as synthesis
 
         skew = compute_s_tilde(paper_system)
@@ -742,8 +761,8 @@ class TestMinimalityCertificate:
         monkeypatch.setattr(synthesis, "build_xi1", counted("build_xi1", synthesis.build_xi1))
         assert minimality_certificate(skew).proven_r == 4
         # the record's own, on the first read of its eigenpairs: one SVD of S_tilde
-        # with vectors and one batched eigh of the paper system's two 2 x 2 blocks
-        assert calls == ["svd", "eigh"]
+        # with vectors; the paper system's two lone pairs need no eigh
+        assert calls == ["svd"]
         calls.clear()
         assert minimality_certificate(skew).proven_r == 4
         assert calls == []
