@@ -327,14 +327,18 @@ def psd_low_rank_factor(
     if got != k:
         raise NumericalError(f"requested {k} rows but the numerical rank is {got}")
     factor = np.sqrt(d[:k])[:, None] * u[:k, :]
-    # F^dag F = (P^T P + Q^T Q) + i (P^T Q - Q^T P) for F = P + iQ, by real Grams
+    # F^dag F = (P^T P + Q^T Q) + i (P^T Q - Q^T P) for F = P + iQ, by real
+    # Grams; each is freed once measured, so at most two n x n temporaries live
     w = np.concatenate([factor.real, factor.imag])
     gram_re = w.T @ w
     gram_re -= xi2.real
+    miss_re = frobenius_norm(gram_re)
+    del gram_re
     pq = w[:k].T @ w[k:]
+    del w
     gram_im = pq - pq.T
     gram_im -= xi2.imag
-    residual = math.hypot(frobenius_norm(gram_re), frobenius_norm(gram_im))
+    residual = math.hypot(miss_re, frobenius_norm(gram_im))
     scale = max(frobenius_norm(xi2), floor)
     dropped = frobenius_norm(d[k:])
     if residual > ROUNDOFF_TOL * scale + dropped:

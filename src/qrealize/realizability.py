@@ -392,36 +392,43 @@ def check_physical_realizability(
     multiplying by i changes no norm. Its scale is the largest norm among
     A Theta, Theta A^T and the pair terms x_k y_k^T - y_k x_k^T, whose
     norms come in closed form from wedge_norms, so no pair term is formed.
+
+    B1 and D1 are validated here; the residuals come from
+    _realizability_residuals, given [B1 B] and B_11. synthesize_realization
+    calls that core with the B1 it validated once and the [B1 B] of its
+    input rebuild, so its last three entries are this function's on the
+    realization's B1 and D1.
     """
     b1 = _noise_inputs(sys, B1)
     d1 = as_real_matrix("D1", D1)
-    n_v = b1.shape[1]
-    if d1.shape != (sys.n_y, n_v):
-        raise DimensionError(f"D1 must be {sys.n_y}x{n_v}, got shape {d1.shape}")
-
+    if d1.shape != (sys.n_y, b1.shape[1]):
+        raise DimensionError(f"D1 must be {sys.n_y}x{b1.shape[1]}, got shape {d1.shape}")
     bb = np.hstack([b1, sys.B])
+    return _realizability_residuals(sys, bb, _b11(sys), d1, policy.residual_tol)
 
+
+def _realizability_residuals(
+    sys: LtiSystem, bb: np.ndarray, b11: np.ndarray, d1: np.ndarray, tol: float
+) -> ResidualReport:
+    """check_physical_realizability's three residuals, from [B1 B], B_11 = _b11(sys) and D1.
+
+    The caller has validated B1 and D1, so nothing is checked or copied here.
+    """
     # A Theta + Theta A^T + X Y^T - Y X^T = G - G^T with G = X Y^T + A Theta,
     # since Theta A^T = -(A Theta)^T; Theta A^T has the norm of A Theta. The
     # pairs can cancel each other, so they set the scale individually, not
     # through their sum X Y^T - Y X^T.
-    a_theta = apply_theta(sys.A, "right")
     x, y = bb[:, 0::2], bb[:, 1::2]
+    pairs = wedge_norms(x, y)
+    a_theta = apply_theta(sys.A, "right")
     g = x @ y.T
     g += a_theta
-    commutation = residual_entry(
-        "commutation", g - g.T, [a_theta], policy.residual_tol, norms=wedge_norms(x, y)
-    )
+    commutation = residual_entry("commutation", g - g.T, [a_theta], tol, norms=pairs)
 
     got = bb[:, : sys.n_y]
-    target = _b11(sys)
-    output_coupling = residual_entry(
-        "output_coupling", got - target, [got, target], policy.residual_tol
-    )
+    output_coupling = residual_entry("output_coupling", got - b11, [got, b11], tol)
 
-    d_target = np.eye(sys.n_y, n_v)
-    feedthrough = residual_entry(
-        "feedthrough", d1 - d_target, [d1, d_target], policy.residual_tol
-    )
+    d_target = np.eye(*d1.shape)
+    feedthrough = residual_entry("feedthrough", d1 - d_target, [d1, d_target], tol)
 
     return ResidualReport(entries=(commutation, output_coupling, feedthrough))

@@ -1,6 +1,7 @@
 """Shared fixtures: the three reference systems and a seeded random corpus."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,17 @@ def projected_system(n, seed, delta):
     c = rng.standard_normal((2, n))
     a0 = realizable_projection(LtiSystem(a, b, c)).A
     return LtiSystem(a0 + delta * rng.standard_normal((n, n)), b, c)
+
+
+def traced_peak(call, *args):
+    """(call(*args), the peak in bytes of the memory tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def with_eigenpairs(skew, u, d):

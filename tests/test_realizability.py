@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 import re
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -20,6 +19,7 @@ from conftest import (
     realizable_projection,
     rotated_record,
     shifted_record,
+    traced_peak,
     with_eigenpairs,
 )
 from dense_reference import (
@@ -667,12 +667,7 @@ class TestAgainstDenseReference:
         # quadrature pair, all live at once, took 35 MB
         sys = _random_system(19, 192, 16)
         rz, _ = synthesize_realization(sys)
-        tracemalloc.start()
-        try:
-            report = check_physical_realizability(sys, rz.B1, rz.D1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(check_physical_realizability, sys, rz.B1, rz.D1)
         assert report.all_passed
         assert peak < 8 * 2**20
 

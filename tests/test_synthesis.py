@@ -12,6 +12,7 @@ from conftest import (
     realizable_projection,
     rotated_record,
     shifted_record,
+    traced_peak,
     with_eigenpairs,
 )
 from dense_reference import (
@@ -31,6 +32,7 @@ from qrealize import (
     NumericalError,
     TolerancePolicy,
     ValidationError,
+    check_physical_realizability,
     compute_s_tilde,
     minimality_certificate,
     oscillator,
@@ -543,6 +545,41 @@ class TestSynthesizeRealization:
             assert not report.all_passed
             assert not {e.name: e for e in report}["input_rebuild"].passed
             _assert_same_rebuild_entries(report, dense_rebuild_residuals(rz))
+
+    def test_frees_each_intermediate_when_its_stage_ends(self):
+        # with every n x n intermediate live until the return it peaked at 5.67 MiB
+        sys = _random_system([192, 16, 0], 192, 16)
+        (_, report), peak = traced_peak(synthesize_realization, sys)
+        assert report.all_passed
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("wrong_b1", [False, True])
+    @pytest.mark.parametrize("n", [4, 32, 64])
+    def test_matches_the_public_check_and_oscillator(self, n, wrong_b1, paper_system, monkeypatch):
+        # synthesis validates B1 once and shares [B1 B] and B_11 between its
+        # stages; the public entry points, which build them anew, agree to the bit
+        rng = np.random.default_rng(n)
+        systems = [paper_system] if n == 4 else []
+        systems += [_random_system(rng.integers(2**31), n, n_u) for n_u in (2, 8)]
+        if wrong_b1:
+            import qrealize.synthesis as synthesis
+
+            exact_b1 = synthesis.build_b1
+
+            def perturbed_b1(sys, lb1):
+                b1 = exact_b1(sys, lb1)
+                return b1 + 1e-6 * rng.standard_normal(b1.shape)
+
+            monkeypatch.setattr(synthesis, "build_b1", perturbed_b1)
+        for sys in systems:
+            rz, report = synthesize_realization(sys)
+            check = check_physical_realizability(sys, rz.B1, rz.D1, rz.skew.policy)
+            assert report.entries[3:] == check.entries
+            assert report.all_passed is not wrong_b1
+            for got, public in zip((rz.R, rz.Lambda), oscillator(sys, rz.B1)):
+                assert np.array_equal(got, public)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(got)), np.signbit(part(public)))
 
     def test_residual_names(self, small_system):
         _, report = synthesize_realization(small_system)
