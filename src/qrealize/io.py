@@ -4,8 +4,8 @@ One self-describing format covers both directions: matrices are nested
 row-major arrays of finite doubles. A system file's optional tolerances
 are the fields of TolerancePolicy, which alone names them, sets their
 defaults and validates them. Report serialization is deterministic
-(sorted keys, fixed indentation, trailing newline) so re-runs with the same
-input and tolerances produce byte-identical files.
+(one line, sorted keys, trailing newline) so re-runs with the same input
+and tolerances produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, fields
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
 
 # Exact types of the numbers json.loads returns; bool, an int subclass, is not one.
 _NUMBER_TYPES = {int, float}
-_FLOAT_ONLY = {float}
 
 
 @dataclass(frozen=True)
@@ -174,7 +172,7 @@ def _real_lists(m) -> list:
 
 
 def serialize_system(sys, tolerances=None) -> str:
-    """Render a system (plus optional tolerance overrides) back to file form.
+    """Render a system (plus optional tolerance overrides) as one line of JSON with sorted keys.
 
     Tolerances the parser would refuse, or ignore ("symmetry_tol"), raise its ParseError.
     """
@@ -182,7 +180,7 @@ def serialize_system(sys, tolerances=None) -> str:
     if tolerances:
         _tolerance_policy(tolerances)  # so every value is a float: no int lies in (0, 1)
         doc["tolerances"] = dict(tolerances)
-    return _encode(doc, "") + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def report_document(realization, residuals, certificate) -> dict:
@@ -225,43 +223,6 @@ def _fields(obj) -> dict:
     return {field.name: getattr(obj, field.name) for field in fields(obj)}
 
 
-def _encode(node, pad: str) -> str:
-    """json.dumps(node, indent=2, sort_keys=True) for a node nested at indentation ``pad``.
-
-    CPython's C encoder does not indent, and its pure-Python one costs
-    several function calls per number. Here a row of finite floats is one
-    join over float.__repr__, the repr json itself writes; keys and leaves of
-    exact type int, finite float, str, bool or None are written as json writes
-    them, and any other leaf (nan, inf, a subclass such as np.float64) by json.dumps.
-    """
-    kind = type(node)
-    if kind is int or kind is float and math.isfinite(node):
-        return repr(node)
-    if kind is str:
-        return encode_basestring_ascii(node)
-    if kind is bool or node is None:
-        return "null" if node is None else "true" if node else "false"
-    if not isinstance(node, (dict, list, tuple)):
-        return json.dumps(node)
-    if not node:
-        return "{}" if isinstance(node, dict) else "[]"
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(node, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_encode(node[key], inner)}" for key in sorted(node)]
-        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
-    if set(map(type, node)) == _FLOAT_ONLY and math.isfinite(sum(node)):
-        items = map(float.__repr__, node)
-    else:
-        items = [_encode(item, inner) for item in node]
-    return f"[\n{inner}{sep.join(items)}\n{pad}]"
-
-
 def serialize_report(doc: dict) -> str:
-    """Deterministic text form of a report document.
-
-    Exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for a
-    document whose keys are all strings, as every report's are, written by
-    an encoder that formats each row of finite floats in one join.
-    """
-    return _encode(doc, "") + "\n"
+    """Deterministic text form of a report document: one line of JSON with sorted keys."""
+    return json.dumps(doc, sort_keys=True) + "\n"

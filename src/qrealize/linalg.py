@@ -349,7 +349,7 @@ def psd_low_rank_factor(
     return factor
 
 
-# bench/tracing.py TRACED names it; it goes when the benchmark drops it (ROADMAP item 5)
+# bench/tracing.py TRACED names it; it goes when the benchmark drops it (ROADMAP item 18)
 def complex_rank_via_real_embedding(
     are, aim, policy: TolerancePolicy = DEFAULT_POLICY, floor: float = 0.0
 ) -> int:

@@ -114,7 +114,7 @@ class LtiSystem:
     def n_y(self) -> int:
         return self.C.shape[0]
 
-    # bench/workloads.py calls it; it goes when the benchmark drops it (ROADMAP item 5)
+    # bench/workloads.py calls it; it goes when the benchmark drops it (ROADMAP item 18)
     @classmethod
     def from_matrices(cls, A, B, C) -> "LtiSystem":
         """The system (A, B, C); the same as LtiSystem(A, B, C)."""
@@ -269,7 +269,7 @@ def compute_s_tilde(
     )
 
 
-# bench/tracing.py TRACED names these two; they go when the benchmark drops them (ROADMAP item 5)
+# bench/tracing.py TRACED names these two; they go when the benchmark drops them (ROADMAP item 18)
 def minimal_noise_count(sys: LtiSystem, policy: TolerancePolicy = DEFAULT_POLICY):
     """Exact minimum (r, n_v) with r = rank(S_tilde) and n_v = n_u + r."""
     skew = compute_s_tilde(sys, policy)

@@ -3,9 +3,10 @@
 Builds the Hamiltonian matrix R, the noise matrices (B1, D1) and the
 coupling matrix Lambda that realize a validated triple (A, B, C) with the
 minimal number n_v = n_u + rank(S_tilde) of additional vacuum channels.
-_field_inputs turns coupling rows into real input column pairs and its exact
-inverse _coupling_rows turns them back: Lambda is _coupling_rows of
-[B_11, B1[:, n_y:], B], with B_11 = Theta C^T diag(J).
+_field_inputs turns coupling rows into real input column pairs and its
+inverse _coupling_rows turns them back, exactly for normal entries (halving
+a subnormal rounds): Lambda is _coupling_rows of [B_11, B1[:, n_y:], B],
+with B_11 = Theta C^T diag(J).
 Every synthesized realization is re-verified numerically: the generator
 reconstruction identities and the realizability conditions are measured
 and attached as a residual report. A minimality certificate reads the
@@ -155,11 +156,12 @@ def _field_inputs(lam: np.ndarray) -> np.ndarray:
 
 
 def _coupling_rows(cols: np.ndarray) -> np.ndarray:
-    """The coupling rows Lambda with _field_inputs(Lambda) = cols, the exact inverse.
+    """The coupling rows Lambda with _field_inputs(Lambda) = cols.
 
     Theta^-1 = -Theta, so with Q = -Theta cols / 2, Re Lambda = Q[:, 1::2]^T
-    and Im Lambda = -Q[:, 0::2]^T. Every entry is +-cols/2, so nothing is
-    rounded, and zero parts are +0.0.
+    and Im Lambda = -Q[:, 0::2]^T. Every entry is +-cols/2, so the round
+    trip is exact for normal entries, but halving a subnormal rounds; zero
+    parts are +0.0.
     """
     q = -0.5 * apply_theta(cols, "left")
     lam = np.empty((cols.shape[1] // 2, cols.shape[0]), dtype=complex)

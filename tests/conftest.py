@@ -1,7 +1,9 @@
-"""Shared fixtures: the three reference systems and a seeded random corpus."""
+"""Shared fixtures: the three reference systems, a seeded random corpus and a LAPACK call recorder."""
 
 import dataclasses
+import inspect
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -175,6 +177,58 @@ def overflow_matrices():
         "norm": (a_norm, b, c),
         "terms": (a_terms, b, c),
     }
+
+
+class LapackCall(NamedTuple):
+    """One np.linalg svd, eigh or eigvalsh call: its name, input and flags.
+
+    ``compute_uv`` is whether the call returns vectors (always for eigh,
+    never for eigvalsh); ``hermitian`` whether it treats its input as
+    Hermitian (always for eigh and eigvalsh).
+    """
+
+    name: str
+    a: np.ndarray
+    compute_uv: bool
+    hermitian: bool
+
+
+class LapackCalls(list):
+    """The LapackCalls made while a test runs, in order."""
+
+    def names(self):
+        return [call.name for call in self]
+
+    def with_vectors(self):
+        """The names of the calls that return vectors."""
+        return [call.name for call in self if call.compute_uv]
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Record every np.linalg svd, eigh and eigvalsh call the test makes, with its flags."""
+    calls = LapackCalls()
+
+    def recorded(name, kernel):
+        signature = inspect.signature(kernel)
+
+        def call(*args, **kwargs):
+            flags = signature.bind(*args, **kwargs).arguments
+            calls.append(
+                LapackCall(
+                    name,
+                    np.array(flags["a"]),
+                    flags.get("compute_uv", name != "eigvalsh"),
+                    flags.get("hermitian", name != "svd"),
+                )
+            )
+            return kernel(*args, **kwargs)
+
+        return call
+
+    for name in ("svd", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    return calls
 
 
 @pytest.fixture(scope="session")

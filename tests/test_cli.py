@@ -19,7 +19,6 @@ from qrealize.io import (
     _real_lists,
     parse_realization,
     parse_system_document,
-    serialize_report,
     serialize_system,
 )
 from qrealize.linalg import apply_theta
@@ -289,23 +288,6 @@ class TestOneAnalysisPerCommand:
         assert len(analysis_calls) == 1
 
 
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    """Names of the np.linalg eigh and svd calls made while the test runs."""
-    calls = []
-
-    def counted(name, kernel):
-        def call(*args, **kwargs):
-            calls.append(name)
-            return kernel(*args, **kwargs)
-
-        return call
-
-    for name in ("eigh", "svd"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    return calls
-
-
 def _seeded_file(path, n, entropy, delta=None, n_u=8, tolerances=None):
     """Write A, B, C drawn from default_rng(entropy) and any tolerances to path; with delta, A0 + delta M for A.
 
@@ -328,13 +310,13 @@ class TestLapackCallsPerCommand:
     def test_count_is_one_svd_and_no_eigh(self, which, paper_file, tmp_path, lapack_calls):
         path = paper_file if which == "paper" else _seeded_file(tmp_path / "seeded64.json", 64, [64, 8, 0])
         assert main(["count", path]) == 0
-        assert lapack_calls == ["svd"]
+        assert lapack_calls.names() == ["svd"]
 
     def test_synthesize_makes_no_eigh(self, paper_file, tmp_path, lapack_calls):
         # the count's SVD, the record's SVD with vectors and the two rank tests
         # of Xi2; the paper system's two lone pairs need no eigh
         assert main(["synthesize", paper_file, "-o", str(tmp_path / "report.json")]) == 0
-        assert lapack_calls == ["svd"] * 4
+        assert lapack_calls.names() == ["svd"] * 4
 
 
 class TestParserReuse:
@@ -572,23 +554,36 @@ class TestCheck:
         assert out.count("PASS") == 3 and "FAIL" not in out
 
     def _assert_check_reads_old_report(self, paper_file, tmp_path, capsys, make_old):
-        """check passes, with the same B1/D1, on the report make_old edits to an older version."""
+        """check passes on the report make_old edits to an older version, as on today's.
+
+        It prints the same three PASS lines and reads the same B1 and D1 bits
+        from the older layout: every version before 0.10.0 wrote its report
+        indented, one value per line.
+        """
         report = tmp_path / "report.json"
         assert main(["synthesize", paper_file, "-o", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["check", paper_file, str(report)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all(line.endswith(" PASS") for line in lines)
         doc = json.loads(report.read_text())
         make_old(doc, parse_system_document(Path(paper_file).read_text()).system)
         old = tmp_path / "old.json"
-        old.write_text(serialize_report(doc))
-        capsys.readouterr()
+        old.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         assert main(["check", paper_file, str(old)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 3 and all(line.endswith(" PASS") for line in lines)
-        b1, d1 = parse_realization(report.read_text())
-        old_b1, old_d1 = parse_realization(old.read_text())
-        assert np.array_equal(b1, old_b1) and np.array_equal(d1, old_d1)
+        assert capsys.readouterr().out.splitlines() == lines
+        for matrix, old_matrix in zip(parse_realization(report.read_text()), parse_realization(old.read_text())):
+            assert np.array_equal(matrix, old_matrix)
+            assert np.array_equal(np.signbit(matrix), np.signbit(old_matrix))
+
+    def test_accepts_a_0_9_0_report(self, paper_file, tmp_path, capsys):
+        # 0.9.0 reports hold the keys of 0.10.0; only their layout changed
+        self._assert_check_reads_old_report(
+            paper_file, tmp_path, capsys, lambda doc, system: doc.update(version="0.9.0")
+        )
 
     def test_accepts_a_0_7_0_report(self, paper_file, tmp_path, capsys):
-        # 0.7.0 reports hold the keys of 0.9.0; only how the eigenpairs, S_tilde and B1 were computed changed
+        # 0.7.0 reports hold the keys of 0.10.0; only how the eigenpairs, S_tilde and B1 were computed changed
         self._assert_check_reads_old_report(
             paper_file, tmp_path, capsys, lambda doc, system: doc.update(version="0.7.0")
         )

@@ -11,8 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import qrealize
 from conftest import paper_matrices
@@ -268,10 +266,14 @@ class TestParseRealization:
             parse_realization(text)
 
 
-def _report_text(sys):
+def _report(sys):
+    """The realization of ``sys`` and its report document."""
     rz, report = synthesize_realization(sys)
-    cert = minimality_certificate(rz.skew)
-    return serialize_report(report_document(rz, report, cert))
+    return rz, report_document(rz, report, minimality_certificate(rz.skew))
+
+
+def _report_text(sys):
+    return serialize_report(_report(sys)[1])
 
 
 class TestReportDocument:
@@ -349,8 +351,23 @@ def test_matrix_encoding_matches_elementwise_loops():
         assert json.dumps(_real_lists(m)) == json.dumps(expected)
 
 
-def _dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _listed(node):
+    """The document as json.loads reads it back: tuples become lists."""
+    if isinstance(node, dict):
+        return {key: _listed(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_listed(item) for item in node]
+    return node
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_one_line_of(text, doc):
+    assert text.endswith("\n") and "\n" not in text[:-1]
+    assert json.loads(text) == _listed(doc)
 
 
 def _seeded_system(n, n_u, seed):
@@ -362,75 +379,48 @@ def _seeded_system(n, n_u, seed):
     )
 
 
+def _assert_report_reads_back(rz, doc) -> str:
+    """The text of ``doc``: one line that reads back to it and to the bits of rz's B1 and D1."""
+    text = serialize_report(doc)
+    _assert_one_line_of(text, doc)
+    b1, d1 = parse_realization(text)
+    _assert_same_bits(b1, rz.B1)
+    _assert_same_bits(d1, rz.D1)
+    return text
+
+
 class TestEncoderMatchesJsonDumps:
+    """Each writer is json.dumps with sorted keys: one line that reads back to its document."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_paper_report(self, paper_system, seed):
         # seed 0 reports the paper system itself, the others a seeded shift of its A
         shift = 1e-3 * seed * np.random.default_rng(seed).standard_normal(paper_system.A.shape)
-        sys = LtiSystem(paper_system.A + shift, paper_system.B, paper_system.C)
-        rz, report = synthesize_realization(sys)
-        doc = report_document(rz, report, minimality_certificate(rz.skew))
-        assert serialize_report(doc) == _dumps(doc)
+        _assert_report_reads_back(*_report(LtiSystem(paper_system.A + shift, paper_system.B, paper_system.C)))
 
     @pytest.mark.parametrize("n", [4, 32, 64])
     def test_seeded_report(self, n):
-        rz, report = synthesize_realization(_seeded_system(n, 8 if n > 4 else 2, n))
-        doc = report_document(rz, report, minimality_certificate(rz.skew))
-        assert serialize_report(doc) == _dumps(doc)
+        _assert_report_reads_back(*_report(_seeded_system(n, 8 if n > 4 else 2, n)))
 
     def test_trivial_report_with_empty_block(self, trivial_system):
-        rz, report = synthesize_realization(trivial_system)
+        rz, doc = _report(trivial_system)
         assert rz.Lambda_b1.shape[0] == 0
-        doc = report_document(rz, report, minimality_certificate(rz.skew))
-        assert serialize_report(doc) == _dumps(doc)
+        _assert_report_reads_back(rz, doc)
 
     def test_infinite_residual(self, small_system):
-        rz, report = synthesize_realization(small_system)
-        doc = report_document(rz, report, minimality_certificate(rz.skew))
+        rz, doc = _report(small_system)
         doc["residuals"][0]["relative"] = float("inf")
         doc["analysis"]["eigenvalues_of_S"][0] = float("-inf")
-        text = serialize_report(doc)
-        assert text == _dumps(doc)
+        text = _assert_report_reads_back(rz, doc)
         assert '"relative": Infinity' in text
 
     def test_serialize_system(self):
         sys = example_system()
         doc = {"A": _real_lists(sys.A), "B": _real_lists(sys.B), "C": _real_lists(sys.C)}
-        assert serialize_system(sys) == _dumps(doc)
-        doc.update(tolerances={"rank_rel_tol": 1e-7})
-        assert serialize_system(sys, tolerances={"rank_rel_tol": 1e-7}) == _dumps(doc)
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"leaf": np.float64(0.1), "row": [np.float64(1.5), 2.0], "nested": {"x": np.float64(-0.0)}},
-            {"flag": True, "one": 1, "mixed": [True, 1, 1.0, False, 0, None]},
-            {"zero": -0.0, "row": [-0.0, 0.0], "leaf": [-0.0]},
-            {"\u00e9\u4e2d": 1.0, 'quote"': "\u00e9", "back\\slash\n": "tab\t", "\ud800": "\x7f"},
-            {"big": 2**53 + 1, "bigger": -(2**64) - 3, "row": [2**53 + 1, 0.5]},
-            {"nan": float("nan"), "inf": float("inf"), "row": [1.0, float("-inf")], "np": np.float64("nan")},
-        ],
-        ids=["np-float64", "true-next-to-1", "negative-zero", "keys-and-strings", "big-int", "non-finite"],
-    )
-    def test_leaves_the_encoder_formats_itself(self, doc):
-        # exact int, float, bool, str and None leaves skip json.dumps; every
-        # other leaf, such as an np.float64 or a non-finite float, goes through it
-        assert serialize_report(doc) == _dumps(doc)
-
-    @given(
-        st.recursive(
-            st.none()
-            | st.booleans()
-            | st.integers()
-            | st.floats()
-            | st.text()
-            | st.sampled_from([", ]", "\u00e9\u4e2d", '"\\\n', "-0.0"])
-            | st.lists(st.floats(allow_nan=False, allow_infinity=False)),
-            lambda inner: st.lists(inner, max_size=4)
-            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-            max_leaves=30,
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_generated_documents(self, doc):
-        assert serialize_report(doc) == _dumps(doc)
+        for tolerances in ({}, {"rank_rel_tol": 1e-7}):
+            text = serialize_system(sys, tolerances=tolerances)
+            _assert_one_line_of(text, dict(doc, tolerances=tolerances) if tolerances else doc)
+            parsed = parse_system_document(text)
+            for key in "ABC":
+                _assert_same_bits(getattr(parsed.system, key), getattr(sys, key))
+            assert parsed.policy == replace(DEFAULT_POLICY, **tolerances)

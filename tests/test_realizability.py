@@ -280,35 +280,16 @@ class TestComputeSTilde:
 class TestLazyEigenpairs:
     """The record's U and eigenvalues come from one SVD of S_tilde with vectors, made on first read."""
 
-    @pytest.fixture
-    def eigh_calls(self, monkeypatch):
-        # the record's factorization: "svd" for an SVD with vectors, "eigh" for an eigh of its blocks
-        calls = []
-        eigh, svd = np.linalg.eigh, np.linalg.svd
-
-        def counting_eigh(*args, **kwargs):
-            calls.append("eigh")
-            return eigh(*args, **kwargs)
-
-        def counting_svd(*args, **kwargs):
-            if kwargs.get("compute_uv", True):
-                calls.append("svd")
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        return calls
-
     @pytest.mark.parametrize("first", ["U", "eigenvalues"])
-    def test_first_read_makes_the_one_svd(self, paper_system, eigh_calls, first):
+    def test_first_read_makes_the_one_svd(self, paper_system, lapack_calls, first):
         # one SVD with vectors, and no eigh: the paper system's two 2 x 2 blocks are lone pairs
         skew = compute_s_tilde(paper_system)
-        assert eigh_calls == []
+        assert lapack_calls.with_vectors() == []
         getattr(skew, first)
-        assert eigh_calls == ["svd"]
+        assert lapack_calls.with_vectors() == ["svd"]
         u, d = skew.U, skew.eigenvalues
         assert skew.U is u and skew.eigenvalues is d
-        assert eigh_calls == ["svd"]
+        assert lapack_calls.with_vectors() == ["svd"]
 
     def test_agrees_with_hermitian_eig_of_s(self, paper_system, corpus):
         # Two backward-stable routes to one eigendecomposition, so they agree
@@ -346,33 +327,33 @@ class TestLazyEigenpairs:
         names = [f.name for f in dataclasses.fields(SkewReport)]
         assert names == ["system", "policy", "S_tilde", "term_scale", "rank_r", "multiplicity_count"]
 
-    def test_replace_repr_and_fields_make_no_eigh(self, paper_system, eigh_calls):
+    def test_replace_repr_and_fields_make_no_eigh(self, paper_system, lapack_calls):
         skew = compute_s_tilde(paper_system)
         copy = dataclasses.replace(skew, rank_r=skew.rank_r)
         repr(skew)
         dataclasses.fields(skew)
         dataclasses.asdict(skew)
-        assert eigh_calls == []
+        assert lapack_calls.with_vectors() == []
         # the copy computes its own eigenpairs, once, equal to the source's
         u, d = copy.U, copy.eigenvalues
-        assert eigh_calls == ["svd"]
+        assert lapack_calls.with_vectors() == ["svd"]
         assert np.array_equal(u, skew.U) and np.array_equal(d, skew.eigenvalues)
-        assert eigh_calls == ["svd"] * 2
+        assert lapack_calls.with_vectors() == ["svd"] * 2
 
-    def test_with_eigenpairs_holds_the_given_values(self, paper_system, eigh_calls):
+    def test_with_eigenpairs_holds_the_given_values(self, paper_system, lapack_calls):
         # the corrupted records the certificate tests build hold the values given
         skew = compute_s_tilde(paper_system)
         u, d = 2.0 * np.eye(4), np.arange(4.0)
         faked = with_eigenpairs(skew, u, d)
         assert faked.U is u and faked.eigenvalues is d
         assert faked.S_tilde is skew.S_tilde and faked.rank_r == skew.rank_r
-        assert eigh_calls == []
+        assert lapack_calls.with_vectors() == []
         rotated = rotated_record(skew, 0, 3, 0.3)
         assert rotated.eigenvalues is skew.eigenvalues
         assert not np.allclose(rotated.U, skew.U)
         shifted = shifted_record(skew, 0, 0.3)
         assert shifted.U is skew.U and shifted.eigenvalues[0] == skew.eigenvalues[0] + 0.3
-        assert eigh_calls == ["svd"]  # the source record's own, read by the fakes
+        assert lapack_calls.with_vectors() == ["svd"]  # the source record's own, read by the fakes
 
 
 def _direct_sum(*systems):

@@ -387,52 +387,27 @@ class TestSynthesizeRealization:
         rz, report = synthesize_realization(compute_s_tilde(paper_system, policy))
         assert rz.skew.policy is policy and not report.all_passed
 
-    def test_one_hermitian_eigendecomposition(self, paper_system, monkeypatch):
+    def test_one_svd_with_vectors_and_no_eigh(self, paper_system, lapack_calls):
         # Xi2 is factored from the record's eigenpairs, so the only SVD with
         # vectors is the record's own, made when synthesis first reads U, and
         # none after; the paper system's two lone pairs need no eigh
-        calls = []
-        eigh, svd = np.linalg.eigh, np.linalg.svd
-
-        def counting_eigh(*args, **kwargs):
-            calls.append("eigh")
-            return eigh(*args, **kwargs)
-
-        def counting_svd(*args, **kwargs):
-            if kwargs.get("compute_uv", True):
-                calls.append("svd")
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         skew = compute_s_tilde(paper_system)
-        assert calls == []
+        assert lapack_calls.with_vectors() == []
         synthesize_realization(skew)
-        assert calls == ["svd"]
+        assert lapack_calls.with_vectors() == ["svd"]
         synthesize_realization(skew)
         minimality_certificate(skew)
-        assert calls == ["svd"]
+        assert lapack_calls.with_vectors() == ["svd"]
         synthesize_realization(paper_system)
-        assert calls == ["svd"] * 2
+        assert lapack_calls.with_vectors() == ["svd"] * 2
 
     @pytest.mark.parametrize("n, n_u, seed", [(32, 8, 0), (32, 8, 1), (192, 16, 0)])
-    def test_generic_synthesis_makes_four_svds_and_no_eigh(self, n, n_u, seed, monkeypatch):
+    def test_generic_synthesis_makes_four_svds_and_no_eigh(self, n, n_u, seed, lapack_calls):
         # the count's SVD, the record's SVD with vectors and the two rank tests
         # of Xi2; a generic system's pairs are all lone, in closed form
-        calls = []
-
-        def counted(name, kernel):
-            def call(*args, **kwargs):
-                calls.append(name)
-                return kernel(*args, **kwargs)
-
-            return call
-
-        for name in ("svd", "eigh"):
-            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         _, report = synthesize_realization(_random_system([n, n_u, seed], n, n_u))
         assert report.all_passed
-        assert calls == ["svd"] * 4
+        assert lapack_calls.names() == ["svd"] * 4
 
     def test_xi2_psd_test_makes_no_eigvalsh_call(self, paper_system, corpus, monkeypatch):
         # Xi2 is judged PSD by its rank test and the factor round trip alone:
@@ -445,23 +420,16 @@ class TestSynthesizeRealization:
             synthesize_realization(record)
         assert calls == []
 
-    def test_xi2_ranks_take_the_hermitian_route(self, paper_system, corpus, monkeypatch):
+    def test_xi2_ranks_take_the_hermitian_route(self, paper_system, corpus, lapack_calls):
         # two rank checks of Xi2 through |eigvalsh| (build_xi2's and
         # psd_low_rank_factor's), and two SVDs of S_tilde: the count's, without
         # vectors, and the record's, with vectors
-        calls = []
-        svd = np.linalg.svd
-
-        def counting_svd(a, *args, **kwargs):
-            calls.append((np.array(a), kwargs.get("hermitian", False), kwargs.get("compute_uv", True)))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         for sys in [paper_system] + corpus[:10]:
-            calls.clear()
+            lapack_calls.clear()
             rz, _ = synthesize_realization(sys)
-            hermitian = [a for a, flag, _ in calls if flag]
-            full = [(a, uv) for a, flag, uv in calls if not flag]
+            calls = [call for call in lapack_calls if call.name == "svd"]
+            hermitian = [call.a for call in calls if call.hermitian]
+            full = [(call.a, call.compute_uv) for call in calls if not call.hermitian]
             xi2 = build_xi2(rz.skew, build_xi1(rz.skew))
             assert len(hermitian) == 2
             assert all(np.array_equal(a, xi2) for a in hermitian)
@@ -778,31 +746,23 @@ class TestMinimalityCertificate:
         assert cert.embedding_agreed is False
         assert cert.lower_bound_held is (skew.rank_r == 0)
 
-    def test_makes_no_lapack_call(self, paper_system, monkeypatch):
+    def test_makes_no_lapack_call(self, paper_system, lapack_calls, monkeypatch):
         # the proof reads the record's eigenpairs: no SVD, eigh, eigvalsh or Xi1
         # beyond the record's own SVD with vectors
         import qrealize.synthesis as synthesis
 
         skew = compute_s_tilde(paper_system)
-        calls = []
-
-        def counted(name, kernel):
-            def call(*args, **kwargs):
-                calls.append(name)
-                return kernel(*args, **kwargs)
-
-            return call
-
-        for name in ("svd", "eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        monkeypatch.setattr(synthesis, "build_xi1", counted("build_xi1", synthesis.build_xi1))
+        lapack_calls.clear()
+        xi1_calls = []
+        build_xi1 = synthesis.build_xi1
+        monkeypatch.setattr(synthesis, "build_xi1", lambda *a: xi1_calls.append(a) or build_xi1(*a))
         assert minimality_certificate(skew).proven_r == 4
         # the record's own, on the first read of its eigenpairs: one SVD of S_tilde
         # with vectors; the paper system's two lone pairs need no eigh
-        assert calls == ["svd"]
-        calls.clear()
+        assert lapack_calls.names() == ["svd"] and xi1_calls == []
+        lapack_calls.clear()
         assert minimality_certificate(skew).proven_r == 4
-        assert calls == []
+        assert lapack_calls.names() == [] and xi1_calls == []
 
 
 def _margin_systems():
