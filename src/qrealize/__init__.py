@@ -8,7 +8,7 @@ numerical verification report.
 """
 
 # qrealize.io stamps it into every report.
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .errors import (
     ContractError,

@@ -186,12 +186,13 @@ def serialize_system(sys, tolerances=None) -> str:
 def report_document(realization, residuals, certificate) -> dict:
     """Assemble the full report as plain JSON-ready data.
 
-    The tolerances and the analysis (the spectrum of S, r, n_v and the
-    multiplicity count) come from the analysis record the realization
-    carries, and each appears once; the tolerances, each residual entry and
-    the certificate are written field by field (_fields), so their
-    dataclasses alone name the keys; a certificate value that does not
-    exist is null. The report holds what the run adds to its input, not
+    The tolerances and the analysis (the spectrum of S, r, n_v, the
+    multiplicity count and the scale exponent k) come from the analysis
+    record the realization carries, and each appears once. Every number
+    but B1 describes the record's system (4^k A, 2^k B, 2^k C). The
+    tolerances, each residual entry and the certificate are written field
+    by field (_fields), so their dataclasses alone name the keys; a
+    certificate value that does not exist is null. The report holds what the run adds to its input, not
     the input: A, B and C, and with them the sizes n, n_u and n_y, stay in
     the system file, S_tilde is rebuilt from it by compute_s_tilde, and R
     and Lambda from it and the report's B1 by synthesis.oscillator.
@@ -207,6 +208,7 @@ def report_document(realization, residuals, certificate) -> dict:
             "r": int(skew.rank_r),
             "n_v": int(skew.n_v),
             "multiplicity_noise_count": int(skew.multiplicity_count),
+            "scale_exponent": int(skew.scale_exponent),
         },
         "residuals": [_fields(e) for e in residuals],
         "all_passed": residuals.all_passed,

@@ -16,8 +16,9 @@ Rayleigh-Ritz), in the order and phases _phased_rows owns;
 low-rank factorization of a PSD matrix from eigenpairs the caller already
 holds (truncated and verified by real Gram products, never recomputed);
 frobenius_norm, the one Frobenius norm, np.linalg.norm's value without its
-argument handling, which no underflow takes to zero, and the norms of the
-column-pair wedge products x y^T - y x^T.
+argument handling, and the norms of the column-pair wedge products
+x y^T - y x^T, neither rescaled: the pipeline's systems lie in the band of
+realizability._scale_exponent.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ __all__ = [
 # tolerance symmetry_tol.
 ROUNDOFF_TOL = 1e-12
 
-# A norm below this may have lost entries whose squares underflow; at or above
-# it the sum of squares is at least 2^-920, and what it lost is below roundoff.
-_UNDERFLOW_NORM = 2.0**-460
-
 
 @dataclass(frozen=True)
 class TolerancePolicy:
@@ -83,12 +80,16 @@ class TolerancePolicy:
 
     def __post_init__(self):
         # Only a numbers.Real (NumPy's floats are one) is compared, exactly for
-        # any integer; a long one shows its leading digits and length, others their repr.
+        # any integer; a long one shows its leading digits and length, others their
+        # repr, and one too long for str (int_max_str_digits) its size in bits.
         for field in fields(self):
             value = getattr(self, field.name)
             real = isinstance(value, numbers.Real)
             if not (real and 0.0 < value < 1.0):
-                shown = str(value) if real else repr(value)
+                try:
+                    shown = str(value) if real else repr(value)
+                except ValueError:
+                    shown = f"an integer of {int(value).bit_length()} bits"
                 if real and len(shown) > 32:
                     shown = f"{shown[:8]}... ({len(shown)} digits)"
                 raise ValueError(
@@ -370,31 +371,22 @@ def complex_rank_via_real_embedding(
 
 
 def frobenius_norm(x) -> float:
-    """The Frobenius norm of an array, as np.linalg.norm gives it, but never lost to underflow.
+    """The Frobenius norm of an array, as np.linalg.norm gives it.
 
     For double (or integer or boolean) input, as every array here is, the
     value is np.linalg.norm's, bit for bit, by its own steps: the entries
     raveled in memory order, one dot product per real part and a square
-    root, without its argument handling. np.linalg.norm sums
-    unscaled squares, so entries below about 1e-162 square to zero, and a
-    nonzero array can read 0.0. Only when the value is below 2^-460 for a
-    nonzero array is the array divided by its largest |entry| first and the
-    norm scaled back; every larger value, an overflow to inf included, is
-    the unscaled one.
+    root, without its argument handling. Entries below about 1e-162 square
+    to 0 and above about 1e154 to inf, as there; the pipeline's systems lie
+    in the band of realizability._scale_exponent, where neither decides.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "fc":
         x = x.astype(float)
     flat = x.ravel(order="K")
     if flat.dtype.kind == "c":
-        value = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
-    else:
-        value = math.sqrt(flat.dot(flat))
-    if value < _UNDERFLOW_NORM and flat.any():
-        peak = float(np.abs(flat).max())
-        # by parts: numpy divides a complex number by 1 / peak, which overflows for a subnormal peak
-        value = peak * math.hypot(np.linalg.norm(flat.real / peak), np.linalg.norm(flat.imag / peak))
-    return value
+        return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+    return math.sqrt(flat.dot(flat))
 
 
 def wedge_norms(x, y) -> np.ndarray:
@@ -404,10 +396,7 @@ def wedge_norms(x, y) -> np.ndarray:
     sqrt(2) ||x_k|| ||y_k - (x_k.y_k / ||x_k||^2) x_k||. Projecting out x_k
     keeps the value when the pair is nearly parallel, where the equivalent
     sqrt(2 (||x||^2 ||y||^2 - (x.y)^2)) cancels to nothing. A zero x_k gives 0.
-    A pair in which a nonzero column's squared norm underflows (its norm is
-    below 2^-460, as in frobenius_norm) is measured with each column divided
-    by its largest |entry| and scaled back, since the norm is bilinear in
-    (x_k, y_k); every other pair gets the unscaled value.
+    Squared norms underflow and overflow as in frobenius_norm.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -415,15 +404,7 @@ def wedge_norms(x, y) -> np.ndarray:
         raise DimensionError(
             f"wedge_norms needs two matrices of one shape, got {x.shape} and {y.shape}"
         )
-    xx, yy = (np.einsum("ij,ij->j", m, m) for m in (x, y))
+    xx = np.einsum("ij,ij->j", x, x)
     xy = np.einsum("ij,ij->j", x, y)
     coef = np.divide(xy, xx, out=np.zeros_like(xx), where=xx > 0.0)
-    norms = np.sqrt(2.0 * xx) * np.linalg.norm(y - coef * x, axis=0)
-    tiny = _UNDERFLOW_NORM**2
-    if (np.minimum(xx, yy) < tiny).any():
-        lost = (xx < tiny) & x.any(axis=0) | (yy < tiny) & y.any(axis=0)
-        # scaled, each column's largest |entry| is 1, so the second call scales nothing
-        px, py = (np.abs(m[:, lost]).max(axis=0, initial=0.0) for m in (x, y))
-        px, py = np.where(px > 0.0, px, 1.0), np.where(py > 0.0, py, 1.0)
-        norms[lost] = px * (py * wedge_norms(x[:, lost] / px, y[:, lost] / py))
-    return norms
+    return np.sqrt(2.0 * xx) * np.linalg.norm(y - coef * x, axis=0)

@@ -125,7 +125,9 @@ class LtiSystem:
 class SkewReport:
     """Analysis record of one system: everything derived from S_tilde.
 
-    ``system`` and ``policy`` are what the record was computed from.
+    ``system`` and ``policy`` are what the record was computed from; the
+    system is the caller's, rescaled to (4^k A, 2^k B, 2^k C) with
+    k = ``scale_exponent`` (_scale_exponent), and every field describes it.
     ``term_scale`` T, the largest Frobenius norm of the terms S_tilde sums
     (Theta B Theta_u B^T Theta, Theta A, C^T Theta_y C), sizes its
     roundoff: every cutoff or roundoff check on a matrix built from S_tilde
@@ -159,6 +161,7 @@ class SkewReport:
     term_scale: float
     rank_r: int
     multiplicity_count: int
+    scale_exponent: int
 
     @property
     def S(self) -> np.ndarray:
@@ -189,10 +192,35 @@ class SkewReport:
         return self.system.n_u + self.rank_r
 
 
+def _scale_exponent(sys: LtiSystem) -> int:
+    """The k with which the pipeline analyses (4^k A, 2^k B, 2^k C) in place of (A, B, C).
+
+    (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r, and with alpha = 4^k
+    every floating-point step scales exactly unless it underflows or
+    overflows (Higham, ch. 2). k is 0 when m = max(max|A|, max|B|^2, max|C|^2)
+    lies in [2^-300, 2^300] or is 0, and otherwise brings 4^k m into [1, 4).
+    m is read off math.frexp of the largest entries, so nothing overflows.
+    """
+    peaks = []  # candidates for m, (e, g) for g 2^e with g in [1/2, 1)
+    for m, power in ((sys.A, 1), (sys.B, 2), (sys.C, 2)):
+        f, e = math.frexp(float(np.abs(m).max()))
+        if f:
+            g, x = math.frexp(f**power)
+            peaks.append((power * e + x, g))
+    e, g = max(peaks, default=(0, 0.5))  # a zero system reads as m = 1/2
+    if -299 <= e <= 300 or (e, g) == (301, 0.5):  # g 2^e in [2^-300, 2^300]
+        return 0
+    return (2 - e) // 2  # e + 2k is 1 or 2
+
+
 def compute_s_tilde(
     sys: LtiSystem, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> SkewReport:
     """Analysis record of a system; it was validated when built, so no structural check runs here.
+
+    The record describes (4^k A, 2^k B, 2^k C), k = _scale_exponent(sys),
+    formed exactly by np.ldexp, so nothing below overflows. Entries that
+    span more than about 1e300 lose their smallest parts, as any product would.
 
     S_tilde = Theta B Theta_u B^T Theta - A^T Theta - Theta A - C^T Theta_y C,
     with the outer commutation matrices of size n and the middle one of
@@ -206,13 +234,9 @@ def compute_s_tilde(
     r counts the singular values of S_tilde above rank_rel_tol times
     max(sigma_max, T), T the term scale (SkewReport), here the largest
     norm of Z - Z^T, Theta A and Q - Q^T, so a realizable system, whose
-    S_tilde is roundoff, has r = 0. An overflow of S_tilde, its norm or T
-    raises NumericalError, since (alpha A, sqrt(alpha) B, sqrt(alpha) C)
-    scales both by alpha and keeps r; so does an odd rank, which means the
-    cutoff sits inside a singular-value pair of the skew S_tilde. Both
-    norms come from linalg.frobenius_norm, so they keep scaling with alpha
-    where the squares of the entries underflow (alpha below about 1e-162 on
-    the paper system): T / alpha stayed put down to alpha = 1e-308.
+    S_tilde is roundoff, has r = 0. An odd rank raises NumericalError,
+    since it means the cutoff sits inside a singular-value pair of the
+    skew S_tilde.
 
     The one SVD that counts r also gives the multiplicity count, and no
     singular vectors are computed here (the record computes them when U or
@@ -227,29 +251,16 @@ def compute_s_tilde(
     not change under positive scaling, so the spectrum of S is used
     directly.
     """
+    k = _scale_exponent(sys)
+    if k:
+        sys = _rescaled(sys, k)
     theta_a = apply_theta(sys.A, "left")
     theta_b = apply_theta(sys.B, "left")
-    # finite inputs can overflow here; the check below diagnoses that
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = theta_b[:, 1::2] @ theta_b[:, 0::2].T
-        q = sys.C[0::2].T @ sys.C[1::2]
-        g = z - theta_a - q
-        s_tilde = g - g.T
-        scale = frobenius_norm(s_tilde)
-        terms = max(frobenius_norm(t) for t in (z - z.T, theta_a, q - q.T))
-    if not (math.isfinite(scale) and math.isfinite(terms)):
-        # log10 of ||A||, ||B||^2 and ||C||^2, scaled by the largest entry so no norm overflows
-        logs = [
-            power * (math.log10(peak) + math.log10(frobenius_norm(m / peak)))
-            for m, power in ((sys.A, 1), (sys.B, 2), (sys.C, 2))
-            if (peak := float(np.abs(m).max())) > 0
-        ]
-        k = round(max(logs))
-        raise NumericalError(
-            f"skew invariant overflows double precision (||S_tilde|| = {scale}, term scale {terms}); "
-            f"rescale the system: (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r; alpha = 1e-{k} "
-            "brings ||A||, ||B||^2 and ||C||^2 to at most about 1 (apply sqrt(alpha) to A twice)"
-        )
+    z = theta_b[:, 1::2] @ theta_b[:, 0::2].T
+    q = sys.C[0::2].T @ sys.C[1::2]
+    g = z - theta_a - q
+    s_tilde = g - g.T
+    terms = max(frobenius_norm(t) for t in (z - z.T, theta_a, q - q.T))
     rank, sigma = numerical_rank(s_tilde, policy, floor=terms)
     if rank % 2 != 0:
         raise NumericalError(
@@ -266,7 +277,13 @@ def compute_s_tilde(
         term_scale=terms,
         rank_r=rank,
         multiplicity_count=sys.n_u + 2 * (sys.n - n_lambda),
+        scale_exponent=k,
     )
+
+
+def _rescaled(sys: LtiSystem, k: int) -> LtiSystem:
+    """(4^k A, 2^k B, 2^k C), exact unless an entry leaves the range of doubles."""
+    return LtiSystem(np.ldexp(sys.A, 2 * k), np.ldexp(sys.B, k), np.ldexp(sys.C, k))
 
 
 # bench/tracing.py TRACED names these two; they go when the benchmark drops them (ROADMAP item 18)
@@ -318,19 +335,19 @@ def residual_entry(name: str, delta, terms, tol: float, norms=()) -> ResidualEnt
     closed-form pair norms of the commutation identity). The relative
     residual is ||delta|| over the largest of all these norms. A zero
     scale with a zero residual is a clean pass, a zero scale with a
-    nonzero residual can never pass. Every norm is linalg.frobenius_norm,
-    which no underflow takes to zero, so a tiny system is judged as its
-    scaled-up copy: under (alpha A, sqrt(alpha) B, sqrt(alpha) C) every
-    verdict held, and a wrong B1 failed, from alpha = 1e-308 to 1e152 on the
-    paper system and seeded systems with n = 8, 16 and 32 (above about
-    1e153 compute_s_tilde raises on the overflow).
+    nonzero residual can never pass, and neither can a residual or scale
+    that is not finite (a B1 far out of scale with its system): its
+    relative residual is inf. The systems measured lie in the band of
+    _scale_exponent, which scales each norm by a power of 2, exactly.
     """
     absolute = frobenius_norm(delta)
     scale = max(
         max((frobenius_norm(t) for t in terms), default=0.0),
         float(np.max(norms, initial=0.0)),
     )
-    if scale > 0.0:
+    if not (math.isfinite(absolute) and math.isfinite(scale)):
+        relative = math.inf
+    elif scale > 0.0:
         relative = absolute / scale
     else:
         relative = 0.0 if absolute == 0.0 else math.inf
@@ -393,8 +410,10 @@ def check_physical_realizability(
     A Theta, Theta A^T and the pair terms x_k y_k^T - y_k x_k^T, whose
     norms come in closed form from wedge_norms, so no pair term is formed.
 
-    B1 and D1 are validated here; the residuals come from
-    _realizability_residuals, given [B1 B] and B_11. synthesize_realization
+    B1 and D1 are validated here; the system is rescaled as compute_s_tilde
+    rescales it, and B1 by 2^k. The residuals come from
+    _realizability_residuals, given [B1 B] and B_11, with overflow and invalid
+    values silenced (residual_entry fails them). synthesize_realization
     calls that core with the B1 it validated once and the [B1 B] of its
     input rebuild, so its last three entries are this function's on the
     realization's B1 and D1.
@@ -403,8 +422,12 @@ def check_physical_realizability(
     d1 = as_real_matrix("D1", D1)
     if d1.shape != (sys.n_y, b1.shape[1]):
         raise DimensionError(f"D1 must be {sys.n_y}x{b1.shape[1]}, got shape {d1.shape}")
-    bb = np.hstack([b1, sys.B])
-    return _realizability_residuals(sys, bb, _b11(sys), d1, policy.residual_tol)
+    k = _scale_exponent(sys)
+    if k:
+        sys = _rescaled(sys, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bb = np.hstack([np.ldexp(b1, k), sys.B])
+        return _realizability_residuals(sys, bb, _b11(sys), d1, policy.residual_tol)
 
 
 def _realizability_residuals(

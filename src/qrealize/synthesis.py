@@ -88,14 +88,8 @@ def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
     also rules out an eigenvalue below minus the floor, unless one of the
     r/2 positive ones, each about sigma_j / 2, falls below it: the rule
     that set r on S_tilde excludes that beyond roundoff. build_lambda_b1's
-    round trip is the last guard.
-
-    When the term scale T is below the smallest normal double, the entries
-    of Xi1 and S underflow and lose their digits (to exactly 0 for
-    A = 5e-324 ones((4, 4)), B = C = 0), so no tolerance is at fault: the
-    error then names the underflow and the rescaling (alpha A, sqrt(alpha)
-    B, sqrt(alpha) C), which keeps r, with an alpha that brings T to about
-    1; that alpha can exceed the largest double, and its square root cannot.
+    round trip is the last guard. The record's system is in the band of
+    realizability._scale_exponent, so Xi1 and S do not underflow.
     """
     policy, half_t, k = skew.policy, skew.term_scale / 2, skew.rank_r // 2
     xi2 = np.empty(xi1.shape, dtype=complex)
@@ -103,14 +97,6 @@ def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
     np.multiply(skew.S_tilde, 0.25, out=xi2.imag)
     rank, s = numerical_rank(xi2, policy, hermitian=True, floor=half_t)
     if rank != k:
-        t = skew.term_scale
-        if 0.0 < t < np.finfo(float).tiny:
-            raise NumericalError(
-                f"Xi2 has numerical rank {rank}, expected r/2 = {k}: the term scale T = {t:.3e} "
-                "is below the smallest normal double, so Xi1 and S = (i/4) S_tilde underflow; "
-                "rescale the system: (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r; "
-                f"alpha = 1e{-round(math.log10(t))} brings T to about 1 (apply sqrt(alpha) to A twice)"
-            )
         top = max(float(s[0]), half_t)
         raise NumericalError(
             f"Xi2 has numerical rank {rank}, expected r/2 = {k} (floor: rank_rel_tol "
@@ -227,7 +213,8 @@ class Realization:
     """Synthesized quantum realization of an LTI triple.
 
     ``skew`` is the analysis record the realization was built from; it
-    holds the system, the policy, r and n_v. R is the real symmetric
+    holds the system, rescaled by its scale_exponent k, the policy, r and
+    n_v; R, Lambda and B1 are the system's as given. R is the real symmetric
     Hamiltonian matrix (H = (1/2) x(0)^T R x(0)), Lambda the complex
     coupling matrix (L = Lambda x(0)) stacked as [Lambda_b0; Lambda_b1;
     Lambda_b2] with n_y/2, r/2 and n_u/2 rows, and B1 the noise input
@@ -277,7 +264,8 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
         "output_rebuild" (C from Lambda), and the three realizability
         conditions from check_physical_realizability. Each is judged
         against residual_tol, and ``report.all_passed`` is the verdict:
-        the pair is returned whether or not the residuals pass.
+        the pair is returned whether or not the residuals pass. They
+        measure the record's system; R, Lambda and B1 are scaled back.
 
     Each stage frees its n x n intermediates once the next no longer needs
     them, so only the record, R, Lambda and B1 outlive their stage: Xi1
@@ -308,6 +296,9 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
     # C = P^T blockdiag(Sigma, Sigma) [Lambda + conj(Lambda); -i Lambda + i conj(Lambda)]
     output = _rebuild_entry("output_rebuild", _coupled_outputs(lam, sys.n_y), sys.C, tol)
     check = _realizability_residuals(sys, bb, b11, rz.D1, tol)
+    k = skew.scale_exponent
+    if k:  # the caller's 4^-k R, 2^-k Lambda and 2^-k B1, all exact
+        rz = Realization(skew, np.ldexp(r_mat, -2 * k), lam * 2.0**-k, np.ldexp(b1, -k))
     return rz, ResidualReport(entries=(state, fields, output) + check.entries)
 
 

@@ -158,8 +158,14 @@ def shifted_record(skew, j, delta):
     return with_eigenpairs(skew, skew.U, d)
 
 
+def rescaled(matrices, k):
+    """(4^k A, 2^k B, 2^k C) for matrices (A, B, C), by np.ldexp: exact inside the range of doubles."""
+    a, b, c = matrices
+    return np.ldexp(a, 2 * k), np.ldexp(b, k), np.ldexp(c, k)
+
+
 def overflow_matrices():
-    """Three finite triples (n=4, n_u=2, C = [I 0]) whose S_tilde or term scale overflows.
+    """Three finite triples (n=4, n_u=2, C = [I 0]) whose S_tilde or term scale overflows unless rescaled.
 
     "entries": A = 1e200 I and B = 1e200 [I; 0], so B B^T and with it
     S_tilde holds inf. "norm": A = 1e160 (I + 3 e_0 e_1^T) and B = [I; 0],

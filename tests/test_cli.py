@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qrealize
-from conftest import overflow_matrices, paper_matrices, rotated_record, shifted_record
+from conftest import overflow_matrices, paper_matrices, rescaled, rotated_record, shifted_record
 from dense_reference import complex_product_xi1
 from qrealize.cli import _build_parser, example_system, main
 from qrealize.io import (
@@ -77,48 +77,64 @@ class TestCount:
         assert main(["count", str(path)]) == 1
 
 
+def _system_file(path, matrices):
+    a, b, c = matrices
+    path.write_text(json.dumps({"A": a.tolist(), "B": b.tolist(), "C": c.tolist()}))
+    return str(path)
+
+
+def _synthesize_and_check(capsys, path, out):
+    """synthesize then check of the written report, each exiting 0 with nothing on stderr; the report."""
+    assert main(["synthesize", path, "-o", str(out)]) == 0
+    assert main(["check", path, str(out)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == "" and len(lines) == 4 and lines[0].endswith("residuals pass)")
+    assert all(line.endswith(" PASS") for line in lines[1:])
+    doc = json.loads(out.read_text())
+    assert doc["all_passed"] is True
+    assert doc["certificate"]["lower_bound_held"] and doc["certificate"]["embedding_agreed"]
+    return doc
+
+
 @pytest.mark.parametrize("name", ["entries", "norm", "terms"])
 @pytest.mark.parametrize("command", ["count", "synthesize"])
 def test_overflowing_system_is_one_error_line(tmp_path, capsys, name, command):
-    a, b, c = overflow_matrices()[name]
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps({"A": a.tolist(), "B": b.tolist(), "C": c.tolist()}))
-    out = tmp_path / "report.json"
-    argv = {"count": ["count", str(path)], "synthesize": ["synthesize", str(path), "-o", str(out)]}
+    # finite systems whose S_tilde or term scale overflows as given: every
+    # command analyses them rescaled by a power of 4, so each counts, each
+    # synthesizes with all residuals passing and a certificate that holds,
+    # and nothing reaches stderr
+    r = {"entries": 2, "norm": 4, "terms": 0}[name]
+    path = _system_file(tmp_path / "big.json", overflow_matrices()[name])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv[command]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: skew invariant overflows")
-    assert "rescale" in captured.err
-    assert not out.exists()
+        if command == "count":
+            assert main(["count", path]) == 0
+            captured = capsys.readouterr()
+            assert (captured.out.splitlines()[0], captured.err) == (f"r={r} n_v={2 + r}", "")
+        else:
+            doc = _synthesize_and_check(capsys, path, tmp_path / "report.json")
+            assert (doc["analysis"]["r"], doc["certificate"]["proven_r"]) == (r, r)
+            assert doc["analysis"]["scale_exponent"] < 0
 
 
 def test_underflowing_system_names_the_underflow_and_the_rescaling(tmp_path, capsys):
-    # S_tilde holds +-1e-323, so count sees r = 2, but Xi1 and S = (i/4) S_tilde
-    # round to exactly 0; the error blames the underflow, not rank_rel_tol, and
-    # the alpha it names makes the rescaled system synthesize
+    # S_tilde holds +-1e-323, whose Xi1 and S = (i/4) S_tilde would round to 0;
+    # analysed as (4^537 A, 2^537 B, 2^537 C), it synthesizes and checks, its
+    # report is the rescaled system's but for B1, 2^-537 times that one's
     a, b, c = np.full((4, 4), 5e-324), np.zeros((4, 2)), np.zeros((2, 4))
-    path, out = tmp_path / "tiny.json", tmp_path / "report.json"
-    path.write_text(json.dumps({"A": a.tolist(), "B": b.tolist(), "C": c.tolist()}))
-    assert main(["count", str(path)]) == 0
+    path = _system_file(tmp_path / "tiny.json", (a, b, c))
+    assert main(["count", path]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "r=2 n_v=4"
-    assert main(["synthesize", str(path), "-o", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
-    assert captured.err == (
-        "error: Xi2 has numerical rank 0, expected r/2 = 1: the term scale T = 1.976e-323 is "
-        "below the smallest normal double, so Xi1 and S = (i/4) S_tilde underflow; rescale the "
-        "system: (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r; alpha = 1e323 brings T to about 1 "
-        "(apply sqrt(alpha) to A twice)\n"
-    )
-    root = 10.0**161.5  # sqrt(alpha); alpha itself overflows
-    path.write_text(serialize_system(qrealize.LtiSystem(root * (root * a), root * b, root * c)))
-    assert main(["synthesize", str(path), "-o", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["analysis"]["r"] == 2 and doc["all_passed"] is True
+    doc = _synthesize_and_check(capsys, path, tmp_path / "report.json")
+    assert (doc["analysis"]["r"], doc["analysis"]["scale_exponent"]) == (2, 537)
+    assert all(entry["relative"] < 1e-15 for entry in doc["residuals"])
+    scaled_path = _system_file(tmp_path / "scaled.json", rescaled((a, b, c), 537))
+    scaled = _synthesize_and_check(capsys, scaled_path, tmp_path / "scaled-report.json")
+    assert scaled["analysis"]["scale_exponent"] == 0
+    assert doc["analysis"]["eigenvalues_of_S"] == scaled["analysis"]["eigenvalues_of_S"]
+    assert np.array_equal(np.array(doc["realization"]["B1"]), np.ldexp(scaled["realization"]["B1"], -537))
+    assert doc["residuals"] == scaled["residuals"] and doc["certificate"] == scaled["certificate"]
 
 
 class TestSynthesize:
@@ -205,10 +221,12 @@ class TestSynthesize:
         assert doc["version"] == qrealize.__version__
         # report 0.5.0 dropped symmetry_tol, the fixed roundoff bound
         assert set(doc["tolerances"]) == {"rank_rel_tol", "residual_tol"}
-        # report 0.6.0 dropped the sizes, realization.n_v, certificate.r and trials
+        # report 0.6.0 dropped the sizes, realization.n_v, certificate.r and trials;
+        # report 0.11.0 added the scale exponent, 0 for every system inside the band
         assert set(doc["analysis"]) == {
-            "eigenvalues_of_S", "r", "n_v", "multiplicity_noise_count",
+            "eigenvalues_of_S", "r", "n_v", "multiplicity_noise_count", "scale_exponent",
         }
+        assert doc["analysis"]["scale_exponent"] == 0
         assert set(doc["realization"]) == {"B1", "D1"}
         # report 0.7.0 replaced min_observed_rank by proven_r and eta
         assert set(doc["certificate"]) == {
@@ -654,11 +672,12 @@ class TestCheck:
         out = capsys.readouterr().out
         assert any("output_coupling" in line and "FAIL" in line for line in out.splitlines())
 
-    @pytest.mark.parametrize("alpha", [1.0, 1e-165])
+    @pytest.mark.parametrize("alpha", [1.0, 1e-165, 1e-250])
     def test_doubled_noise_columns_fail_commutation_at_any_scale(self, tmp_path, capsys, alpha):
-        # (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r; at 1e-165 every entry
-        # of the commutation terms squares to an underflow, which no norm may
-        # read as 0. B1[:, n_y:] (n_y = 2) doubled misses by the same 0.755
+        # (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r; at 1e-165 and 1e-250
+        # every entry of the commutation terms would square to an underflow,
+        # and check, like synthesize, measures the system and B1 rescaled by
+        # a power of 4. B1[:, n_y:] (n_y = 2) doubled misses by the same 0.755
         a, b, c = paper_matrices()
         path = tmp_path / "scaled.json"
         path.write_text(serialize_system(qrealize.LtiSystem(alpha * a, np.sqrt(alpha) * b, np.sqrt(alpha) * c)))
@@ -674,6 +693,25 @@ class TestCheck:
         assert main(["check", str(path), str(bad)]) == 1
         line = capsys.readouterr().out.splitlines()[0]
         assert line == "commutation      relative=7.550e-01 tol=1.0e-08 FAIL"
+
+    def test_overflowing_b1_fails_without_nan_or_warning(self, paper_file, tmp_path, capsys):
+        # B1 times 1e200 overflows the commutation products and the norms of
+        # the output coupling: an infinite or invalid residual or scale is a
+        # relative residual of inf, and nothing reaches stderr
+        report = tmp_path / "report.json"
+        assert main(["synthesize", paper_file, "-o", str(report)]) == 0
+        realization = json.loads(report.read_text())["realization"]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"B1": (1e200 * np.array(realization["B1"])).tolist(), "D1": realization["D1"]}))
+        capsys.readouterr()
+        assert main(["check", paper_file, str(huge)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "commutation      relative=inf tol=1.0e-08 FAIL",
+            "output_coupling  relative=inf tol=1.0e-08 FAIL",
+            "feedthrough      relative=0.000e+00 tol=1.0e-08 PASS",
+        ]
 
     def test_wrong_d1_fails_feedthrough(self, paper_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"

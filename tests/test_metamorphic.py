@@ -6,6 +6,10 @@ by non-orthogonal symplectic ones (Cayley transforms of Hamiltonian
 matrices), under which S_tilde changes by the congruence T^-T S_tilde T^-1,
 and by the scaling (alpha A, sqrt(alpha) B, sqrt(alpha) C). Each variant
 must keep r and n_v, and synthesis of each must pass all six residuals.
+With alpha = 4^k the scaling is exact, and so is every step of the
+pipeline, which analyses each system at an exact power-of-4 scale: B1 is
+2^k times the unscaled B1 and the eigenvalues of S, scaled back by the
+record's scale_exponent, 4^k times the unscaled ones, bit for bit.
 The corpus holds generic systems (r = n), systems whose skew invariant
 was set to a random skew matrix of smaller even rank, generic systems
 whose B is ill-conditioned or nearly rank-deficient, and realizable
@@ -15,12 +19,13 @@ S_tilde is pure roundoff.
 
 import numpy as np
 import pytest
-from conftest import integer_realizable_system
+from conftest import integer_realizable_system, rescaled
 
 from qrealize import LtiSystem, compute_s_tilde, minimality_certificate, synthesize_realization
 from qrealize.linalg import apply_theta
 
 SCALES = (1e-8, 1e-4, 1e4, 1e8, 1e-170, 1e-250)
+POWERS_OF_4 = (-400, -200, -100, -20, 20, 100, 200, 400)
 CONDITIONS = (1e2, 1e6, 1e12)
 
 
@@ -110,20 +115,30 @@ def _variants(sys, seed):
         yield f"symplectic {spread:g}", (t @ a @ t_inv, t @ b, c @ t_inv)
     for alpha in SCALES:
         yield f"scale {alpha:g}", (alpha * a, np.sqrt(alpha) * b, np.sqrt(alpha) * c)
+    for k in POWERS_OF_4:
+        yield f"power {k}", rescaled((a, b, c), k)
 
 
 def _check_variants(sys, skew, seed):
-    _, base = synthesize_realization(skew)
+    base_rz, base = synthesize_realization(skew)
     base_cert = minimality_certificate(skew)
     for name, matrices in _variants(sys, seed):
         variant = LtiSystem(*matrices)
         got = compute_s_tilde(variant)
         assert (got.rank_r, got.n_v) == (skew.rank_r, skew.n_v), name
-        _, report = synthesize_realization(got)
+        rz, report = synthesize_realization(got)
         assert report.all_passed, name
+        if name.startswith("power"):
+            k = int(name.removeprefix("power "))
+            assert np.array_equal(rz.B1, np.ldexp(base_rz.B1, k)), name
+            eigenvalues = np.ldexp(got.eigenvalues, -2 * got.scale_exponent)
+            assert np.array_equal(eigenvalues, np.ldexp(skew.eigenvalues, 2 * k)), name
+            assert [e.relative for e in report] == [e.relative for e in base], name
+            assert minimality_certificate(got).proven_r == base_cert.proven_r, name
         if name.startswith("scale"):
             # no norm underflows, however small alpha: the proof, every verdict
-            # and the term scale over alpha are the unscaled system's
+            # and the term scale over alpha, once scaled back by the record's
+            # scale exponent, are the unscaled system's
             alpha, cert = float(name.removeprefix("scale ")), minimality_certificate(got)
             assert cert.proven_r == base_cert.proven_r, name
             assert (cert.lower_bound_held, cert.embedding_agreed) == (
@@ -131,7 +146,8 @@ def _check_variants(sys, skew, seed):
                 base_cert.embedding_agreed,
             ), name
             assert [e.passed for e in report] == [e.passed for e in base], name
-            assert got.term_scale / alpha == pytest.approx(skew.term_scale, rel=1e-12, abs=0.0), name
+            term_scale = np.ldexp(got.term_scale, -2 * got.scale_exponent) / alpha
+            assert term_scale == pytest.approx(skew.term_scale, rel=1e-12, abs=0.0), name
             for entry, unscaled in zip(report, base):
                 assert entry.relative != 0.0 or unscaled.relative == 0.0, (name, entry)
 

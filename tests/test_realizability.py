@@ -17,6 +17,7 @@ from conftest import (
     paper_matrices,
     projected_system,
     realizable_projection,
+    rescaled,
     rotated_record,
     shifted_record,
     traced_peak,
@@ -51,7 +52,7 @@ from qrealize.linalg import (
     hermitian_eig,
     skew_spectrum,
 )
-from qrealize.realizability import residual_entry
+from qrealize.realizability import _scale_exponent, residual_entry
 from qrealize.synthesis import _gamma
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -234,34 +235,53 @@ class TestComputeSTilde:
 
     @pytest.mark.parametrize("name", ["entries", "norm", "terms"])
     def test_overflow_is_diagnosed_without_warning(self, name):
-        # finite inputs whose S_tilde, its norm or the term scale overflows:
-        # a vacuous skew check, a failed eigensolver or an infinite rank
-        # cutoff would follow
-        sys = LtiSystem(*overflow_matrices()[name])
+        # finite inputs whose S_tilde, its norm or the term scale overflows as
+        # given are analysed as (4^k A, 2^k B, 2^k C), with 4^k m in [1, 4) for
+        # m = max(max|A|, max|B|^2, max|C|^2): no warning, and a record,
+        # synthesis and certificate as sound as any other
+        matrices = overflow_matrices()[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="overflows.*rescale"):
-                compute_s_tilde(sys)
+            skew = compute_s_tilde(LtiSystem(*matrices))
+            k = skew.scale_exponent
+            assert k == {"entries": -664, "norm": -266, "terms": -265}[name]
+            for got, want in zip((skew.system.A, skew.system.B, skew.system.C), rescaled(matrices, k)):
+                assert np.array_equal(got, want)
+            peak = max(np.abs(skew.system.A).max(), np.abs(skew.system.B).max() ** 2)
+            assert 1.0 <= peak < 4.0
+            assert math.isfinite(skew.term_scale) and np.isfinite(skew.S_tilde).all()
+            _, report = synthesize_realization(skew)
+            cert = minimality_certificate(skew)
+        assert report.all_passed
+        assert cert.lower_bound_held and cert.embedding_agreed
+
+    def test_scale_exponent_keeps_the_band_and_brings_the_rest_into_1_to_4(self):
+        # k = 0 for m = max(max|A|, max|B|^2, max|C|^2) on [2^-300, 2^300], edges
+        # included, and for the zero system; outside, 4^k m lies in [1, 4), also
+        # where m itself, max|B|^2 = 2^2048 (1 - 2^-52), is not a double
+        zero = np.zeros((2, 2))
+        cases = [
+            (2.0**-300, 0.0, 0), (np.nextafter(2.0**-300, 0.0), 0.0, 151), (5e-324, 0.0, 537),
+            (0.0, 2.0**150, 0), (0.0, np.nextafter(2.0**150, np.inf), -150),
+            (0.0, 0.0, 0), (0.0, np.finfo(float).max, -1023),
+        ]
+        for a, b, k in cases:
+            assert _scale_exponent(LtiSystem(np.full((2, 2), a), np.diag([b, 0.0]), zero)) == k, (a, b)
 
     @pytest.mark.parametrize("name, r", [("entries", 2), ("norm", 4), ("terms", 0)])
     def test_rescaling_as_advised_gives_one_count(self, name, r):
         # (alpha A, sqrt(alpha) B, sqrt(alpha) C) scales S_tilde and the term
-        # scale by alpha. For "terms", S_tilde is 1e-160 of the term scale:
-        # roundoff against it, so r = 0
-        a, b, c = overflow_matrices()[name]
+        # scale by alpha and keeps r, as given, at any alpha and at any power
+        # of 4. For "terms", S_tilde is 1e-160 of the term scale: roundoff
+        # against it, so r = 0
+        a, b, c = matrices = overflow_matrices()[name]
         for alpha in (1e-250, 1e-280, 1e-300):
             root = math.sqrt(alpha)
             skew = compute_s_tilde(LtiSystem(alpha * a, root * b, root * c))
             assert (skew.rank_r, skew.n_v) == (r, 2 + r)
-        # the alpha the message names, applied to A as sqrt(alpha) twice
-        with pytest.raises(NumericalError) as excinfo:
-            compute_s_tilde(LtiSystem(a, b, c))
-        advised = re.search(r"alpha = 1e-(\d+)", str(excinfo.value))
-        k = int(advised.group(1))
-        assert k == {"entries": 400, "norm": 161, "terms": 160}[name]
-        root = 10.0 ** (-k / 2)
-        skew = compute_s_tilde(LtiSystem(root * (root * a), root * b, root * c))
-        assert (skew.rank_r, skew.n_v) == (r, 2 + r)
+        for k in (-700, -400, 0, 50):
+            skew = compute_s_tilde(LtiSystem(*rescaled(matrices, k)))
+            assert (skew.rank_r, skew.n_v) == (r, 2 + r)
 
     def test_odd_rank_is_diagnosed(self, paper_system, monkeypatch):
         # a skew matrix has even rank, so an odd count is a cutoff inside a pair;
@@ -325,7 +345,9 @@ class TestLazyEigenpairs:
 
     def test_fields_are_the_six_facts(self):
         names = [f.name for f in dataclasses.fields(SkewReport)]
-        assert names == ["system", "policy", "S_tilde", "term_scale", "rank_r", "multiplicity_count"]
+        assert names == [
+            "system", "policy", "S_tilde", "term_scale", "rank_r", "multiplicity_count", "scale_exponent",
+        ]
 
     def test_replace_repr_and_fields_make_no_eigh(self, paper_system, lapack_calls):
         skew = compute_s_tilde(paper_system)
