@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -140,7 +141,7 @@ def _tolerance_policy(tolerances) -> TolerancePolicy:
     if unknown:
         raise ParseError(f"unknown tolerance keys: {', '.join(unknown)}")
     for key, value in tolerances.items():
-        if type(value) not in _NUMBER_TYPES:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ParseError(f"tolerance {key} must be a number")
     try:
         return TolerancePolicy(**tolerances)
@@ -174,12 +175,13 @@ def _real_lists(m) -> list:
 def serialize_system(sys, tolerances=None) -> str:
     """Render a system (plus optional tolerance overrides) as one line of JSON with sorted keys.
 
-    Tolerances the parser would refuse, or ignore ("symmetry_tol"), raise its ParseError.
+    Tolerances the parser would refuse, or ignore ("symmetry_tol"), raise its
+    ParseError; the others are written as the policy's floats.
     """
     doc = {"A": _real_lists(sys.A), "B": _real_lists(sys.B), "C": _real_lists(sys.C)}
     if tolerances:
-        _tolerance_policy(tolerances)  # so every value is a float: no int lies in (0, 1)
-        doc["tolerances"] = dict(tolerances)
+        policy = _tolerance_policy(tolerances)
+        doc["tolerances"] = {key: getattr(policy, key) for key in tolerances}
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
@@ -188,11 +190,12 @@ def report_document(realization, residuals, certificate) -> dict:
 
     The tolerances and the analysis (the spectrum of S, r, n_v, the
     multiplicity count and the scale exponent k) come from the analysis
-    record the realization carries, and each appears once. Every number
-    but B1 describes the record's system (4^k A, 2^k B, 2^k C). The
-    tolerances, each residual entry and the certificate are written field
-    by field (_fields), so their dataclasses alone name the keys; a
-    certificate value that does not exist is null. The report holds what the run adds to its input, not
+    record the realization carries, and each appears once. B1 and D1 are the
+    system's as given; every number derived from S_tilde or a residual describes
+    the analysed system (4^k A, 2^k B, 2^k C). The tolerances (floats), each
+    residual entry and the certificate are written field by field (_fields), so
+    their dataclasses alone name the keys; a certificate value that does not
+    exist is null. The report holds what the run adds to its input, not
     the input: A, B and C, and with them the sizes n, n_u and n_y, stay in
     the system file, S_tilde is rebuilt from it by compute_s_tilde, and R
     and Lambda from it and the report's B1 by synthesis.oscillator.
@@ -202,7 +205,7 @@ def report_document(realization, residuals, certificate) -> dict:
     skew = realization.skew
     return {
         "version": __version__,
-        "tolerances": {k: float(v) for k, v in _fields(skew.policy).items()},
+        "tolerances": _fields(skew.policy),
         "analysis": {
             "eigenvalues_of_S": [float(x) for x in skew.eigenvalues],
             "r": int(skew.rank_r),

@@ -18,7 +18,7 @@ holds (truncated and verified by real Gram products, never recomputed);
 frobenius_norm, the one Frobenius norm, np.linalg.norm's value without its
 argument handling, and the norms of the column-pair wedge products
 x y^T - y x^T, neither rescaled: the pipeline's systems lie in the band of
-realizability._scale_exponent.
+realizability._analysed_system.
 """
 
 from __future__ import annotations
@@ -80,12 +80,13 @@ class TolerancePolicy:
 
     def __post_init__(self):
         # Only a numbers.Real (NumPy's floats are one) is compared, exactly for
-        # any integer; a long one shows its leading digits and length, others their
+        # any integer, and kept as a float, so no NumPy scalar's precision reaches a
+        # cutoff; a long one shows its leading digits and length, others their
         # repr, and one too long for str (int_max_str_digits) its size in bits.
         for field in fields(self):
             value = getattr(self, field.name)
             real = isinstance(value, numbers.Real)
-            if not (real and 0.0 < value < 1.0):
+            if not (real and 0.0 < value < 1.0 and 0.0 < float(value) < 1.0):
                 try:
                     shown = str(value) if real else repr(value)
                 except ValueError:
@@ -95,6 +96,7 @@ class TolerancePolicy:
                 raise ValueError(
                     f"{field.name} must be finite and in (0, 1), i.e. positive and below 1, got {shown}"
                 )
+            object.__setattr__(self, field.name, float(value))
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -378,7 +380,7 @@ def frobenius_norm(x) -> float:
     raveled in memory order, one dot product per real part and a square
     root, without its argument handling. Entries below about 1e-162 square
     to 0 and above about 1e154 to inf, as there; the pipeline's systems lie
-    in the band of realizability._scale_exponent, where neither decides.
+    in the band of realizability._analysed_system, where neither decides.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "fc":

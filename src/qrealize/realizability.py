@@ -125,13 +125,13 @@ class LtiSystem:
 class SkewReport:
     """Analysis record of one system: everything derived from S_tilde.
 
-    ``system`` and ``policy`` are what the record was computed from; the
-    system is the caller's, rescaled to (4^k A, 2^k B, 2^k C) with
-    k = ``scale_exponent`` (_scale_exponent), and every field describes it.
+    ``system`` and ``policy`` are what the record was computed from, the
+    system as given; every number derived from S_tilde describes the system
+    analysed in its place, (4^k A, 2^k B, 2^k C) with k = ``scale_exponent``.
     ``term_scale`` T, the largest Frobenius norm of the terms S_tilde sums
     (Theta B Theta_u B^T Theta, Theta A, C^T Theta_y C), sizes its
     roundoff: every cutoff or roundoff check on a matrix built from S_tilde
-    is relative to at least T (S_tilde), T/2 (Xi2) or T/4 (S, Xi1, certificate candidates).
+    is relative to at least T (S_tilde, the certificate), T/2 (Xi2) or T/4 (the spectrum of S).
     S = (i/4) S_tilde is Hermitian because S_tilde is real skew-symmetric;
     it is derived on access rather than stored, to keep the record small.
     ``rank_r`` is the (even) numerical rank of S_tilde and
@@ -148,11 +148,11 @@ class SkewReport:
     (linalg.skew_eigenpairs), and later reads reuse them. S_tilde is
     exactly skew (compute_s_tilde), so S is exactly Hermitian. That SVD
     must count rank_r under the record's policy and floor T, or
-    NumericalError is raised. The record's fields are the six facts
+    NumericalError is raised. The record's fields are the seven facts
     compute_s_tilde computes (system, policy, S_tilde, term_scale, rank_r,
-    multiplicity_count), so dataclasses.replace copies them alone and the
-    copy computes its own eigenpairs; repr and dataclasses.asdict make no
-    decomposition.
+    multiplicity_count, scale_exponent), so dataclasses.replace copies them
+    alone and the copy computes its own eigenpairs; repr and
+    dataclasses.asdict make no decomposition.
     """
 
     system: LtiSystem
@@ -192,14 +192,15 @@ class SkewReport:
         return self.system.n_u + self.rank_r
 
 
-def _scale_exponent(sys: LtiSystem) -> int:
-    """The k with which the pipeline analyses (4^k A, 2^k B, 2^k C) in place of (A, B, C).
+def _analysed_system(sys: LtiSystem) -> tuple[int, LtiSystem]:
+    """(k, (4^k A, 2^k B, 2^k C)): the system the pipeline analyses in place of (A, B, C).
 
     (alpha A, sqrt(alpha) B, sqrt(alpha) C) keeps r, and with alpha = 4^k
     every floating-point step scales exactly unless it underflows or
-    overflows (Higham, ch. 2). k is 0 when m = max(max|A|, max|B|^2, max|C|^2)
-    lies in [2^-300, 2^300] or is 0, and otherwise brings 4^k m into [1, 4).
-    m is read off math.frexp of the largest entries, so nothing overflows.
+    overflows (Higham, ch. 2). k is 0, with sys itself, when m = max(max|A|,
+    max|B|^2, max|C|^2) lies in [2^-300, 2^300] or is 0, and otherwise brings
+    4^k m into [1, 4), exactly by np.ldexp. m is read off math.frexp of the
+    largest entries, so nothing overflows.
     """
     peaks = []  # candidates for m, (e, g) for g 2^e with g in [1/2, 1)
     for m, power in ((sys.A, 1), (sys.B, 2), (sys.C, 2)):
@@ -209,8 +210,9 @@ def _scale_exponent(sys: LtiSystem) -> int:
             peaks.append((power * e + x, g))
     e, g = max(peaks, default=(0, 0.5))  # a zero system reads as m = 1/2
     if -299 <= e <= 300 or (e, g) == (301, 0.5):  # g 2^e in [2^-300, 2^300]
-        return 0
-    return (2 - e) // 2  # e + 2k is 1 or 2
+        return 0, sys
+    k = (2 - e) // 2  # e + 2k is 1 or 2
+    return k, LtiSystem(np.ldexp(sys.A, 2 * k), np.ldexp(sys.B, k), np.ldexp(sys.C, k))
 
 
 def compute_s_tilde(
@@ -218,9 +220,9 @@ def compute_s_tilde(
 ) -> SkewReport:
     """Analysis record of a system; it was validated when built, so no structural check runs here.
 
-    The record describes (4^k A, 2^k B, 2^k C), k = _scale_exponent(sys),
-    formed exactly by np.ldexp, so nothing below overflows. Entries that
-    span more than about 1e300 lose their smallest parts, as any product would.
+    The record keeps sys; the rest comes from the analysed system of
+    _analysed_system, whose A, B and C are those below, so nothing overflows.
+    Entries that span more than about 1e300 lose their smallest parts, as any product would.
 
     S_tilde = Theta B Theta_u B^T Theta - A^T Theta - Theta A - C^T Theta_y C,
     with the outer commutation matrices of size n and the middle one of
@@ -251,13 +253,11 @@ def compute_s_tilde(
     not change under positive scaling, so the spectrum of S is used
     directly.
     """
-    k = _scale_exponent(sys)
-    if k:
-        sys = _rescaled(sys, k)
-    theta_a = apply_theta(sys.A, "left")
-    theta_b = apply_theta(sys.B, "left")
+    k, analysed = _analysed_system(sys)
+    theta_a = apply_theta(analysed.A, "left")
+    theta_b = apply_theta(analysed.B, "left")
     z = theta_b[:, 1::2] @ theta_b[:, 0::2].T
-    q = sys.C[0::2].T @ sys.C[1::2]
+    q = analysed.C[0::2].T @ analysed.C[1::2]
     g = z - theta_a - q
     s_tilde = g - g.T
     terms = max(frobenius_norm(t) for t in (z - z.T, theta_a, q - q.T))
@@ -279,11 +279,6 @@ def compute_s_tilde(
         multiplicity_count=sys.n_u + 2 * (sys.n - n_lambda),
         scale_exponent=k,
     )
-
-
-def _rescaled(sys: LtiSystem, k: int) -> LtiSystem:
-    """(4^k A, 2^k B, 2^k C), exact unless an entry leaves the range of doubles."""
-    return LtiSystem(np.ldexp(sys.A, 2 * k), np.ldexp(sys.B, k), np.ldexp(sys.C, k))
 
 
 # bench/tracing.py TRACED names these two; they go when the benchmark drops them (ROADMAP item 18)
@@ -338,7 +333,7 @@ def residual_entry(name: str, delta, terms, tol: float, norms=()) -> ResidualEnt
     nonzero residual can never pass, and neither can a residual or scale
     that is not finite (a B1 far out of scale with its system): its
     relative residual is inf. The systems measured lie in the band of
-    _scale_exponent, which scales each norm by a power of 2, exactly.
+    _analysed_system, which scales each norm by a power of 2, exactly.
     """
     absolute = frobenius_norm(delta)
     scale = max(
@@ -410,8 +405,8 @@ def check_physical_realizability(
     A Theta, Theta A^T and the pair terms x_k y_k^T - y_k x_k^T, whose
     norms come in closed form from wedge_norms, so no pair term is formed.
 
-    B1 and D1 are validated here; the system is rescaled as compute_s_tilde
-    rescales it, and B1 by 2^k. The residuals come from
+    B1 and D1 are validated here, and as in compute_s_tilde the analysed
+    system (_analysed_system) is measured, with 2^k B1. The residuals come from
     _realizability_residuals, given [B1 B] and B_11, with overflow and invalid
     values silenced (residual_entry fails them). synthesize_realization
     calls that core with the B1 it validated once and the [B1 B] of its
@@ -422,12 +417,10 @@ def check_physical_realizability(
     d1 = as_real_matrix("D1", D1)
     if d1.shape != (sys.n_y, b1.shape[1]):
         raise DimensionError(f"D1 must be {sys.n_y}x{b1.shape[1]}, got shape {d1.shape}")
-    k = _scale_exponent(sys)
-    if k:
-        sys = _rescaled(sys, k)
+    k, analysed = _analysed_system(sys)
     with np.errstate(over="ignore", invalid="ignore"):
-        bb = np.hstack([np.ldexp(b1, k), sys.B])
-        return _realizability_residuals(sys, bb, _b11(sys), d1, policy.residual_tol)
+        bb = np.hstack([np.ldexp(b1, k), analysed.B])
+        return _realizability_residuals(analysed, bb, _b11(analysed), d1, policy.residual_tol)
 
 
 def _realizability_residuals(

@@ -28,6 +28,7 @@ from .realizability import (
     ResidualEntry,
     ResidualReport,
     SkewReport,
+    _analysed_system,
     _b11,
     _noise_inputs,
     _realizability_residuals,
@@ -89,7 +90,7 @@ def build_xi2(skew: SkewReport, xi1: np.ndarray) -> np.ndarray:
     r/2 positive ones, each about sigma_j / 2, falls below it: the rule
     that set r on S_tilde excludes that beyond roundoff. build_lambda_b1's
     round trip is the last guard. The record's system is in the band of
-    realizability._scale_exponent, so Xi1 and S do not underflow.
+    realizability._analysed_system, so Xi1 and S do not underflow.
     """
     policy, half_t, k = skew.policy, skew.term_scale / 2, skew.rank_r // 2
     xi2 = np.empty(xi1.shape, dtype=complex)
@@ -213,8 +214,9 @@ class Realization:
     """Synthesized quantum realization of an LTI triple.
 
     ``skew`` is the analysis record the realization was built from; it
-    holds the system, rescaled by its scale_exponent k, the policy, r and
-    n_v; R, Lambda and B1 are the system's as given. R is the real symmetric
+    holds the system as given, the policy, r and n_v, and R, Lambda and B1
+    realize that system: oscillator(skew.system, B1) is (R, Lambda) unless
+    Theta A + (Theta A)^T overflows there. R is the real symmetric
     Hamiltonian matrix (H = (1/2) x(0)^T R x(0)), Lambda the complex
     coupling matrix (L = Lambda x(0)) stacked as [Lambda_b0; Lambda_b1;
     Lambda_b2] with n_y/2, r/2 and n_u/2 rows, and B1 the noise input
@@ -264,8 +266,8 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
         "output_rebuild" (C from Lambda), and the three realizability
         conditions from check_physical_realizability. Each is judged
         against residual_tol, and ``report.all_passed`` is the verdict:
-        the pair is returned whether or not the residuals pass. They
-        measure the record's system; R, Lambda and B1 are scaled back.
+        the pair is returned whether or not the residuals pass. R, Lambda
+        and B1 realize the system as given; the residuals measure the analysed one.
 
     Each stage frees its n x n intermediates once the next no longer needs
     them, so only the record, R, Lambda and B1 outlive their stage: Xi1
@@ -279,7 +281,8 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
     the system peaks at 3.4 MiB of memory traced by tracemalloc.
     """
     skew = sys if isinstance(sys, SkewReport) else compute_s_tilde(sys)
-    sys, tol = skew.system, skew.policy.residual_tol
+    k, sys = _analysed_system(skew.system)  # the system every residual measures
+    n_y, tol = sys.n_y, skew.policy.residual_tol
 
     b11 = _b11(sys)
     # Xi1 and Xi2 are arguments only, freed once Lambda_b1 exists
@@ -287,38 +290,36 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
         sys, build_b1(sys, build_lambda_b1(skew, build_xi2(skew, build_xi1(skew))))
     )
     r_mat, lam = _assemble(sys, b1, b11)
-    rz = Realization(skew=skew, R=r_mat, Lambda=lam, B1=b1)
 
-    state = _state_rebuild(rz, tol)
+    state = _state_rebuild(sys.A, r_mat, np.split(lam, [n_y // 2, skew.n_v // 2]), tol)
     # [B1 B] = 2i Theta [-Lambda^dag Lambda^T] Gamma
     bb = np.hstack([b1, sys.B])
     fields = _rebuild_entry("input_rebuild", _field_inputs(lam), bb, tol)
     # C = P^T blockdiag(Sigma, Sigma) [Lambda + conj(Lambda); -i Lambda + i conj(Lambda)]
-    output = _rebuild_entry("output_rebuild", _coupled_outputs(lam, sys.n_y), sys.C, tol)
-    check = _realizability_residuals(sys, bb, b11, rz.D1, tol)
-    k = skew.scale_exponent
-    if k:  # the caller's 4^-k R, 2^-k Lambda and 2^-k B1, all exact
-        rz = Realization(skew, np.ldexp(r_mat, -2 * k), lam * 2.0**-k, np.ldexp(b1, -k))
+    output = _rebuild_entry("output_rebuild", _coupled_outputs(lam, n_y), sys.C, tol)
+    check = _realizability_residuals(sys, bb, b11, np.eye(n_y, skew.n_v), tol)
+    # the caller's 4^-k R, 2^-k Lambda and 2^-k B1, exact for normal entries; + 0.0
+    # makes R's zeros +0.0, as build_r's, also those rounded from subnormals
+    rz = Realization(skew, np.ldexp(r_mat, -2 * k) + 0.0, lam * 2.0**-k, np.ldexp(b1, -k))
     return rz, ResidualReport(entries=(state, fields, output) + check.entries)
 
 
-def _state_rebuild(rz: Realization, tol: float) -> ResidualEntry:
-    """The "state_rebuild" residual of A from R and Lambda; its n x n temporaries die with it.
+def _state_rebuild(a: np.ndarray, r_mat: np.ndarray, blocks: list, tol: float) -> ResidualEntry:
+    """The "state_rebuild" residual of A from R and Lambda's three row blocks; its n x n temporaries die with it.
 
     A = 2 Theta (R + Im(Lambda^dag Lambda)), and Lambda^dag Lambda is the
     sum of its three row blocks' Grams; they cancel against each other,
     so they set the scale, not the near-zero sum. Theta is orthogonal, so
     the term 2 Theta X has the norm 2 ||X||.
     """
-    a = rz.skew.system.A
-    grams = [_gram_imag(m) for m in (rz.Lambda_b0, rz.Lambda_b1, rz.Lambda_b2)]
-    a_rebuilt = 2.0 * apply_theta(rz.R + (grams[0] + grams[1] + grams[2]), "left")
+    grams = [_gram_imag(m) for m in blocks]
+    a_rebuilt = 2.0 * apply_theta(r_mat + (grams[0] + grams[1] + grams[2]), "left")
     return residual_entry(
         "state_rebuild",
         a_rebuilt - a,
         [a],
         tol,
-        norms=[2.0 * frobenius_norm(m) for m in [rz.R] + grams],
+        norms=[2.0 * frobenius_norm(m) for m in [r_mat] + grams],
     )
 
 

@@ -185,6 +185,11 @@ def overflow_matrices():
     }
 
 
+def underflow_matrices():
+    """A = 5e-324 ones((4, 4)), B = C = 0: S_tilde holds +-1e-323, whose S = (i/4) S_tilde rounds to 0 unless rescaled."""
+    return np.full((4, 4), 5e-324), np.zeros((4, 2)), np.zeros((2, 4))
+
+
 class LapackCall(NamedTuple):
     """One np.linalg svd, eigh or eigvalsh call: its name, input and flags.
 

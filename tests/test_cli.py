@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import qrealize
-from conftest import overflow_matrices, paper_matrices, rescaled, rotated_record, shifted_record
+from conftest import (
+    overflow_matrices,
+    paper_matrices,
+    rescaled,
+    rotated_record,
+    shifted_record,
+    underflow_matrices,
+)
 from dense_reference import complex_product_xi1
 from qrealize.cli import _build_parser, example_system, main
 from qrealize.io import (
@@ -122,14 +129,14 @@ def test_underflowing_system_names_the_underflow_and_the_rescaling(tmp_path, cap
     # S_tilde holds +-1e-323, whose Xi1 and S = (i/4) S_tilde would round to 0;
     # analysed as (4^537 A, 2^537 B, 2^537 C), it synthesizes and checks, its
     # report is the rescaled system's but for B1, 2^-537 times that one's
-    a, b, c = np.full((4, 4), 5e-324), np.zeros((4, 2)), np.zeros((2, 4))
-    path = _system_file(tmp_path / "tiny.json", (a, b, c))
+    matrices = underflow_matrices()
+    path = _system_file(tmp_path / "tiny.json", matrices)
     assert main(["count", path]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "r=2 n_v=4"
     doc = _synthesize_and_check(capsys, path, tmp_path / "report.json")
     assert (doc["analysis"]["r"], doc["analysis"]["scale_exponent"]) == (2, 537)
     assert all(entry["relative"] < 1e-15 for entry in doc["residuals"])
-    scaled_path = _system_file(tmp_path / "scaled.json", rescaled((a, b, c), 537))
+    scaled_path = _system_file(tmp_path / "scaled.json", rescaled(matrices, 537))
     scaled = _synthesize_and_check(capsys, scaled_path, tmp_path / "scaled-report.json")
     assert scaled["analysis"]["scale_exponent"] == 0
     assert doc["analysis"]["eigenvalues_of_S"] == scaled["analysis"]["eigenvalues_of_S"]

@@ -228,6 +228,13 @@ class TestToleranceAndSeedHandling:
         doc = parse_system_document(serialize_system(example_system(), tolerances=tolerances))
         assert doc.policy == TolerancePolicy(**tolerances)
 
+    def test_writer_takes_numpy_tolerances(self):
+        # written as the policy's floats, which the parser reads back
+        tolerances = {"rank_rel_tol": np.float64(1e-9), "residual_tol": np.float32(1e-5)}
+        text = serialize_system(example_system(), tolerances=tolerances)
+        assert json.loads(text)["tolerances"] == {"rank_rel_tol": 1e-9, "residual_tol": float(np.float32(1e-5))}
+        assert parse_system_document(text).policy == TolerancePolicy(**tolerances)
+
 
 class TestParseRealization:
     def test_bare_object(self):

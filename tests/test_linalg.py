@@ -64,11 +64,27 @@ class TestTolerancePolicy:
     def test_rejects_nonpositive(self, field):
         # every tolerance is relative: it must be a real number strictly inside (0, 1);
         # an integer too long for str() (4300 digits) is named by its size in bits
-        huge = 10**5000
-        for value in (0.0, -1e-9, np.inf, np.nan, 1.0, 2.0, huge, -huge, "0.1", None, 0.1 + 0j, np.array([0.1, 0.2])):
+        # a Fraction inside (0, 1) whose float rounds to 0 or 1 is refused too
+        huge, tiny = 10**5000, Fraction(1, 10**400)
+        for value in (
+            0.0, -1e-9, np.inf, np.nan, 1.0, 2.0, huge, -huge, tiny, 1 - tiny,
+            "0.1", None, 0.1 + 0j, np.array([0.1, 0.2]),
+        ):
             with pytest.raises(ValueError, match=field):
                 TolerancePolicy(**{field: value})
         assert getattr(TolerancePolicy(**{field: np.float32(0.5)}), field) == 0.5
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.float16(1e-3), np.float32(1e-3), np.float64(1e-3), Fraction(1, 1000)],
+        ids=["float16", "float32", "float64", "Fraction"],
+    )
+    def test_fields_are_python_floats(self, value):
+        # a NumPy scalar kept as given would carry its precision into every cutoff
+        policy = TolerancePolicy(rank_rel_tol=value, residual_tol=value)
+        for field in fields(TolerancePolicy):
+            got = getattr(policy, field.name)
+            assert type(got) is float and got == float(value)
 
     def test_symmetry_tol_is_not_a_field(self):
         # roundoff checks use ROUNDOFF_TOL; there is no knob to loosen them

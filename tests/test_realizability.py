@@ -52,7 +52,7 @@ from qrealize.linalg import (
     hermitian_eig,
     skew_spectrum,
 )
-from qrealize.realizability import _scale_exponent, residual_entry
+from qrealize.realizability import _analysed_system, residual_entry
 from qrealize.synthesis import _gamma
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -243,11 +243,14 @@ class TestComputeSTilde:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             skew = compute_s_tilde(LtiSystem(*matrices))
-            k = skew.scale_exponent
-            assert k == {"entries": -664, "norm": -266, "terms": -265}[name]
-            for got, want in zip((skew.system.A, skew.system.B, skew.system.C), rescaled(matrices, k)):
+            k, analysed = _analysed_system(skew.system)
+            assert k == skew.scale_exponent == {"entries": -664, "norm": -266, "terms": -265}[name]
+            # the record holds the given system; the seam's is rescaled bit for bit
+            for got, want in zip((skew.system.A, skew.system.B, skew.system.C), matrices):
                 assert np.array_equal(got, want)
-            peak = max(np.abs(skew.system.A).max(), np.abs(skew.system.B).max() ** 2)
+            for got, want in zip((analysed.A, analysed.B, analysed.C), rescaled(matrices, k)):
+                assert np.array_equal(got, want)
+            peak = max(np.abs(analysed.A).max(), np.abs(analysed.B).max() ** 2)
             assert 1.0 <= peak < 4.0
             assert math.isfinite(skew.term_scale) and np.isfinite(skew.S_tilde).all()
             _, report = synthesize_realization(skew)
@@ -266,7 +269,10 @@ class TestComputeSTilde:
             (0.0, 0.0, 0), (0.0, np.finfo(float).max, -1023),
         ]
         for a, b, k in cases:
-            assert _scale_exponent(LtiSystem(np.full((2, 2), a), np.diag([b, 0.0]), zero)) == k, (a, b)
+            sys = LtiSystem(np.full((2, 2), a), np.diag([b, 0.0]), zero)
+            got, analysed = _analysed_system(sys)
+            assert got == k, (a, b)
+            assert (analysed is sys) is (k == 0)
 
     @pytest.mark.parametrize("name, r", [("entries", 2), ("norm", 4), ("terms", 0)])
     def test_rescaling_as_advised_gives_one_count(self, name, r):

@@ -8,11 +8,13 @@ import pytest
 from conftest import (
     integer_realizable_system,
     oscillator_built_system,
+    overflow_matrices,
     projected_system,
     realizable_projection,
     rotated_record,
     shifted_record,
     traced_peak,
+    underflow_matrices,
     with_eigenpairs,
 )
 from dense_reference import (
@@ -350,6 +352,16 @@ def _assert_same_rebuild_entries(report, reference):
             assert got.relative == pytest.approx(ref.relative, rel=1e-6)
 
 
+def _assert_record_system_round_trips(rz, report):
+    """The public check and oscillator, given the record's system, agree with the synthesis to the bit."""
+    check = check_physical_realizability(rz.skew.system, rz.B1, rz.D1, rz.skew.policy)
+    assert report.entries[3:] == check.entries
+    for got, public in zip((rz.R, rz.Lambda), oscillator(rz.skew.system, rz.B1)):
+        assert np.array_equal(got, public)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(public)))
+
+
 class TestSynthesizeRealization:
     def test_fixtures_pass(self, fixture_systems):
         expected_nv = {"paper": 6, "trivial": 2, "small": 4}
@@ -541,13 +553,21 @@ class TestSynthesizeRealization:
             monkeypatch.setattr(synthesis, "build_b1", perturbed_b1)
         for sys in systems:
             rz, report = synthesize_realization(sys)
-            check = check_physical_realizability(sys, rz.B1, rz.D1, rz.skew.policy)
-            assert report.entries[3:] == check.entries
+            assert rz.skew.system is sys
+            _assert_record_system_round_trips(rz, report)
             assert report.all_passed is not wrong_b1
-            for got, public in zip((rz.R, rz.Lambda), oscillator(sys, rz.B1)):
-                assert np.array_equal(got, public)
-                for part in (np.real, np.imag):
-                    assert np.array_equal(np.signbit(part(got)), np.signbit(part(public)))
+
+    @pytest.mark.parametrize("name", ["entries", "norm", "terms", "underflow"])
+    def test_out_of_band_record_holds_the_given_system(self, name):
+        # analysed at 4^k with k = -664, -266, -265 and 537, the record still
+        # holds the matrices as given, which R, Lambda and B1 realize
+        matrices = {**overflow_matrices(), "underflow": underflow_matrices()}[name]
+        rz, report = synthesize_realization(LtiSystem(*matrices))
+        assert rz.skew.scale_exponent != 0
+        for got, want in zip((rz.skew.system.A, rz.skew.system.B, rz.skew.system.C), matrices):
+            assert np.array_equal(got, want)
+        assert report.all_passed
+        _assert_record_system_round_trips(rz, report)
 
     def test_residual_names(self, small_system):
         _, report = synthesize_realization(small_system)
@@ -668,6 +688,19 @@ class TestMinimalityCertificate:
         assert _sampler_fields(cert) == reference_certificate(skew)
         if name == "trivial":
             assert cert.proven_r == 0
+
+    @pytest.mark.parametrize("scalar", [np.float16, np.float32])
+    def test_numpy_scalar_tolerance_proves_as_its_float(self, paper_system, scalar):
+        # kept as given, np.float16(1e-3) made eta 0.0 and np.float32 a report
+        # json could not encode
+        results = []
+        for tol in (scalar(1e-3), float(scalar(1e-3))):
+            skew = compute_s_tilde(paper_system, TolerancePolicy(rank_rel_tol=tol))
+            rz, report = synthesize_realization(skew)
+            cert = minimality_certificate(skew)
+            results.append((cert, serialize_report(report_document(rz, report, cert))))
+        assert results[0] == results[1]
+        assert results[0][0].eta > 0.0
 
     def test_trivial_bound(self, trivial_system):
         skew = compute_s_tilde(trivial_system)
