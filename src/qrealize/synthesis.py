@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -182,20 +183,24 @@ def _gram_imag(lam: np.ndarray) -> np.ndarray:
 def oscillator(sys: LtiSystem, b1) -> tuple[np.ndarray, np.ndarray]:
     """(R, Lambda) of the oscillator a system and its noise input matrix B1 fix.
 
-    R comes from A (build_r), and Lambda is _coupling_rows of
-    [B_11, B1[:, n_y:], B] with B_11 = Theta C^T diag(J) (_b11): Lambda_b0
-    comes from C, Lambda_b1 from the extra-noise columns and Lambda_b2
-    from B, all exact, and B1[:, :n_y] is not read. B1 is validated here,
-    and a non-finite or misshapen one raises; _assemble then makes the one
-    assembly, which synthesize_realization shares with B1 validated and
-    B_11 built once. Zeros of R and Lambda are +0.0.
+    R is build_r of the analysed system (realizability._analysed_system)
+    scaled back by 4^-k, so it overflows only where its own entries do.
+    Lambda is _coupling_rows of [B_11, B1[:, n_y:], B], B_11 = Theta C^T
+    diag(J) (_b11), at the scale given: each entry is +-cols/2, so a B1 out
+    of scale with its system cannot overflow it. Lambda_b0 comes from C,
+    Lambda_b1 from the extra-noise columns and Lambda_b2 from B, and
+    B1[:, :n_y] is not read. B1 is validated here, and a non-finite or
+    misshapen one raises. Zeros of R and Lambda are +0.0.
     """
-    return _assemble(sys, _noise_inputs(sys, b1), _b11(sys))
+    b1 = _noise_inputs(sys, b1)
+    k, analysed = _analysed_system(sys)
+    # exact for normal entries; + 0.0 makes a zero rounded from a subnormal +0.0
+    return np.ldexp(build_r(analysed), -2 * k) + 0.0, _lambda(sys, b1, _b11(sys))
 
 
-def _assemble(sys: LtiSystem, b1: np.ndarray, b11: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """oscillator's (R, Lambda) for a validated B1 and B_11 = _b11(sys)."""
-    return build_r(sys), _coupling_rows(np.hstack([b11, b1[:, sys.n_y :], sys.B]))
+def _lambda(sys: LtiSystem, b1: np.ndarray, b11: np.ndarray) -> np.ndarray:
+    """oscillator's Lambda for a validated B1 and B_11 = _b11(sys); synthesis shares it."""
+    return _coupling_rows(np.hstack([b11, b1[:, sys.n_y :], sys.B]))
 
 
 def build_b1(sys: LtiSystem, lambda_b1: np.ndarray) -> np.ndarray:
@@ -211,24 +216,34 @@ def build_b1(sys: LtiSystem, lambda_b1: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Realization:
-    """Synthesized quantum realization of an LTI triple.
+    """Synthesized quantum realization of an LTI triple: its record and B1, as a report holds.
 
-    ``skew`` is the analysis record the realization was built from; it
-    holds the system as given, the policy, r and n_v, and R, Lambda and B1
-    realize that system: oscillator(skew.system, B1) is (R, Lambda) unless
-    Theta A + (Theta A)^T overflows there. R is the real symmetric
-    Hamiltonian matrix (H = (1/2) x(0)^T R x(0)), Lambda the complex
-    coupling matrix (L = Lambda x(0)) stacked as [Lambda_b0; Lambda_b1;
-    Lambda_b2] with n_y/2, r/2 and n_u/2 rows, and B1 the noise input
-    matrix for n_v additional channels. The feedthrough D1 = [I 0],
-    n_y x n_v, is read off the record. The intermediates are not kept:
+    ``skew`` is the analysis record the realization was built from, which
+    holds the system as given, the policy, r and n_v; B1 is the noise input
+    matrix for n_v additional channels. R, the real symmetric Hamiltonian
+    matrix (H = (1/2) x(0)^T R x(0)), and Lambda, the complex coupling
+    matrix (L = Lambda x(0)) stacked as [Lambda_b0; Lambda_b1; Lambda_b2]
+    with n_y/2, r/2 and n_u/2 rows, are one oscillator(skew.system, B1)
+    call, made on the first read of either, so a dataclasses.replace copy
+    with another B1 reads its own. The feedthrough D1 = [I 0], n_y x n_v,
+    is read off the record. The intermediates are not kept:
     build_xi1(skew), then build_xi2(skew, xi1), rebuild them.
     """
 
     skew: SkewReport
-    R: np.ndarray
-    Lambda: np.ndarray
     B1: np.ndarray
+
+    @cached_property
+    def _oscillator(self) -> tuple[np.ndarray, np.ndarray]:
+        return oscillator(self.skew.system, self.B1)
+
+    @property
+    def R(self) -> np.ndarray:
+        return self._oscillator[0]
+
+    @property
+    def Lambda(self) -> np.ndarray:
+        return self._oscillator[1]
 
     @property
     def D1(self) -> np.ndarray:
@@ -266,16 +281,18 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
         "output_rebuild" (C from Lambda), and the three realizability
         conditions from check_physical_realizability. Each is judged
         against residual_tol, and ``report.all_passed`` is the verdict:
-        the pair is returned whether or not the residuals pass. R, Lambda
-        and B1 realize the system as given; the residuals measure the analysed one.
+        the pair is returned whether or not the residuals pass. The
+        realization holds the record and the B1 of the system as given,
+        and reads R and Lambda through oscillator on first access; the
+        residuals measure the analysed system's R, Lambda and B1.
 
     Each stage frees its n x n intermediates once the next no longer needs
-    them, so only the record, R, Lambda and B1 outlive their stage: Xi1
-    and Xi2 live until Lambda_b1 exists, and the state, input and output
-    rebuilds each drop theirs before the next starts. The B1 of build_b1 is
-    validated once, here, and B_11 built once, for both the assembly
-    oscillator makes (_assemble) and the output coupling condition, which
-    with the other two takes the [B1 B] of the input rebuild
+    them, so only the record and B1 outlive their stage: Xi1 and Xi2 live
+    until Lambda_b1 exists, and the state, input and output rebuilds each
+    drop theirs before the next starts. The B1 of build_b1 is validated
+    once, here, and B_11 built once, for both the Lambda assembly oscillator
+    makes (_lambda) and the output coupling condition, which with the other
+    two takes the [B1 B] of the input rebuild
     (realizability._realizability_residuals, the core of
     check_physical_realizability). At n = 192 and n_u = 16 a synthesis from
     the system peaks at 3.4 MiB of memory traced by tracemalloc.
@@ -289,18 +306,16 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
     b1 = _noise_inputs(
         sys, build_b1(sys, build_lambda_b1(skew, build_xi2(skew, build_xi1(skew))))
     )
-    r_mat, lam = _assemble(sys, b1, b11)
+    lam = _lambda(sys, b1, b11)
 
-    state = _state_rebuild(sys.A, r_mat, np.split(lam, [n_y // 2, skew.n_v // 2]), tol)
+    state = _state_rebuild(sys.A, build_r(sys), np.split(lam, [n_y // 2, skew.n_v // 2]), tol)
     # [B1 B] = 2i Theta [-Lambda^dag Lambda^T] Gamma
     bb = np.hstack([b1, sys.B])
     fields = _rebuild_entry("input_rebuild", _field_inputs(lam), bb, tol)
     # C = P^T blockdiag(Sigma, Sigma) [Lambda + conj(Lambda); -i Lambda + i conj(Lambda)]
     output = _rebuild_entry("output_rebuild", _coupled_outputs(lam, n_y), sys.C, tol)
     check = _realizability_residuals(sys, bb, b11, np.eye(n_y, skew.n_v), tol)
-    # the caller's 4^-k R, 2^-k Lambda and 2^-k B1, exact for normal entries; + 0.0
-    # makes R's zeros +0.0, as build_r's, also those rounded from subnormals
-    rz = Realization(skew, np.ldexp(r_mat, -2 * k) + 0.0, lam * 2.0**-k, np.ldexp(b1, -k))
+    rz = Realization(skew, np.ldexp(b1, -k))  # the caller's 2^-k B1, exact for normal entries
     return rz, ResidualReport(entries=(state, fields, output) + check.entries)
 
 

@@ -190,6 +190,11 @@ def underflow_matrices():
     return np.full((4, 4), 5e-324), np.zeros((4, 2)), np.zeros((2, 4))
 
 
+def near_overflow_matrices():
+    """A = diag(1e308, -1e308), B = C = 0 (n = n_u = n_y = 2): R is finite, but Theta A + (Theta A)^T overflows unless rescaled."""
+    return np.diag([1e308, -1e308]), np.zeros((2, 2)), np.zeros((2, 2))
+
+
 class LapackCall(NamedTuple):
     """One np.linalg svd, eigh or eigvalsh call: its name, input and flags.
 

@@ -13,6 +13,7 @@ import pytest
 
 import qrealize
 from conftest import (
+    near_overflow_matrices,
     overflow_matrices,
     paper_matrices,
     rescaled,
@@ -104,15 +105,16 @@ def _synthesize_and_check(capsys, path, out):
     return doc
 
 
-@pytest.mark.parametrize("name", ["entries", "norm", "terms"])
+@pytest.mark.parametrize("name", ["entries", "norm", "terms", "near_overflow"])
 @pytest.mark.parametrize("command", ["count", "synthesize"])
 def test_overflowing_system_is_one_error_line(tmp_path, capsys, name, command):
     # finite systems whose S_tilde or term scale overflows as given: every
     # command analyses them rescaled by a power of 4, so each counts, each
     # synthesizes with all residuals passing and a certificate that holds,
     # and nothing reaches stderr
-    r = {"entries": 2, "norm": 4, "terms": 0}[name]
-    path = _system_file(tmp_path / "big.json", overflow_matrices()[name])
+    r = {"entries": 2, "norm": 4, "terms": 0, "near_overflow": 0}[name]
+    matrices = {**overflow_matrices(), "near_overflow": near_overflow_matrices()}[name]
+    path = _system_file(tmp_path / "big.json", matrices)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if command == "count":

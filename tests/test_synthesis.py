@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from conftest import (
     integer_realizable_system,
+    near_overflow_matrices,
     oscillator_built_system,
     overflow_matrices,
     projected_system,
     realizable_projection,
+    rescaled,
     rotated_record,
     shifted_record,
     traced_peak,
@@ -289,10 +291,10 @@ class TestOscillator:
     """oscillator(system, B1) rebuilds the R and Lambda a report leaves out."""
 
     def _assert_rebuilds(self, sys):
-        rz, _ = synthesize_realization(sys)
-        r_mat, lam = oscillator(sys, rz.B1)
-        assert np.array_equal(r_mat, rz.R) and np.array_equal(lam, rz.Lambda)
-        assert not _has_negative_zero(r_mat, lam, rz.R, rz.Lambda)
+        # rz.R and rz.Lambda are oscillator's, so they are checked against what the residuals measured
+        rz, report = synthesize_realization(sys)
+        _assert_record_system_round_trips(rz, report)
+        assert not _has_negative_zero(rz.R, rz.Lambda)
 
     def test_fixtures(self, fixture_systems):
         # on the paper system (Theta A)^T cancels Theta A in 12 entries of R, all
@@ -331,6 +333,41 @@ class TestOscillator:
         with pytest.raises(ValidationError, match="B1 contains non-finite entries"):
             oscillator(paper_system, b1)
 
+    def test_b1_out_of_scale_with_its_system_stays_finite(self):
+        # analysed at 4^537, the underflow system would take B1 to 2^537 1e200,
+        # which overflows; Lambda is formed at the scale given, so each entry
+        # is +-B1/2 and nothing warns
+        sys = LtiSystem(*underflow_matrices())
+        r_mat, lam = oscillator(sys, np.full((4, 4), 1e200))
+        assert np.isfinite(r_mat).all() and np.array_equal(r_mat, r_mat.T)
+        assert not lam[0].any() and not lam[2].any()
+        assert np.array_equal(np.abs(lam[1].real), np.full(4, 5e199))
+        assert np.array_equal(np.abs(lam[1].imag), np.full(4, 5e199))
+
+    def test_realization_reads_r_and_lambda_through_one_call(self, paper_system, monkeypatch):
+        import qrealize.synthesis as synthesis
+
+        calls = []
+
+        def counted(sys, b1):
+            calls.append(sys)
+            return oscillator(sys, b1)
+
+        monkeypatch.setattr(synthesis, "oscillator", counted)
+        rz, _ = synthesize_realization(paper_system)
+        assert calls == []
+        r_mat, lam = rz.R, rz.Lambda
+        assert rz.R is r_mat and rz.Lambda is lam
+        assert calls == [paper_system]
+        # a copy with another B1 reads that B1's Lambda, not the first one's
+        other = rz.B1.copy()
+        other[:, paper_system.n_y :] *= 2.0
+        moved = dataclasses.replace(rz, B1=other)
+        assert np.array_equal(moved.R, r_mat)
+        assert np.array_equal(moved.Lambda, oscillator(paper_system, other)[1])
+        assert np.array_equal(moved.Lambda_b1, 2.0 * rz.Lambda_b1)
+        assert len(calls) == 2
+
     def test_lambda_b0_comes_from_c_not_from_b1(self, fixture_systems):
         # the output columns B1[:, :n_y] are B_11, rebuilt from C; B1's own are not read
         for sys in fixture_systems.values():
@@ -353,11 +390,19 @@ def _assert_same_rebuild_entries(report, reference):
 
 
 def _assert_record_system_round_trips(rz, report):
-    """The public check and oscillator, given the record's system, agree with the synthesis to the bit."""
+    """The public check and oscillator, given the record's system, agree with the synthesis to the bit.
+
+    R and Lambda are the 4^-k R and 2^-k Lambda of the analysed system the
+    residuals measured, with the analysed B1 2^k B1.
+    """
     check = check_physical_realizability(rz.skew.system, rz.B1, rz.D1, rz.skew.policy)
     assert report.entries[3:] == check.entries
-    for got, public in zip((rz.R, rz.Lambda), oscillator(rz.skew.system, rz.B1)):
-        assert np.array_equal(got, public)
+    k, sys = rz.skew.scale_exponent, rz.skew.system
+    r_mat, lam = oscillator(LtiSystem(*rescaled((sys.A, sys.B, sys.C), k)), np.ldexp(rz.B1, k))
+    for got, public, measured in zip(
+        (rz.R, rz.Lambda), oscillator(sys, rz.B1), (np.ldexp(r_mat, -2 * k), lam * 2.0**-k)
+    ):
+        assert np.array_equal(got, public) and np.array_equal(got, measured)
         for part in (np.real, np.imag):
             assert np.array_equal(np.signbit(part(got)), np.signbit(part(public)))
 
@@ -557,11 +602,17 @@ class TestSynthesizeRealization:
             _assert_record_system_round_trips(rz, report)
             assert report.all_passed is not wrong_b1
 
-    @pytest.mark.parametrize("name", ["entries", "norm", "terms", "underflow"])
+    @pytest.mark.parametrize("name", ["entries", "norm", "terms", "underflow", "near_overflow"])
     def test_out_of_band_record_holds_the_given_system(self, name):
-        # analysed at 4^k with k = -664, -266, -265 and 537, the record still
-        # holds the matrices as given, which R, Lambda and B1 realize
-        matrices = {**overflow_matrices(), "underflow": underflow_matrices()}[name]
+        # analysed at 4^k with k = -664, -266, -265, 537 and -511, the record
+        # still holds the matrices as given, which R, Lambda and B1 realize;
+        # with A = diag(1e308, -1e308), R's 5e307 is finite, though
+        # Theta A + (Theta A)^T is not
+        matrices = {
+            **overflow_matrices(),
+            "underflow": underflow_matrices(),
+            "near_overflow": near_overflow_matrices(),
+        }[name]
         rz, report = synthesize_realization(LtiSystem(*matrices))
         assert rz.skew.scale_exponent != 0
         for got, want in zip((rz.skew.system.A, rz.skew.system.B, rz.skew.system.C), matrices):
