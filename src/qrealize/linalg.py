@@ -124,9 +124,9 @@ def apply_theta(m, side: str) -> np.ndarray:
     out = np.empty(m.shape)
     if left:
         out[0::2] = m[1::2]
-        out[1::2] = -m[0::2]
+        np.negative(m[0::2], out=out[1::2])
     else:
-        out[:, 0::2] = -m[:, 1::2]
+        np.negative(m[:, 1::2], out=out[:, 0::2])
         out[:, 1::2] = m[:, 0::2]
     out += 0.0
     return out
@@ -214,13 +214,19 @@ def _ritz_blocks(u, s, vt, floor: float) -> tuple[np.ndarray, np.ndarray, np.nda
     8 n eps max(s[0], floor), eps = 2^-52; each run is at least a pair (2j, 2j + 1).
     """
     n = s.shape[0]
-    m = (vt @ u) * s
-    coupled = np.abs(m) > 8 * n * np.finfo(float).eps * max(float(s[0]), floor)
+    m = vt @ u
+    m *= s
+    cut = 8 * n * np.finfo(float).eps * max(float(s[0]), floor)
+    coupled = m > cut
+    coupled |= m < -cut
     coupled |= coupled.T
-    # the last index each index couples to, at least its pair partner; a run
-    # ends where nothing at or before its end reaches past it
+    # the last index each index couples to (the last True of its row of the
+    # symmetric coupled, which the diagonal keeps nonempty), at least its pair
+    # partner; a run ends where nothing at or before its end reaches past it
+    np.fill_diagonal(coupled, True)
     index = np.arange(n)
-    reach = np.maximum.accumulate(np.where(coupled, index[:, None], index | 1).max(axis=0))
+    last = n - 1 - np.argmax(coupled[:, ::-1], axis=1)
+    reach = np.maximum.accumulate(np.maximum(last, index | 1))
     ends = np.flatnonzero(reach == index) + 1
     starts = np.concatenate(([0], ends[:-1]))
     return m, starts, ends - starts
@@ -285,20 +291,28 @@ def skew_eigenpairs(u, s, vt, floor: float = 0.0) -> tuple[np.ndarray, np.ndarra
     if n == 0:
         return np.zeros((0, 0), dtype=complex), skew_spectrum(s)
     m, starts, sizes = _ritz_blocks(u, s, vt, floor)
-    rows = np.empty((n, n), dtype=complex)
     ritz = np.empty(n)
     first = starts[sizes == 2]
     plus, value = _pair_rows(m, vt, first)
-    rows[first], rows[first + 1] = plus, plus.conj()
     ritz[first], ritz[first + 1] = value, -value
+    larger = []
     for size in sorted(set(sizes[sizes > 2].tolist())):  # np.unique would import numpy.ma
         block = starts[sizes == size][:, None] + np.arange(size)
         blocks = m[block[:, :, None], block[:, None, :]]
         ritz[block], y = np.linalg.eigh(0.125j * (blocks - blocks.transpose(0, 2, 1)))
+        larger.append((block, y))
+    del m
+    # every Ritz vector is written once, straight to its row of the sorted U
+    at = np.empty(n, dtype=np.intp)
+    at[np.argsort(-ritz, kind="stable")] = np.arange(n)
+    rows = np.empty((n, n), dtype=complex)
+    rows[at[first]] = plus
+    rows[at[first + 1]] = np.conjugate(plus, out=plus)
+    for block, y in larger:
         # row j of each block of U is the conjugate of V times eigenvector j
         ritz_rows = np.einsum("bij,bin->bjn", y.conj(), vt[block])
-        rows[block.ravel()] = _phased_rows(ritz_rows.reshape(-1, n))
-    return rows[np.argsort(-ritz, kind="stable")], skew_spectrum(s)
+        rows[at[block.ravel()]] = _phased_rows(ritz_rows.reshape(-1, n))
+    return rows, skew_spectrum(s)
 
 
 def psd_low_rank_factor(

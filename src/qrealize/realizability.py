@@ -204,7 +204,7 @@ def _analysed_system(sys: LtiSystem) -> tuple[int, LtiSystem]:
     """
     peaks = []  # candidates for m, (e, g) for g 2^e with g in [1/2, 1)
     for m, power in ((sys.A, 1), (sys.B, 2), (sys.C, 2)):
-        f, e = math.frexp(float(np.abs(m).max()))
+        f, e = math.frexp(float(max(m.max(), -m.min())))  # max |m|, with no |m| array
         if f:
             g, x = math.frexp(f**power)
             peaks.append((power * e + x, g))
@@ -258,9 +258,18 @@ def compute_s_tilde(
     theta_b = apply_theta(analysed.B, "left")
     z = theta_b[:, 1::2] @ theta_b[:, 0::2].T
     q = analysed.C[0::2].T @ analysed.C[1::2]
-    g = z - theta_a - q
-    s_tilde = g - g.T
-    terms = max(frobenius_norm(t) for t in (z - z.T, theta_a, q - q.T))
+    # one n x n buffer takes Z - Z^T and Q - Q^T for the term scale, then
+    # S_tilde; G is formed in Z (z -= theta_a; z -= q rounds as
+    # z - theta_a - q), and the terms are freed before the SVD
+    s_tilde = np.subtract(z, z.T)
+    terms = frobenius_norm(s_tilde)
+    np.subtract(q, q.T, out=s_tilde)
+    terms = max(terms, frobenius_norm(theta_a), frobenius_norm(s_tilde))
+    z -= theta_a
+    z -= q
+    del theta_a, q
+    np.subtract(z, z.T, out=s_tilde)
+    del z
     rank, sigma = numerical_rank(s_tilde, policy, floor=terms)
     if rank % 2 != 0:
         raise NumericalError(

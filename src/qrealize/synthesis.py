@@ -57,7 +57,8 @@ def build_r(sys: LtiSystem) -> np.ndarray:
     Entries where Theta A and its transpose cancel are +0.0, not -0.0.
     """
     theta_a = apply_theta(sys.A, "left")
-    out = -0.25 * (theta_a + theta_a.T)
+    out = theta_a + theta_a.T
+    out *= -0.25
     out += 0.0
     return out
 
@@ -74,7 +75,9 @@ def build_xi1(skew: SkewReport) -> np.ndarray:
     build_xi2 or the round trip of build_lambda_b1.
     """
     root, u = np.sqrt(np.abs(skew.eigenvalues))[:, None], skew.U
-    w = np.concatenate([root * u.real, root * u.imag])
+    w = np.empty((2 * u.shape[0], u.shape[1]))
+    np.multiply(root, u.real, out=w[: u.shape[0]])
+    np.multiply(root, u.imag, out=w[u.shape[0] :])
     return w.T @ w
 
 
@@ -138,9 +141,11 @@ def _field_inputs(lam: np.ndarray) -> np.ndarray:
     product is real, with 2 * rows of Lambda columns; _coupling_rows undoes it.
     """
     quadratures = np.empty((lam.shape[1], 2 * lam.shape[0]))
-    quadratures[:, 0::2] = -lam.imag.T
+    np.negative(lam.imag.T, out=quadratures[:, 0::2])
     quadratures[:, 1::2] = lam.real.T
-    return 2.0 * apply_theta(quadratures, "left")
+    out = apply_theta(quadratures, "left")
+    out *= 2.0
+    return out
 
 
 def _coupling_rows(cols: np.ndarray) -> np.ndarray:
@@ -151,10 +156,11 @@ def _coupling_rows(cols: np.ndarray) -> np.ndarray:
     trip is exact for normal entries, but halving a subnormal rounds; zero
     parts are +0.0.
     """
-    q = -0.5 * apply_theta(cols, "left")
+    q = apply_theta(cols, "left")
+    q *= -0.5
     lam = np.empty((cols.shape[1] // 2, cols.shape[0]), dtype=complex)
     lam.real = q[:, 1::2].T
-    lam.imag = -q[:, 0::2].T
+    np.negative(q[:, 0::2].T, out=lam.imag)
     lam += 0.0
     return lam
 
@@ -203,15 +209,16 @@ def _lambda(sys: LtiSystem, b1: np.ndarray, b11: np.ndarray) -> np.ndarray:
     return _coupling_rows(np.hstack([b11, b1[:, sys.n_y :], sys.B]))
 
 
-def build_b1(sys: LtiSystem, lambda_b1: np.ndarray) -> np.ndarray:
+def build_b1(sys: LtiSystem, lambda_b1: np.ndarray, b11: np.ndarray | None = None) -> np.ndarray:
     """Noise input matrix B1 = [B_11 | B_12], n x (n_y + 2 * rows of Lambda_b1).
 
     B_11 = Theta C^T diag(J) (_b11) couples the output-carrying
     channels, and B_12 = _field_inputs(Lambda_b1) =
     2i Theta [-Lambda_b1^dag Lambda_b1^T] Gamma, real by construction and
-    computed in real arithmetic, couples the extra ones.
+    computed in real arithmetic, couples the extra ones. A caller that
+    holds B_11 = _b11(sys) already passes it as ``b11``.
     """
-    return np.hstack([_b11(sys), _field_inputs(lambda_b1)])
+    return np.hstack([_b11(sys) if b11 is None else b11, _field_inputs(lambda_b1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,15 +294,16 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
         residuals measure the analysed system's R, Lambda and B1.
 
     Each stage frees its n x n intermediates once the next no longer needs
-    them, so only the record and B1 outlive their stage: Xi1 and Xi2 live
-    until Lambda_b1 exists, and the state, input and output rebuilds each
-    drop theirs before the next starts. The B1 of build_b1 is validated
-    once, here, and B_11 built once, for both the Lambda assembly oscillator
-    makes (_lambda) and the output coupling condition, which with the other
-    two takes the [B1 B] of the input rebuild
-    (realizability._realizability_residuals, the core of
-    check_physical_realizability). At n = 192 and n_u = 16 a synthesis from
-    the system peaks at 3.4 MiB of memory traced by tracemalloc.
+    them, so only the record and [B1 B] outlive their stage: Xi1 and Xi2 live
+    until Lambda_b1 exists, Lambda until the rebuilds end, and the state,
+    input and output rebuilds each drop theirs before the next starts; each
+    intermediate is one array, updated in place in the arithmetic order of
+    its formula. The B1 of build_b1 is validated once, here, and B_11 built
+    once, for build_b1, the Lambda assembly oscillator makes (_lambda) and
+    the output coupling condition, which with the other two takes the
+    [B1 B] of the input rebuild (realizability._realizability_residuals,
+    the core of check_physical_realizability). At n = 192 and n_u = 16 a
+    synthesis from the system peaks at 2.4 MiB of memory traced by tracemalloc.
     """
     skew = sys if isinstance(sys, SkewReport) else compute_s_tilde(sys)
     k, sys = _analysed_system(skew.system)  # the system every residual measures
@@ -304,43 +312,60 @@ def synthesize_realization(sys: LtiSystem | SkewReport):
     b11 = _b11(sys)
     # Xi1 and Xi2 are arguments only, freed once Lambda_b1 exists
     b1 = _noise_inputs(
-        sys, build_b1(sys, build_lambda_b1(skew, build_xi2(skew, build_xi1(skew))))
+        sys, build_b1(sys, build_lambda_b1(skew, build_xi2(skew, build_xi1(skew))), b11)
     )
+    bb = np.hstack([b1, sys.B])
+    b1 = bb[:, : b1.shape[1]]  # B1 lives on only as the leading columns of [B1 B]
     lam = _lambda(sys, b1, b11)
 
-    state = _state_rebuild(sys.A, build_r(sys), np.split(lam, [n_y // 2, skew.n_v // 2]), tol)
+    state = _state_rebuild(sys, np.split(lam, [n_y // 2, skew.n_v // 2]), tol)
     # [B1 B] = 2i Theta [-Lambda^dag Lambda^T] Gamma
-    bb = np.hstack([b1, sys.B])
     fields = _rebuild_entry("input_rebuild", _field_inputs(lam), bb, tol)
     # C = P^T blockdiag(Sigma, Sigma) [Lambda + conj(Lambda); -i Lambda + i conj(Lambda)]
     output = _rebuild_entry("output_rebuild", _coupled_outputs(lam, n_y), sys.C, tol)
+    del lam
     check = _realizability_residuals(sys, bb, b11, np.eye(n_y, skew.n_v), tol)
     rz = Realization(skew, np.ldexp(b1, -k))  # the caller's 2^-k B1, exact for normal entries
     return rz, ResidualReport(entries=(state, fields, output) + check.entries)
 
 
-def _state_rebuild(a: np.ndarray, r_mat: np.ndarray, blocks: list, tol: float) -> ResidualEntry:
-    """The "state_rebuild" residual of A from R and Lambda's three row blocks; its n x n temporaries die with it.
+def _state_rebuild(sys: LtiSystem, blocks: list, tol: float) -> ResidualEntry:
+    """The "state_rebuild" residual of A from R = build_r(sys) and Lambda's three row blocks.
 
     A = 2 Theta (R + Im(Lambda^dag Lambda)), and Lambda^dag Lambda is the
     sum of its three row blocks' Grams; they cancel against each other,
     so they set the scale, not the near-zero sum. Theta is orthogonal, so
-    the term 2 Theta X has the norm 2 ||X||.
+    the term 2 Theta X has the norm 2 ||X||. The Grams accumulate in one
+    buffer as (G0 + G1) + G2, each measured before it is added and freed
+    before the next is formed; R is formed last and added, and Theta, the
+    factor 2 and -A are applied in turn, so at most four n x n matrices live.
     """
-    grams = [_gram_imag(m) for m in blocks]
-    a_rebuilt = 2.0 * apply_theta(r_mat + (grams[0] + grams[1] + grams[2]), "left")
-    return residual_entry(
-        "state_rebuild",
-        a_rebuilt - a,
-        [a],
-        tol,
-        norms=[2.0 * frobenius_norm(m) for m in [r_mat] + grams],
-    )
+    total = _gram_imag(blocks[0])
+    norms = [2.0 * frobenius_norm(total)]
+    for block in blocks[1:]:
+        gram = _gram_imag(block)
+        norms.append(2.0 * frobenius_norm(gram))
+        total += gram
+        del gram
+    r_mat = build_r(sys)
+    norms.append(2.0 * frobenius_norm(r_mat))
+    total += r_mat
+    del r_mat
+    a_rebuilt = apply_theta(total, "left")
+    del total
+    a_rebuilt *= 2.0
+    a_rebuilt -= sys.A
+    return residual_entry("state_rebuild", a_rebuilt, [sys.A], tol, norms=norms)
 
 
 def _rebuild_entry(name: str, rebuilt: np.ndarray, target: np.ndarray, tol: float) -> ResidualEntry:
-    """The residual of a matrix rebuilt from Lambda against its target, both setting the scale."""
-    return residual_entry(name, rebuilt - target, [target, rebuilt], tol)
+    """The residual of a matrix rebuilt from Lambda against its target, both setting the scale.
+
+    The difference is formed in ``rebuilt``, once its norm is taken.
+    """
+    norm = frobenius_norm(rebuilt)
+    rebuilt -= target
+    return residual_entry(name, rebuilt, [target], tol, norms=[norm])
 
 
 @dataclass(frozen=True)

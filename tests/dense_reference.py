@@ -27,6 +27,13 @@ library's rows match bit for bit. eigh_skew_eigenpairs is the route that
 puts every block, lone pairs included, through the batched eigh: the
 reference the closed-form pair rows match to a few ulps.
 
+copying_ritz_blocks and copying_skew_eigenpairs are linalg._ritz_blocks
+and linalg.skew_eigenpairs as they were before each matrix was written
+once: M formed as a product times Sigma, the couplings read off an |M|
+array, each index's reach off an n x n np.where of indices, and U a sorted
+copy of rows written in block order. Every step rounds as the library's
+does, so M, the blocks, U and d must match them bit for bit.
+
 The seeded random-candidate reference checks the theorem behind the
 minimality certificate, rank(Xi + (i/4) S_tilde) >= r/2 for every real
 symmetric Xi: it ranks the two constructive candidates (Xi1 and 0) and any
@@ -241,6 +248,40 @@ def loop_skew_eigenpairs(u, s, vt, floor=0.0):
             for i in range(1, size):
                 row += y[:, i, j, None] * basis[:, i]
             rows[block[:, j]] = _phased_rows(row)
+    return rows[np.argsort(-ritz, kind="stable")], skew_spectrum(s)
+
+
+def copying_ritz_blocks(u, s, vt, floor=0.0):
+    """(M, starts, sizes) of linalg._ritz_blocks, with |M| and the reach of each index formed as arrays."""
+    n = s.shape[0]
+    m = (vt @ u) * s
+    coupled = np.abs(m) > 8 * n * np.finfo(float).eps * max(float(s[0]), floor)
+    coupled |= coupled.T
+    index = np.arange(n)
+    reach = np.maximum.accumulate(np.where(coupled, index[:, None], index | 1).max(axis=0))
+    ends = np.flatnonzero(reach == index) + 1
+    starts = np.concatenate(([0], ends[:-1]))
+    return m, starts, ends - starts
+
+
+def copying_skew_eigenpairs(u, s, vt, floor=0.0):
+    """skew_eigenpairs(u, s, vt, floor) with the rows written in block order, then sorted by a copy."""
+    n = s.shape[0]
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex), skew_spectrum(s)
+    m, starts, sizes = copying_ritz_blocks(u, s, vt, floor)
+    rows = np.empty((n, n), dtype=complex)
+    ritz = np.empty(n)
+    first = starts[sizes == 2]
+    plus, value = _pair_rows(m, vt, first)
+    rows[first], rows[first + 1] = plus, plus.conj()
+    ritz[first], ritz[first + 1] = value, -value
+    for size in sorted(set(sizes[sizes > 2].tolist())):
+        block = starts[sizes == size][:, None] + np.arange(size)
+        blocks = m[block[:, :, None], block[:, None, :]]
+        ritz[block], y = np.linalg.eigh(0.125j * (blocks - blocks.transpose(0, 2, 1)))
+        ritz_rows = np.einsum("bij,bin->bjn", y.conj(), vt[block])
+        rows[block.ravel()] = _phased_rows(ritz_rows.reshape(-1, n))
     return rows[np.argsort(-ritz, kind="stable")], skew_spectrum(s)
 
 

@@ -17,6 +17,8 @@ from dense_reference import (
     dense_gamma,
     dense_pair_norms,
     dense_theta,
+    copying_ritz_blocks,
+    copying_skew_eigenpairs,
     eigh_skew_eigenpairs,
     loop_skew_eigenpairs,
 )
@@ -453,6 +455,35 @@ class TestSkewEigenpairs:
             u, d = loop_skew_eigenpairs(*np.linalg.svd(skew.S_tilde), skew.term_scale)
             assert skew.U.tobytes() == u.tobytes() and skew.eigenvalues.tobytes() == d.tobytes()
         assert family != "clusters" or max(sizes) > 2
+
+    @pytest.mark.parametrize("family", ["paper and corpus", "projections", "clusters"])
+    def test_matches_the_copying_route_bit_for_bit(self, family, paper_system, corpus):
+        # M, the blocks, U and d are written once and in place, and each keeps
+        # every bit of the route that formed |M|, an n x n reach and a sorted
+        # copy of U, signbits included; the clusters have blocks larger than a pair
+        systems = [paper_system] + corpus
+        if family == "projections":
+            systems = [realizable_projection(sys) for sys in systems]
+        elif family == "clusters":
+            systems = [
+                oscillator_built_system(np.random.default_rng([n, k]), n, 2, k, "cluster")
+                for n in (4, 8, 20, 32, 64)
+                for k in sorted({2, n // 4, n // 2})
+            ]
+        largest = 0
+        for sys in systems:
+            skew = compute_s_tilde(sys)
+            svd = np.linalg.svd(skew.S_tilde)
+            got = _ritz_blocks(*svd, skew.term_scale)
+            want = copying_ritz_blocks(*svd, skew.term_scale)
+            got += skew_eigenpairs(*svd, skew.term_scale)
+            want += copying_skew_eigenpairs(*svd, skew.term_scale)
+            for x, y in zip(got, want):
+                for part in (np.real, np.imag):
+                    assert np.array_equal(part(x), part(y))
+                    assert np.array_equal(np.signbit(part(x)), np.signbit(part(y)))
+            largest = max(largest, int(got[2].max()))
+        assert family != "clusters" or largest > 2
 
     @given(seeds, even_sizes)
     @settings(max_examples=30, deadline=None)

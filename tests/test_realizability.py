@@ -150,6 +150,15 @@ class TestComputeSTilde:
         assert skew.rank_r == 2
         assert np.allclose(skew.eigenvalues, [0.5, -0.5], atol=1e-14)
 
+    def test_forms_s_tilde_in_one_buffer(self):
+        # with G and each transposed difference its own n x n array it peaked at
+        # 2.06 MiB; G formed in Z, one buffer for the differences and S_tilde,
+        # and the terms freed before the SVD, it reads 1.21 MiB
+        sys = _random_system([192, 16, 0], 192, 16)
+        skew, peak = traced_peak(compute_s_tilde, sys)
+        assert skew.rank_r == 192
+        assert peak < 1.5 * 2**20
+
     def test_companion_matrix(self, paper_system):
         skew = compute_s_tilde(paper_system)
         assert np.array_equal(skew.S, 0.25j * skew.S_tilde)
